@@ -10,9 +10,15 @@ is a linear program over the atoms because the objective is linear in the
 weights.  Its entropic regularisation adds eps * Div(alpha | nu_Y) for a
 probability reference nu_Y and is solved by alternating KL projections onto
 the two homogeneous-marginal constraint families (generalized iterative
-scaling): each projection multiplies alpha by exp(lambda(x_i) s_i^p) where
-lambda(x_i) solves a scalar monotone equation per support point, here by a
-safeguarded Newton iteration in the log domain.
+scaling): each projection multiplies alpha by exp(lambda(x_i) s_i^p).  A
+point's tilt enters only through the masked log-sum-exp M[i, k] of the
+log-weights over the other side's (point, radial) axes, so one projection is
+one reduction of the atom tensor to M followed by the monotone equations
+
+    LSE_k(M[i, k] + log s_k^p + delta_i s_k^p) = log mu_i,
+
+solved for all points at once by a batched, bracketed Newton iteration in
+the log domain.
 
 Radial grids default to geometric spacing below the mass cap
 s* = (mu0(X) + mu1(X))^(1/p); rescaling by the pushforward
@@ -20,9 +26,11 @@ s* = (mu0(X) + mu1(X))^(1/p); rescaling by the pushforward
 theta = ((s0^p + s1^p)^(1/p)) / s* normalises any plan to unit mass without
 changing the objective, which is exact thanks to the 1-homogeneity of H.
 
-The per-point tilt solves inside one projection are independent of each
-other (and could run in parallel); projections themselves alternate
-sequentially, and plans are immutable snapshots between iterations.
+The stop test of the scaling loop reads the homogeneous marginals off the
+same reductions: h1 from the family-1 reduction with the new tilts applied,
+and h0 from the family-0 reduction at the updated tilts, which the next
+iteration's first projection reuses.  Projections alternate sequentially,
+and plans are immutable snapshots between iterations.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ from .simplex import solve_lp, transport_lp
 from .solver_x import SolveReport, SolverConfig
 
 _LOG_TINY = -745.0
+_TILT_TOL = 1e-14           # stop when |LSE - log mu| falls below this
+_TILT_MAX_STEPS = 200       # Newton steps per tilt before giving up
+_TILT_BRACKET_LIMIT = 1e13  # a bracket past this means no finite tilt
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -61,6 +72,10 @@ class RadialGrid:
         nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 1:
             raise ValueError("radial grid needs a 1-d node array")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("radial nodes must be finite")
+        if not math.isfinite(self.cap):
+            raise ValueError("radial grid cap must be finite")
         if nodes[0] != 0.0:
             raise ValueError("radial grids include the node 0")
         if np.any(np.diff(nodes) <= 0):
@@ -291,51 +306,102 @@ def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 # Entropic solve: alternating KL projections
 # ---------------------------------------------------------------------------
 
-def _tilt_solve(w: np.ndarray, a: np.ndarray, target_log: float) -> float:
-    """Solve LSE(w + delta * a) = target_log for delta.
+def _family_lse(log_alpha: np.ndarray, axis_point: int) -> np.ndarray:
+    """Masked log-sum-exp of the atom tensor over the other side's axes.
 
-    w are log-weights (finite), a > 0.  The left side is convex and strictly
-    increasing in delta; Newton steps are safeguarded by a bracket found by
-    doubling, with bisection as fallback.
+    Returns the (points, radial) array M with M[i, k] the log of the summed
+    weight of every atom at point i and radial node k whose log-weight
+    exceeds ``_LOG_TINY``; atoms at or below it are dropped.  A row with no
+    such atom reads -inf.
     """
-    def value_and_slope(delta):
-        z = w + delta * a
-        m = np.max(z)
-        e = np.exp(z - m)
-        se = float(np.sum(e))
-        val = m + math.log(se) - target_log
-        slope = float(np.sum(a * e)) / se
-        return val, slope
+    other = (2, 3) if axis_point == 0 else (0, 1)
+    top = np.max(log_alpha, axis=other, keepdims=True)
+    live = top > _LOG_TINY
+    z = log_alpha - np.where(live, top, 0.0)
+    np.putmask(z, log_alpha <= _LOG_TINY, -math.inf)
+    with np.errstate(under="ignore"):
+        np.exp(z, out=z)
+    total = z.sum(axis=other)
+    top = top.reshape(total.shape)
+    with np.errstate(divide="ignore"):
+        return np.where(live.reshape(total.shape), top + np.log(total), -math.inf)
 
-    val, slope = value_and_slope(0.0)
-    if abs(val) < 1e-14:
-        return 0.0
-    step = max(1.0, abs(val) / max(slope, 1e-12))
-    if val < 0:
-        lo, hi = 0.0, step
-        while value_and_slope(hi)[0] <= 0:
-            lo, hi = hi, hi * 2.0
-            if hi > 1e13:
-                raise InfeasibleProblemError("tilt equation has no finite solution")
-    else:
-        lo, hi = -step, 0.0
-        while value_and_slope(lo)[0] > 0:
-            lo, hi = lo * 2.0, lo
-            if lo < -1e13:
-                raise InfeasibleProblemError("tilt equation has no finite solution")
 
-    delta = 0.5 * (lo + hi)
-    for _ in range(200):
-        val, slope = value_and_slope(delta)
-        if abs(val) < 1e-14:
-            return delta
-        if val > 0:
-            hi = delta
-        else:
-            lo = delta
-        newton = delta - val / max(slope, 1e-300)
-        delta = newton if lo < newton < hi else 0.5 * (lo + hi)
-    return delta
+def _tilt_values(w: np.ndarray, a: np.ndarray, target: np.ndarray,
+                 delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise LSE_k(w + delta * a) - target and its derivative in delta."""
+    z = w + delta[:, None] * a
+    top = z.max(axis=1)
+    e = np.exp(z - top[:, None])
+    se = e.sum(axis=1)
+    return top + np.log(se) - target, (e @ a) / se
+
+
+def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray,
+                 lam: np.ndarray) -> np.ndarray:
+    """Solve every point's tilt equation from the reduction ``red``.
+
+    For each support point i with mass, finds delta_i with
+    LSE_k(red[i, k] + log sp_k + delta_i sp_k) = log mu_i by a Newton
+    iteration safeguarded by a doubling bracket and bisection, run on all
+    rows at once.  The left side is convex and strictly increasing in
+    delta.  A row stops when its residual is below ``_TILT_TOL`` or its
+    bracket has collapsed to adjacent doubles; a row that does neither in
+    ``_TILT_MAX_STEPS`` steps raises RuntimeError.  Zero-mass points park
+    their tilt low enough that every positive-radial atom underflows.
+    Updates ``lam`` in place and returns the change of each tilt.
+    """
+    rows = np.flatnonzero(mu_w > 0)
+    with np.errstate(divide="ignore"):
+        w = red[rows] + np.log(sp)
+    if not np.all(np.any(w > -math.inf, axis=1)):
+        raise InfeasibleProblemError(
+            "a support point carries mass but no reachable atom has a positive radial node"
+        )
+    target = np.log(mu_w[rows])
+
+    val, slope = _tilt_values(w, sp, target, np.zeros(rows.size))
+    active = np.abs(val) >= _TILT_TOL
+
+    # doubling bracket: probe hi upwards where val < 0, lo downwards otherwise
+    step = np.maximum(1.0, np.abs(val) / np.maximum(slope, 1e-12))
+    below = val < 0
+    lo = np.where(below, 0.0, -step)
+    hi = np.where(below, step, 0.0)
+    grow = active
+    while True:
+        probe = _tilt_values(w, sp, target, np.where(below, hi, lo))[0]
+        grow = grow & np.where(below, probe <= 0, probe > 0)
+        if not grow.any():
+            break
+        lo, hi = (np.where(grow, np.where(below, hi, 2.0 * lo), lo),
+                  np.where(grow, np.where(below, 2.0 * hi, lo), hi))
+        if np.any(grow & ((hi > _TILT_BRACKET_LIMIT) | (lo < -_TILT_BRACKET_LIMIT))):
+            raise InfeasibleProblemError("tilt equation has no finite solution")
+
+    delta = np.where(active, 0.5 * (lo + hi), 0.0)
+    for _ in range(_TILT_MAX_STEPS):
+        if not active.any():
+            break
+        val, slope = _tilt_values(w, sp, target, delta)
+        above = val > 0
+        lo = np.where(active & ~above, delta, lo)
+        hi = np.where(active & above, delta, hi)
+        active = active & (np.abs(val) >= _TILT_TOL) & (hi > np.nextafter(lo, math.inf))
+        newton = delta - val / np.maximum(slope, 1e-300)
+        inside = (lo < newton) & (newton < hi)
+        delta = np.where(active, np.where(inside, newton, 0.5 * (lo + hi)), delta)
+    if active.any():
+        i = np.flatnonzero(active)[0]
+        raise RuntimeError(
+            f"tilt Newton for support point {rows[i]} did not converge in "
+            f"{_TILT_MAX_STEPS} steps (last residual {val[i]:.3e})"
+        )
+    old = lam.copy()
+    lam[rows] += delta
+    if rows.size < mu_w.size and np.any(sp > 0):
+        lam[mu_w <= 0] = 4.0 * _LOG_TINY / float(np.min(sp[sp > 0]))
+    return lam - old
 
 
 def _project_family(log_alpha: np.ndarray, sp: np.ndarray, mu_w: np.ndarray,
@@ -343,34 +409,20 @@ def _project_family(log_alpha: np.ndarray, sp: np.ndarray, mu_w: np.ndarray,
     """KL projection onto one homogeneous-marginal family; updates lam in place.
 
     ``axis_point`` is 0 when points index axis 0 (radial axis 1), and 2 when
-    points index axis 2 (radial axis 3) of the atom tensor.
+    points index axis 2 (radial axis 3) of the atom tensor.  One masked
+    log-sum-exp reduction over the other side's axes leaves a (points,
+    radial) array, and a batched Newton solves every point's tilt from it.
     """
-    n = log_alpha.shape[axis_point]
-    for i in range(n):
-        slc = np.moveaxis(log_alpha, axis_point, 0)[i]
-        radial_axis = 0 if axis_point == 0 else 2
-        s_shape = [1, 1, 1]
-        s_shape[radial_axis] = sp.size
-        a_full = np.broadcast_to(sp.reshape(s_shape), slc.shape)
-        mask = (a_full > 0) & (slc > _LOG_TINY)
-        if mu_w[i] <= 0:
-            # park the tilt low enough that every positive-radial atom underflows
-            if np.any(sp > 0):
-                lam[i] = 4.0 * _LOG_TINY / float(np.min(sp[sp > 0]))
-            continue
-        if not np.any(mask):
-            raise InfeasibleProblemError(
-                "a support point carries mass but no reachable atom has a positive radial node"
-            )
-        w = slc[mask] + np.log(a_full[mask])
-        delta = _tilt_solve(w, a_full[mask], math.log(mu_w[i]))
-        lam[i] += delta
+    _solve_tilts(_family_lse(log_alpha, axis_point), sp, mu_w, lam)
 
 
 def _apply_tilts(log_base: np.ndarray, s0p, s1p, lam0, lam1) -> np.ndarray:
-    return (log_base
-            + (lam0[:, None] * s0p[None, :])[:, :, None, None]
-            + (lam1[:, None] * s1p[None, :])[None, None, :, :])
+    # broadcast over the (n0*K0, n1*K1) matrix view, which numpy does
+    # several times faster than over the 4-d tensor
+    n0, k0, n1, k1 = log_base.shape
+    out = log_base.reshape(n0 * k0, n1 * k1) + (lam0[:, None] * s0p).reshape(-1, 1)
+    out += (lam1[:, None] * s1p).reshape(1, -1)
+    return out.reshape(log_base.shape)
 
 
 def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
@@ -427,17 +479,18 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
             lam1 *= prev / stage_eps
         log_base = log_nu - h / stage_eps
         budget = config.max_iters if final else max(200, config.max_iters // 4)
+        # red0 is the family-0 reduction at the current tilts; the residual
+        # check of one iteration computes it and the next iteration reuses it
+        red0 = _family_lse(_apply_tilts(log_base, s0p, s1p, lam0, lam1), 0)
         for _ in range(budget):
             iters_total += 1
-            log_alpha = _apply_tilts(log_base, s0p, s1p, lam0, lam1)
-            _project_family(log_alpha, s0p, mu0.weights, 0, lam0)
-            log_alpha = _apply_tilts(log_base, s0p, s1p, lam0, lam1)
-            _project_family(log_alpha, s1p, mu1.weights, 2, lam1)
-            log_alpha = _apply_tilts(log_base, s0p, s1p, lam0, lam1)
-            with np.errstate(under="ignore"):
-                alpha_w = np.exp(np.minimum(log_alpha, 700.0))
-            h0 = np.einsum("ikjl,k->i", alpha_w, s0p)
-            h1 = np.einsum("ikjl,l->j", alpha_w, s1p)
+            _solve_tilts(red0, s0p, mu0.weights, lam0)
+            red1 = _family_lse(_apply_tilts(log_base, s0p, s1p, lam0, lam1), 2)
+            step1 = _solve_tilts(red1, s1p, mu1.weights, lam1)
+            red0 = _family_lse(_apply_tilts(log_base, s0p, s1p, lam0, lam1), 0)
+            with np.errstate(under="ignore", over="ignore"):
+                h0 = np.exp(red0) @ s0p
+                h1 = np.exp(red1 + step1[:, None] * s1p) @ s1p
             res0 = float(np.max(np.abs(h0 - mu0.weights))) / scale
             res1 = float(np.max(np.abs(h1 - mu1.weights))) / scale
             if max(res0, res1) <= tol:

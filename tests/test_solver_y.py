@@ -7,6 +7,7 @@ from uotlab.costs import CostMatrix, hk_cost, hk_matrix, sqeuclidean_matrix
 from uotlab.entropy import KL, divergence_arrays
 from uotlab.measures import DiscreteMeasure, GroundSet
 from uotlab.solver_x import SolverConfig, solve_x_unreg
+from uotlab import solver_y
 from uotlab.solver_y import (
     ExtendedPlan,
     InfeasibleProblemError,
@@ -25,7 +26,7 @@ from uotlab.solver_y import (
     _apply_tilts,
 )
 
-from oracles import constrained_minimize
+from oracles import constrained_minimize, project_family_loop
 
 
 def dirac_instance(m0, m1, d):
@@ -59,6 +60,16 @@ def test_radial_grid_validation():
     assert grid.nodes[0] == 0.0
     assert grid.size == 16
     assert grid.nodes[-1] == 2.0
+
+
+@pytest.mark.parametrize("nodes, cap", [
+    ([0.0, math.nan, 1.0], 1.0),
+    ([0.0, 0.5, 1.0], math.nan),
+    ([0.0, 0.5, 1.0], math.inf),
+])
+def test_radial_grid_rejects_non_finite(nodes, cap):
+    with pytest.raises(ValueError):
+        RadialGrid(np.array(nodes), cap)
 
 
 def test_homogeneous_marginal_examples():
@@ -216,6 +227,69 @@ def test_projection_subroutine_hits_marginal_exactly():
     alpha = np.exp(_apply_tilts(log_base, s0p, s1p, lam0, lam1))
     h0 = np.einsum("ikjl,k->i", alpha, s0p)
     assert np.max(np.abs(h0 - mu0.weights)) < 1e-12
+
+
+def projection_instance(seed, cost_kind, p, eps):
+    """Tilted log-weights of a seeded 4 x 5 instance with a massless point on each side."""
+    rng = np.random.default_rng(seed)
+    g0 = GroundSet(rng.uniform(0, 2, size=(4, 2)))
+    g1 = GroundSet(rng.uniform(0, 2, size=(5, 2)))
+    mu0 = DiscreteMeasure(g0, np.array([0.7, 0.0, 1.1, 0.4]))
+    w1 = rng.uniform(0.3, 1.2, 5)
+    w1[3] = 0.0
+    mu1 = DiscreteMeasure(g1, w1)
+    if cost_kind == "hk":
+        cost = hk_matrix(g0, g1)
+        assert np.any(np.isinf(cost.values))
+    else:
+        cost = sqeuclidean_matrix(g0, g1)
+    grids = default_grids(mu0, mu1, p, n_nodes=12, smin_frac=1e-3)
+    nu = default_nu_y(mu0, mu1, grids, p)
+    s0p = grids[0].nodes ** p
+    s1p = grids[1].nodes ** p
+    with np.errstate(divide="ignore"):
+        log_base = np.log(nu.weights) - hp_tensor(cost, grids[0], grids[1], p) / eps
+    lam0 = rng.normal(0.0, 0.5, 4)
+    lam1 = rng.normal(0.0, 0.5, 5)
+    # parked: every atom of a massless point underflows
+    lam0[1] = -2980.0 / s0p[1]
+    lam1[3] = -2980.0 / s1p[1]
+    return log_base, (s0p, s1p), (mu0.weights, mu1.weights), (lam0, lam1)
+
+
+@pytest.mark.parametrize("axis_point", [0, 2])
+@pytest.mark.parametrize("cost_kind", ["sqeuclidean", "hk"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("eps", [0.5, 0.05])
+def test_projection_matches_loop_oracle(axis_point, cost_kind, p, eps):
+    log_base, sps, mus, lams = projection_instance(70, cost_kind, p, eps)
+    side = axis_point // 2
+    log_alpha = _apply_tilts(log_base, sps[0], sps[1], lams[0], lams[1])
+    lam_vec = lams[side].copy()
+    lam_loop = lams[side].copy()
+    _project_family(log_alpha, sps[side], mus[side], axis_point, lam_vec)
+    project_family_loop(log_alpha, sps[side], mus[side], axis_point, lam_loop)
+    assert np.all(np.abs(lam_vec - lam_loop) <= 1e-12 * (1.0 + np.abs(lam_loop)))
+    assert not np.array_equal(lam_loop, lams[side])
+
+
+def test_projection_unreachable_point_raises_in_both():
+    log_base, sps, mus, lams = projection_instance(71, "sqeuclidean", 1.0, 0.5)
+    log_alpha = _apply_tilts(log_base, sps[0], sps[1], lams[0], lams[1])
+    log_alpha[2, 1:, :, :] = -np.inf  # the third point carries mass
+    with pytest.raises(InfeasibleProblemError):
+        _project_family(log_alpha, sps[0], mus[0], 0, lams[0].copy())
+    with pytest.raises(InfeasibleProblemError):
+        project_family_loop(log_alpha, sps[0], mus[0], 0, lams[0].copy())
+
+
+def test_tilt_newton_step_cap_raises(monkeypatch):
+    log_base, sps, mus, lams = projection_instance(72, "sqeuclidean", 1.0, 0.5)
+    log_alpha = _apply_tilts(log_base, sps[0], sps[1], lams[0], lams[1])
+    monkeypatch.setattr(solver_y, "_TILT_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="support point .* did not converge") as info:
+        _project_family(log_alpha, sps[0], mus[0], 0, lams[0].copy())
+    assert not isinstance(info.value, InfeasibleProblemError)
 
 
 def test_eps_solver_matches_constrained_oracle():
