@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .costs import CostMatrix, hk_matrix, sqeuclidean_matrix
-from .identities import balanced_sinkhorn, grid_measure, verify_identities
+from .identities import (SINKHORN_TOL, balanced_entropic_value, balanced_sinkhorn,
+                         grid_measure, verify_identities)
 from .lifting import (
     solve_lifted_balanced,
     solve_lifted_balanced_eps,
@@ -100,19 +101,18 @@ def _load_nu(path: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
     return Plan(mu0.ground, mu1.ground, weights)
 
 
-def _config_echo(args, subcommand: str) -> dict:
-    d = {k: v for k, v in vars(args).items() if k != "func"}
-    d["subcommand"] = subcommand
-    return d
-
-
 def _report_dict(report: SolveReport) -> dict:
     d = asdict(report)
     d["marginal_residuals"] = list(report.marginal_residuals)
     return d
 
 
-def _write_record(path: str, record: dict) -> None:
+def _write_record(path: str, args, subcommand: str, t0: float, **fields) -> None:
+    """Write a subcommand's record: the echoed arguments, the version,
+    ``fields`` and the wall-clock seconds since ``t0``."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    record = {"config": {**config, "subcommand": subcommand}, "version": __version__,
+              "wallClockSeconds": time.perf_counter() - t0, **fields}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -161,25 +161,15 @@ def _cmd_solve_x(args) -> int:
         gamma, iters, residual = balanced_sinkhorn(
             mu0.weights, mu1.weights, cost.values, args.eps, nu.weights,
             tol=args.tol, max_iters=args.max_iters)
-        pos = gamma > 0
-        value = float(np.sum(cost.values[pos] * gamma[pos]))
-        value += args.eps * (float(np.sum(gamma[pos] * np.log(gamma[pos] / nu.weights[pos])))
-                             - mu0.total_mass + nu.total_mass)
+        value = balanced_entropic_value(gamma, mu0.weights, cost.values, args.eps, nu.weights)
         report = SolveReport(value, value, 0.0, iters, (residual, residual),
                              residual <= args.tol)
         plan = Plan(mu0.ground, mu1.ground, gamma)
     else:
         config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
         plan, phi, report = solve_x_eps(mu0, mu1, cost, nu, config)
-    record = {
-        "config": _config_echo(args, "solve-x"),
-        "version": __version__,
-        "report": _report_dict(report),
-        "wallClockSeconds": time.perf_counter() - t0,
-    }
-    if args.emit_plan:
-        record["plan"] = plan_to_dict(plan)
-    _write_record(args.out, record)
+    extra = {"plan": plan_to_dict(plan)} if args.emit_plan else {}
+    _write_record(args.out, args, "solve-x", t0, report=_report_dict(report), **extra)
     return 0 if report.converged else 2
 
 
@@ -192,13 +182,7 @@ def _cmd_solve_y(args) -> int:
                           smin_frac=args.smin_frac)
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
     alpha, report = solve_y_eps(mu0, mu1, cost, args.p, grids, None, args.eps, config)
-    record = {
-        "config": _config_echo(args, "solve-y"),
-        "version": __version__,
-        "report": _report_dict(report),
-        "wallClockSeconds": time.perf_counter() - t0,
-    }
-    _write_record(args.out, record)
+    _write_record(args.out, args, "solve-y", t0, report=_report_dict(report))
     return 0 if report.converged else 2
 
 
@@ -242,13 +226,7 @@ def _cmd_sweep_eps(args) -> int:
     rows.sort(key=lambda r: -r["eps"])
     emit_convergence_csv(rows, args.out)
     if args.report:
-        record = {
-            "config": _config_echo(args, "sweep-eps"),
-            "version": __version__,
-            "rows": rows,
-            "wallClockSeconds": time.perf_counter() - t0,
-        }
-        _write_record(args.report, record)
+        _write_record(args.report, args, "sweep-eps", t0, rows=rows)
     return 0 if all(r["converged"] for r in rows) else 2
 
 
@@ -276,15 +254,8 @@ def _cmd_compare(args) -> int:
         f"{a}_vs_{b}": abs(values[a] - values[b])
         for i, a in enumerate(names) for b in names[i + 1:]
     }
-    record = {
-        "config": _config_echo(args, "compare"),
-        "version": __version__,
-        "values": values,
-        "residuals": residuals,
-        "reports": {"x": _report_dict(report_x), "y": _report_dict(report_y)},
-        "wallClockSeconds": time.perf_counter() - t0,
-    }
-    _write_record(args.out, record)
+    _write_record(args.out, args, "compare", t0, values=values, residuals=residuals,
+                  reports={"x": _report_dict(report_x), "y": _report_dict(report_y)})
     return 0 if (report_x.converged and report_y.converged) else 2
 
 
@@ -318,10 +289,8 @@ def _cmd_lift_check(args) -> int:
         if result.feasible:
             gamma, _, _ = balanced_sinkhorn(mu0.weights, mu1.weights, cost.values,
                                             args.eps, nu.weights)
-            pos = gamma > 0
-            ref = float(np.sum(cost.values[pos] * gamma[pos]))
-            ref += args.eps * (float(np.sum(gamma[pos] * np.log(gamma[pos] / nu.weights[pos])))
-                               - mu0.total_mass + nu.total_mass)
+            ref = balanced_entropic_value(gamma, mu0.weights, cost.values, args.eps,
+                                          nu.weights)
             values["balanced_entropic"] = ref
             residuals["lifted_eps_vs_entropic"] = abs(result.value - ref)
     elif args.which == "x-extended":
@@ -346,14 +315,7 @@ def _cmd_lift_check(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown lift check {args.which!r}")
 
-    record = {
-        "config": _config_echo(args, "lift-check"),
-        "version": __version__,
-        "values": values,
-        "residuals": residuals,
-        "wallClockSeconds": time.perf_counter() - t0,
-    }
-    _write_record(args.out, record)
+    _write_record(args.out, args, "lift-check", t0, values=values, residuals=residuals)
     return 0 if converged else 2
 
 
@@ -363,14 +325,8 @@ def _cmd_identities(args) -> int:
     mu = grid_measure(args.grid, args.dim, rng=rng)
     nu = grid_measure(args.grid, args.dim, rng=rng)
     report = verify_identities(mu, nu, args.eps)
-    record = {
-        "config": _config_echo(args, "identities"),
-        "version": __version__,
-        "values": report,
-        "wallClockSeconds": time.perf_counter() - t0,
-    }
-    _write_record(args.out, record)
-    return 0
+    _write_record(args.out, args, "identities", t0, values=report)
+    return 0 if report["sinkhorn_residual"] <= SINKHORN_TOL else 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ H(mu) = sum mu_i log(mu_i / cellVolume), which makes the relations
 
 exact identities at any fixed coupling, hence exact at the optimum; the
 optimal plans of the related problems coincide.  Each problem is solved by
-log-domain balanced Sinkhorn with the matching reference.
+the balanced steps of the stabilised scaling kernel of ``solver_x`` with
+the matching reference.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .solver_x import log_kernel, scaling_kernel
 
 
 @dataclass(frozen=True)
@@ -97,80 +100,77 @@ def _relative_entropy(gamma: np.ndarray, reference: np.ndarray) -> float:
 # Balanced Sinkhorn with an explicit reference
 # ---------------------------------------------------------------------------
 
+SINKHORN_TOL = 1e-13  # default marginal tolerance of balanced_sinkhorn
+
+
 def balanced_sinkhorn(mu_w: np.ndarray, nu_w: np.ndarray, cost: np.ndarray,
-                      eps: float, reference: np.ndarray, tol: float = 1e-13,
+                      eps: float, reference: np.ndarray, tol: float = SINKHORN_TOL,
                       max_iters: int = 200_000) -> tuple[np.ndarray, int, float]:
     """Solve min (c, g) + eps * H(g | reference) over couplings of (mu, nu).
 
-    Log-domain scaling iterations on the kernel reference * exp(-c/eps);
-    stops when the worst marginal deviation falls below ``tol``.  Returns
+    Balanced steps (proximal exponent 1) of the stabilised scaling kernel
+    on reference * exp(-c/eps); stops when the worst marginal deviation,
+    checked every 10 iterations, falls below ``tol``.  Returns
     (plan, iterations, residual).
     """
-    with np.errstate(divide="ignore"):
-        log_mu = np.log(mu_w)
-        log_nu = np.log(nu_w)
-        log_k = np.where(reference > 0, np.log(np.maximum(reference, 1e-300)), -math.inf)
-    log_k = log_k - np.where(np.isinf(cost), math.inf, cost) / eps
-
-    def lse(a, axis):
-        amax = np.max(a, axis=axis, keepdims=True)
-        safe = np.where(np.isfinite(amax), amax, 0.0)
-        with np.errstate(divide="ignore"):
-            out = np.log(np.sum(np.exp(a - safe), axis=axis)) + np.squeeze(safe, axis)
-        return out
-
-    f = np.zeros(mu_w.size)
-    g = np.zeros(nu_w.size)
     residual = math.inf
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        f = log_mu - lse(g[None, :] + log_k, axis=1)
-        g = log_nu - lse(f[:, None] + log_k, axis=0)
-        if iters % 10 == 0 or iters == max_iters:
-            gamma = np.exp(f[:, None] + g[None, :] + log_k)
-            residual = max(
-                float(np.max(np.abs(gamma.sum(axis=1) - mu_w))),
-                float(np.max(np.abs(gamma.sum(axis=0) - nu_w))),
-            )
-            if residual <= tol:
-                break
-    gamma = np.exp(f[:, None] + g[None, :] + log_k)
+
+    def check(_, f, g, marg0, marg1):
+        nonlocal residual
+        if marg0 is None:
+            return False
+        residual = max(float(np.max(np.abs(marg0 - mu_w))),
+                       float(np.max(np.abs(marg1 - nu_w))))
+        return residual <= tol
+
+    _, _, iters, gamma = scaling_kernel(log_kernel(reference, cost, eps), mu_w, nu_w, 1.0,
+                                        np.zeros(nu_w.size), max_iters, 10, check)
     return gamma, iters, residual
+
+
+def balanced_entropic_value(gamma: np.ndarray, mu_w: np.ndarray, cost: np.ndarray,
+                            eps: float, reference: np.ndarray) -> float:
+    """(c, g) + eps * (sum g log(g / reference) - mu(X) + reference(X)), the
+    balanced entropic value of a coupling g of mu."""
+    pos = gamma > 0
+    value = float(np.sum(cost[pos] * gamma[pos]))
+    return value + eps * (float(np.sum(gamma[pos] * np.log(gamma[pos] / reference[pos])))
+                          - float(np.sum(mu_w)) + float(np.sum(reference)))
 
 
 # ---------------------------------------------------------------------------
 # The three conventions
 # ---------------------------------------------------------------------------
 
+def _solve(mu: GridMeasure, nu: GridMeasure, eps: float,
+           convention: int) -> tuple[float, np.ndarray, float]:
+    """Value, plan and balanced Sinkhorn residual of one convention."""
+    cost = _sq_cost(mu, nu)
+    if convention == 1:
+        ref = np.full(cost.shape, mu.cell_volume * nu.cell_volume)
+    elif convention == 2:
+        ref = np.outer(mu.weights, nu.weights)
+    else:  # the heat kernel absorbs the cost
+        ref = ((2.0 * math.pi * eps) ** (-mu.dim / 2.0) * np.exp(-cost / (2.0 * eps))
+               * (mu.cell_volume * nu.cell_volume))
+        cost = np.zeros_like(cost)
+    gamma, _, res = balanced_sinkhorn(mu.weights, nu.weights, cost, eps, ref)
+    return float(np.sum(cost * gamma)) + eps * _relative_entropy(gamma, ref), gamma, res
+
+
 def w_eps_1(mu: GridMeasure, nu: GridMeasure, eps: float) -> tuple[float, np.ndarray]:
     """(c, g) + eps * H(g) with the plan-level Lebesgue weight cellVolume^2."""
-    cost = _sq_cost(mu, nu)
-    ref = np.full(cost.shape, mu.cell_volume * nu.cell_volume)
-    gamma, _, res = balanced_sinkhorn(mu.weights, nu.weights, cost, eps, ref)
-    value = float(np.sum(cost * gamma)) + eps * _relative_entropy(gamma, ref)
-    return value, gamma
+    return _solve(mu, nu, eps, 1)[:2]
 
 
 def w_eps_2(mu: GridMeasure, nu: GridMeasure, eps: float) -> tuple[float, np.ndarray]:
     """(c, g) + eps * H(g | mu x nu)."""
-    cost = _sq_cost(mu, nu)
-    ref = np.outer(mu.weights, nu.weights)
-    gamma, _, res = balanced_sinkhorn(mu.weights, nu.weights, cost, eps, ref)
-    value = float(np.sum(cost * gamma)) + eps * _relative_entropy(gamma, ref)
-    return value, gamma
+    return _solve(mu, nu, eps, 2)[:2]
 
 
 def w_eps_3(mu: GridMeasure, nu: GridMeasure, eps: float) -> tuple[float, np.ndarray]:
     """eps * H(g | K) against the heat-kernel reference at time eps/2."""
-    cost = _sq_cost(mu, nu)
-    d = mu.dim
-    kernel = ((2.0 * math.pi * eps) ** (-d / 2.0)
-              * np.exp(-cost / (2.0 * eps))
-              * (mu.cell_volume * nu.cell_volume))
-    gamma, _, res = balanced_sinkhorn(mu.weights, nu.weights, np.zeros_like(cost),
-                                      eps, kernel)
-    value = eps * _relative_entropy(gamma, kernel)
-    return value, gamma
+    return _solve(mu, nu, eps, 3)[:2]
 
 
 def verify_identities(mu: GridMeasure, nu: GridMeasure, eps: float) -> dict:
@@ -179,14 +179,14 @@ def verify_identities(mu: GridMeasure, nu: GridMeasure, eps: float) -> dict:
     Each problem is solved independently; the relations are algebraic at a
     fixed coupling with consistent references, so residuals sit at solver
     precision, and the optimal plans of matched problems coincide.
+    ``sinkhorn_residual`` is the worst final marginal residual of the four
+    balanced Sinkhorn solves.
     """
     if mu.dim != nu.dim:
         raise ValueError("grid measures must share the ambient dimension")
     d = mu.dim
-    v1, g1 = w_eps_1(mu, nu, eps)
-    v2, g2 = w_eps_2(mu, nu, eps)
-    v3, g3 = w_eps_3(mu, nu, eps)
-    v1_2eps, g1_2eps = w_eps_1(mu, nu, 2.0 * eps)
+    (v1, g1, r1), (v2, g2, r2), (v3, g3, r3), (v1_2eps, g1_2eps, r1_2eps) = (
+        _solve(mu, nu, e, k) for e, k in ((eps, 1), (eps, 2), (eps, 3), (2.0 * eps, 1)))
     h_mu = entropy_against_lebesgue(mu)
     h_nu = entropy_against_lebesgue(nu)
     return {
@@ -200,4 +200,5 @@ def verify_identities(mu: GridMeasure, nu: GridMeasure, eps: float) -> dict:
         "residual_w3": abs(v3 - (0.5 * v1_2eps + 0.5 * d * eps * math.log(2.0 * math.pi * eps))),
         "plan_residual_w2": float(np.max(np.abs(g2 - g1))),
         "plan_residual_w3": float(np.max(np.abs(g3 - g1_2eps))),
+        "sinkhorn_residual": max(r1, r2, r3, r1_2eps),
     }

@@ -14,9 +14,11 @@ concave dual
 
 whose block updates close to a = (mu0 / (K b))^(1/(1+eps)) with scaling
 variables a = exp(phi_0/eps), b = exp(phi_1/eps) and kernel
-K = exp(-c/eps) * nu_X.  Iterations run either on plain scaling vectors or
-fully in the log domain (default), which keeps eps <= 1e-2 and infinite
-costs finite.
+K = exp(-c/eps) * nu_X.  ``scaling_kernel`` runs these updates, and the
+balanced ones (exponent 1) of ``identities``, as mat-vecs on one kernel
+with absorbed log-potentials, which keeps eps <= 1e-3, underflowing rows
+and infinite costs exact.  Convergence checks read the marginals the sweep
+computes and certify the gap by Fenchel-Young terms, in O(n).
 
 Solver state is confined to each solve call; distinct solves may run in
 parallel and results are deterministic for a fixed thread count.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .costs import CostMatrix, perspective_H_eps
 from .entropy import KL, EntropyFunction, EntropyKind, divergence_arrays
-from .measures import DiscreteMeasure, GroundMismatchError, Plan, product, split_arrays
+from .measures import DiscreteMeasure, GroundMismatchError, Plan, split_arrays
 from .simplex import transport_lp
 
 _EXP_CLIP = 700.0  # exp overflow guard
@@ -68,15 +70,13 @@ class SolverConfig:
     eps: float
     max_iters: int = 10_000
     tolerance: float = 1e-9
-    stabilization: str = "log_domain"  # or "scaling"
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        # chained comparisons are False for nan, so nan and inf fail both
+        if not (0.0 < self.eps < math.inf):
+            raise ValueError("eps must be positive and finite")
         if not (0.0 < self.tolerance < 1.0):
             raise ValueError("tolerance must lie in (0, 1)")
-        if self.stabilization not in ("log_domain", "scaling"):
-            raise ValueError("stabilization must be 'log_domain' or 'scaling'")
 
 
 @dataclass(frozen=True)
@@ -212,44 +212,143 @@ def eval_homogeneous_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 # Generalized Sinkhorn
 # ---------------------------------------------------------------------------
 
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp along an axis; empty (all -inf) slices give -inf."""
-    amax = np.max(a, axis=axis)
-    finite = np.isfinite(amax)
-    safe = np.where(finite, amax, 0.0)
+_ABSORB = 30.0  # |log u|, |log v| past which the scalings are absorbed into the kernel
+_TINY = 1e-200  # a kernel mat-vec entry below this may have lost terms to underflow
+
+
+def log_kernel(reference: np.ndarray, cost: np.ndarray, eps: float) -> np.ndarray:
+    """log(reference * exp(-cost/eps)), -inf where either factor vanishes."""
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - np.expand_dims(safe, axis)), axis=axis))
-    return np.where(finite, out + safe, -math.inf)
+        log_k = np.log(reference)
+    return np.subtract(log_k, np.divide(cost, eps), out=log_k)
 
 
-def _plan_from_logs(f, g, log_k) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        expo = f[:, None] + g[None, :] + log_k
-        values = np.exp(np.minimum(np.where(np.isneginf(log_k), 0.0, expo), _EXP_CLIP))
-    return np.where(np.isneginf(log_k), 0.0, values)
+def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, damp: float,
+                   g: np.ndarray, max_iters: int, check_every: int,
+                   check: Callable) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Alternate f = damp*(log mu0 - LSE_j(g_j + log_k_ij)) and its column twin.
+
+    ``damp`` is the marginal proximal exponent: 1/(1+eps) for KL marginals,
+    1 for balanced ones.  With f = alpha + log u and g = beta + log v, the
+    absorbed parts live in one kernel K = exp(alpha_i + beta_j + log_k_ij),
+    so a half-step is one mat-vec.  K is rebuilt when |log u| or |log v|
+    passes ``_ABSORB`` (absorbing both), and, with that side's lines peaking
+    at 1 so the half-step is the exact log-domain one, before the first
+    half-step and whenever a point with mass gets a mat-vec entry below
+    ``_TINY``.  Zero-mass points get -inf, points with mass and no reachable
+    partner +inf.  Only the starting g matters, as f is updated first.
+
+    ``check(iteration, f, g, marg0, marg1)`` runs after every iteration with
+    the plan's column marginal and, every ``check_every``-th and at the last
+    iteration, its row marginal (else None; its mat-vec is reused by the
+    next half-step); a true return stops the sweep.  Returns (f, g,
+    iterations, plan exp(f_i + g_j + log_k_ij) in the kernel's storage).
+    """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    with np.errstate(divide="ignore"):
+        log_mu = (np.log(mu0_w), np.log(mu1_w))
+    null = (mu0_w <= 0, mu1_w <= 0)
+    live = [~null[0], ~null[1]]  # lines with mass, less those found out of reach
+    pot = [np.zeros(log_k.shape[0]), np.array(g, dtype=float)]
+    absorbed, scal = [None, None], [None, None]
+    kern = np.empty_like(log_k)
+    lines, log_lines = (kern, kern.T), (log_k, log_k.T)
+    bound = math.exp(_ABSORB)
+
+    def rescale(side):
+        # clipped: a +inf line (no reachable partner) has an all-zero kernel line
+        scal[side] = np.exp(np.minimum(pot[side] - absorbed[side], _EXP_CLIP))
+
+    def drifted(side):
+        if 1.0 / bound <= scal[side].min() and scal[side].max() <= bound:
+            return False
+        d = pot[side] - absorbed[side]
+        return np.max(np.abs(d), where=np.isfinite(d), initial=0.0) > _ABSORB
+
+    def rebuild(normalise=None):
+        ext = [np.where(np.isfinite(p), p, -math.inf) for p in pot]
+        if normalise is None:
+            np.add(log_k, ext[0][:, None], out=kern)
+            np.add(kern, ext[1], out=kern)
+        else:
+            lines_s = lines[normalise]
+            np.add(log_lines[normalise], ext[1 - normalise], out=lines_s)
+            peak = np.max(lines_s, axis=1)
+            live[normalise] &= np.isfinite(peak)
+            ext[normalise] = np.where(np.isfinite(peak), -peak, 0.0)
+            lines_s += ext[normalise][:, None]
+        np.exp(kern, out=kern)
+        for s in (0, 1):
+            absorbed[s] = np.where(np.isfinite(ext[s]), ext[s], 0.0)
+            rescale(s)
+
+    def half_step(side, prod=None):
+        if prod is None:
+            prod = lines[side] @ scal[1 - side]
+        if prod.min() < _TINY and np.min(prod, where=live[side], initial=math.inf) < _TINY:
+            rebuild(normalise=side)
+            prod = lines[side] @ scal[1 - side]
+        new = damp * (log_mu[side] - np.log(prod) + absorbed[side])
+        new[null[side]] = -math.inf
+        pot[side] = new
+        rescale(side)
+        return prod
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rebuild(normalise=0)
+        prod0 = None
+        for iters in range(1, max_iters + 1):
+            half_step(0, prod0)
+            prod1 = half_step(1)
+            marg1 = scal[1] * prod1
+            marg0 = prod0 = None
+            if iters % check_every == 0 or iters == max_iters:
+                prod0 = kern @ scal[1]
+                marg0 = scal[0] * prod0
+            if check(iters, pot[0], pot[1], marg0, marg1):
+                break
+            if drifted(0) or drifted(1):
+                rebuild()
+                prod0 = None
+        rebuild()
+    return pot[0], pot[1], iters, kern
 
 
 def _clamped_potentials(f, g, eps: float) -> DualPotentials:
     # clamp so that exp((phi0 + phi1 - c)/eps) underflows exactly at the
-    # clamped points while mu-side terms stay negligible; the clamped values
-    # only occur where the paired measure has zero mass
+    # clamped points while mu-side terms stay negligible; -inf (zero mass)
+    # clamps twice as far as +inf (mass, no reachable partner), so a pair of
+    # the two never cancels
     lim = -_LOG_TINY + 40.0 / eps
-    phi0 = eps * np.clip(f, -lim, lim)
-    phi1 = eps * np.clip(g, -lim, lim)
-    return DualPotentials(phi0, phi1)
+    return DualPotentials(eps * np.clip(f, -2.0 * lim, lim), eps * np.clip(g, -2.0 * lim, lim))
 
 
-def _first_order_residuals(gamma, mu0_w, mu1_w, phi: DualPotentials):
-    res = []
-    for m, p, marg in ((mu0_w, phi.phi0, gamma.sum(axis=1)),
-                       (mu1_w, phi.phi1, gamma.sum(axis=0))):
+def _certificate(marg0, marg1, mu0_w, mu1_w, phi: DualPotentials):
+    """Fenchel-Young gap and first-order residuals of the two KL marginals.
+
+    With s_i the marginal densities, the gap sum_i mu_i (F(s_i) + F*(-phi_i)
+    + s_i phi_i) equals primal - dual for a scaling plan
+    gamma = nu_X exp((phi0 + phi1 - c)/eps), whose coupling term vanishes;
+    each term s (log s + phi) - s + exp(-phi) is clamped at its lower bound
+    0 against rounding.  The residuals are max_i |s_i - exp(-phi_i)|.
+    """
+    gap, res = 0.0, []
+    for m, p, marg in ((mu0_w, phi.phi0, marg0), (mu1_w, phi.phi1, marg1)):
         pos = m > 0
-        if np.any(pos):
-            sigma = marg[pos] / m[pos]
-            res.append(float(np.max(np.abs(sigma - np.exp(-p[pos])))))
-        else:
-            res.append(0.0)
-    return (res[0], res[1])
+        s, p = marg[pos] / m[pos], p[pos]
+        w = np.exp(-p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(s > 0, s * (np.log(s) + p) - s + w, w)
+        gap += float(np.sum(m[pos] * np.maximum(terms, 0.0)))
+        res.append(float(np.max(np.abs(s - w), initial=0.0)))
+    return gap, (res[0], res[1])
+
+
+def _converged(gap: float, primal: float, residuals, tol: float) -> bool:
+    """The loop's stop test and the final verdict; residuals count, as the side
+    updated first lags half an iteration and a small gap leaves them ~sqrt(gap)."""
+    return gap <= tol * (1.0 + abs(primal)) and max(residuals) <= max(tol, 1e-9)
 
 
 def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
@@ -259,9 +358,11 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                 ) -> tuple[Plan, DualPotentials, SolveReport]:
     """Generalized Sinkhorn for the KL-penalised regularised problem.
 
-    Alternates the closed-form block updates of the dual until the relative
-    duality gap drops below ``config.tolerance``.  ``init`` optionally warm
-    starts the log-scaling vectors (f, g) = (phi0, phi1)/eps;
+    Runs the KL steps of ``scaling_kernel`` until the Fenchel-Young gap and
+    the first-order marginal residuals, checked every 5 iterations from the
+    marginals the sweep computes, meet ``config.tolerance``; the reported
+    verdict applies the same test to the returned plan.  ``init`` optionally
+    warm starts the log-scaling vectors (f, g) = (phi0, phi1)/eps;
     ``on_iteration`` receives (iteration, dual value) after every update
     pair, which is how dual monotonicity is observed.
     """
@@ -269,105 +370,46 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         nu_x = default_nu_x(mu0, mu1)
     _check_instance(mu0, mu1, cost, nu_x)
     eps = config.eps
-    n0, n1 = mu0.ground.size, mu1.ground.size
+    mu0_w, mu1_w = mu0.weights, mu1.weights
 
     if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:
         # one side empty: the zero plan is optimal outright
-        plan = Plan(mu0.ground, mu1.ground, np.zeros((n0, n1)))
+        gamma = np.zeros(cost.shape)
         lo, hi = _LOG_TINY - 40.0 / eps, 40.0 / eps
-        f = np.full(n0, lo if mu0.total_mass == 0.0 else hi)
-        g = np.full(n1, lo if mu1.total_mass == 0.0 else hi)
-        phi = _clamped_potentials(f, g, eps)
-        primal = eval_primal_eps(plan, mu0, mu1, cost, nu_x, eps)
-        dual = eval_dual_eps(phi, mu0, mu1, cost, nu_x, eps)
-        report = SolveReport(primal, dual, primal - dual, 0,
-                             _first_order_residuals(plan.weights, mu0.weights,
-                                                    mu1.weights, phi),
-                             True)
-        return plan, phi, report
-
-    with np.errstate(divide="ignore"):
-        log_mu0 = np.log(mu0.weights)
-        log_mu1 = np.log(mu1.weights)
-        log_nu = np.where(nu_x.weights > 0, np.log(np.maximum(nu_x.weights, 1e-300)),
-                          -math.inf)
-    log_k = log_nu - np.where(np.isinf(cost.values), math.inf, cost.values) / eps
-    damp = 1.0 / (1.0 + eps)
-
-    if init is not None:
-        f = np.array(init[0], dtype=float)
-        g = np.array(init[1], dtype=float)
+        f = np.full(mu0.ground.size, lo if mu0.total_mass == 0.0 else hi)
+        g = np.full(mu1.ground.size, lo if mu1.total_mass == 0.0 else hi)
+        iters = 0
     else:
-        f = np.zeros(n0)
-        g = np.zeros(n1)
+        log_k = log_kernel(nu_x.weights, cost.values, eps)
+        nu_mass = float(np.sum(nu_x.weights))
 
-    use_logs = config.stabilization == "log_domain"
-    if not use_logs:
-        with np.errstate(under="ignore"):
-            kern = np.exp(log_k)
-        a = np.exp(np.minimum(f, _EXP_CLIP))
-        b = np.exp(np.minimum(g, _EXP_CLIP))
-
-    unreachable = np.isneginf(log_k)
-
-    def shifted(vec):
-        # -inf kernel entries stay -inf no matter the potential
-        with np.errstate(invalid="ignore"):
-            out = vec + log_k
-        return np.where(unreachable, -math.inf, out)
-
-    primal = dual = math.inf
-    gap = math.inf
-    iters = 0
-    check_every = 5
-    for iters in range(1, config.max_iters + 1):
-        if use_logs:
-            row = _lse(shifted(g[None, :]), axis=1)
-            f = np.where(np.isneginf(log_mu0), -math.inf, damp * (log_mu0 - row))
-            col = _lse(shifted(f[:, None]), axis=0)
-            g = np.where(np.isneginf(log_mu1), -math.inf, damp * (log_mu1 - col))
-        else:
-            kb = kern @ b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                a = np.where(kb > 0, (mu0.weights / np.where(kb > 0, kb, 1.0)) ** damp, 0.0)
-                ka = kern.T @ a
-                b = np.where(ka > 0, (mu1.weights / np.where(ka > 0, ka, 1.0)) ** damp, 0.0)
-            with np.errstate(divide="ignore"):
-                f = np.log(np.where(a > 0, a, np.nan))
-                g = np.log(np.where(b > 0, b, np.nan))
-            f = np.where(np.isnan(f), -math.inf, f)
-            g = np.where(np.isnan(g), -math.inf, g)
-
-        should_check = (iters % check_every == 0) or iters == config.max_iters
-        if on_iteration is not None or should_check:
+        def check(it, f, g, marg0, marg1):
+            if on_iteration is None and marg0 is None:
+                return False
             phi = _clamped_potentials(f, g, eps)
-            dual = eval_dual_eps(phi, mu0, mu1, cost, nu_x, eps)
+            # dual in O(n): the coupling term eps * nu_X(1 - exp(.)) is
+            # eps * (nu_X(X) - gamma(X)) for the scaling plan
+            dual = eps * (nu_mass - float(np.sum(marg1)))
+            for m, p in ((mu0_w, phi.phi0), (mu1_w, phi.phi1)):
+                dual += float(np.sum(m[m > 0] * -np.expm1(-p[m > 0])))
             if on_iteration is not None:
-                on_iteration(iters, dual)
-        if should_check:
-            gamma = _plan_from_logs(f, g, log_k)
-            plan = Plan(mu0.ground, mu1.ground, gamma)
-            primal = eval_primal_eps(plan, mu0, mu1, cost, nu_x, eps)
-            gap = primal - dual
-            # secondary criterion: the first-order marginal conditions; the
-            # side updated first is stale by half an iteration, so the gap
-            # alone would leave sigma_i - exp(-phi_i) at sqrt(gap) scale
-            res = _first_order_residuals(gamma, mu0.weights, mu1.weights, phi)
-            if gap <= config.tolerance * (1.0 + abs(primal)) and (
-                max(res) <= max(config.tolerance, 1e-9)
-            ):
-                break
+                on_iteration(it, dual)
+            if marg0 is None:
+                return False
+            gap, res = _certificate(marg0, marg1, mu0_w, mu1_w, phi)
+            return _converged(gap, dual + gap, res, config.tolerance)
 
-    gamma = _plan_from_logs(f, g, log_k)
+        g = np.zeros(mu1.ground.size) if init is None else init[1]
+        f, g, iters, gamma = scaling_kernel(log_k, mu0_w, mu1_w, 1.0 / (1.0 + eps), g,
+                                            config.max_iters, 5, check)
+
     plan = Plan(mu0.ground, mu1.ground, gamma)
     phi = _clamped_potentials(f, g, eps)
     primal = eval_primal_eps(plan, mu0, mu1, cost, nu_x, eps)
     dual = eval_dual_eps(phi, mu0, mu1, cost, nu_x, eps)
-    gap = primal - dual
-    converged = gap <= config.tolerance * (1.0 + abs(primal))
-    report = SolveReport(primal, dual, gap, iters,
-                         _first_order_residuals(gamma, mu0.weights, mu1.weights, phi),
-                         converged)
+    gap, res = _certificate(gamma.sum(axis=1), gamma.sum(axis=0), mu0_w, mu1_w, phi)
+    report = SolveReport(primal, dual, gap, iters, res,
+                         _converged(gap, primal, res, config.tolerance))
     return plan, phi, report
 
 

@@ -1,8 +1,9 @@
 """Independent numerical oracles used to cross-check closed forms and solvers.
 
 Everything here is deliberately self-contained: the reverse entropy, the
-shared-scale objectives and the generic optimisers are written from their
-definitions rather than imported from the package, so an agreement test
+shared-scale objectives, the generic optimisers and the log-domain scaling
+loops are written from their definitions rather than imported from the
+package, so an agreement test
 exercises two genuinely different computational routes.  The one import
 from the package is the exception type the tilt loop raises.
 """
@@ -236,3 +237,102 @@ def project_family_loop(log_alpha: np.ndarray, sp: np.ndarray, mu_w: np.ndarray,
         w = slc[mask] + np.log(a_full[mask])
         delta = tilt_solve(w, a_full[mask], math.log(mu_w[i]))
         lam[i] += delta
+
+
+def lse(a: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp along an axis; empty (all -inf) slices give -inf."""
+    amax = np.max(a, axis=axis)
+    finite = np.isfinite(amax)
+    safe = np.where(finite, amax, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - np.expand_dims(safe, axis)), axis=axis))
+    return np.where(finite, out + safe, -math.inf)
+
+
+def log_domain_sinkhorn(log_k, mu0_w, mu1_w, damp, g, max_iters, check_every, stop):
+    """The scaling loop in the log domain, one full log-sum-exp per half-step.
+
+    The reference for the package's stabilised scaling kernel:
+    f = damp*(log mu0 - LSE_j(g_j + log_k_ij)), -inf at zero-mass points,
+    then the column twin for g.  ``stop(f, g, plan)`` sees the full plan
+    every ``check_every``-th and at the last iteration.  Returns
+    (f, g, iterations, plan, stopped).
+    """
+    with np.errstate(divide="ignore"):
+        log_mu0, log_mu1 = np.log(mu0_w), np.log(mu1_w)
+    dead = np.isneginf(log_k)
+
+    def shifted(vec):
+        with np.errstate(invalid="ignore"):
+            return np.where(dead, -math.inf, vec + log_k)
+
+    def plan(f, g):
+        # a zero-mass point (-inf) carries no plan mass, even against +inf
+        with np.errstate(invalid="ignore"):
+            expo = shifted(f[:, None] + g[None, :])
+        return np.exp(np.nan_to_num(expo, nan=-math.inf))
+
+    f = np.zeros(len(mu0_w))
+    g = np.array(g, dtype=float)
+    stopped = False
+    iters = 0
+    with np.errstate(invalid="ignore"):
+        for iters in range(1, max_iters + 1):
+            f = np.where(np.isneginf(log_mu0), -math.inf,
+                         damp * (log_mu0 - lse(shifted(g[None, :]), 1)))
+            g = np.where(np.isneginf(log_mu1), -math.inf,
+                         damp * (log_mu1 - lse(shifted(f[:, None]), 0)))
+            if iters % check_every == 0 or iters == max_iters:
+                stopped = stop(f, g, plan(f, g))
+                if stopped:
+                    break
+    return f, g, iters, plan(f, g), stopped
+
+
+def _kl_divergence(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a log(a/b) - a + b, +inf when a charges a b-null atom."""
+    if np.any((a > 0) & (b <= 0)):
+        return math.inf
+    pos = a > 0
+    return float(np.sum(a[pos] * np.log(a[pos] / b[pos]) - a[pos]) + np.sum(b))
+
+
+def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, tol, max_iters, g=None):
+    """Generalized Sinkhorn in the log domain, with the full primal and dual
+    evaluated every 5th iteration.
+
+    The loop stops when primal - dual <= tol (1 + |primal|) and the
+    first-order residuals |sigma_i - exp(-phi_i)| are at most max(tol, 1e-9),
+    with the potentials clamped as the package clamps them.  Returns
+    (primal, iterations, converged, plan).
+    """
+    with np.errstate(divide="ignore"):
+        log_k = (np.where(nu_w > 0, np.log(np.maximum(nu_w, 1e-300)), -math.inf)
+                 - np.where(np.isinf(cost), math.inf, cost) / eps)
+    lim = 745.0 + 40.0 / eps
+
+    def primal(gamma):
+        pos = gamma > 0
+        if np.any(pos & np.isinf(cost)):
+            return math.inf
+        return (_kl_divergence(gamma.sum(1), mu0_w) + _kl_divergence(gamma.sum(0), mu1_w)
+                + float(np.sum(cost[pos] * gamma[pos])) + eps * _kl_divergence(gamma, nu_w))
+
+    def stop(f, g, gamma):
+        phi0, phi1 = eps * np.clip(f, -2.0 * lim, lim), eps * np.clip(g, -2.0 * lim, lim)
+        dual, res = 0.0, 0.0
+        for m, p, marg in ((mu0_w, phi0, gamma.sum(1)), (mu1_w, phi1, gamma.sum(0))):
+            pos = m > 0
+            dual += float(np.sum(m[pos] * (1.0 - np.exp(-p[pos]))))
+            res = max(res, float(np.max(np.abs(marg[pos] / m[pos] - np.exp(-p[pos])))))
+        with np.errstate(invalid="ignore"):
+            expo = np.minimum((phi0[:, None] + phi1[None, :] - cost) / eps, 700.0)
+        pos = nu_w > 0
+        dual += eps * float(np.sum(nu_w[pos] * (1.0 - np.exp(expo[pos]))))
+        value = primal(gamma)
+        return value - dual <= tol * (1.0 + abs(value)) and res <= max(tol, 1e-9)
+
+    g = np.zeros(len(mu1_w)) if g is None else g
+    _, _, iters, gamma, stopped = log_domain_sinkhorn(
+        log_k, mu0_w, mu1_w, 1.0 / (1.0 + eps), g, max_iters, 5, stop)
+    return primal(gamma), iters, stopped, gamma

@@ -1,9 +1,11 @@
 import csv
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from uotlab import identities
 from uotlab.cli import emit_convergence_csv, run, InputError
 
 
@@ -114,6 +116,7 @@ def test_identities_subcommand(tmp_path):
     record = json.loads(out.read_text())
     assert record["values"]["residual_w2"] < 1e-9
     assert record["values"]["residual_w3"] < 1e-9
+    assert record["values"]["sinkhorn_residual"] <= 1e-13
 
 
 def test_record_roundtrip_byte_identical(fixtures):
@@ -181,3 +184,31 @@ def test_cost_file_spec(fixtures):
     assert code == 0
     record = json.loads(out.read_text())
     assert record["report"]["converged"]
+
+
+def test_solve_x_gap_alone_is_not_convergence(tmp_path):
+    # the gap is within tolerance after 500 iterations, the residual is not
+    rng = np.random.default_rng(0)
+    pts0, pts1 = rng.uniform(0, 1, size=(200, 2)), rng.uniform(0, 1, size=(200, 2))
+    w0, w1 = rng.uniform(0.5, 1.5, 200), rng.uniform(0.5, 1.5, 200)
+    files = []
+    for name, pts, w in (("a.json", pts0, w0 / w0.sum()), ("b.json", pts1, 1.3 * w1 / w1.sum())):
+        (tmp_path / name).write_text(json.dumps({"points": pts.tolist(), "weights": w.tolist()}))
+        files.append(str(tmp_path / name))
+    out = tmp_path / "x.json"
+    code = run(["solve-x", "--mu0", files[0], "--mu1", files[1], "--cost", "sqeuclidean",
+                "--eps", "0.01", "--max-iters", "500", "--out", str(out)])
+    report = json.loads(out.read_text())["report"]
+    assert code == 2
+    assert report["converged"] is False
+    assert max(report["marginal_residuals"]) > 1e-6
+
+
+def test_identities_nonconverged_solve_exits_two(tmp_path, monkeypatch):
+    capped = functools.partial(identities.balanced_sinkhorn, max_iters=3)
+    monkeypatch.setattr(identities, "balanced_sinkhorn", capped)
+    out = tmp_path / "id.json"
+    code = run(["identities", "--grid", "4", "--dim", "1", "--eps", "0.2",
+                "--seed", "3", "--out", str(out)])
+    assert code == 2
+    assert json.loads(out.read_text())["values"]["sinkhorn_residual"] > 1e-13

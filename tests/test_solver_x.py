@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from uotlab.costs import CostMatrix, hk_cost, sqeuclidean_matrix
+from uotlab import solver_x
+from uotlab.costs import CostMatrix, hk_cost, hk_matrix, sqeuclidean_matrix
 from uotlab.entropy import BALANCED, KL, divergence_arrays
+from uotlab.identities import balanced_entropic_value, balanced_sinkhorn
 from uotlab.measures import DiscreteMeasure, GroundSet, Plan, product
 from uotlab.solver_x import (
     DualPotentials,
@@ -20,7 +22,7 @@ from uotlab.solver_x import (
     solve_x_unreg,
 )
 
-from oracles import bisect, projected_gradient
+from oracles import bisect, log_domain_sinkhorn, projected_gradient, solve_x_log_domain
 
 
 def dirac_pair(m0=1.0, m1=1.0, c=0.0):
@@ -284,21 +286,172 @@ def test_config_validation():
         SolverConfig(eps=0.0)
     with pytest.raises(ValueError):
         SolverConfig(eps=0.1, tolerance=2.0)
-    with pytest.raises(ValueError):
-        SolverConfig(eps=0.1, stabilization="gpu")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(eps=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(eps=0.1, tolerance=bad)
     with pytest.raises(ValueError):
         DualPotentials(np.array([np.inf]), np.array([0.0]))
 
 
 def test_stabilization_modes_agree():
+    # the stabilised kernel against the pure log-domain loop
     rng = np.random.default_rng(50)
     mu0, mu1, cost = random_instance(rng, 3, 4)
     nu = default_nu_x(mu0, mu1)
-    _, _, rep_a = solve_x_eps(mu0, mu1, cost, nu,
-                              SolverConfig(eps=0.6, stabilization="scaling"))
-    _, _, rep_b = solve_x_eps(mu0, mu1, cost, nu,
-                              SolverConfig(eps=0.6, stabilization="log_domain"))
-    assert rep_a.primal == pytest.approx(rep_b.primal, rel=1e-10)
+    assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=0.6))
+
+
+# ---------------------------------------------------------------------------
+# Scaling kernel against the log-domain loop of tests/oracles.py
+# ---------------------------------------------------------------------------
+
+def assert_matches_log_domain(mu0, mu1, cost, nu, config, init=None):
+    """Same primal (1e-9 relative), iteration count and verdict as the
+    log-domain loop with full evaluations; returns the report."""
+    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, config, init=init)
+    want, iters, converged, _ = solve_x_log_domain(
+        mu0.weights, mu1.weights, cost.values, nu.weights, config.eps,
+        config.tolerance, config.max_iters, None if init is None else init[1])
+    assert rep.iterations == iters
+    assert rep.converged == converged
+    assert rep.primal == pytest.approx(want, rel=1e-9)
+    assert rep.gap >= 0.0
+    return rep
+
+
+def balanced_pair(rng, n, box=1.0):
+    g0 = GroundSet(rng.uniform(0, box, size=(n, 2)))
+    g1 = GroundSet(rng.uniform(0, box, size=(n, 2)))
+    w0, w1 = rng.uniform(0.3, 1.5, n), rng.uniform(0.3, 1.5, n)
+    return DiscreteMeasure(g0, w0 / w0.sum()), DiscreteMeasure(g1, w1 / w1.sum())
+
+
+def massless_first_points(mu0, mu1):
+    w0, w1 = mu0.weights.copy(), mu1.weights.copy()
+    w0[0] = w1[0] = 0.0
+    return DiscreteMeasure(mu0.ground, w0), DiscreteMeasure(mu1.ground, w1)
+
+
+@pytest.mark.parametrize("cost_kind", ["sqeuclidean", "hk"])
+@pytest.mark.parametrize("eps", [0.5, 0.05])
+@pytest.mark.parametrize("massless", [False, True])
+def test_kernel_kl_steps_match_log_domain(cost_kind, eps, massless):
+    rng = np.random.default_rng(51)
+    box = 3.0 if cost_kind == "hk" else 1.0  # HK costs are +inf beyond pi/2
+    mu0, mu1, _ = random_instance(rng, 12, 9, box=box)
+    nu = default_nu_x(mu0, mu1)
+    cost = (hk_matrix if cost_kind == "hk" else sqeuclidean_matrix)(mu0.ground, mu1.ground)
+    if cost_kind == "hk":
+        assert np.any(np.isinf(cost.values)) and np.any(np.isfinite(cost.values))
+    if massless:
+        mu0, mu1 = massless_first_points(mu0, mu1)
+    rep = assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=eps))
+    assert rep.converged
+
+
+@pytest.mark.parametrize("cost_kind", ["sqeuclidean", "hk"])
+@pytest.mark.parametrize("massless", [False, True])
+def test_kernel_balanced_steps_match_log_domain(cost_kind, massless):
+    rng = np.random.default_rng(52)
+    mu0, mu1 = balanced_pair(rng, 10, box=2.0 if cost_kind == "hk" else 1.0)
+    if massless:
+        mu0, mu1 = massless_first_points(mu0, mu1)
+        mu1 = DiscreteMeasure(mu1.ground, mu1.weights * (mu0.total_mass / mu1.total_mass))
+    cost = (hk_matrix if cost_kind == "hk" else sqeuclidean_matrix)(mu0.ground, mu1.ground)
+    assert (cost_kind == "hk") == bool(np.any(np.isinf(cost.values)))
+    ref = np.outer(mu0.weights, mu1.weights) + 0.01
+    eps, tol = 0.2, 1e-12
+
+    def stop(f, g, gamma):
+        return max(np.max(np.abs(gamma.sum(1) - mu0.weights)),
+                   np.max(np.abs(gamma.sum(0) - mu1.weights))) <= tol
+
+    with np.errstate(divide="ignore"):
+        log_k = np.log(ref) - np.where(np.isinf(cost.values), np.inf, cost.values) / eps
+    _, _, iters, want_plan, stopped = log_domain_sinkhorn(
+        log_k, mu0.weights, mu1.weights, 1.0, np.zeros(10), 5000, 10, stop)
+    gamma, got_iters, residual = balanced_sinkhorn(mu0.weights, mu1.weights, cost.values,
+                                                   eps, ref, tol=tol, max_iters=5000)
+    assert stopped and residual <= tol
+    assert got_iters == iters
+    want = balanced_entropic_value(want_plan, mu0.weights, cost.values, eps, ref)
+    got = balanced_entropic_value(gamma, mu0.weights, cost.values, eps, ref)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert np.all(gamma[np.isinf(cost.values)] == 0.0)
+
+
+def test_kernel_point_reaching_only_massless_points():
+    # mu0's first point reaches only mu1's massless middle point: its
+    # potential is +inf, and the dual must not pair it with that point's -inf
+    g0, g1 = GroundSet([[0.0], [0.5], [1.0]]), GroundSet([[0.1], [0.6], [0.9]])
+    mu0 = DiscreteMeasure(g0, [0.7, 0.5, 0.9])
+    mu1 = DiscreteMeasure(g1, [0.8, 0.0, 0.6])
+    cost = CostMatrix(np.array([[np.inf, 0.3, np.inf], [0.2, 0.1, 0.4], [0.5, np.inf, 0.1]]))
+    nu = default_nu_x(mu0, DiscreteMeasure(g1, [0.8, 0.3, 0.6]))
+    rep = assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=0.3))
+    assert rep.converged
+    assert rep.primal - rep.dual == pytest.approx(rep.gap, abs=1e-12)
+
+
+def test_kernel_warm_start_matches_log_domain():
+    rng = np.random.default_rng(53)
+    mu0, mu1, cost = random_instance(rng, 10, 14)
+    nu = default_nu_x(mu0, mu1)
+    _, phi, _ = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=0.3))
+    init = (phi.phi0 / 0.3, phi.phi1 / 0.3)
+    rep = assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=0.03), init=init)
+    assert rep.converged
+
+
+def test_kernel_cold_start_full_underflow():
+    # every kernel row underflows at the cold start: exp(-1/eps) = exp(-1000)
+    rng = np.random.default_rng(54)
+    g0 = GroundSet(rng.uniform(0.0, 0.1, size=(6, 2)))
+    g1 = GroundSet(rng.uniform(0.0, 0.1, size=(5, 2)) + [1.0, 0.0])
+    mu0 = DiscreteMeasure(g0, rng.uniform(0.5, 1.5, 6))
+    mu1 = DiscreteMeasure(g1, rng.uniform(0.5, 1.5, 5))
+    cost = sqeuclidean_matrix(g0, g1)
+    nu = default_nu_x(mu0, mu1)
+    assert np.all(np.exp(np.log(nu.weights) - cost.values / 1e-3) == 0.0)
+    duals = []
+    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=1e-3, max_iters=3000),
+                            on_iteration=lambda i, d: duals.append(d))
+    assert math.isfinite(rep.primal)
+    assert all(b >= a - 1e-12 * (1.0 + abs(a)) for a, b in zip(duals, duals[1:]))
+    assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=1e-3, max_iters=3000))
+
+
+@pytest.mark.parametrize("absorb", [0.0, math.inf])
+def test_kernel_absorption_extremes_match_log_domain(monkeypatch, absorb):
+    # 0 absorbs the scalings after every iteration, inf never does
+    monkeypatch.setattr(solver_x, "_ABSORB", absorb)
+    rng = np.random.default_rng(55)
+    mu0, mu1, cost = random_instance(rng, 8, 11)
+    nu = default_nu_x(mu0, mu1)
+    duals = []
+    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=0.02),
+                            on_iteration=lambda i, d: duals.append(d))
+    assert rep.converged and rep.gap >= 0.0
+    assert all(b >= a - 1e-12 for a, b in zip(duals, duals[1:]))
+    assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=0.02))
+
+
+def test_verdict_requires_first_order_residual():
+    # the gap alone passes here, but sigma - exp(-phi) is still ~2e-5
+    rng = np.random.default_rng(0)
+    g0 = GroundSet(rng.uniform(0, 1, size=(200, 2)))
+    g1 = GroundSet(rng.uniform(0, 1, size=(200, 2)))
+    w0, w1 = rng.uniform(0.5, 1.5, 200), rng.uniform(0.5, 1.5, 200)
+    mu0 = DiscreteMeasure(g0, w0 / w0.sum())
+    mu1 = DiscreteMeasure(g1, 1.3 * w1 / w1.sum())
+    config = SolverConfig(eps=0.01, max_iters=500)
+    _, _, rep = solve_x_eps(mu0, mu1, sqeuclidean_matrix(g0, g1), None, config)
+    assert rep.gap <= config.tolerance * (1.0 + abs(rep.primal))
+    assert max(rep.marginal_residuals) > 1e-6
+    assert rep.iterations == 500
+    assert not rep.converged
 
 
 # ---------------------------------------------------------------------------
