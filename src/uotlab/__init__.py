@@ -22,10 +22,6 @@ from .entropy import (
     EntropyKind,
     divergence,
     entropy_by_name,
-    eval_F,
-    eval_R,
-    legendre_F,
-    legendre_R,
 )
 from .measures import (
     DiscreteMeasure,
@@ -52,22 +48,17 @@ from .solver_x import (
     solve_x_unreg,
 )
 from .solver_y import (
-    ExtendedPlan,
+    AtomCloud,
+    AtomPlan,
     InfeasibleProblemError,
     RadialGrid,
     default_grids,
     default_nu_y,
-    homogeneous_marginal,
-    rescale_plan,
     solve_y_eps,
     solve_y_unreg,
     uot_as_ot_decomposition,
 )
 from .lifting import (
-    H_marginal,
-    ReducedLiftPlan,
-    TripleRadialPlan,
-    rescale_triple,
     solve_lifted_balanced,
     solve_lifted_balanced_eps,
     solve_second_order_lift,

@@ -108,26 +108,6 @@ def entropy_by_name(name: str) -> EntropyFunction:
         raise ValueError(f"unknown entropy kind {name!r}; use 'kl' or 'balanced'") from exc
 
 
-# ---------------------------------------------------------------------------
-# Operation-style wrappers
-# ---------------------------------------------------------------------------
-
-def eval_F(e: EntropyFunction, s):
-    return e.F(s)
-
-
-def eval_R(e: EntropyFunction, s):
-    return e.R(s)
-
-
-def legendre_F(e: EntropyFunction, phi):
-    return e.F_star(phi)
-
-
-def legendre_R(e: EntropyFunction, psi):
-    return e.R_star(psi)
-
-
 def divergence_arrays(e: EntropyFunction, measure: np.ndarray, reference: np.ndarray) -> float:
     """Divergence sum_ref F(measure/reference) * reference + F'_inf * singular mass.
 

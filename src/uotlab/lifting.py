@@ -15,8 +15,11 @@ against baseline solvers on small instances:
   w * H(s0^p, s1^p, c) under s_i^p w-weighted point marginals, where the
   shared w coordinate is forced by the sharp second-order perspective.
 
-All solves share the dense LP core; constraint matrices are assembled by
-vectorised index arithmetic, dense only in the row dimension.
+Each lift broadcasts its atom cost tensor over the open mesh (``np.ix_``)
+of point indices and radial powers, takes its constraint families from the
+same mesh, and solves with ``simplex.atom_lp``.  The extended lift returns
+an ``AtomPlan`` with an S axis; the reduced lifts return their read-only
+weight tensors.
 """
 
 from __future__ import annotations
@@ -27,162 +30,40 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostMatrix, perspective_H, perspective_H_eps, second_order_H_tilde
+from .costs import CostMatrix, perspective_H, perspective_H_eps
 from .entropy import KL
-from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan
-from .simplex import solve_lp
-from .solver_y import InfeasibleProblemError, RadialGrid
-
-
-@dataclass(frozen=True)
-class TripleRadialPlan:
-    """Weights over (x0, s0-node, x1, s1-node, S-node) atoms."""
-
-    row_ground: GroundSet
-    col_ground: GroundSet
-    grid0: RadialGrid
-    grid1: RadialGrid
-    grid_s: RadialGrid
-    p: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        shape = (self.row_ground.size, self.grid0.size, self.col_ground.size,
-                 self.grid1.size, self.grid_s.size)
-        if w.shape != shape:
-            raise ValueError(f"triple plan shape {w.shape} != {shape}")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-
-@dataclass(frozen=True)
-class ReducedLiftPlan:
-    """Weights over (x0, x1, radial...) atoms of one of the reduced liftings."""
-
-    row_ground: GroundSet
-    col_ground: GroundSet
-    grids: tuple[RadialGrid, ...]
-    role: str  # balanced | balanced_eps | second_order
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        shape = (self.row_ground.size, self.col_ground.size,
-                 *(g.size for g in self.grids))
-        if w.shape != shape:
-            raise ValueError(f"lift plan shape {w.shape} != {shape}")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class TripleAtoms:
-    """Atom cloud on (X x R+)^2 x R+ with off-grid radial coordinates."""
-
-    row_ground: GroundSet
-    col_ground: GroundSet
-    x0: np.ndarray
-    s0: np.ndarray
-    x1: np.ndarray
-    s1: np.ndarray
-    S: np.ndarray
-    weights: np.ndarray
-    p: float
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    def objective(self, cost: CostMatrix, eps: float) -> float:
-        h = perspective_H_eps(self.s0 ** self.p, self.s1 ** self.p,
-                              self.S ** self.p,
-                              cost.values[self.x0, self.x1], eps)
-        return float(np.sum(h * self.weights))
-
-    def homogeneous_marginal(self, index: int) -> DiscreteMeasure:
-        if index == 0:
-            ground, idx, s = self.row_ground, self.x0, self.s0
-        elif index == 1:
-            ground, idx, s = self.col_ground, self.x1, self.s1
-        else:
-            raise ValueError("index must be 0 or 1")
-        w = np.zeros(ground.size)
-        np.add.at(w, idx, (s ** self.p) * self.weights)
-        return DiscreteMeasure(ground, w)
-
-    def pair_marginal(self) -> Plan:
-        w = np.zeros((self.row_ground.size, self.col_ground.size))
-        np.add.at(w, (self.x0, self.x1), (self.S ** self.p) * self.weights)
-        return Plan(self.row_ground, self.col_ground, w)
-
-
-# ---------------------------------------------------------------------------
-# Projections
-# ---------------------------------------------------------------------------
-
-def H_marginal(eta: TripleRadialPlan) -> Plan:
-    """S^p-weighted projection of a triple plan onto the pair space."""
-    sp = eta.grid_s.nodes ** eta.p
-    w = np.einsum("ikjlm,m->ij", eta.weights, sp)
-    return Plan(eta.row_ground, eta.col_ground, w)
-
-
-def h_marginal_triple(eta: TripleRadialPlan, index: int) -> DiscreteMeasure:
-    """s_i^p-weighted projection of a triple plan onto one point set."""
-    if index == 0:
-        sp = eta.grid0.nodes ** eta.p
-        return DiscreteMeasure(eta.row_ground, np.einsum("ikjlm,k->i", eta.weights, sp))
-    if index == 1:
-        sp = eta.grid1.nodes ** eta.p
-        return DiscreteMeasure(eta.col_ground, np.einsum("ikjlm,l->j", eta.weights, sp))
-    raise ValueError("index must be 0 or 1")
-
-
-# ---------------------------------------------------------------------------
-# Shared assembly pieces
-# ---------------------------------------------------------------------------
-
-def _solve_filtered_lp(costs_flat, rows, b, finite_required=True):
-    """Solve min c.x, Ax=b, x>=0 where A is given as a list of
-    (row_offset, row_index_per_var, coeff_per_var) families; +inf-cost atoms
-    are excluded up front."""
-    keep = np.isfinite(costs_flat)
-    idx = np.flatnonzero(keep)
-    if idx.size == 0:
-        raise InfeasibleProblemError("every atom has infinite cost")
-    m = len(b)
-    a = np.zeros((m, idx.size))
-    cols = np.arange(idx.size)
-    for row_offset, row_of_var, coeff_of_var in rows:
-        a[row_offset + row_of_var[idx], cols] += coeff_of_var[idx]
-    res = solve_lp(costs_flat[idx], a, np.asarray(b, dtype=float))
-    if res.status == "infeasible":
-        return None, math.inf, "infeasible", idx
-    if not res.optimal:
-        raise RuntimeError(f"LP failed with status {res.status}")
-    x = np.zeros(costs_flat.size)
-    x[idx] = res.x
-    return x, res.value, "optimal", idx
+from .measures import DiscreteMeasure, GroundMismatchError, Plan
+from .simplex import LpResult, atom_lp
+from .solver_y import AtomPlan, RadialGrid, _optimal
 
 
 @dataclass(frozen=True)
 class LiftValue:
     value: float
     status: str  # optimal | infeasible
-    plan: Optional[ReducedLiftPlan] = None
+    plan: Optional[np.ndarray] = None  # weights over (x0, x1, radial...) atoms
 
     @property
     def feasible(self) -> bool:
         return self.status == "optimal"
+
+
+def _check_shape(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix) -> None:
+    if cost.shape != (mu0.ground.size, mu1.ground.size):
+        raise GroundMismatchError("cost shape does not match supports")
+
+
+def _balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> bool:
+    return abs(mu0.total_mass - mu1.total_mass) <= 1e-9 * (
+        1 + mu0.total_mass + mu1.total_mass)
+
+
+def _lift_value(res: LpResult) -> LiftValue:
+    if res.status == "infeasible":
+        return LiftValue(math.inf, "infeasible")
+    if not res.optimal:
+        raise RuntimeError(f"LP failed with status {res.status}")
+    return LiftValue(res.value, "optimal", res.x)
 
 
 # ---------------------------------------------------------------------------
@@ -197,30 +78,13 @@ def solve_lifted_balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     Mass-unbalanced inputs are infeasible, mirroring the +inf value of the
     sharp-marginal problem.
     """
-    n0, n1 = mu0.ground.size, mu1.ground.size
-    if cost.shape != (n0, n1):
-        raise GroundMismatchError("cost shape does not match supports")
-    if abs(mu0.total_mass - mu1.total_mass) > 1e-9 * (1 + mu0.total_mass + mu1.total_mass):
+    _check_shape(mu0, mu1, cost)
+    if not _balanced(mu0, mu1):
         return LiftValue(math.inf, "infeasible")
-    k = grid.size
-    sp = grid.nodes ** p
-    nvars = n0 * n1 * k
-    idx = np.arange(nvars)
-    i0 = idx // (n1 * k)
-    i1 = (idx // k) % n1
-    ks = idx % k
-    costs_flat = sp[ks] * cost.values[i0, i1]
-    rows = [
-        (0, i0, sp[ks]),
-        (n0, i1, sp[ks]),
-    ]
-    b = np.concatenate([mu0.weights, mu1.weights])
-    x, value, status, _ = _solve_filtered_lp(costs_flat, rows, b)
-    if status != "optimal":
-        return LiftValue(math.inf, "infeasible")
-    plan = ReducedLiftPlan(mu0.ground, mu1.ground, (grid,), "balanced",
-                           x.reshape(n0, n1, k))
-    return LiftValue(value, "optimal", plan)
+    i0, i1, sp = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
+                        grid.nodes ** p)
+    return _lift_value(atom_lp(sp * cost.values[i0, i1],
+                               [(i0, sp, mu0.weights), (i1, sp, mu1.weights)]))
 
 
 def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -234,44 +98,18 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     Constraints: s^p-weighted point marginals equal mu_i and the
     S^p-weighted pair marginal equals nu_X.
     """
-    n0, n1 = mu0.ground.size, mu1.ground.size
-    if cost.shape != (n0, n1):
-        raise GroundMismatchError("cost shape does not match supports")
-    if abs(mu0.total_mass - mu1.total_mass) > 1e-9 * (1 + mu0.total_mass + mu1.total_mass):
+    _check_shape(mu0, mu1, cost)
+    if not _balanced(mu0, mu1):
         return LiftValue(math.inf, "infeasible")
-    grid_s, grid_ss = grids
-    ks, kss = grid_s.size, grid_ss.size
-    sp = grid_s.nodes ** p
-    ssp = grid_ss.nodes ** p
-    nvars = n0 * n1 * ks * kss
-    idx = np.arange(nvars)
-    i0 = idx // (n1 * ks * kss)
-    i1 = (idx // (ks * kss)) % n1
-    j_s = (idx // kss) % ks
-    j_ss = idx % kss
-
-    s_vals = sp[j_s]
-    ss_vals = ssp[j_ss]
+    n1 = mu1.ground.size
+    i0, i1, sp, ssp = np.ix_(np.arange(mu0.ground.size), np.arange(n1),
+                             grids[0].nodes ** p, grids[1].nodes ** p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(s_vals > 0, ss_vals / np.where(s_vals > 0, s_vals, 1.0), 0.0)
-        penalty = np.where(
-            s_vals > 0,
-            np.where(ss_vals > 0, s_vals * KL.R(ratio), math.inf),
-            ss_vals,
-        )
-    costs_flat = s_vals * cost.values[i0, i1] + eps * penalty
-    rows = [
-        (0, i0, s_vals),
-        (n0, i1, s_vals),
-        (n0 + n1, i0 * n1 + i1, ss_vals),
-    ]
-    b = np.concatenate([mu0.weights, mu1.weights, nu_x.weights.ravel()])
-    x, value, status, _ = _solve_filtered_lp(costs_flat, rows, b)
-    if status != "optimal":
-        return LiftValue(math.inf, "infeasible")
-    plan = ReducedLiftPlan(mu0.ground, mu1.ground, (grid_s, grid_ss), "balanced_eps",
-                           x.reshape(n0, n1, ks, kss))
-    return LiftValue(value, "optimal", plan)
+        ratio = np.where(sp > 0, ssp / np.where(sp > 0, sp, 1.0), 0.0)
+        penalty = np.where(sp > 0, np.where(ssp > 0, sp * KL.R(ratio), math.inf), ssp)
+    families = [(i0, sp, mu0.weights), (i1, sp, mu1.weights),
+                (i0 * n1 + i1, ssp, nu_x.weights)]
+    return _lift_value(atom_lp(sp * cost.values[i0, i1] + eps * penalty, families))
 
 
 # ---------------------------------------------------------------------------
@@ -281,74 +119,30 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                      nu_x: Plan, eps: float, p: float,
                      grids: tuple[RadialGrid, RadialGrid, RadialGrid],
-                     mode: str = "equality") -> tuple[TripleRadialPlan, float]:
+                     mode: str = "equality") -> tuple[AtomPlan, float]:
     """LP over (x0, s0, x1, s1, S) atoms with cost H_eps(s0^p, s1^p, S^p, c).
 
     Equality mode pins h_i^p eta = mu_i and the S^p pair marginal to nu_X;
     inequality mode relaxes all three families with defects priced at F(0).
     """
-    n0, n1 = mu0.ground.size, mu1.ground.size
-    if cost.shape != (n0, n1):
-        raise GroundMismatchError("cost shape does not match supports")
-    grid0, grid1, grid_s = grids
-    k0, k1, ks = grid0.size, grid1.size, grid_s.size
-    s0p = grid0.nodes ** p
-    s1p = grid1.nodes ** p
-    ssp = grid_s.nodes ** p
-
-    h = perspective_H_eps(
-        s0p[None, :, None, None, None],
-        s1p[None, None, None, :, None],
-        ssp[None, None, None, None, :],
-        cost.values[:, None, :, None, None],
-        eps,
-    ).ravel()
-    nvars = n0 * k0 * n1 * k1 * ks
-    idx = np.arange(nvars)
-    i0 = idx // (k0 * n1 * k1 * ks)
-    j0 = (idx // (n1 * k1 * ks)) % k0
-    i1 = (idx // (k1 * ks)) % n1
-    j1 = (idx // ks) % k1
-    js = idx % ks
-
-    m = n0 + n1 + n0 * n1
-    b = np.concatenate([mu0.weights, mu1.weights, nu_x.weights.ravel()])
-    rows = [
-        (0, i0, s0p[j0]),
-        (n0, i1, s1p[j1]),
-        (n0 + n1, i0 * n1 + i1, ssp[js]),
-    ]
-    if mode == "equality":
-        x, value, status, _ = _solve_filtered_lp(h, rows, b)
-    elif mode == "inequality":
-        # append identity slack columns priced at F(0)
-        keep = np.isfinite(h)
-        a = np.zeros((m, int(np.sum(keep)) + m))
-        cols = np.arange(int(np.sum(keep)))
-        kidx = np.flatnonzero(keep)
-        for off, rvar, coeff in rows:
-            a[off + rvar[kidx], cols] += coeff[kidx]
-        a[:, int(np.sum(keep)):] = np.eye(m)
-        cvec = np.concatenate([h[kidx], np.full(m, KL.F_zero)])
-        res = solve_lp(cvec, a, b)
-        if not res.optimal:
-            raise InfeasibleProblemError(f"relaxed LP failed: {res.status}")
-        x = np.zeros(nvars)
-        x[kidx] = res.x[: kidx.size]
-        value, status = res.value, "optimal"
-    else:
+    _check_shape(mu0, mu1, cost)
+    if mode not in ("equality", "inequality"):
         raise ValueError("mode must be 'equality' or 'inequality'")
-    if status != "optimal":
-        raise InfeasibleProblemError("extended constraints are infeasible on this grid")
-    eta = TripleRadialPlan(mu0.ground, mu1.ground, grid0, grid1, grid_s, p,
-                           x.reshape(n0, k0, n1, k1, ks))
-    return eta, value
+    n1 = mu1.ground.size
+    i0, s0p, i1, s1p, ssp = np.ix_(np.arange(mu0.ground.size), grids[0].nodes ** p,
+                                   np.arange(n1), grids[1].nodes ** p, grids[2].nodes ** p)
+    h = perspective_H_eps(s0p, s1p, ssp, cost.values[i0, i1], eps)
+    families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights),
+                (i0 * n1 + i1, ssp, nu_x.weights)]
+    res = _optimal(atom_lp(h, families, KL.F_zero if mode == "inequality" else None),
+                   "extended")
+    return AtomPlan(mu0.ground, mu1.ground, tuple(grids), p, res.x), res.value
 
 
 def solve_x_extended_refined(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                              cost: CostMatrix, nu_x: Plan, eps: float, p: float,
                              n_coarse: int = 20, n_fine: int = 36,
-                             pad: float = 3.0) -> tuple[TripleRadialPlan, float]:
+                             pad: float = 3.0) -> tuple[AtomPlan, float]:
     """Two-pass extended solve: wide coarse grids, then grids rebuilt around
     the radial support of the coarse optimum.  Self-contained grid choice
     for cross-solver comparisons."""
@@ -359,15 +153,12 @@ def solve_x_extended_refined(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 
     wide = build(1e-2, 1e2, n_coarse, 1.0)
     eta, _ = solve_x_extended(mu0, mu1, cost, nu_x, eps, p, (wide, wide, wide))
-    idx = np.nonzero(eta.weights)
-    if idx[0].size == 0:
+    atoms = eta.atoms()
+    if atoms.weights.size == 0:
         return eta, 0.0
-    s0 = wide.nodes[idx[1]]
-    s1 = wide.nodes[idx[3]]
-    ss = wide.nodes[idx[4]]
     grids = tuple(
         build(max(float(np.min(v)), 1e-3), max(float(np.max(v)), 1e-3), n_fine, pad)
-        for v in (s0, s1, ss)
+        for v in (atoms.s0, atoms.s1, atoms.S)
     )
     return solve_x_extended(mu0, mu1, cost, nu_x, eps, p, grids)
 
@@ -379,132 +170,17 @@ def solve_x_extended_refined(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 def solve_second_order_lift(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                             cost: CostMatrix, p: float,
                             grids: tuple[RadialGrid, RadialGrid, RadialGrid]
-                            ) -> tuple[float, ReducedLiftPlan]:
+                            ) -> tuple[float, np.ndarray]:
     """LP over (x0, x1, s0, s1, w) atoms with cost w * H(s0^p, s1^p, c).
 
     The sharp second-order perspective forces a shared density w on both
     sides, so the reduced plan carries a single w coordinate; constraints
     are the s_i^p w-weighted point marginals.
     """
-    n0, n1 = mu0.ground.size, mu1.ground.size
-    if cost.shape != (n0, n1):
-        raise GroundMismatchError("cost shape does not match supports")
-    grid0, grid1, grid_w = grids
-    k0, k1, kw = grid0.size, grid1.size, grid_w.size
-    s0p = grid0.nodes ** p
-    s1p = grid1.nodes ** p
-    wv = grid_w.nodes
-
-    hbase = perspective_H(
-        s0p[None, None, :, None],
-        s1p[None, None, None, :],
-        cost.values[:, :, None, None],
-    )
-    costs = (hbase[..., None] * wv[None, None, None, None, :]).ravel()
-
-    nvars = n0 * n1 * k0 * k1 * kw
-    idx = np.arange(nvars)
-    i0 = idx // (n1 * k0 * k1 * kw)
-    i1 = (idx // (k0 * k1 * kw)) % n1
-    j0 = (idx // (k1 * kw)) % k0
-    j1 = (idx // kw) % k1
-    jw = idx % kw
-    rows = [
-        (0, i0, s0p[j0] * wv[jw]),
-        (n0, i1, s1p[j1] * wv[jw]),
-    ]
-    b = np.concatenate([mu0.weights, mu1.weights])
-    x, value, status, _ = _solve_filtered_lp(costs, rows, b)
-    if status != "optimal":
-        raise InfeasibleProblemError("second-order constraints are infeasible on this grid")
-    plan = ReducedLiftPlan(mu0.ground, mu1.ground, (grid0, grid1, grid_w),
-                           "second_order", x.reshape(n0, n1, k0, k1, kw))
-    return value, plan
-
-
-def solve_second_order_full_w(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                              cost: CostMatrix, p: float,
-                              grids: tuple[RadialGrid, RadialGrid, RadialGrid]
-                              ) -> float:
-    """Second-order LP over the full (w0, w1) grid with the sharp gate.
-
-    Atoms with w0 != w1 price at +inf and are dropped, so the value must
-    coincide with the shared-w reduction; exposed to assert exactly that.
-    """
-    n0, n1 = mu0.ground.size, mu1.ground.size
-    grid0, grid1, grid_w = grids
-    k0, k1, kw = grid0.size, grid1.size, grid_w.size
-    s0p = grid0.nodes ** p
-    s1p = grid1.nodes ** p
-    wv = grid_w.nodes
-
-    hbase = perspective_H(
-        s0p[None, None, :, None],
-        s1p[None, None, None, :],
-        cost.values[:, :, None, None],
-    )
-    htilde = second_order_H_tilde(
-        s0p[None, None, :, None, None, None],
-        s1p[None, None, None, :, None, None],
-        wv[None, None, None, None, :, None],
-        wv[None, None, None, None, None, :],
-        hbase[..., None, None],
-    ).ravel()
-
-    nvars = n0 * n1 * k0 * k1 * kw * kw
-    idx = np.arange(nvars)
-    i0 = idx // (n1 * k0 * k1 * kw * kw)
-    i1 = (idx // (k0 * k1 * kw * kw)) % n1
-    j0 = (idx // (k1 * kw * kw)) % k0
-    j1 = (idx // (kw * kw)) % k1
-    jw0 = (idx // kw) % kw
-    jw1 = idx % kw
-    rows = [
-        (0, i0, s0p[j0] * wv[jw0]),
-        (n0, i1, s1p[j1] * wv[jw1]),
-    ]
-    b = np.concatenate([mu0.weights, mu1.weights])
-    _, value, status, _ = _solve_filtered_lp(htilde, rows, b)
-    if status != "optimal":
-        raise InfeasibleProblemError("full-density second-order LP infeasible")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Rescaling of triple plans
-# ---------------------------------------------------------------------------
-
-def rescale_triple(eta: TripleRadialPlan, p: Optional[float] = None,
-                   nu_x_mass: Optional[float] = None) -> TripleAtoms:
-    """Normalise a triple plan to unit mass by the radial pushforward.
-
-    theta = ((s0^p + s1^p + S^p)^(1/p)) / s* per atom with
-    s*^p = mass(h_0) + mass(h_1) + mass(H-projection); atoms with
-    s0 = s1 = S = 0 are dropped.  When the plan satisfies the constraints
-    exactly, s* agrees with (mu_0(X) + mu_1(X) + nu_X(X^2))^(1/p); passing
-    ``nu_x_mass`` substitutes the intended reference mass for the plan's own
-    pair-projection mass.
-    """
-    if p is None:
-        p = eta.p
-    idx = np.nonzero(eta.weights)
-    i0, k0, i1, k1, ks = idx
-    s0 = eta.grid0.nodes[k0]
-    s1 = eta.grid1.nodes[k1]
-    ss = eta.grid_s.nodes[ks]
-    w = eta.weights[idx]
-    keep = ~((s0 == 0.0) & (s1 == 0.0) & (ss == 0.0))
-    i0, i1, s0, s1, ss, w = i0[keep], i1[keep], s0[keep], s1[keep], ss[keep], w[keep]
-
-    m0 = h_marginal_triple(eta, 0).total_mass
-    m1 = h_marginal_triple(eta, 1).total_mass
-    ms = H_marginal(eta).total_mass if nu_x_mass is None else nu_x_mass
-    total = m0 + m1 + ms
-    if total <= 0:
-        return TripleAtoms(eta.row_ground, eta.col_ground, i0, s0, i1, s1, ss, w, p)
-    s_star = total ** (1.0 / p)
-    theta = (s0 ** p + s1 ** p + ss ** p) ** (1.0 / p) / s_star
-    return TripleAtoms(
-        eta.row_ground, eta.col_ground,
-        i0, s0 / theta, i1, s1 / theta, ss / theta, (theta ** p) * w, p,
-    )
+    _check_shape(mu0, mu1, cost)
+    i0, i1, s0p, s1p, w = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
+                                 grids[0].nodes ** p, grids[1].nodes ** p, grids[2].nodes)
+    families = [(i0, s0p * w, mu0.weights), (i1, s1p * w, mu1.weights)]
+    res = _optimal(atom_lp(perspective_H(s0p, s1p, cost.values[i0, i1]) * w, families),
+                   "second-order")
+    return res.value, res.x

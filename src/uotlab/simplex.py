@@ -1,4 +1,4 @@
-"""Dense two-phase revised simplex for small equality-form linear programs.
+"""Dense two-phase revised simplex and the one builder of atom LPs.
 
 Solves  min c.x  subject to  A x = b, x >= 0  where A has few rows (the
 homogeneous-marginal constraint families) and possibly very many columns
@@ -7,22 +7,25 @@ pivoting, with periodic refactorisation; pricing is a single dense
 mat-vec over all columns.  Dantzig pricing with a Bland fallback after a
 degenerate stall guarantees termination.
 
-Desk scale only: columns up to ~1e5 and a few hundred rows.
+``atom_lp`` assembles every LP of the package: an atom cost tensor plus
+constraint families, each a (rows, coeff, target) triple broadcast over the
+tensor.  Every lift, the extended-space LP and classical transport go
+through it.
+
+Desk scale only: a few hundred rows; the matrix is dense, so memory is
+8 bytes per row and column (20 rows by 1.4e6 columns is about 220 MB, and
+phase 1 holds a second copy).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 _REFACTOR_EVERY = 64
 _STALL_LIMIT = 60
-
-
-class LpInfeasibleError(RuntimeError):
-    """Raised by helpers that cannot express infeasibility in their result."""
 
 
 @dataclass
@@ -52,6 +55,8 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, tol):
     """
     m, n = A.shape
     xb = binv @ b
+    if n == 0:
+        return "optimal", xb, 0
     stall = 0
     bland = False
     iters = 0
@@ -155,8 +160,44 @@ def solve_lp(c, A, b, max_iters: int | None = None, tol: float = 1e-11) -> LpRes
     if status != "optimal":
         return LpResult(status, None, math.nan if status != "unbounded" else -math.inf, it1 + it2)
     x = np.zeros(n)
-    x[np.asarray(basis)] = np.maximum(xb, 0.0)
+    x[np.asarray(basis, dtype=int)] = np.maximum(xb, 0.0)
     return LpResult("optimal", x, float(c @ x), it1 + it2)
+
+
+def atom_lp(cost, families, slack_cost: float | None = None) -> LpResult:
+    """Minimise <cost, x> over nonnegative atom tensors x under equality
+    constraint families.
+
+    Each family is a (rows, coeff, target) triple: atom a adds coeff[a] to
+    row rows[a] of the family, whose right-hand sides are ``target``
+    (raveled); rows and coeff broadcast to ``cost.shape``.  Atoms whose cost
+    is not finite are dropped; the others become columns in the C order of
+    the tensor.  ``slack_cost`` adds one identity slack column per row at
+    that price, which relaxes every constraint to <=.  The result's ``x``
+    is a read-only array of the tensor's shape (0 on dropped atoms, slacks
+    left out), or None when the LP is not solved to optimality.
+    """
+    cost = np.asarray(cost, dtype=float)
+    keep = np.flatnonzero(np.isfinite(cost))
+    b = np.concatenate([np.ravel(target) for _, _, target in families])
+    n_slack = 0 if slack_cost is None else b.size
+    A = np.zeros((b.size, keep.size + n_slack))
+    cols = np.arange(keep.size)
+    offset = 0
+    for rows, coeff, target in families:
+        rows = np.broadcast_to(rows, cost.shape).ravel()[keep]
+        A[offset + rows, cols] += np.broadcast_to(coeff, cost.shape).ravel()[keep]
+        offset += np.size(target)
+    A[np.arange(n_slack), keep.size + np.arange(n_slack)] = 1.0
+    c = np.append(cost.ravel()[keep], [slack_cost] * n_slack)
+    res = solve_lp(c, A, b)
+    if not res.optimal:
+        return res
+    x = np.zeros(cost.size)
+    x[keep] = res.x[:keep.size]
+    x = x.reshape(cost.shape)
+    x.flags.writeable = False
+    return replace(res, x=x)
 
 
 def transport_lp(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray,
@@ -168,29 +209,11 @@ def transport_lp(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray,
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    n0, n1 = cost.shape
     if abs(mu.sum() - nu.sum()) > mass_tol * (1.0 + mu.sum() + nu.sum()):
         return None, math.inf, "infeasible"
-
-    finite = np.isfinite(cost.ravel())
-    cols = np.flatnonzero(finite)
-    if cols.size == 0:
-        if mu.sum() <= mass_tol:
-            return np.zeros((n0, n1)), 0.0, "optimal"
-        return None, math.inf, "infeasible"
-
-    # rows: n0 row-sum constraints plus n1-1 column sums (last is implied)
-    m = n0 + n1 - 1
-    A = np.zeros((m, cols.size))
-    i_idx, j_idx = np.divmod(cols, n1)
-    A[i_idx, np.arange(cols.size)] = 1.0
-    in_cols = j_idx < n1 - 1
-    A[n0 + j_idx[in_cols], np.flatnonzero(in_cols)] = 1.0
-    b = np.concatenate([mu, nu[:-1]])
-    res = solve_lp(cost.ravel()[cols], A, b, tol=1e-11)
+    # both row and column sums; the simplex drops the one redundant row
+    i, j = np.ix_(np.arange(mu.size), np.arange(nu.size))
+    res = atom_lp(cost, [(i, 1.0, mu), (j, 1.0, nu)])
     if not res.optimal:
         return None, math.inf, res.status
-    plan = np.zeros(n0 * n1)
-    plan[cols] = res.x
-    return plan.reshape(n0, n1), res.value, "optimal"
+    return res.x, res.value, "optimal"

@@ -532,15 +532,17 @@ def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         gamma, value, iters = _pgd_direct(mu0.weights, mu1.weights, cost.values)
     elif method == "eps_continuation":
         nu = default_nu_x(mu0, mu1)
-        fg = None
+        phi = None
         gamma = np.zeros(cost.shape)
         iters = 0
         for eps in _CONTINUATION_EPS:
-            # warm-started path following; the damped update contracts like
-            # 1/(1+eps), so tiny-eps stages get a budget, not a tight target
+            # warm-started path following: the previous stage's potentials
+            # become this stage's log-scalings phi/eps; the damped update
+            # contracts like 1/(1+eps), so tiny-eps stages get a budget, not
+            # a tight target
             cfg = SolverConfig(eps=eps, max_iters=3000, tolerance=1e-9)
-            plan, phi, rep = solve_x_eps(mu0, mu1, cost, nu, cfg, init=fg)
-            fg = (phi.phi0 / eps, phi.phi1 / eps)
+            init = None if phi is None else (phi.phi0 / eps, phi.phi1 / eps)
+            plan, phi, rep = solve_x_eps(mu0, mu1, cost, nu, cfg, init=init)
             gamma = plan.weights
             iters += rep.iterations
         value = eval_primal_unreg(Plan(mu0.ground, mu1.ground, gamma), mu0, mu1, cost)

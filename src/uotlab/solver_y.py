@@ -1,19 +1,23 @@
 """Extended-space formulation over location-radial atoms.
 
-A plan here is a nonnegative weight tensor over atoms (x0, s0, x1, s1) where
-the s_i run over finite radial grids.  The p-th homogeneous marginal of a
-plan is the projection to X weighted by s_i^p, and the problem
+A plan here is an ``AtomPlan``: a nonnegative weight tensor over atoms
+(x0, s0, x1, s1) where the s_i run over finite radial grids (the lifting
+module adds a pair-space radial axis S to the same type).  The p-th
+homogeneous marginal of a plan is the projection to X weighted by s_i^p,
+and the problem
 
     inf (H_p, alpha)   s.t.  h_i^p alpha = mu_i
 
 is a linear program over the atoms because the objective is linear in the
-weights.  Its entropic regularisation adds eps * Div(alpha | nu_Y) for a
-probability reference nu_Y and is solved by alternating KL projections onto
-the two homogeneous-marginal constraint families (generalized iterative
-scaling): each projection multiplies alpha by exp(lambda(x_i) s_i^p).  A
-point's tilt enters only through the masked log-sum-exp M[i, k] of the
-log-weights over the other side's (point, radial) axes, so one projection is
-one reduction of the atom tensor to M followed by the monotone equations
+weights; ``simplex.atom_lp`` builds and solves it from the cost tensor and
+the two s_i^p-weighted families.  Its entropic regularisation adds
+eps * Div(alpha | nu_Y) for a probability reference nu_Y and is solved by
+alternating KL projections onto the two homogeneous-marginal constraint
+families (generalized iterative scaling): each projection multiplies alpha
+by exp(lambda(x_i) s_i^p).  A point's tilt enters only through the masked
+log-sum-exp M[i, k] of the log-weights over the other side's (point,
+radial) axes, so one projection is one reduction of the atom tensor to M
+followed by the monotone equations
 
     LSE_k(M[i, k] + log s_k^p + delta_i s_k^p) = log mu_i,
 
@@ -25,6 +29,8 @@ s* = (mu0(X) + mu1(X))^(1/p); rescaling by the pushforward
 (x0, s0, x1, s1) -> (x0, s0/theta, x1, s1/theta) with
 theta = ((s0^p + s1^p)^(1/p)) / s* normalises any plan to unit mass without
 changing the objective, which is exact thanks to the 1-homogeneity of H.
+The rescaled atoms leave the grid and form an ``AtomCloud``; plans and clouds
+share one implementation of the marginals, the objective and the rescaling.
 
 The stop test of the scaling loop reads the homogeneous marginals off the
 same reductions: h1 from the family-1 reduction with the new tilts applied,
@@ -36,15 +42,15 @@ and plans are immutable snapshots between iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .costs import CostMatrix, perspective_H
+from .costs import CostMatrix, perspective_H, perspective_H_eps
 from .entropy import KL, divergence_arrays
-from .measures import DiscreteMeasure, GroundMismatchError, GroundSet
-from .simplex import solve_lp, transport_lp
+from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan
+from .simplex import LpResult, atom_lp, transport_lp
 from .solver_x import SolveReport, SolverConfig
 
 _LOG_TINY = -745.0
@@ -102,37 +108,12 @@ class RadialGrid:
 
 
 @dataclass(frozen=True)
-class ExtendedPlan:
-    """Weights over (x0, s0-node, x1, s1-node) atoms."""
+class AtomCloud:
+    """Weighted atoms (x0, s0, x1, s1[, S]) with off-grid radial coordinates.
 
-    row_ground: GroundSet
-    col_ground: GroundSet
-    grid0: RadialGrid
-    grid1: RadialGrid
-    p: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        shape = (self.row_ground.size, self.grid0.size,
-                 self.col_ground.size, self.grid1.size)
-        if w.shape != shape:
-            raise ValueError(f"extended plan shape {w.shape} != {shape}")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("extended plan weights must be finite and nonnegative")
-        if self.p <= 0:
-            raise ValueError("p must be positive")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-
-@dataclass(frozen=True)
-class ExtendedAtoms:
-    """Weighted atom cloud on (X x R+)^2 with off-grid radial coordinates."""
+    S is the pair-space radial value of the extended form of the
+    original-space regularisation; the extended-space problem has none.
+    """
 
     row_ground: GroundSet
     col_ground: GroundSet
@@ -142,26 +123,114 @@ class ExtendedAtoms:
     s1: np.ndarray
     weights: np.ndarray
     p: float
+    S: Optional[np.ndarray] = None
 
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
     def homogeneous_marginal(self, index: int) -> DiscreteMeasure:
-        if index == 0:
-            ground, idx, s = self.row_ground, self.x0, self.s0
-        elif index == 1:
-            ground, idx, s = self.col_ground, self.x1, self.s1
-        else:
+        """h_i^p: the projection to one point set weighted by s_i^p."""
+        if index not in (0, 1):
             raise ValueError("index must be 0 or 1")
-        w = np.zeros(ground.size)
-        np.add.at(w, idx, (s ** self.p) * self.weights)
+        ground = (self.row_ground, self.col_ground)[index]
+        x, s = ((self.x0, self.s0), (self.x1, self.s1))[index]
+        w = np.bincount(x, weights=(s ** self.p) * self.weights, minlength=ground.size)
         return DiscreteMeasure(ground, w)
 
-    def objective(self, cost: CostMatrix) -> float:
-        h = perspective_H(self.s0 ** self.p, self.s1 ** self.p,
-                          cost.values[self.x0, self.x1])
+    def pair_marginal(self) -> Plan:
+        """The S^p-weighted projection to the pair space."""
+        if self.S is None:
+            raise ValueError("only atoms with an S coordinate have a pair marginal")
+        n0, n1 = self.row_ground.size, self.col_ground.size
+        w = np.bincount(self.x0 * n1 + self.x1, weights=(self.S ** self.p) * self.weights,
+                        minlength=n0 * n1)
+        return Plan(self.row_ground, self.col_ground, w.reshape(n0, n1))
+
+    def objective(self, cost: CostMatrix, eps: Optional[float] = None) -> float:
+        """(H_p, atoms), or (H_eps, atoms) with the given eps when S is present."""
+        c = cost.values[self.x0, self.x1]
+        s0p, s1p = self.s0 ** self.p, self.s1 ** self.p
+        if self.S is None:
+            h = perspective_H(s0p, s1p, c)
+        else:
+            h = perspective_H_eps(s0p, s1p, self.S ** self.p, c, eps)
         return float(np.sum(h * self.weights))
+
+    def rescale(self) -> "AtomCloud":
+        """Normalise to unit mass by the radial pushforward.
+
+        With r^p the sum of an atom's s^p over its radial coordinates and
+        s*^p the total homogeneous mass (the sum of r^p times the weights),
+        theta = r / s* per atom; each atom moves to its coordinates divided
+        by theta with weight theta^p times its own.  Atoms whose radial
+        coordinates all vanish are dropped.  The objective and every
+        homogeneous marginal are preserved to rounding, by the
+        1-homogeneity of H and H_eps.
+        """
+        radial = (self.s0, self.s1, self.S)
+        rp = sum(s ** self.p for s in radial if s is not None)
+        keep = rp > 0
+        theta_p = rp[keep] / float(np.sum(rp[keep] * self.weights[keep]))
+        theta = theta_p ** (1.0 / self.p)
+        s0, s1, S = (None if s is None else s[keep] / theta for s in radial)
+        return replace(self, x0=self.x0[keep], s0=s0, x1=self.x1[keep], s1=s1, S=S,
+                       weights=theta_p * self.weights[keep])
+
+
+@dataclass(frozen=True)
+class AtomPlan:
+    """Weights over the grid atoms (x0, s0-node, x1, s1-node[, S-node]).
+
+    ``grids`` holds the radial grids of s0 and s1, plus that of S for the
+    extended form of the original-space regularisation.  Marginals, the
+    objective and the rescaling act on the plan's nonzero atoms.
+    """
+
+    row_ground: GroundSet
+    col_ground: GroundSet
+    grids: tuple[RadialGrid, ...]
+    p: float
+    weights: np.ndarray
+
+    def __post_init__(self):
+        if len(self.grids) not in (2, 3):
+            raise ValueError("an atom plan has two or three radial grids")
+        w = np.array(self.weights, dtype=float)
+        g = self.grids
+        shape = (self.row_ground.size, g[0].size, self.col_ground.size,
+                 *(grid.size for grid in g[1:]))
+        if w.shape != shape:
+            raise ValueError(f"atom plan shape {w.shape} != {shape}")
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise ValueError("atom plan weights must be finite and nonnegative")
+        if self.p <= 0:
+            raise ValueError("p must be positive")
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def total_mass(self) -> float:
+        return float(np.sum(self.weights))
+
+    def atoms(self) -> AtomCloud:
+        """The nonzero atoms, with their grid nodes as radial coordinates."""
+        idx = np.nonzero(self.weights)
+        s = [grid.nodes[k] for grid, k in zip(self.grids, (idx[1], idx[3]) + idx[4:])]
+        return AtomCloud(self.row_ground, self.col_ground, idx[0], s[0], idx[2], s[1],
+                         self.weights[idx], self.p, *s[2:])
+
+    def homogeneous_marginal(self, index: int) -> DiscreteMeasure:
+        return self.atoms().homogeneous_marginal(index)
+
+    def pair_marginal(self) -> Plan:
+        return self.atoms().pair_marginal()
+
+    def objective(self, cost: CostMatrix, eps: Optional[float] = None) -> float:
+        return self.atoms().objective(cost, eps)
+
+    def rescale(self) -> AtomCloud:
+        return self.atoms().rescale()
 
 
 @dataclass(frozen=True)
@@ -193,7 +262,7 @@ def default_grids(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float = 1.0,
 
 
 def default_nu_y(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                 grids: tuple[RadialGrid, RadialGrid], p: float = 1.0) -> ExtendedPlan:
+                 grids: tuple[RadialGrid, RadialGrid], p: float = 1.0) -> AtomPlan:
     """Uniform probability over all atoms with both radial values positive."""
     grid0, grid1 = grids
     w = np.ones((mu0.ground.size, grid0.size, mu1.ground.size, grid1.size))
@@ -202,7 +271,7 @@ def default_nu_y(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     total = w.sum()
     if total <= 0:
         raise ValueError("reference needs at least one positive radial node per side")
-    return ExtendedPlan(mu0.ground, mu1.ground, grid0, grid1, p, w / total)
+    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, w / total)
 
 
 def hp_tensor(cost: CostMatrix, grid0: RadialGrid, grid1: RadialGrid, p: float) -> np.ndarray:
@@ -216,42 +285,18 @@ def hp_tensor(cost: CostMatrix, grid0: RadialGrid, grid1: RadialGrid, p: float) 
     )
 
 
-def homogeneous_marginal(alpha: ExtendedPlan, index: int) -> DiscreteMeasure:
-    """h_i^p alpha: projection to X weighted by s_i^p."""
-    w = alpha.weights
-    if index == 0:
-        s = alpha.grid0.nodes ** alpha.p
-        out = np.einsum("ikjl,k->i", w, s)
-        return DiscreteMeasure(alpha.row_ground, out)
-    if index == 1:
-        s = alpha.grid1.nodes ** alpha.p
-        out = np.einsum("ikjl,l->j", w, s)
-        return DiscreteMeasure(alpha.col_ground, out)
-    raise ValueError("index must be 0 or 1")
-
-
-def plan_objective(alpha: ExtendedPlan, cost: CostMatrix) -> float:
-    """(H_p, alpha) over the atom tensor."""
-    h = hp_tensor(cost, alpha.grid0, alpha.grid1, alpha.p)
-    return float(np.sum(h * alpha.weights))
-
-
 # ---------------------------------------------------------------------------
 # Unregularised LP
 # ---------------------------------------------------------------------------
 
-def _marginal_rows(n0: int, k0: int, n1: int, k1: int, s0p: np.ndarray, s1p: np.ndarray):
-    """Constraint matrix of the two homogeneous-marginal families."""
-    nvars = n0 * k0 * n1 * k1
-    a = np.zeros((n0 + n1, nvars))
-    idx = np.arange(nvars)
-    i0 = idx // (k0 * n1 * k1)
-    k0i = (idx // (n1 * k1)) % k0
-    i1 = (idx // k1) % n1
-    k1i = idx % k1
-    a[i0, idx] = s0p[k0i]
-    a[n0 + i1, idx] += s1p[k1i]
-    return a
+def _optimal(res: LpResult, what: str) -> LpResult:
+    """``res`` when optimal; raises InfeasibleProblemError when the LP is
+    infeasible and RuntimeError on any other status."""
+    if res.status == "infeasible":
+        raise InfeasibleProblemError(f"{what} constraints are infeasible on this grid")
+    if not res.optimal:
+        raise RuntimeError(f"{what} LP failed with status {res.status}")
+    return res
 
 
 def _check_reachable(mu: DiscreteMeasure, grid: RadialGrid, side: str) -> None:
@@ -263,7 +308,7 @@ def _check_reachable(mu: DiscreteMeasure, grid: RadialGrid, side: str) -> None:
 
 def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                   p: float, grids: tuple[RadialGrid, RadialGrid],
-                  mode: str = "equality") -> tuple[ExtendedPlan, float]:
+                  mode: str = "equality") -> tuple[AtomPlan, float]:
     """Linear program min (H_p, alpha) under homogeneous-marginal constraints.
 
     ``mode='inequality'`` solves the relaxed variant h_i^p alpha <= mu_i with
@@ -274,32 +319,15 @@ def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     grid0, grid1 = grids
     _check_reachable(mu0, grid0, "first")
     _check_reachable(mu1, grid1, "second")
-    n0, n1 = mu0.ground.size, mu1.ground.size
-    k0, k1 = grid0.size, grid1.size
-    s0p = grid0.nodes ** p
-    s1p = grid1.nodes ** p
-
-    h = hp_tensor(cost, grid0, grid1, p).ravel()
-    a = _marginal_rows(n0, k0, n1, k1, s0p, s1p)
-    b = np.concatenate([mu0.weights, mu1.weights])
-    if mode == "equality":
-        cvec = h
-    elif mode == "inequality":
-        # slack columns priced at F(0) = 1 per unit defect
-        a = np.hstack([a, np.eye(n0 + n1)])
-        cvec = np.concatenate([h, np.full(n0 + n1, KL.F_zero)])
-    else:
+    if mode not in ("equality", "inequality"):
         raise ValueError("mode must be 'equality' or 'inequality'")
-
-    res = solve_lp(cvec, a, b)
-    if res.status == "infeasible":
-        raise InfeasibleProblemError("homogeneous-marginal constraints are infeasible on this grid")
-    if not res.optimal:
-        raise RuntimeError(f"LP solve failed with status {res.status}")
-    x = res.x[: n0 * k0 * n1 * k1]
-    alpha = ExtendedPlan(mu0.ground, mu1.ground, grid0, grid1, p,
-                         x.reshape(n0, k0, n1, k1))
-    return alpha, res.value
+    i0, s0p, i1, s1p = np.ix_(np.arange(mu0.ground.size), grid0.nodes ** p,
+                              np.arange(mu1.ground.size), grid1.nodes ** p)
+    families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights)]
+    res = _optimal(atom_lp(hp_tensor(cost, grid0, grid1, p), families,
+                           KL.F_zero if mode == "inequality" else None),
+                   "homogeneous-marginal")
+    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, res.x), res.value
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +455,8 @@ def _apply_tilts(log_base: np.ndarray, s0p, s1p, lam0, lam1) -> np.ndarray:
 
 def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                 p: float, grids: tuple[RadialGrid, RadialGrid],
-                nu_y: Optional[ExtendedPlan], eps: float, config: SolverConfig,
-                ) -> tuple[ExtendedPlan, SolveReport]:
+                nu_y: Optional[AtomPlan], eps: float, config: SolverConfig,
+                ) -> tuple[AtomPlan, SolveReport]:
     """Entropic extended-space solve by generalized iterative scaling.
 
     Minimises (H_p, alpha) + eps * Div(alpha | nu_Y) subject to
@@ -444,10 +472,9 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     grid0, grid1 = grids
     if nu_y is None:
         nu_y = default_nu_y(mu0, mu1, grids, p)
-    if nu_y.grid0 is not grid0 and not np.array_equal(nu_y.grid0.nodes, grid0.nodes):
-        raise GroundMismatchError("reference grid does not match grid0")
-    if nu_y.grid1 is not grid1 and not np.array_equal(nu_y.grid1.nodes, grid1.nodes):
-        raise GroundMismatchError("reference grid does not match grid1")
+    for side, (ref, grid) in enumerate(zip(nu_y.grids, grids)):
+        if ref is not grid and not np.array_equal(ref.nodes, grid.nodes):
+            raise GroundMismatchError(f"reference grid does not match grid{side}")
     if abs(nu_y.total_mass - 1.0) > 1e-8:
         raise ValueError("nu_Y must be a probability measure over the atoms")
     _check_reachable(mu0, grid0, "first")
@@ -503,7 +530,7 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     log_alpha = _apply_tilts(log_nu - h / eps, s0p, s1p, lam0, lam1)
     with np.errstate(under="ignore"):
         alpha_w = np.exp(np.minimum(log_alpha, 700.0))
-    alpha = ExtendedPlan(mu0.ground, mu1.ground, grid0, grid1, p, alpha_w)
+    alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w)
 
     primal = float(np.sum(h * alpha_w)) + eps * divergence_arrays(KL, alpha_w, nu_y.weights)
     h0 = np.einsum("ikjl,k->i", alpha_w, s0p)
@@ -518,42 +545,10 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Rescaling and the transport decomposition
+# The transport decomposition
 # ---------------------------------------------------------------------------
 
-def rescale_plan(alpha: ExtendedPlan, p: Optional[float] = None) -> ExtendedAtoms:
-    """Normalise a plan to unit mass by the radial pushforward.
-
-    Drops atoms with s0 = s1 = 0, computes theta = (s0^p + s1^p)^(1/p) / s*
-    per atom with s* derived from the plan's own homogeneous-marginal masses,
-    and pushes each atom to (x0, s0/theta, x1, s1/theta) with weight
-    theta^p * alpha.  Off-grid radial coordinates are kept exactly so the
-    objective and homogeneous marginals are preserved to rounding.
-    """
-    if p is None:
-        p = alpha.p
-    idx = np.nonzero(alpha.weights)
-    i0, k0, i1, k1 = idx
-    s0 = alpha.grid0.nodes[k0]
-    s1 = alpha.grid1.nodes[k1]
-    w = alpha.weights[idx]
-    keep = ~((s0 == 0.0) & (s1 == 0.0))
-    i0, i1, s0, s1, w = i0[keep], i1[keep], s0[keep], s1[keep], w[keep]
-
-    m0 = homogeneous_marginal(alpha, 0).total_mass
-    m1 = homogeneous_marginal(alpha, 1).total_mass
-    if m0 + m1 <= 0:
-        return ExtendedAtoms(alpha.row_ground, alpha.col_ground,
-                             i0, s0, i1, s1, w, p)
-    s_star = (m0 + m1) ** (1.0 / p)
-    theta = (s0 ** p + s1 ** p) ** (1.0 / p) / s_star
-    return ExtendedAtoms(
-        alpha.row_ground, alpha.col_ground,
-        i0, s0 / theta, i1, s1 / theta, (theta ** p) * w, p,
-    )
-
-
-def uot_as_ot_decomposition(alpha: ExtendedPlan, cost: CostMatrix
+def uot_as_ot_decomposition(alpha: AtomPlan, cost: CostMatrix
                             ) -> tuple[YMeasure, YMeasure, float]:
     """Ordinary marginals of an extended plan and its coupling value.
 
@@ -563,9 +558,9 @@ def uot_as_ot_decomposition(alpha: ExtendedPlan, cost: CostMatrix
     on the value, with equality at optimal alpha.
     """
     w = alpha.weights
-    beta0 = YMeasure(alpha.row_ground, alpha.grid0, w.sum(axis=(2, 3)))
-    beta1 = YMeasure(alpha.col_ground, alpha.grid1, w.sum(axis=(0, 1)))
-    return beta0, beta1, plan_objective(alpha, cost)
+    beta0 = YMeasure(alpha.row_ground, alpha.grids[0], w.sum(axis=(2, 3)))
+    beta1 = YMeasure(alpha.col_ground, alpha.grids[1], w.sum(axis=(0, 1)))
+    return beta0, beta1, alpha.objective(cost)
 
 
 def extended_ot_value(beta0: YMeasure, beta1: YMeasure, cost: CostMatrix,

@@ -4,14 +4,18 @@ Everything here is deliberately self-contained: the reverse entropy, the
 shared-scale objectives, the generic optimisers and the log-domain scaling
 loops are written from their definitions rather than imported from the
 package, so an agreement test
-exercises two genuinely different computational routes.  The one import
-from the package is the exception type the tilt loop raises.
+exercises two genuinely different computational routes.  The imports from
+the package are the exception type the tilt loop raises, and the cost
+closed forms plus the simplex behind the full-density second-order LP,
+which assembles its own constraint matrix.
 """
 
 import math
 
 import numpy as np
 
+from uotlab.costs import perspective_H, second_order_H_tilde
+from uotlab.simplex import solve_lp
 from uotlab.solver_y import InfeasibleProblemError
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -336,3 +340,49 @@ def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, tol, max_iters, g=None):
     _, _, iters, gamma, stopped = log_domain_sinkhorn(
         log_k, mu0_w, mu1_w, 1.0 / (1.0 + eps), g, max_iters, 5, stop)
     return primal(gamma), iters, stopped, gamma
+
+
+def solve_second_order_full_w(mu0, mu1, cost, p: float, grids) -> float:
+    """Second-order LP over the full (w0, w1) grid with the sharp gate.
+
+    Atoms with w0 != w1 price at +inf and are dropped, so the value must
+    coincide with the shared-w reduction; kept to assert exactly that.
+    """
+    n0, n1 = mu0.ground.size, mu1.ground.size
+    grid0, grid1, grid_w = grids
+    k0, k1, kw = grid0.size, grid1.size, grid_w.size
+    s0p = grid0.nodes ** p
+    s1p = grid1.nodes ** p
+    wv = grid_w.nodes
+
+    hbase = perspective_H(
+        s0p[None, None, :, None],
+        s1p[None, None, None, :],
+        cost.values[:, :, None, None],
+    )
+    htilde = second_order_H_tilde(
+        s0p[None, None, :, None, None, None],
+        s1p[None, None, None, :, None, None],
+        wv[None, None, None, None, :, None],
+        wv[None, None, None, None, None, :],
+        hbase[..., None, None],
+    ).ravel()
+
+    nvars = n0 * n1 * k0 * k1 * kw * kw
+    idx = np.arange(nvars)
+    i0 = idx // (n1 * k0 * k1 * kw * kw)
+    i1 = (idx // (k0 * k1 * kw * kw)) % n1
+    j0 = (idx // (k1 * kw * kw)) % k0
+    j1 = (idx // (kw * kw)) % k1
+    jw0 = (idx // kw) % kw
+    jw1 = idx % kw
+    keep = np.flatnonzero(np.isfinite(htilde))
+    a = np.zeros((n0 + n1, keep.size))
+    cols = np.arange(keep.size)
+    a[i0[keep], cols] += (s0p[j0] * wv[jw0])[keep]
+    a[n0 + i1[keep], cols] += (s1p[j1] * wv[jw1])[keep]
+    b = np.concatenate([mu0.weights, mu1.weights])
+    res = solve_lp(htilde[keep], a, b)
+    if not res.optimal:
+        raise InfeasibleProblemError("full-density second-order LP infeasible")
+    return res.value

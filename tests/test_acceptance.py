@@ -14,10 +14,6 @@ from uotlab.costs import CostMatrix, hk_cost, hk_matrix, perspective_H_eps, sqeu
 from uotlab.entropy import KL, divergence_arrays
 from uotlab.identities import grid_measure, verify_identities
 from uotlab.lifting import (
-    TripleRadialPlan,
-    rescale_triple,
-    h_marginal_triple,
-    H_marginal,
     solve_lifted_balanced,
     solve_second_order_lift,
     solve_x_extended_refined,
@@ -36,14 +32,11 @@ from uotlab.solver_x import (
     solve_x_unreg,
 )
 from uotlab.solver_y import (
-    ExtendedPlan,
+    AtomPlan,
     RadialGrid,
     default_grids,
     default_nu_y,
-    homogeneous_marginal,
     hp_tensor,
-    plan_objective,
-    rescale_plan,
     solve_y_eps,
     solve_y_unreg,
 )
@@ -172,7 +165,7 @@ def _adapted_nu_y(mu0, mu1, grids, cost, tau=0.05, band=0.8):
         log1 = np.log(np.where(grid1.nodes > 0, grid1.nodes, 1.0))
     in_band = np.abs(log0[:, None] - log1[None, :]) <= band
     w *= in_band[None, :, None, :]
-    return ExtendedPlan(mu0.ground, mu1.ground, grid0, grid1, 1.0, w / w.sum())
+    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), 1.0, w / w.sum())
 
 
 def test_criterion_5_monotone_convergence():
@@ -220,16 +213,16 @@ def test_criterion_6_rescaling_invariance():
             w *= rng.uniform(size=w.shape) < 0.5
             if w.sum() == 0:
                 continue
-            alpha = ExtendedPlan(g0, g1, grid0, grid1, p, w)
-            cloud = rescale_plan(alpha)
-            base = plan_objective(alpha, cost)
+            alpha = AtomPlan(g0, g1, (grid0, grid1), p, w)
+            cloud = alpha.rescale()
+            base = alpha.objective(cost)
             new = cloud.objective(cost)
             marg = max(
                 float(np.max(np.abs(cloud.homogeneous_marginal(i).weights
-                                    - homogeneous_marginal(alpha, i).weights)))
+                                    - alpha.homogeneous_marginal(i).weights)))
                 for i in (0, 1))
-            m0 = homogeneous_marginal(alpha, 0).total_mass
-            m1 = homogeneous_marginal(alpha, 1).total_mass
+            m0 = alpha.homogeneous_marginal(0).total_mass
+            m1 = alpha.homogeneous_marginal(1).total_mass
             s_star = (m0 + m1) ** (1.0 / p)
             support_ok = bool(np.all(cloud.s0 <= s_star * (1 + 1e-12))
                               and np.all(cloud.s1 <= s_star * (1 + 1e-12)))
@@ -240,8 +233,8 @@ def test_criterion_6_rescaling_invariance():
             if w.sum() == 0:
                 continue
             eps = float(rng.uniform(0.2, 1.0))
-            eta = TripleRadialPlan(g0, g1, grid0, grid1, grid_s, p, w)
-            cloud = rescale_triple(eta)
+            eta = AtomPlan(g0, g1, (grid0, grid1, grid_s), p, w)
+            cloud = eta.rescale()
             h = perspective_H_eps(
                 (grid0.nodes ** p)[None, :, None, None, None],
                 (grid1.nodes ** p)[None, None, None, :, None],
@@ -251,13 +244,13 @@ def test_criterion_6_rescaling_invariance():
             new = cloud.objective(cost, eps)
             marg = max(
                 float(np.max(np.abs(cloud.homogeneous_marginal(i).weights
-                                    - h_marginal_triple(eta, i).weights)))
+                                    - eta.homogeneous_marginal(i).weights)))
                 for i in (0, 1))
             marg = max(marg, float(np.max(np.abs(cloud.pair_marginal().weights
-                                                 - H_marginal(eta).weights))))
-            total = (h_marginal_triple(eta, 0).total_mass
-                     + h_marginal_triple(eta, 1).total_mass
-                     + H_marginal(eta).total_mass)
+                                                 - eta.pair_marginal().weights))))
+            total = (eta.homogeneous_marginal(0).total_mass
+                     + eta.homogeneous_marginal(1).total_mass
+                     + eta.pair_marginal().total_mass)
             s_star = total ** (1.0 / p)
             support_ok = bool(np.all(cloud.s0 <= s_star * (1 + 1e-12))
                               and np.all(cloud.s1 <= s_star * (1 + 1e-12))

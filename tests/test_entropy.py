@@ -9,41 +9,37 @@ from uotlab.entropy import (
     divergence,
     divergence_arrays,
     entropy_by_name,
-    eval_F,
-    eval_R,
-    legendre_F,
-    legendre_R,
 )
 from uotlab.measures import DiscreteMeasure, GroundMismatchError, GroundSet
 
 
 def test_eval_F_examples():
-    assert eval_F(KL, 1.0) == 0.0
-    assert eval_F(KL, 0.0) == 1.0
-    assert eval_F(BALANCED, 2.0) == math.inf
-    assert eval_F(BALANCED, 1.0) == 0.0
+    assert KL.F(1.0) == 0.0
+    assert KL.F(0.0) == 1.0
+    assert BALANCED.F(2.0) == math.inf
+    assert BALANCED.F(1.0) == 0.0
     with pytest.raises(ValueError):
-        eval_F(KL, -0.1)
+        KL.F(-0.1)
 
 
 def test_eval_R_examples():
-    assert eval_R(KL, 1.0) == 0.0
-    assert eval_R(KL, 0.0) == math.inf
-    assert eval_R(KL, math.e) == pytest.approx(math.e - 2.0, abs=1e-15)
-    assert eval_R(BALANCED, 1.0) == 0.0
-    assert eval_R(BALANCED, 0.5) == math.inf
+    assert KL.R(1.0) == 0.0
+    assert KL.R(0.0) == math.inf
+    assert KL.R(math.e) == pytest.approx(math.e - 2.0, abs=1e-15)
+    assert BALANCED.R(1.0) == 0.0
+    assert BALANCED.R(0.5) == math.inf
     with pytest.raises(ValueError):
-        eval_R(KL, -1.0)
+        KL.R(-1.0)
 
 
 def test_legendre_examples():
-    assert legendre_F(KL, 0.0) == 0.0
-    assert legendre_F(KL, 1.0) == pytest.approx(math.e - 1.0, abs=1e-15)
-    assert legendre_F(BALANCED, 3.0) == 3.0
-    assert legendre_R(KL, 0.0) == 0.0
-    assert legendre_R(KL, 1.0 - 1.0 / math.e) == pytest.approx(1.0, abs=1e-14)
-    assert legendre_R(KL, 1.0) == math.inf
-    assert legendre_R(BALANCED, -2.5) == -2.5
+    assert KL.F_star(0.0) == 0.0
+    assert KL.F_star(1.0) == pytest.approx(math.e - 1.0, abs=1e-15)
+    assert BALANCED.F_star(3.0) == 3.0
+    assert KL.R_star(0.0) == 0.0
+    assert KL.R_star(1.0 - 1.0 / math.e) == pytest.approx(1.0, abs=1e-14)
+    assert KL.R_star(1.0) == math.inf
+    assert BALANCED.R_star(-2.5) == -2.5
 
 
 def test_recession_constants():

@@ -7,13 +7,8 @@ from uotlab.costs import CostMatrix, hk_cost, sqeuclidean_matrix
 from uotlab.entropy import KL
 from uotlab.identities import balanced_sinkhorn
 from uotlab.lifting import (
-    H_marginal,
-    TripleRadialPlan,
-    h_marginal_triple,
-    rescale_triple,
     solve_lifted_balanced,
     solve_lifted_balanced_eps,
-    solve_second_order_full_w,
     solve_second_order_lift,
     solve_x_extended,
     solve_x_extended_refined,
@@ -21,7 +16,9 @@ from uotlab.lifting import (
 from uotlab.measures import DiscreteMeasure, GroundSet, Plan, product
 from uotlab.simplex import transport_lp
 from uotlab.solver_x import SolverConfig, default_nu_x, solve_x_eps
-from uotlab.solver_y import RadialGrid, default_grids, solve_y_unreg
+from uotlab.solver_y import AtomPlan, RadialGrid, default_grids, solve_y_unreg
+
+from oracles import solve_second_order_full_w
 
 
 def random_pair(rng, n0=2, n1=2, box=1.0, lo=0.4, hi=1.2):
@@ -40,7 +37,7 @@ def triple_plan_single_atom(s_val, weight, p=1.0, s_node_extra=(0.5,)):
     k = int(np.flatnonzero(grid.nodes == s_val)[0])
     w = np.zeros((1, grid.size, 1, grid.size, grid.size))
     w[0, k, 0, k, k] = weight
-    return TripleRadialPlan(g0, g1, grid, grid, grid, p, w), grid, k
+    return AtomPlan(g0, g1, (grid, grid, grid), p, w), grid, k
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +46,15 @@ def triple_plan_single_atom(s_val, weight, p=1.0, s_node_extra=(0.5,)):
 
 def test_H_marginal_examples():
     eta, grid, k = triple_plan_single_atom(1.0, 1.0)
-    assert H_marginal(eta).weights[0, 0] == pytest.approx(1.0)
+    assert eta.pair_marginal().weights[0, 0] == pytest.approx(1.0)
 
     w = np.zeros((1, grid.size, 1, grid.size, grid.size))
     w[0, k, 0, k, 0] = 5.0  # all mass at S = 0
-    eta0 = TripleRadialPlan(eta.row_ground, eta.col_ground, grid, grid, grid, 1.0, w)
-    assert H_marginal(eta0).total_mass == 0.0
+    eta0 = AtomPlan(eta.row_ground, eta.col_ground, (grid, grid, grid), 1.0, w)
+    assert eta0.pair_marginal().total_mass == 0.0
 
     eta2, grid2, k2 = triple_plan_single_atom(2.0, 3.0)
-    assert H_marginal(eta2).weights[0, 0] == pytest.approx(6.0)
+    assert eta2.pair_marginal().weights[0, 0] == pytest.approx(6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +195,11 @@ def test_x_extended_product_reference_relation():
     mu0, mu1, cost = random_pair(rng, box=0.5)
     nu = product(mu0, mu1)  # unnormalised product reference
     eta, _ = solve_x_extended_refined(mu0, mu1, cost, nu, 0.7, 1.0)
-    pair = H_marginal(eta)
+    pair = eta.pair_marginal()
     for i in (0, 1):
         lhs = pair.weights.sum(axis=1 - i)
         other_mass = (mu1 if i == 0 else mu0).total_mass
-        rhs = other_mass * h_marginal_triple(eta, i).weights
+        rhs = other_mass * eta.homogeneous_marginal(i).weights
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
@@ -231,7 +228,7 @@ def test_second_order_matches_extended_space_lp():
         value, plan = solve_second_order_lift(mu0, mu1, cost, p,
                                               (grids[0], grids[1], w_grid))
         assert value == pytest.approx(y_value, abs=1e-3)
-        assert plan.role == "second_order"
+        assert plan.shape == (2, 2, grids[0].size, grids[1].size, w_grid.size)
 
 
 def test_second_order_coincident_diracs():
@@ -280,7 +277,7 @@ def test_second_order_full_density_grid_gate():
 def test_rescale_triple_identity_on_sphere():
     # single atom with s0 + s1 + S equal to the total projected mass
     eta, grid, k = triple_plan_single_atom(0.5, 2.0, s_node_extra=(0.25,))
-    cloud = rescale_triple(eta)
+    cloud = eta.rescale()
     assert cloud.total_mass == pytest.approx(1.0, abs=1e-14)
     # theta = (0.5 + 0.5 + 0.5) / (0.5*2 + 0.5*2 + 0.5*2)... mass-derived cap
     assert np.allclose(cloud.s0, cloud.s1)
@@ -301,10 +298,10 @@ def test_rescale_triple_invariants_random():
         w *= rng.uniform(size=w.shape) < 0.4
         if w.sum() == 0:
             continue
-        eta = TripleRadialPlan(g0, g1, grid0, grid1, grid_s, p, w)
+        eta = AtomPlan(g0, g1, (grid0, grid1, grid_s), p, w)
         cost = sqeuclidean_matrix(g0, g1)
         eps = float(rng.uniform(0.2, 1.0))
-        cloud = rescale_triple(eta)
+        cloud = eta.rescale()
 
         from uotlab.costs import perspective_H_eps
         h = perspective_H_eps(
@@ -317,11 +314,11 @@ def test_rescale_triple_invariants_random():
         assert abs(cloud.objective(cost, eps) - base_obj) <= 1e-10 * (1.0 + abs(base_obj))
         for i in (0, 1):
             assert np.max(np.abs(cloud.homogeneous_marginal(i).weights
-                                 - h_marginal_triple(eta, i).weights)) < 1e-12
-        assert np.max(np.abs(cloud.pair_marginal().weights - H_marginal(eta).weights)) < 1e-12
-        s_star_p = (h_marginal_triple(eta, 0).total_mass
-                    + h_marginal_triple(eta, 1).total_mass
-                    + H_marginal(eta).total_mass)
+                                 - eta.homogeneous_marginal(i).weights)) < 1e-12
+        assert np.max(np.abs(cloud.pair_marginal().weights - eta.pair_marginal().weights)) < 1e-12
+        s_star_p = (eta.homogeneous_marginal(0).total_mass
+                    + eta.homogeneous_marginal(1).total_mass
+                    + eta.pair_marginal().total_mass)
         s_star = s_star_p ** (1.0 / p)
         for arr in (cloud.s0, cloud.s1, cloud.S):
             assert np.all(arr <= s_star * (1 + 1e-12))
@@ -331,9 +328,8 @@ def test_rescale_triple_drops_fully_null_atoms():
     eta, grid, k = triple_plan_single_atom(0.5, 2.0)
     w = np.zeros_like(eta.weights)
     w[0, 0, 0, 0, 0] = 3.0  # s0 = s1 = S = 0
-    eta0 = TripleRadialPlan(eta.row_ground, eta.col_ground, eta.grid0, eta.grid1,
-                            eta.grid_s, 1.0, w)
-    assert rescale_triple(eta0).weights.size == 0
+    eta0 = AtomPlan(eta.row_ground, eta.col_ground, eta.grids, 1.0, w)
+    assert eta0.rescale().weights.size == 0
 
 
 def test_homogeneity_of_regularised_cost_under_common_scaling():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from uotlab.simplex import solve_lp, transport_lp
+from uotlab.simplex import atom_lp, solve_lp, transport_lp
 
 
 def random_feasible_lp(rng, m, n):
@@ -104,3 +104,40 @@ def test_transport_lp_infinite_costs():
     blocked = np.full((1, 1), np.inf)
     _, value, status = transport_lp(np.array([1.0]), np.array([1.0]), blocked)
     assert status == "infeasible"
+
+
+@pytest.mark.parametrize("slack_cost", [None, 0.5])
+def test_atom_lp_against_scipy(slack_cost):
+    # (x0, s0, x1, s1) atoms with +inf-cost atoms, two s^p-weighted point
+    # families and a pair family, assembled here atom by atom
+    rng = np.random.default_rng(32)
+    n0, k0, n1, k1 = 2, 3, 3, 2
+    cost = rng.uniform(0.0, 2.0, size=(n0, k0, n1, k1))
+    cost[rng.uniform(size=cost.shape) < 0.2] = np.inf
+    s0, s1 = rng.uniform(0.2, 1.5, k0), rng.uniform(0.2, 1.5, k1)
+    # targets of a feasible point that avoids the +inf atoms
+    feasible = np.where(np.isfinite(cost), rng.uniform(0.0, 1.0, cost.shape), 0.0)
+    mu0 = np.einsum("ikjl,k->i", feasible, s0)
+    mu1 = np.einsum("ikjl,l->j", feasible, s1)
+    pair = feasible.sum(axis=(1, 3))
+    i0, a0, i1, a1 = np.ix_(np.arange(n0), s0, np.arange(n1), s1)
+    families = [(i0, a0, mu0), (i1, a1, mu1), (i0 * n1 + i1, 1.0, pair)]
+    res = atom_lp(cost, families, slack_cost)
+
+    atoms = [a for a in np.ndindex(cost.shape) if np.isfinite(cost[a])]
+    m = n0 + n1 + n0 * n1
+    a_eq = np.zeros((m, len(atoms)))
+    for col, (i, k, j, l) in enumerate(atoms):
+        a_eq[i, col] = s0[k]
+        a_eq[n0 + j, col] = s1[l]
+        a_eq[n0 + n1 + i * n1 + j, col] = 1.0
+    c = np.array([cost[a] for a in atoms])
+    b = np.concatenate([mu0, mu1, pair.ravel()])
+    if slack_cost is not None:
+        a_eq = np.hstack([a_eq, np.eye(m)])
+        c = np.concatenate([c, np.full(m, slack_cost)])
+    ref = linprog(c, A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert res.optimal and res.value == pytest.approx(ref.fun, abs=1e-9)
+    assert res.x.shape == cost.shape and not res.x.flags.writeable
+    assert np.all(res.x[np.isinf(cost)] == 0.0)

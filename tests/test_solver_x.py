@@ -488,11 +488,12 @@ def test_unreg_hk_diracs():
 
 def test_unreg_continuation_close_to_direct():
     rng = np.random.default_rng(52)
-    mu0, mu1, cost = random_instance(rng, 3, 3)
-    _, rep_d = solve_x_unreg(mu0, mu1, cost, method="direct")
-    _, rep_c = solve_x_unreg(mu0, mu1, cost, method="eps_continuation")
-    assert rep_c.primal == pytest.approx(rep_d.primal, abs=5e-4)
-    assert rep_c.primal >= rep_d.primal - 1e-9
+    for _ in range(2):
+        mu0, mu1, cost = random_instance(rng, 3, 3)
+        _, rep_d = solve_x_unreg(mu0, mu1, cost, method="direct")
+        _, rep_c = solve_x_unreg(mu0, mu1, cost, method="eps_continuation")
+        assert rep_c.primal == pytest.approx(rep_d.primal, abs=1e-5)
+        assert rep_c.primal >= rep_d.primal - 1e-9
 
 
 def test_unreg_balanced_routes_to_transport_lp():

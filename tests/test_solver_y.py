@@ -9,16 +9,13 @@ from uotlab.measures import DiscreteMeasure, GroundSet
 from uotlab.solver_x import SolverConfig, solve_x_unreg
 from uotlab import solver_y
 from uotlab.solver_y import (
-    ExtendedPlan,
+    AtomPlan,
     InfeasibleProblemError,
     RadialGrid,
     default_grids,
     default_nu_y,
     extended_ot_value,
-    homogeneous_marginal,
     hp_tensor,
-    plan_objective,
-    rescale_plan,
     solve_y_eps,
     solve_y_unreg,
     uot_as_ot_decomposition,
@@ -42,7 +39,7 @@ def single_atom_plan(grid0, grid1, k0, k1, weight, p=1.0):
     g1 = GroundSet([[1.0]])
     w = np.zeros((1, grid0.size, 1, grid1.size))
     w[0, k0, 0, k1] = weight
-    return ExtendedPlan(g0, g1, grid0, grid1, p, w)
+    return AtomPlan(g0, g1, (grid0, grid1), p, w)
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +72,14 @@ def test_radial_grid_rejects_non_finite(nodes, cap):
 def test_homogeneous_marginal_examples():
     grid = RadialGrid(np.array([0.0, 1.0, 3.0]), 3.0)
     alpha = single_atom_plan(grid, grid, 1, 1, 1.0, p=1.0)
-    assert homogeneous_marginal(alpha, 0).weights[0] == pytest.approx(1.0)
-    assert homogeneous_marginal(alpha, 1).weights[0] == pytest.approx(1.0)
+    assert alpha.homogeneous_marginal(0).weights[0] == pytest.approx(1.0)
+    assert alpha.homogeneous_marginal(1).weights[0] == pytest.approx(1.0)
 
     zero_s0 = single_atom_plan(grid, grid, 0, 1, 2.0, p=1.0)
-    assert homogeneous_marginal(zero_s0, 0).total_mass == 0.0
+    assert zero_s0.homogeneous_marginal(0).total_mass == 0.0
 
     heavy = single_atom_plan(grid, grid, 2, 1, 2.0, p=2.0)
-    assert homogeneous_marginal(heavy, 0).weights[0] == pytest.approx(18.0)
+    assert heavy.homogeneous_marginal(0).weights[0] == pytest.approx(18.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +93,7 @@ def test_unreg_coincident_unit_diracs():
     grids = default_grids(mu, mu, 1.0, n_nodes=16, smin_frac=1e-2)
     alpha, value = solve_y_unreg(mu, mu, cost, 1.0, grids)
     assert value == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(homogeneous_marginal(alpha, 0).weights, [1.0])
+    assert np.allclose(alpha.homogeneous_marginal(0).weights, [1.0])
 
 
 def test_unreg_dirac_hk_formula_and_grid_refinement():
@@ -340,8 +337,7 @@ def test_eps_solver_validates_reference():
     cost = CostMatrix(np.array([[0.0]]))
     grids = default_grids(mu, mu, 1.0, n_nodes=8, smin_frac=1e-2)
     bad = default_nu_y(mu, mu, grids, 1.0)
-    bad = ExtendedPlan(bad.row_ground, bad.col_ground, bad.grid0, bad.grid1, 1.0,
-                       bad.weights * 2.0)
+    bad = AtomPlan(bad.row_ground, bad.col_ground, bad.grids, 1.0, bad.weights * 2.0)
     with pytest.raises(ValueError):
         solve_y_eps(mu, mu, cost, 1.0, grids, bad, 0.5, SolverConfig(eps=0.5))
 
@@ -358,7 +354,7 @@ def test_eps_solver_infeasible_when_support_unreachable():
     w = np.array(nu.weights)
     w[1, 1:, :, :] = 0.0
     w /= w.sum()
-    nu_bad = ExtendedPlan(nu.row_ground, nu.col_ground, nu.grid0, nu.grid1, 1.0, w)
+    nu_bad = AtomPlan(nu.row_ground, nu.col_ground, nu.grids, 1.0, w)
     with pytest.raises(InfeasibleProblemError):
         solve_y_eps(mu0, mu1, cost, 1.0, grids, nu_bad, 0.5, SolverConfig(eps=0.5))
 
@@ -371,7 +367,7 @@ def test_rescale_unit_when_theta_one():
     # atoms already on the sphere s0 + s1 = total homogeneous mass (p = 1)
     grid = RadialGrid(np.array([0.0, 0.4, 0.6]), 1.0)
     alpha = single_atom_plan(grid, grid, 1, 2, 1.0)  # s0 + s1 = 1 = mass sum
-    cloud = rescale_plan(alpha)
+    cloud = alpha.rescale()
     assert cloud.total_mass == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(cloud.s0, [0.4])
     assert np.allclose(cloud.s1, [0.6])
@@ -381,7 +377,7 @@ def test_rescale_unit_when_theta_one():
 def test_rescale_drops_doubly_null_atoms():
     grid = RadialGrid(np.array([0.0, 1.0]), 2.0)
     alpha = single_atom_plan(grid, grid, 0, 0, 0.7)
-    cloud = rescale_plan(alpha)
+    cloud = alpha.rescale()
     assert cloud.weights.size == 0
 
 
@@ -399,15 +395,15 @@ def test_rescale_invariants_random():
         w = rng.uniform(size=(n0, grid0.size, n1, grid1.size)) * (rng.uniform(size=(n0, grid0.size, n1, grid1.size)) < 0.5)
         if w.sum() == 0:
             continue
-        alpha = ExtendedPlan(g0, g1, grid0, grid1, p, w)
+        alpha = AtomPlan(g0, g1, (grid0, grid1), p, w)
         cost = sqeuclidean_matrix(g0, g1)
-        cloud = rescale_plan(alpha)
-        m0 = homogeneous_marginal(alpha, 0)
-        m1 = homogeneous_marginal(alpha, 1)
+        cloud = alpha.rescale()
+        m0 = alpha.homogeneous_marginal(0)
+        m1 = alpha.homogeneous_marginal(1)
         s_star = (m0.total_mass + m1.total_mass) ** (1.0 / p)
         assert cloud.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert abs(cloud.objective(cost) - plan_objective(alpha, cost)) <= 1e-10 * (
-            1.0 + abs(plan_objective(alpha, cost)))
+        assert abs(cloud.objective(cost) - alpha.objective(cost)) <= 1e-10 * (
+            1.0 + abs(alpha.objective(cost)))
         assert np.max(np.abs(cloud.homogeneous_marginal(0).weights - m0.weights)) < 1e-12
         assert np.max(np.abs(cloud.homogeneous_marginal(1).weights - m1.weights)) < 1e-12
         assert np.all(cloud.s0 <= s_star * (1 + 1e-12))
