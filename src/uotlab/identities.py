@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .solver_x import log_kernel, scaling_kernel
+from .solver_x import log_kernel, proximal_step, scaling_kernel
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,8 @@ def balanced_sinkhorn(mu_w: np.ndarray, nu_w: np.ndarray, cost: np.ndarray,
                        float(np.max(np.abs(marg1 - nu_w))))
         return residual <= tol
 
-    _, _, iters, gamma = scaling_kernel(log_kernel(reference, cost, eps), mu_w, nu_w, 1.0,
+    _, _, iters, gamma = scaling_kernel(log_kernel(reference, cost, eps), mu_w, nu_w,
+                                        proximal_step(mu_w, nu_w, 1.0),
                                         np.zeros(nu_w.size), max_iters, 10, check)
     return gamma, iters, residual
 

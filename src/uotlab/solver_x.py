@@ -14,10 +14,11 @@ concave dual
 
 whose block updates close to a = (mu0 / (K b))^(1/(1+eps)) with scaling
 variables a = exp(phi_0/eps), b = exp(phi_1/eps) and kernel
-K = exp(-c/eps) * nu_X.  ``scaling_kernel`` runs these updates, and the
-balanced ones (exponent 1) of ``identities``, as mat-vecs on one kernel
-with absorbed log-potentials, which keeps eps <= 1e-3, underflowing rows
-and infinite costs exact.  Convergence checks read the marginals the sweep
+K = exp(-c/eps) * nu_X.  ``scaling_kernel`` runs these updates, the
+balanced ones (exponent 1) of ``identities`` and the tilt projections of
+``solver_y``, each as its own marginal step, by mat-vecs on one kernel with
+absorbed log-potentials, which keeps eps <= 1e-3, underflowing rows and
+infinite costs exact.  Convergence checks read the marginals the sweep
 computes and certify the gap by Fenchel-Young terms, in O(n).
 
 Solver state is confined to each solve call; distinct solves may run in
@@ -77,6 +78,8 @@ class SolverConfig:
             raise ValueError("eps must be positive and finite")
         if not (0.0 < self.tolerance < 1.0):
             raise ValueError("tolerance must lie in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -223,20 +226,31 @@ def log_kernel(reference: np.ndarray, cost: np.ndarray, eps: float) -> np.ndarra
     return np.subtract(log_k, np.divide(cost, eps), out=log_k)
 
 
-def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, damp: float,
+def proximal_step(mu0_w: np.ndarray, mu1_w: np.ndarray, damp: float) -> Callable:
+    """The closed-form marginal step damp*(log mu - m) of ``scaling_kernel``;
+    ``damp`` is the proximal exponent, 1/(1+eps) for KL marginals and 1 for
+    balanced ones."""
+    with np.errstate(divide="ignore"):
+        log_mu = (np.log(mu0_w), np.log(mu1_w))
+    return lambda side, m: damp * (log_mu[side] - m)
+
+
+def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, step: Callable,
                    g: np.ndarray, max_iters: int, check_every: int,
                    check: Callable) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Alternate f = damp*(log mu0 - LSE_j(g_j + log_k_ij)) and its column twin.
+    """Alternate f = step(0, m) with m_i = LSE_j(g_j + log_k_ij), then g likewise.
 
-    ``damp`` is the marginal proximal exponent: 1/(1+eps) for KL marginals,
-    1 for balanced ones.  With f = alpha + log u and g = beta + log v, the
-    absorbed parts live in one kernel K = exp(alpha_i + beta_j + log_k_ij),
-    so a half-step is one mat-vec.  K is rebuilt when |log u| or |log v|
-    passes ``_ABSORB`` (absorbing both), and, with that side's lines peaking
-    at 1 so the half-step is the exact log-domain one, before the first
-    half-step and whenever a point with mass gets a mat-vec entry below
-    ``_TINY``.  Zero-mass points get -inf, points with mass and no reachable
-    partner +inf.  Only the starting g matters, as f is updated first.
+    ``step(side, m)`` returns that side's new log-potentials: the closed
+    form of ``proximal_step`` for KL and balanced marginals, a tilt solve
+    per point in ``solver_y``.  With f = alpha + log u and g = beta + log v,
+    the absorbed parts live in one kernel K = exp(alpha_i + beta_j +
+    log_k_ij), so m is the log of one mat-vec less the side's absorbed part.
+    K is rebuilt when |log u| or |log v| passes ``_ABSORB`` (absorbing
+    both), and, with that side's lines peaking at 1 so m is exact, before
+    the first half-step and whenever a line with mass gets a mat-vec entry
+    below ``_TINY``.  Zero-mass lines get -inf whatever the step returns; a
+    line with mass and no reachable partner has m = -inf.  Only the starting
+    g matters, as f is updated first.
 
     ``check(iteration, f, g, marg0, marg1)`` runs after every iteration with
     the plan's column marginal and, every ``check_every``-th and at the last
@@ -246,8 +260,6 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, damp
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    with np.errstate(divide="ignore"):
-        log_mu = (np.log(mu0_w), np.log(mu1_w))
     null = (mu0_w <= 0, mu1_w <= 0)
     live = [~null[0], ~null[1]]  # lines with mass, less those found out of reach
     pot = [np.zeros(log_k.shape[0]), np.array(g, dtype=float)]
@@ -289,7 +301,7 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, damp
         if prod.min() < _TINY and np.min(prod, where=live[side], initial=math.inf) < _TINY:
             rebuild(normalise=side)
             prod = lines[side] @ scal[1 - side]
-        new = damp * (log_mu[side] - np.log(prod) + absorbed[side])
+        new = step(side, np.log(prod) - absorbed[side])
         new[null[side]] = -math.inf
         pot[side] = new
         rescale(side)
@@ -400,7 +412,8 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
             return _converged(gap, dual + gap, res, config.tolerance)
 
         g = np.zeros(mu1.ground.size) if init is None else init[1]
-        f, g, iters, gamma = scaling_kernel(log_k, mu0_w, mu1_w, 1.0 / (1.0 + eps), g,
+        step = proximal_step(mu0_w, mu1_w, 1.0 / (1.0 + eps))
+        f, g, iters, gamma = scaling_kernel(log_k, mu0_w, mu1_w, step, g,
                                             config.max_iters, 5, check)
 
     plan = Plan(mu0.ground, mu1.ground, gamma)

@@ -14,15 +14,16 @@ the two s_i^p-weighted families.  Its entropic regularisation adds
 eps * Div(alpha | nu_Y) for a probability reference nu_Y and is solved by
 alternating KL projections onto the two homogeneous-marginal constraint
 families (generalized iterative scaling): each projection multiplies alpha
-by exp(lambda(x_i) s_i^p).  A point's tilt enters only through the masked
-log-sum-exp M[i, k] of the log-weights over the other side's (point,
-radial) axes, so one projection is one reduction of the atom tensor to M
-followed by the monotone equations
+by exp(lambda(x_i) s_i^p).  As an (n0 K0) x (n1 K1) matrix over (point,
+radial node) lines, alpha is nu_Y exp(-H_p/eps) scaled by the line
+potentials lambda_i s_k^p, so these are the iterations of
+``solver_x.scaling_kernel`` with another marginal step: its mat-vec gives
+each line's log-sum-exp over the other side's atoms, M[i, k] once the
+line's own tilt is added, and the tilt changes delta_i solve
 
-    LSE_k(M[i, k] + log s_k^p + delta_i s_k^p) = log mu_i,
+    LSE_k(M[i, k] + log s_k^p + delta_i s_k^p) = log mu_i
 
-solved for all points at once by a batched, bracketed Newton iteration in
-the log domain.
+for all points at once by a batched, bracketed Newton iteration.
 
 Radial grids default to geometric spacing below the mass cap
 s* = (mu0(X) + mu1(X))^(1/p); rescaling by the pushforward
@@ -32,11 +33,9 @@ changing the objective, which is exact thanks to the 1-homogeneity of H.
 The rescaled atoms leave the grid and form an ``AtomCloud``; plans and clouds
 share one implementation of the marginals, the objective and the rescaling.
 
-The stop test of the scaling loop reads the homogeneous marginals off the
-same reductions: h1 from the family-1 reduction with the new tilts applied,
-and h0 from the family-0 reduction at the updated tilts, which the next
-iteration's first projection reuses.  Projections alternate sequentially,
-and plans are immutable snapshots between iterations.
+The stop test reads the homogeneous marginals off the line marginals the
+kernel computes every iteration; the row mat-vec they need is the next
+iteration's first reduction.  Plans are immutable snapshots.
 """
 
 from __future__ import annotations
@@ -51,9 +50,8 @@ from .costs import CostMatrix, perspective_H, perspective_H_eps
 from .entropy import KL, divergence_arrays
 from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan
 from .simplex import LpResult, atom_lp, transport_lp
-from .solver_x import SolveReport, SolverConfig
+from .solver_x import SolveReport, SolverConfig, scaling_kernel
 
-_LOG_TINY = -745.0
 _TILT_TOL = 1e-14           # stop when |LSE - log mu| falls below this
 _TILT_MAX_STEPS = 200       # Newton steps per tilt before giving up
 _TILT_BRACKET_LIMIT = 1e13  # a bracket past this means no finite tilt
@@ -331,29 +329,8 @@ def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Entropic solve: alternating KL projections
+# Entropic solve: alternating KL projections on the scaling kernel
 # ---------------------------------------------------------------------------
-
-def _family_lse(log_alpha: np.ndarray, axis_point: int) -> np.ndarray:
-    """Masked log-sum-exp of the atom tensor over the other side's axes.
-
-    Returns the (points, radial) array M with M[i, k] the log of the summed
-    weight of every atom at point i and radial node k whose log-weight
-    exceeds ``_LOG_TINY``; atoms at or below it are dropped.  A row with no
-    such atom reads -inf.
-    """
-    other = (2, 3) if axis_point == 0 else (0, 1)
-    top = np.max(log_alpha, axis=other, keepdims=True)
-    live = top > _LOG_TINY
-    z = log_alpha - np.where(live, top, 0.0)
-    np.putmask(z, log_alpha <= _LOG_TINY, -math.inf)
-    with np.errstate(under="ignore"):
-        np.exp(z, out=z)
-    total = z.sum(axis=other)
-    top = top.reshape(total.shape)
-    with np.errstate(divide="ignore"):
-        return np.where(live.reshape(total.shape), top + np.log(total), -math.inf)
-
 
 def _tilt_values(w: np.ndarray, a: np.ndarray, target: np.ndarray,
                  delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,8 +342,7 @@ def _tilt_values(w: np.ndarray, a: np.ndarray, target: np.ndarray,
     return top + np.log(se) - target, (e @ a) / se
 
 
-def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray,
-                 lam: np.ndarray) -> np.ndarray:
+def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray, lam: np.ndarray) -> None:
     """Solve every point's tilt equation from the reduction ``red``.
 
     For each support point i with mass, finds delta_i with
@@ -375,9 +351,8 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray,
     rows at once.  The left side is convex and strictly increasing in
     delta.  A row stops when its residual is below ``_TILT_TOL`` or its
     bracket has collapsed to adjacent doubles; a row that does neither in
-    ``_TILT_MAX_STEPS`` steps raises RuntimeError.  Zero-mass points park
-    their tilt low enough that every positive-radial atom underflows.
-    Updates ``lam`` in place and returns the change of each tilt.
+    ``_TILT_MAX_STEPS`` steps raises RuntimeError.  Updates ``lam`` in
+    place; zero-mass points keep theirs, as the kernel empties their lines.
     """
     rows = np.flatnonzero(mu_w > 0)
     with np.errstate(divide="ignore"):
@@ -425,32 +400,22 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray,
             f"tilt Newton for support point {rows[i]} did not converge in "
             f"{_TILT_MAX_STEPS} steps (last residual {val[i]:.3e})"
         )
-    old = lam.copy()
     lam[rows] += delta
-    if rows.size < mu_w.size and np.any(sp > 0):
-        lam[mu_w <= 0] = 4.0 * _LOG_TINY / float(np.min(sp[sp > 0]))
-    return lam - old
 
 
-def _project_family(log_alpha: np.ndarray, sp: np.ndarray, mu_w: np.ndarray,
-                    axis_point: int, lam: np.ndarray) -> None:
-    """KL projection onto one homogeneous-marginal family; updates lam in place.
+def _tilt_step(sps, mus, lams):
+    """The y step of ``scaling_kernel``: side's tilts solved from its reduction.
 
-    ``axis_point`` is 0 when points index axis 0 (radial axis 1), and 2 when
-    points index axis 2 (radial axis 3) of the atom tensor.  One masked
-    log-sum-exp reduction over the other side's axes leaves a (points,
-    radial) array, and a batched Newton solves every point's tilt from it.
+    m holds LSE over the other side's atoms of log nu_Y - H_p/eps plus their
+    tilts, per (point, radial node) line; adding the side's own tilts gives
+    the reduction of the tilted tensor, so the Newton starts from the
+    current tilt.  Returns the new line potentials lambda_i s_k^p.
     """
-    _solve_tilts(_family_lse(log_alpha, axis_point), sp, mu_w, lam)
-
-
-def _apply_tilts(log_base: np.ndarray, s0p, s1p, lam0, lam1) -> np.ndarray:
-    # broadcast over the (n0*K0, n1*K1) matrix view, which numpy does
-    # several times faster than over the 4-d tensor
-    n0, k0, n1, k1 = log_base.shape
-    out = log_base.reshape(n0 * k0, n1 * k1) + (lam0[:, None] * s0p).reshape(-1, 1)
-    out += (lam1[:, None] * s1p).reshape(1, -1)
-    return out.reshape(log_base.shape)
+    def step(side, m):
+        sp, lam = sps[side], lams[side]
+        _solve_tilts(m.reshape(lam.size, sp.size) + lam[:, None] * sp, sp, mus[side], lam)
+        return (lam[:, None] * sp).ravel()
+    return step
 
 
 def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
@@ -464,10 +429,15 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     ``config`` carries the iteration controls.  nu_Y must be a probability
     measure over the atom tensor (default: uniform over atoms with positive
     radial values).
-    Convergence is declared when the largest homogeneous-marginal residual,
-    relative to the mass scale, drops below ``config.tolerance``.  Targets
-    far below the starting regularisation are reached by an internal
-    eps-continuation ladder with rescaled tilts.
+    Targets below 0.25 are reached by an eps-continuation ladder with
+    rescaled tilts, one ``scaling_kernel`` call per stage.  A stage stops
+    when the largest homogeneous-marginal residual, relative to the mass
+    scale, drops below its tolerance (``config.tolerance`` at the target,
+    at most 1e-6 before it).  ``config.max_iters`` bounds the iterations
+    over the whole ladder: an earlier stage runs at most
+    max(200, max_iters // 4) of them and leaves at least one to the target
+    stage, whose plan is returned; the verdict applies the target stage's
+    test to that plan.
     """
     grid0, grid1 = grids
     if nu_y is None:
@@ -480,67 +450,50 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     _check_reachable(mu0, grid0, "first")
     _check_reachable(mu1, grid1, "second")
 
-    n0, n1 = mu0.ground.size, mu1.ground.size
-    s0p = grid0.nodes ** p
-    s1p = grid1.nodes ** p
+    sps = (grid0.nodes ** p, grid1.nodes ** p)
+    mus = (mu0.weights, mu1.weights)
+    lams = (np.zeros(mu0.ground.size), np.zeros(mu1.ground.size))
+    # the s = 0 lines carry no homogeneous mass, so no constraint empties them
+    masses = [np.where(sp > 0, mu[:, None], 1.0).ravel() for mu, sp in zip(mus, sps)]
     h = hp_tensor(cost, grid0, grid1, p)
     with np.errstate(divide="ignore"):
         log_nu = np.where(nu_y.weights > 0, np.log(np.maximum(nu_y.weights, 1e-300)), -math.inf)
+    scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
 
-    # continuation ladder down to the target eps
+    def residuals(marg0, marg1):
+        return tuple(float(np.max(np.abs(marg.reshape(mu.size, -1) @ sp - mu))) / scale
+                     for marg, sp, mu in zip((marg0, marg1), sps, mus))
+
     ladder = [eps]
     while ladder[0] < 0.25:
         ladder.insert(0, min(2.0 * ladder[0], 0.5))
-    lam0 = np.zeros(n0)
-    lam1 = np.zeros(n1)
-    scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
-
-    iters_total = 0
-    res0 = res1 = math.inf
+    iters_total, g = 0, np.zeros(masses[1].size)
     for stage, stage_eps in enumerate(ladder):
-        final = stage == len(ladder) - 1
-        tol = config.tolerance if final else max(config.tolerance, 1e-6)
         if stage > 0:
-            prev = ladder[stage - 1]
-            lam0 *= prev / stage_eps
-            lam1 *= prev / stage_eps
-        log_base = log_nu - h / stage_eps
-        budget = config.max_iters if final else max(200, config.max_iters // 4)
-        # red0 is the family-0 reduction at the current tilts; the residual
-        # check of one iteration computes it and the next iteration reuses it
-        red0 = _family_lse(_apply_tilts(log_base, s0p, s1p, lam0, lam1), 0)
-        for _ in range(budget):
-            iters_total += 1
-            _solve_tilts(red0, s0p, mu0.weights, lam0)
-            red1 = _family_lse(_apply_tilts(log_base, s0p, s1p, lam0, lam1), 2)
-            step1 = _solve_tilts(red1, s1p, mu1.weights, lam1)
-            red0 = _family_lse(_apply_tilts(log_base, s0p, s1p, lam0, lam1), 0)
-            with np.errstate(under="ignore", over="ignore"):
-                h0 = np.exp(red0) @ s0p
-                h1 = np.exp(red1 + step1[:, None] * s1p) @ s1p
-            res0 = float(np.max(np.abs(h0 - mu0.weights))) / scale
-            res1 = float(np.max(np.abs(h1 - mu1.weights))) / scale
-            if max(res0, res1) <= tol:
-                break
-            if iters_total >= config.max_iters:
-                break
-        if iters_total >= config.max_iters:
-            break
+            for lam in lams:
+                lam *= ladder[stage - 1] / stage_eps
+        left = config.max_iters - iters_total
+        final = stage == len(ladder) - 1
+        budget = left if final else min(max(200, config.max_iters // 4), left - 1)
+        if budget < 1:
+            continue
+        tol = config.tolerance if final else max(config.tolerance, 1e-6)
+        log_k = (log_nu - h / stage_eps).reshape(masses[0].size, -1)
+        # warm start: the last stage's g, whose zero-mass lines the kernel emptied
+        g = np.where(np.isneginf(g), g, (lams[1][:, None] * sps[1]).ravel())
+        _, g, iters, alpha_w = scaling_kernel(
+            log_k, *masses, _tilt_step(sps, mus, lams), g, budget, 1,
+            lambda _it, _f, _g, marg0, marg1: max(residuals(marg0, marg1)) <= tol)
+        iters_total += iters
 
-    log_alpha = _apply_tilts(log_nu - h / eps, s0p, s1p, lam0, lam1)
-    with np.errstate(under="ignore"):
-        alpha_w = np.exp(np.minimum(log_alpha, 700.0))
-    alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w)
-
+    alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(h.shape))
+    alpha_w = alpha.weights
     primal = float(np.sum(h * alpha_w)) + eps * divergence_arrays(KL, alpha_w, nu_y.weights)
-    h0 = np.einsum("ikjl,k->i", alpha_w, s0p)
-    h1 = np.einsum("ikjl,l->j", alpha_w, s1p)
-    dual = eps * (float(lam0 @ mu0.weights) + float(lam1 @ mu1.weights)
+    dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)
                   + nu_y.total_mass - float(np.sum(alpha_w)))
-    res0 = float(np.max(np.abs(h0 - mu0.weights))) / scale
-    res1 = float(np.max(np.abs(h1 - mu1.weights))) / scale
-    converged = max(res0, res1) <= config.tolerance
-    report = SolveReport(primal, dual, primal - dual, iters_total, (res0, res1), converged)
+    res = residuals(alpha_w.sum(axis=(2, 3)).ravel(), alpha_w.sum(axis=(0, 1)).ravel())
+    converged = max(res) <= config.tolerance
+    report = SolveReport(primal, dual, primal - dual, iters_total, res, converged)
     return alpha, report
 
 

@@ -166,6 +166,15 @@ def test_malformed_inputs_exit_one(fixtures, capsys):
     assert code == 1
 
 
+def test_solve_y_rejects_zero_max_iters(fixtures, capsys):
+    tmp, mu0, mu1, _ = fixtures
+    code = run(["solve-y", "--mu0", mu0, "--mu1", mu1, "--cost", "hk", "--eps", "0.4",
+                "--radial-nodes", "12", "--max-iters", "0", "--out", str(tmp / "ry.json")])
+    assert code == 1
+    assert "max_iters" in capsys.readouterr().err
+    assert not (tmp / "ry.json").exists()
+
+
 def test_nonconvergence_exits_two(fixtures):
     tmp, mu0, mu1, _ = fixtures
     code = run(["solve-x", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean",

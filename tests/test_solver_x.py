@@ -295,6 +295,12 @@ def test_config_validation():
         DualPotentials(np.array([np.inf]), np.array([0.0]))
 
 
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_config_rejects_nonpositive_max_iters(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(eps=0.05, max_iters=max_iters)
+
+
 def test_stabilization_modes_agree():
     # the stabilised kernel against the pure log-domain loop
     rng = np.random.default_rng(50)

@@ -6,8 +6,8 @@ import pytest
 from uotlab.costs import CostMatrix, hk_cost, hk_matrix, sqeuclidean_matrix
 from uotlab.entropy import KL, divergence_arrays
 from uotlab.measures import DiscreteMeasure, GroundSet
-from uotlab.solver_x import SolverConfig, solve_x_unreg
-from uotlab import solver_y
+from uotlab.solver_x import SolverConfig, scaling_kernel, solve_x_unreg
+from uotlab import solver_x, solver_y
 from uotlab.solver_y import (
     AtomPlan,
     InfeasibleProblemError,
@@ -19,8 +19,7 @@ from uotlab.solver_y import (
     solve_y_eps,
     solve_y_unreg,
     uot_as_ot_decomposition,
-    _project_family,
-    _apply_tilts,
+    _tilt_step,
 )
 
 from oracles import constrained_minimize, project_family_loop
@@ -203,6 +202,28 @@ def test_eps_sweep_monotone_toward_unreg():
     assert all(v >= unreg - 1e-9 for v in vals)
 
 
+def tilted(log_base, sps, lams):
+    """log_base plus the tilts lambda_i s_k^p of both sides."""
+    return (log_base + (lams[0][:, None] * sps[0])[:, :, None, None]
+            + (lams[1][:, None] * sps[1])[None, None, :, :])
+
+
+def kernel_reduction(log_base, sps, mus, lams, side):
+    """The m that ``scaling_kernel`` hands the y step of ``side``: one
+    kernel iteration from g = lambda1 s1^p whose steps keep the tilts, so
+    side 0 sees lambda1 and side 1 sees lambda0."""
+    got = {}
+
+    def record(s, m):
+        got[s] = m
+        return (lams[s][:, None] * sps[s]).ravel()
+
+    masses = [np.repeat(mu, sp.size) for mu, sp in zip(mus, sps)]
+    scaling_kernel(log_base.reshape(masses[0].size, -1), *masses, record,
+                   (lams[1][:, None] * sps[1]).ravel(), 1, 1, lambda *args: True)
+    return got[side]
+
+
 def test_projection_subroutine_hits_marginal_exactly():
     rng = np.random.default_rng(64)
     g0 = GroundSet(rng.uniform(0, 1, size=(2, 2)))
@@ -212,23 +233,20 @@ def test_projection_subroutine_hits_marginal_exactly():
     cost = sqeuclidean_matrix(g0, g1)
     grids = default_grids(mu0, mu1, 1.0, n_nodes=10, smin_frac=1e-2)
     nu = default_nu_y(mu0, mu1, grids, 1.0)
-    s0p = grids[0].nodes
-    s1p = grids[1].nodes
+    sps = (grids[0].nodes, grids[1].nodes)
+    mus = (mu0.weights, mu1.weights)
     h = hp_tensor(cost, grids[0], grids[1], 1.0)
     log_base = np.where(nu.weights > 0, np.log(np.maximum(nu.weights, 1e-300)), -np.inf)
     log_base = log_base - h / 0.5
-    lam0 = np.zeros(2)
-    lam1 = np.zeros(2)
-    log_alpha = _apply_tilts(log_base, s0p, s1p, lam0, lam1)
-    _project_family(log_alpha, s0p, mu0.weights, 0, lam0)
-    alpha = np.exp(_apply_tilts(log_base, s0p, s1p, lam0, lam1))
-    h0 = np.einsum("ikjl,k->i", alpha, s0p)
+    lams = (np.zeros(2), np.zeros(2))
+    _tilt_step(sps, mus, lams)(0, kernel_reduction(log_base, sps, mus, lams, 0))
+    alpha = np.exp(tilted(log_base, sps, lams))
+    h0 = np.einsum("ikjl,k->i", alpha, sps[0])
     assert np.max(np.abs(h0 - mu0.weights)) < 1e-12
 
 
-def projection_instance(seed, cost_kind, p, eps):
-    """Tilted log-weights of a seeded 4 x 5 instance with a massless point on each side."""
-    rng = np.random.default_rng(seed)
+def massless_instance(rng, cost_kind, p):
+    """A 4 x 5 instance with a massless point on each side, on 12-node grids."""
     g0 = GroundSet(rng.uniform(0, 2, size=(4, 2)))
     g1 = GroundSet(rng.uniform(0, 2, size=(5, 2)))
     mu0 = DiscreteMeasure(g0, np.array([0.7, 0.0, 1.1, 0.4]))
@@ -240,7 +258,13 @@ def projection_instance(seed, cost_kind, p, eps):
         assert np.any(np.isinf(cost.values))
     else:
         cost = sqeuclidean_matrix(g0, g1)
-    grids = default_grids(mu0, mu1, p, n_nodes=12, smin_frac=1e-3)
+    return mu0, mu1, cost, default_grids(mu0, mu1, p, n_nodes=12, smin_frac=1e-3)
+
+
+def projection_instance(seed, cost_kind, p, eps):
+    """Log-weights and tilts of a seeded ``massless_instance``."""
+    rng = np.random.default_rng(seed)
+    mu0, mu1, cost, grids = massless_instance(rng, cost_kind, p)
     nu = default_nu_y(mu0, mu1, grids, p)
     s0p = grids[0].nodes ** p
     s1p = grids[1].nodes ** p
@@ -261,32 +285,94 @@ def projection_instance(seed, cost_kind, p, eps):
 def test_projection_matches_loop_oracle(axis_point, cost_kind, p, eps):
     log_base, sps, mus, lams = projection_instance(70, cost_kind, p, eps)
     side = axis_point // 2
-    log_alpha = _apply_tilts(log_base, sps[0], sps[1], lams[0], lams[1])
-    lam_vec = lams[side].copy()
+    m = kernel_reduction(log_base, sps, mus, lams, side)
+    lam_vec = [lam.copy() for lam in lams]
     lam_loop = lams[side].copy()
-    _project_family(log_alpha, sps[side], mus[side], axis_point, lam_vec)
-    project_family_loop(log_alpha, sps[side], mus[side], axis_point, lam_loop)
-    assert np.all(np.abs(lam_vec - lam_loop) <= 1e-12 * (1.0 + np.abs(lam_loop)))
+    _tilt_step(sps, mus, lam_vec)(side, m)
+    project_family_loop(tilted(log_base, sps, lams), sps[side], mus[side], axis_point, lam_loop)
+    assert np.all(np.abs(lam_vec[side] - lam_loop) <= 1e-12 * (1.0 + np.abs(lam_loop)))
     assert not np.array_equal(lam_loop, lams[side])
 
 
 def test_projection_unreachable_point_raises_in_both():
     log_base, sps, mus, lams = projection_instance(71, "sqeuclidean", 1.0, 0.5)
-    log_alpha = _apply_tilts(log_base, sps[0], sps[1], lams[0], lams[1])
-    log_alpha[2, 1:, :, :] = -np.inf  # the third point carries mass
+    log_base[2, 1:, :, :] = -np.inf  # the third point carries mass
+    m = kernel_reduction(log_base, sps, mus, lams, 0)
     with pytest.raises(InfeasibleProblemError):
-        _project_family(log_alpha, sps[0], mus[0], 0, lams[0].copy())
+        _tilt_step(sps, mus, [lam.copy() for lam in lams])(0, m)
     with pytest.raises(InfeasibleProblemError):
-        project_family_loop(log_alpha, sps[0], mus[0], 0, lams[0].copy())
+        project_family_loop(tilted(log_base, sps, lams), sps[0], mus[0], 0, lams[0].copy())
 
 
 def test_tilt_newton_step_cap_raises(monkeypatch):
     log_base, sps, mus, lams = projection_instance(72, "sqeuclidean", 1.0, 0.5)
-    log_alpha = _apply_tilts(log_base, sps[0], sps[1], lams[0], lams[1])
+    m = kernel_reduction(log_base, sps, mus, lams, 0)
     monkeypatch.setattr(solver_y, "_TILT_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="support point .* did not converge") as info:
-        _project_family(log_alpha, sps[0], mus[0], 0, lams[0].copy())
+        _tilt_step(sps, mus, [lam.copy() for lam in lams])(0, m)
     assert not isinstance(info.value, InfeasibleProblemError)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 5])
+def test_eps_budget_bounds_the_whole_ladder(max_iters):
+    # eps = 0.05 runs the ladder 0.4, 0.2, 0.1, 0.05; the last half-step is a
+    # family-1 projection at the target eps, so that family is met exactly
+    mu0, mu1, cost, grids = massless_instance(np.random.default_rng(73), "sqeuclidean", 1.0)
+    eps = 0.05
+    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, eps,
+                             SolverConfig(eps=eps, max_iters=max_iters))
+    assert 1 <= rep.iterations <= max_iters
+    assert not rep.converged
+    scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
+    for side, mu in enumerate((mu0, mu1)):
+        res = np.max(np.abs(alpha.homogeneous_marginal(side).weights - mu.weights)) / scale
+        assert rep.marginal_residuals[side] == pytest.approx(res, rel=1e-9, abs=1e-14)
+    assert rep.marginal_residuals[0] > 1e-6
+    assert rep.marginal_residuals[1] <= 1e-12
+
+
+def test_eps_zero_radial_atoms_stay_free_at_massless_points():
+    # s0 = 0 atoms carry no homogeneous mass, so h0 = mu0 does not empty them
+    # even at a massless point: every point's s0 = 0 slice of alpha is
+    # nu_Y exp(-H_p/eps) times the same factor exp(lambda1_j s1_l^p)
+    mu0, mu1, cost, grids = massless_instance(np.random.default_rng(75), "sqeuclidean", 1.0)
+    nu = AtomPlan(mu0.ground, mu1.ground, grids, 1.0, np.full((4, 12, 5, 12), 1.0 / 2880))
+    eps = 0.5
+    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu, eps,
+                             SolverConfig(eps=eps, tolerance=1e-10))
+    assert rep.converged
+    factor = alpha.weights[:, 0] / (nu.weights[:, 0] * np.exp(
+        -hp_tensor(cost, grids[0], grids[1], 1.0)[:, 0] / eps))
+    assert mu0.weights[1] == 0.0 and np.all(factor[1, mu1.weights > 0] > 0.0)
+    assert np.allclose(factor, factor[0], rtol=1e-12, atol=0.0)
+
+
+def absorption_runs():
+    """sqeuclidean and HK massless instances at eps 0.5 and 0.05, as thunks."""
+    runs = []
+    for cost_kind in ("sqeuclidean", "hk"):
+        mu0, mu1, cost, grids = massless_instance(np.random.default_rng(74), cost_kind, 1.0)
+        for eps in (0.5, 0.05):
+            config = SolverConfig(eps=eps, tolerance=1e-10)
+            runs.append(lambda mu0=mu0, mu1=mu1, cost=cost, grids=grids, eps=eps, config=config:
+                        solve_y_eps(mu0, mu1, cost, 1.0, grids, None, eps, config)[1])
+    return runs
+
+
+@pytest.fixture(scope="module")
+def default_absorption_reports():
+    return [run() for run in absorption_runs()]
+
+
+@pytest.mark.parametrize("absorb", [0.0, math.inf])
+def test_eps_solver_absorption_extremes(monkeypatch, default_absorption_reports, absorb):
+    # 0 absorbs the tilts into the kernel after every iteration, inf never does
+    monkeypatch.setattr(solver_x, "_ABSORB", absorb)
+    for want, run in zip(default_absorption_reports, absorption_runs()):
+        got = run()
+        assert want.converged and got.converged
+        assert got.iterations == want.iterations
+        assert abs(got.primal - want.primal) <= 1e-12 * abs(want.primal)
 
 
 def test_eps_solver_matches_constrained_oracle():
