@@ -23,7 +23,7 @@ line's own tilt is added, and the tilt changes delta_i solve
 
     LSE_k(M[i, k] + log s_k^p + delta_i s_k^p) = log mu_i
 
-for all points at once by a batched, bracketed Newton iteration.
+for all points at once by a batched Newton iteration from delta = 0.
 
 Radial grids default to geometric spacing below the mass cap
 s* = (mu0(X) + mu1(X))^(1/p); rescaling by the pushforward
@@ -54,7 +54,6 @@ from .solver_x import SolveReport, SolverConfig, scaling_kernel
 
 _TILT_TOL = 1e-14           # stop when |LSE - log mu| falls below this
 _TILT_MAX_STEPS = 200       # Newton steps per tilt before giving up
-_TILT_BRACKET_LIMIT = 1e13  # a bracket past this means no finite tilt
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -346,12 +345,15 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray, lam: np.ndar
     """Solve every point's tilt equation from the reduction ``red``.
 
     For each support point i with mass, finds delta_i with
-    LSE_k(red[i, k] + log sp_k + delta_i sp_k) = log mu_i by a Newton
-    iteration safeguarded by a doubling bracket and bisection, run on all
-    rows at once.  The left side is convex and strictly increasing in
-    delta.  A row stops when its residual is below ``_TILT_TOL`` or its
-    bracket has collapsed to adjacent doubles; a row that does neither in
-    ``_TILT_MAX_STEPS`` steps raises RuntimeError.  Updates ``lam`` in
+    LSE_k(red[i, k] + log sp_k + delta_i sp_k) = log mu_i by Newton's
+    method from delta = 0, run on all rows at once.  It needs no bracket:
+    the s = 0 node has log 0 = -inf, so every finite term has sp_k > 0 and
+    the slope, their softmax mean, is positive, so every step is finite; the
+    left side is convex, increasing and unbounded both ways, so the first
+    step lands at or right of the root and the iterates then decrease to it.
+    A row stops when its residual is below ``_TILT_TOL`` or, after the first
+    step, stops decreasing (rounding at the root); a row that does neither
+    in ``_TILT_MAX_STEPS`` steps raises RuntimeError.  Updates ``lam`` in
     place; zero-mass points keep theirs, as the kernel empties their lines.
     """
     rows = np.flatnonzero(mu_w > 0)
@@ -363,37 +365,15 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray, lam: np.ndar
         )
     target = np.log(mu_w[rows])
 
-    val, slope = _tilt_values(w, sp, target, np.zeros(rows.size))
+    delta = np.zeros(rows.size)
+    val, slope = _tilt_values(w, sp, target, delta)
     active = np.abs(val) >= _TILT_TOL
-
-    # doubling bracket: probe hi upwards where val < 0, lo downwards otherwise
-    step = np.maximum(1.0, np.abs(val) / np.maximum(slope, 1e-12))
-    below = val < 0
-    lo = np.where(below, 0.0, -step)
-    hi = np.where(below, step, 0.0)
-    grow = active
-    while True:
-        probe = _tilt_values(w, sp, target, np.where(below, hi, lo))[0]
-        grow = grow & np.where(below, probe <= 0, probe > 0)
-        if not grow.any():
-            break
-        lo, hi = (np.where(grow, np.where(below, hi, 2.0 * lo), lo),
-                  np.where(grow, np.where(below, 2.0 * hi, lo), hi))
-        if np.any(grow & ((hi > _TILT_BRACKET_LIMIT) | (lo < -_TILT_BRACKET_LIMIT))):
-            raise InfeasibleProblemError("tilt equation has no finite solution")
-
-    delta = np.where(active, 0.5 * (lo + hi), 0.0)
-    for _ in range(_TILT_MAX_STEPS):
+    for step in range(_TILT_MAX_STEPS):
         if not active.any():
             break
-        val, slope = _tilt_values(w, sp, target, delta)
-        above = val > 0
-        lo = np.where(active & ~above, delta, lo)
-        hi = np.where(active & above, delta, hi)
-        active = active & (np.abs(val) >= _TILT_TOL) & (hi > np.nextafter(lo, math.inf))
-        newton = delta - val / np.maximum(slope, 1e-300)
-        inside = (lo < newton) & (newton < hi)
-        delta = np.where(active, np.where(inside, newton, 0.5 * (lo + hi)), delta)
+        delta = np.where(active, delta - val / slope, delta)
+        prev, (val, slope) = val, _tilt_values(w, sp, target, delta)
+        active &= (np.abs(val) >= _TILT_TOL) & ((step == 0) | (val < prev))
     if active.any():
         i = np.flatnonzero(active)[0]
         raise RuntimeError(
@@ -438,6 +418,9 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     max(200, max_iters // 4) of them and leaves at least one to the target
     stage, whose plan is returned; the verdict applies the target stage's
     test to that plan.
+    ``dual`` is the weak-duality lower bound; the gap is
+    eps * sum_i (|lambda_i|, |h_i^p alpha - mu_i|), nonnegative by construction
+    and at least |primal - dual| = |eps * sum_i (lambda_i, h_i^p alpha - mu_i)|.
     """
     grid0, grid1 = grids
     if nu_y is None:
@@ -460,9 +443,11 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         log_nu = np.where(nu_y.weights > 0, np.log(np.maximum(nu_y.weights, 1e-300)), -math.inf)
     scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
 
-    def residuals(marg0, marg1):
-        return tuple(float(np.max(np.abs(marg.reshape(mu.size, -1) @ sp - mu))) / scale
-                     for marg, sp, mu in zip((marg0, marg1), sps, mus))
+    def defects(margs):
+        return [m.reshape(mu.size, -1) @ sp - mu for m, sp, mu in zip(margs, sps, mus)]
+
+    def residuals(d):
+        return tuple(float(np.max(np.abs(x))) / scale for x in d)
 
     ladder = [eps]
     while ladder[0] < 0.25:
@@ -483,7 +468,7 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         g = np.where(np.isneginf(g), g, (lams[1][:, None] * sps[1]).ravel())
         _, g, iters, alpha_w = scaling_kernel(
             log_k, *masses, _tilt_step(sps, mus, lams), g, budget, 1,
-            lambda _it, _f, _g, marg0, marg1: max(residuals(marg0, marg1)) <= tol)
+            lambda _it, _f, _g, *margs: max(residuals(defects(margs))) <= tol)
         iters_total += iters
 
     alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(h.shape))
@@ -491,9 +476,10 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     primal = float(np.sum(h * alpha_w)) + eps * divergence_arrays(KL, alpha_w, nu_y.weights)
     dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)
                   + nu_y.total_mass - float(np.sum(alpha_w)))
-    res = residuals(alpha_w.sum(axis=(2, 3)).ravel(), alpha_w.sum(axis=(0, 1)).ravel())
-    converged = max(res) <= config.tolerance
-    report = SolveReport(primal, dual, primal - dual, iters_total, res, converged)
+    d = defects((alpha_w.sum(axis=(2, 3)).ravel(), alpha_w.sum(axis=(0, 1)).ravel()))
+    gap = eps * sum(float(np.abs(lam) @ np.abs(x)) for lam, x in zip(lams, d))
+    res = residuals(d)
+    report = SolveReport(primal, dual, gap, iters_total, res, max(res) <= config.tolerance)
     return alpha, report
 
 

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from uotlab import identities
+from uotlab import cli, identities
 from uotlab.cli import emit_convergence_csv, run, InputError
+from uotlab.simplex import transport_lp
 
 
 @pytest.fixture
@@ -93,8 +94,8 @@ def test_compare_subcommand(fixtures):
     assert record["residuals"]["solve_x_eps_vs_solve_x_extended"] < 1e-2
 
 
-def test_lift_check_balanced(fixtures, tmp_path):
-    tmp = tmp_path
+def run_balanced_lift_check(tmp):
+    """``lift-check --which balanced`` on two 2-point measures: (code, record)."""
     mu0 = tmp / "m0.json"
     mu0.write_text(json.dumps({"points": [[0.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]}))
     mu1 = tmp / "m1.json"
@@ -103,9 +104,24 @@ def test_lift_check_balanced(fixtures, tmp_path):
     code = run(["lift-check", "--mu0", str(mu0), "--mu1", str(mu1),
                 "--cost", "sqeuclidean", "--which", "balanced",
                 "--radial-nodes", "8", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_lift_check_balanced(tmp_path):
+    code, record = run_balanced_lift_check(tmp_path)
     assert code == 0
-    record = json.loads(out.read_text())
     assert record["residuals"]["lifted_vs_classical"] < 1e-9
+
+
+def test_lift_check_exits_two_past_residual_bound(tmp_path, monkeypatch):
+    def shifted_transport_lp(*args):
+        plan, value, status = transport_lp(*args)
+        return plan, value + 1e-6, status
+
+    monkeypatch.setattr(cli, "transport_lp", shifted_transport_lp)
+    code, record = run_balanced_lift_check(tmp_path)
+    assert code == 2
+    assert record["residuals"]["lifted_vs_classical"] > 1e-9
 
 
 def test_identities_subcommand(tmp_path):
@@ -125,7 +141,7 @@ def test_record_roundtrip_byte_identical(fixtures):
     run(["solve-x", "--mu0", dirac, "--mu1", dirac, "--cost", "sqeuclidean",
          "--eps", "0.5", "--out", str(out)])
     raw = out.read_text()
-    rebuilt = json.dumps(json.loads(raw), sort_keys=True, indent=2) + "\n"
+    rebuilt = json.dumps(json.loads(raw), sort_keys=True) + "\n"
     assert rebuilt == raw
 
 

@@ -278,13 +278,20 @@ def projection_instance(seed, cost_kind, p, eps):
     return log_base, (s0p, s1p), (mu0.weights, mu1.weights), (lam0, lam1)
 
 
-@pytest.mark.parametrize("axis_point", [0, 2])
+# start shifts of the massive points' tilts put delta = 0 far right (+) or far
+# left (-) of the root; the unshifted cases keep their plain axis_point ids
+START_SHIFTS = [(axis_point, shift) for shift in (0, 8, -8, 40, -40) for axis_point in (0, 2)]
+
+
+@pytest.mark.parametrize("axis_point, shift", START_SHIFTS,
+                         ids=[f"{a}" + (f"-shift{s:+d}" if s else "") for a, s in START_SHIFTS])
 @pytest.mark.parametrize("cost_kind", ["sqeuclidean", "hk"])
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("eps", [0.5, 0.05])
-def test_projection_matches_loop_oracle(axis_point, cost_kind, p, eps):
+def test_projection_matches_loop_oracle(axis_point, shift, cost_kind, p, eps):
     log_base, sps, mus, lams = projection_instance(70, cost_kind, p, eps)
     side = axis_point // 2
+    lams[side][mus[side] > 0] += shift
     m = kernel_reduction(log_base, sps, mus, lams, side)
     lam_vec = [lam.copy() for lam in lams]
     lam_loop = lams[side].copy()
@@ -426,6 +433,22 @@ def test_eps_solver_validates_reference():
     bad = AtomPlan(bad.row_ground, bad.col_ground, bad.grids, 1.0, bad.weights * 2.0)
     with pytest.raises(ValueError):
         solve_y_eps(mu, mu, cost, 1.0, grids, bad, 0.5, SolverConfig(eps=0.5))
+
+
+def test_eps_gap_is_a_nonnegative_bound_on_primal_minus_dual():
+    # primal - dual is a signed residual here: about -2e-12 on this instance
+    rng = np.random.default_rng(0)
+    g0 = GroundSet(rng.uniform(0, 1, size=(6, 2)))
+    g1 = GroundSet(rng.uniform(0, 1, size=(7, 2)))
+    mu0 = DiscreteMeasure(g0, rng.uniform(0.5, 1.5, 6))
+    mu1 = DiscreteMeasure(g1, rng.uniform(0.5, 1.5, 7))
+    cost = sqeuclidean_matrix(g0, g1)
+    grids = default_grids(mu0, mu1, 1.0, n_nodes=16)
+    _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, 0.1,
+                         SolverConfig(eps=0.1, tolerance=1e-10))
+    assert rep.converged
+    assert rep.gap >= 0.0
+    assert rep.gap >= abs(rep.primal - rep.dual)
 
 
 def test_eps_solver_infeasible_when_support_unreachable():
