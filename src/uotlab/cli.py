@@ -40,7 +40,7 @@ from .measures import (
     plan_weights_from_dict,
     Plan,
 )
-from .simplex import transport_lp
+from .simplex import balanced_masses, transport_lp
 from .solver_x import SolveReport, SolverConfig, default_nu_x, solve_x_eps
 from .solver_y import RadialGrid, default_grids, solve_y_eps, solve_y_unreg
 
@@ -155,7 +155,7 @@ def _cmd_solve_x(args) -> int:
     nu = _load_nu(args.nu, mu0, mu1) if args.nu else default_nu_x(mu0, mu1)
     if args.entropy == "balanced":
         # sharp marginals: plain balanced scaling against the reference
-        if abs(mu0.total_mass - mu1.total_mass) > 1e-9 * (1 + mu0.total_mass):
+        if not balanced_masses(mu0.total_mass, mu1.total_mass):
             raise InputError("balanced marginal entropies need equal masses")
         gamma, iters, residual = balanced_sinkhorn(
             mu0.weights, mu1.weights, cost.values, args.eps, nu.weights,
@@ -180,7 +180,7 @@ def _cmd_solve_y(args) -> int:
     grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
                           smin_frac=args.smin_frac)
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
-    alpha, report = solve_y_eps(mu0, mu1, cost, args.p, grids, None, args.eps, config)
+    alpha, report = solve_y_eps(mu0, mu1, cost, args.p, grids, None, config)
     _write_record(args.out, args, "solve-y", t0, report=_report_dict(report))
     return 0 if report.converged else 2
 
@@ -206,7 +206,7 @@ def _cmd_sweep_eps(args) -> int:
         else:
             grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
                                   smin_frac=args.smin_frac)
-            _, report = solve_y_eps(mu0, mu1, cost, args.p, grids, None, eps, config)
+            _, report = solve_y_eps(mu0, mu1, cost, args.p, grids, None, config)
         return {
             "formulation": args.formulation,
             "eps": eps,
@@ -241,7 +241,7 @@ def _cmd_compare(args) -> int:
     _, value_ext = solve_x_extended_refined(mu0, mu1, cost, nu, args.eps, args.p)
     grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
                           smin_frac=args.smin_frac)
-    _, report_y = solve_y_eps(mu0, mu1, cost, args.p, grids, None, args.eps, config)
+    _, report_y = solve_y_eps(mu0, mu1, cost, args.p, grids, None, config)
 
     values = {
         "solve_x_eps": report_x.primal,

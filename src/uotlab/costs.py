@@ -127,13 +127,12 @@ def perspective_H_eps(s0, s1, S, c, eps: float):
     return float(out) if scalar else out
 
 
-def perspective_H_p(x0_idx, s0, x1_idx, s1, cost: CostMatrix, p: float,
-                    entropy: EntropyFunction = KL):
-    """p-th power perspective cost H_p(y0, y1) = H(x0, s0^p, x1, s1^p)."""
+def perspective_H_p(x0_idx, s0, x1_idx, s1, cost: CostMatrix, p: float):
+    """p-th power perspective cost H_p(y0, y1) = H(x0, s0^p, x1, s1^p) for KL."""
     if p <= 0:
         raise ValueError("p must be positive")
     c = cost.values[np.asarray(x0_idx), np.asarray(x1_idx)]
-    return perspective_H(np.asarray(s0, dtype=float) ** p, np.asarray(s1, dtype=float) ** p, c, entropy)
+    return perspective_H(np.asarray(s0, dtype=float) ** p, np.asarray(s1, dtype=float) ** p, c)
 
 
 def perspective_H_p_eps(x0_idx, s0, x1_idx, s1, S, cost: CostMatrix, p: float, eps: float):

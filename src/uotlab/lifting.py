@@ -33,7 +33,7 @@ import numpy as np
 from .costs import CostMatrix, perspective_H, perspective_H_eps
 from .entropy import KL
 from .measures import DiscreteMeasure, GroundMismatchError, Plan
-from .simplex import LpResult, atom_lp
+from .simplex import LpResult, atom_lp, balanced_masses
 from .solver_y import AtomPlan, RadialGrid, _optimal
 
 
@@ -51,11 +51,6 @@ class LiftValue:
 def _check_shape(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix) -> None:
     if cost.shape != (mu0.ground.size, mu1.ground.size):
         raise GroundMismatchError("cost shape does not match supports")
-
-
-def _balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> bool:
-    return abs(mu0.total_mass - mu1.total_mass) <= 1e-9 * (
-        1 + mu0.total_mass + mu1.total_mass)
 
 
 def _lift_value(res: LpResult) -> LiftValue:
@@ -79,7 +74,7 @@ def solve_lifted_balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     sharp-marginal problem.
     """
     _check_shape(mu0, mu1, cost)
-    if not _balanced(mu0, mu1):
+    if not balanced_masses(mu0.total_mass, mu1.total_mass):
         return LiftValue(math.inf, "infeasible")
     i0, i1, sp = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
                         grid.nodes ** p)
@@ -99,7 +94,7 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     S^p-weighted pair marginal equals nu_X.
     """
     _check_shape(mu0, mu1, cost)
-    if not _balanced(mu0, mu1):
+    if not balanced_masses(mu0.total_mass, mu1.total_mass):
         return LiftValue(math.inf, "infeasible")
     n1 = mu1.ground.size
     i0, i1, sp, ssp = np.ix_(np.arange(mu0.ground.size), np.arange(n1),
@@ -139,10 +134,14 @@ def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatri
     return AtomPlan(mu0.ground, mu1.ground, tuple(grids), p, res.x), res.value
 
 
+_REFINE_COARSE_NODES = 20  # positive nodes of the wide first-pass grids on [1e-2, 1e2]
+_REFINE_FINE_NODES = 36    # positive nodes of each rebuilt grid
+_REFINE_PAD = 3.0          # factor the rebuilt grids extend past the coarse radial support
+
+
 def solve_x_extended_refined(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                             cost: CostMatrix, nu_x: Plan, eps: float, p: float,
-                             n_coarse: int = 20, n_fine: int = 36,
-                             pad: float = 3.0) -> tuple[AtomPlan, float]:
+                             cost: CostMatrix, nu_x: Plan, eps: float, p: float
+                             ) -> tuple[AtomPlan, float]:
     """Two-pass extended solve: wide coarse grids, then grids rebuilt around
     the radial support of the coarse optimum.  Self-contained grid choice
     for cross-solver comparisons."""
@@ -151,13 +150,14 @@ def solve_x_extended_refined(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         hi = hi * padf
         return RadialGrid(np.concatenate([[0.0], np.geomspace(lo, hi, k)]), hi)
 
-    wide = build(1e-2, 1e2, n_coarse, 1.0)
+    wide = build(1e-2, 1e2, _REFINE_COARSE_NODES, 1.0)
     eta, _ = solve_x_extended(mu0, mu1, cost, nu_x, eps, p, (wide, wide, wide))
     atoms = eta.atoms()
     if atoms.weights.size == 0:
         return eta, 0.0
     grids = tuple(
-        build(max(float(np.min(v)), 1e-3), max(float(np.max(v)), 1e-3), n_fine, pad)
+        build(max(float(np.min(v)), 1e-3), max(float(np.max(v)), 1e-3), _REFINE_FINE_NODES,
+              _REFINE_PAD)
         for v in (atoms.s0, atoms.s1, atoms.S)
     )
     return solve_x_extended(mu0, mu1, cost, nu_x, eps, p, grids)

@@ -153,12 +153,7 @@ def lebesgue_split(measure: DiscreteMeasure, reference: DiscreteMeasure) -> Lebe
     """
     if measure.ground is not reference.ground:
         raise GroundMismatchError("lebesgue_split requires a shared ground set")
-    ref = reference.weights
-    m = measure.weights
-    pos = ref > 0
-    density = np.zeros_like(m)
-    np.divide(m, ref, out=density, where=pos)
-    singular = np.where(pos, 0.0, m)
+    density, singular = split_arrays(measure.weights, reference.weights)
     return LebesgueSplit(density, DiscreteMeasure(measure.ground, singular))
 
 

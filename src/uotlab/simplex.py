@@ -200,16 +200,23 @@ def atom_lp(cost, families, slack_cost: float | None = None) -> LpResult:
     return replace(res, x=x)
 
 
-def transport_lp(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray,
-                 mass_tol: float = 1e-9) -> tuple[np.ndarray | None, float, str]:
+def balanced_masses(m0: float, m1: float) -> bool:
+    """Whether two total masses agree to 1e-9 relative to 1 + m0 + m1: the
+    one mass-balance test of the balanced LPs and solves."""
+    return abs(m0 - m1) <= 1e-9 * (1.0 + m0 + m1)
+
+
+def transport_lp(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray
+                 ) -> tuple[np.ndarray | None, float, str]:
     """Classical balanced optimal transport as a dense LP.
 
     Returns (plan, value, status); value is +inf with status 'infeasible'
-    when the masses differ or when infinite costs block every coupling.
+    when the masses differ (``balanced_masses``) or when infinite costs
+    block every coupling.
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    if abs(mu.sum() - nu.sum()) > mass_tol * (1.0 + mu.sum() + nu.sum()):
+    if not balanced_masses(float(mu.sum()), float(nu.sum())):
         return None, math.inf, "infeasible"
     # both row and column sums; the simplex drops the one redundant row
     i, j = np.ix_(np.arange(mu.size), np.arange(nu.size))

@@ -19,7 +19,8 @@ balanced ones (exponent 1) of ``identities`` and the tilt projections of
 ``solver_y``, each as its own marginal step, by mat-vecs on one kernel with
 absorbed log-potentials, which keeps eps <= 1e-3, underflowing rows and
 infinite costs exact.  Convergence checks read the marginals the sweep
-computes and certify the gap by Fenchel-Young terms, in O(n).
+computes and certify the gap by Fenchel-Young terms, in O(n); the report
+reuses them, as a scaling plan's primal value is its dual plus that gap.
 
 Solver state is confined to each solve call; distinct solves may run in
 parallel and results are deterministic for a fixed thread count.
@@ -129,21 +130,15 @@ def _coupling_value(cost: np.ndarray, gamma: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def eval_primal_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                    cost: CostMatrix, nu_x: Plan, eps: float,
-                    entropy: EntropyFunction = KL) -> float:
+                    cost: CostMatrix, nu_x: Plan, eps: float) -> float:
     """Primal value Div(g0|mu0) + Div(g1|mu1) + (c,g) + eps*Div(g|nu_X)."""
     _check_instance(mu0, mu1, cost, nu_x)
-    g = plan.weights
-    total = divergence_arrays(entropy, g.sum(axis=1), mu0.weights)
-    total += divergence_arrays(entropy, g.sum(axis=0), mu1.weights)
-    total += _coupling_value(cost.values, g)
-    total += eps * divergence_arrays(entropy, g, nu_x.weights)
-    return total
+    return (eval_primal_unreg(plan, mu0, mu1, cost)
+            + eps * divergence_arrays(KL, plan.weights, nu_x.weights))
 
 
 def eval_dual_eps(phi: DualPotentials, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                  cost: CostMatrix, nu_x: Plan, eps: float,
-                  entropy: EntropyFunction = KL) -> float:
+                  cost: CostMatrix, nu_x: Plan, eps: float) -> float:
     """Dual value sum_i mu_i(-F*(-phi_i)) + eps*nu_X(-F*((phi0+phi1-c)/eps)).
 
     Integrals run over the supports of mu_i and nu_X only, so clamped
@@ -153,17 +148,16 @@ def eval_dual_eps(phi: DualPotentials, mu0: DiscreteMeasure, mu1: DiscreteMeasur
     total = 0.0
     for m, p in ((mu0.weights, phi.phi0), (mu1.weights, phi.phi1)):
         pos = m > 0
-        total += float(np.sum(m[pos] * (-entropy.F_star(-p[pos]))))
+        total += float(np.sum(m[pos] * (-KL.F_star(-p[pos]))))
     expo = (phi.phi0[:, None] + phi.phi1[None, :] - cost.values) / eps
     expo = np.minimum(expo, _EXP_CLIP)
     pos = nu_x.weights > 0
-    total += eps * float(np.sum(nu_x.weights[pos] * (-entropy.F_star(expo[pos]))))
+    total += eps * float(np.sum(nu_x.weights[pos] * (-KL.F_star(expo[pos]))))
     return total
 
 
 def eval_reverse_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                     cost: CostMatrix, nu_x: Plan, eps: float,
-                     entropy: EntropyFunction = KL) -> float:
+                     cost: CostMatrix, nu_x: Plan, eps: float) -> float:
     """Reverse value with densities of (mu_i, nu_X) relative to the plan."""
     _check_instance(mu0, mu1, cost, nu_x)
     g = plan.weights
@@ -174,17 +168,17 @@ def eval_reverse_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 
     pos = g > 0
     integrand = np.zeros_like(g)
-    r0 = entropy.R(rho0)
-    r1 = entropy.R(rho1)
-    rr = entropy.R(varrho[pos]) if np.any(pos) else np.zeros(0)
+    r0 = KL.R(rho0)
+    r1 = KL.R(rho1)
+    rr = KL.R(varrho[pos]) if np.any(pos) else np.zeros(0)
     integrand[pos] = (
         r0[np.nonzero(pos)[0]] + r1[np.nonzero(pos)[1]] + cost.values[pos] + eps * rr
     )
     if np.any(np.isinf(integrand[pos])):
         return math.inf
     total = float(np.sum(integrand[pos] * g[pos]))
-    total += entropy.R_inf * float(np.sum(sing0) + np.sum(sing1))
-    total += eps * entropy.R_inf * float(np.sum(sing_nu))
+    total += KL.R_inf * float(np.sum(sing0) + np.sum(sing1))
+    total += eps * KL.R_inf * float(np.sum(sing_nu))
     return total
 
 
@@ -336,25 +330,30 @@ def _clamped_potentials(f, g, eps: float) -> DualPotentials:
     return DualPotentials(eps * np.clip(f, -2.0 * lim, lim), eps * np.clip(g, -2.0 * lim, lim))
 
 
-def _certificate(marg0, marg1, mu0_w, mu1_w, phi: DualPotentials):
-    """Fenchel-Young gap and first-order residuals of the two KL marginals.
+def _assess(phi: DualPotentials, marg0, marg1, mu0_w, mu1_w, eps: float, nu_mass: float):
+    """Dual, Fenchel-Young gap and KL marginal residuals of the scaling plan
+    gamma = nu_X exp((phi0 + phi1 - c)/eps), in O(n) from its marginals.
 
-    With s_i the marginal densities, the gap sum_i mu_i (F(s_i) + F*(-phi_i)
-    + s_i phi_i) equals primal - dual for a scaling plan
-    gamma = nu_X exp((phi0 + phi1 - c)/eps), whose coupling term vanishes;
-    each term s (log s + phi) - s + exp(-phi) is clamped at its lower bound
-    0 against rounding.  The residuals are max_i |s_i - exp(-phi_i)|.
+    The dual's coupling term is eps * (nu_X(X) - gamma(X)); with s_i the
+    marginal densities, the gap sum_i mu_i (F(s_i) + F*(-phi_i) + s_i phi_i)
+    is exactly primal - dual, each term clamped at 0 against rounding.  The
+    residuals are max_i |s_i - exp(-phi_i)|.  With ``marg0`` None only the
+    dual is computed (gap and residuals are None).
     """
+    dual = eps * (nu_mass - float(np.sum(marg1)))
     gap, res = 0.0, []
     for m, p, marg in ((mu0_w, phi.phi0, marg0), (mu1_w, phi.phi1, marg1)):
         pos = m > 0
-        s, p = marg[pos] / m[pos], p[pos]
-        w = np.exp(-p)
+        m, p = m[pos], p[pos]
+        dual += float(np.sum(m * -np.expm1(-p)))
+        if marg0 is None:
+            continue
+        s, w = marg[pos] / m, np.exp(-p)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(s > 0, s * (np.log(s) + p) - s + w, w)
-        gap += float(np.sum(m[pos] * np.maximum(terms, 0.0)))
+        gap += float(np.sum(m * np.maximum(terms, 0.0)))
         res.append(float(np.max(np.abs(s - w), initial=0.0)))
-    return gap, (res[0], res[1])
+    return (dual, None, None) if marg0 is None else (dual, gap, tuple(res))
 
 
 def _converged(gap: float, primal: float, residuals, tol: float) -> bool:
@@ -372,9 +371,10 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 
     Runs the KL steps of ``scaling_kernel`` until the Fenchel-Young gap and
     the first-order marginal residuals, checked every 5 iterations from the
-    marginals the sweep computes, meet ``config.tolerance``; the reported
-    verdict applies the same test to the returned plan.  ``init`` optionally
-    warm starts the log-scaling vectors (f, g) = (phi0, phi1)/eps;
+    marginals the sweep computes, meet ``config.tolerance``.  The report
+    applies the same assessment to the returned plan, the scaling plan of
+    the returned potentials, so its primal value is dual + gap.  ``init``
+    optionally warm starts the log-scaling vectors (f, g) = (phi0, phi1)/eps;
     ``on_iteration`` receives (iteration, dual value) after every update
     pair, which is how dual monotonicity is observed.
     """
@@ -383,6 +383,7 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     _check_instance(mu0, mu1, cost, nu_x)
     eps = config.eps
     mu0_w, mu1_w = mu0.weights, mu1.weights
+    nu_mass = float(np.sum(nu_x.weights))
 
     if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:
         # one side empty: the zero plan is optimal outright
@@ -392,38 +393,26 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         g = np.full(mu1.ground.size, lo if mu1.total_mass == 0.0 else hi)
         iters = 0
     else:
-        log_k = log_kernel(nu_x.weights, cost.values, eps)
-        nu_mass = float(np.sum(nu_x.weights))
-
         def check(it, f, g, marg0, marg1):
             if on_iteration is None and marg0 is None:
                 return False
-            phi = _clamped_potentials(f, g, eps)
-            # dual in O(n): the coupling term eps * nu_X(1 - exp(.)) is
-            # eps * (nu_X(X) - gamma(X)) for the scaling plan
-            dual = eps * (nu_mass - float(np.sum(marg1)))
-            for m, p in ((mu0_w, phi.phi0), (mu1_w, phi.phi1)):
-                dual += float(np.sum(m[m > 0] * -np.expm1(-p[m > 0])))
+            dual, gap, res = _assess(_clamped_potentials(f, g, eps), marg0, marg1,
+                                     mu0_w, mu1_w, eps, nu_mass)
             if on_iteration is not None:
                 on_iteration(it, dual)
-            if marg0 is None:
-                return False
-            gap, res = _certificate(marg0, marg1, mu0_w, mu1_w, phi)
-            return _converged(gap, dual + gap, res, config.tolerance)
+            return marg0 is not None and _converged(gap, dual + gap, res, config.tolerance)
 
         g = np.zeros(mu1.ground.size) if init is None else init[1]
         step = proximal_step(mu0_w, mu1_w, 1.0 / (1.0 + eps))
-        f, g, iters, gamma = scaling_kernel(log_k, mu0_w, mu1_w, step, g,
-                                            config.max_iters, 5, check)
+        f, g, iters, gamma = scaling_kernel(log_kernel(nu_x.weights, cost.values, eps),
+                                            mu0_w, mu1_w, step, g, config.max_iters, 5, check)
 
-    plan = Plan(mu0.ground, mu1.ground, gamma)
     phi = _clamped_potentials(f, g, eps)
-    primal = eval_primal_eps(plan, mu0, mu1, cost, nu_x, eps)
-    dual = eval_dual_eps(phi, mu0, mu1, cost, nu_x, eps)
-    gap, res = _certificate(gamma.sum(axis=1), gamma.sum(axis=0), mu0_w, mu1_w, phi)
-    report = SolveReport(primal, dual, gap, iters, res,
-                         _converged(gap, primal, res, config.tolerance))
-    return plan, phi, report
+    dual, gap, res = _assess(phi, gamma.sum(axis=1), gamma.sum(axis=0), mu0_w, mu1_w,
+                             eps, nu_mass)
+    report = SolveReport(dual + gap, dual, gap, iters, res,
+                         _converged(gap, dual + gap, res, config.tolerance))
+    return Plan(mu0.ground, mu1.ground, gamma), phi, report
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +423,11 @@ _CONTINUATION_EPS = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4)
 
 
 def eval_primal_unreg(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                      cost: CostMatrix, entropy: EntropyFunction = KL) -> float:
+                      cost: CostMatrix) -> float:
+    """Unregularised value Div(g0|mu0) + Div(g1|mu1) + (c,g)."""
     g = plan.weights
-    total = divergence_arrays(entropy, g.sum(axis=1), mu0.weights)
-    total += divergence_arrays(entropy, g.sum(axis=0), mu1.weights)
+    total = divergence_arrays(KL, g.sum(axis=1), mu0.weights)
+    total += divergence_arrays(KL, g.sum(axis=0), mu1.weights)
     total += _coupling_value(cost.values, g)
     return total
 

@@ -35,7 +35,8 @@ share one implementation of the marginals, the objective and the rescaling.
 
 The stop test reads the homogeneous marginals off the line marginals the
 kernel computes every iteration; the row mat-vec they need is the next
-iteration's first reduction.  Plans are immutable snapshots.
+iteration's first reduction; the report reads the primal value off the
+same marginal defects.  Plans are immutable snapshots.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostMatrix, perspective_H, perspective_H_eps
-from .entropy import KL, divergence_arrays
+from .entropy import KL
 from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan
 from .simplex import LpResult, atom_lp, transport_lp
 from .solver_x import SolveReport, SolverConfig, scaling_kernel
@@ -400,13 +401,12 @@ def _tilt_step(sps, mus, lams):
 
 def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                 p: float, grids: tuple[RadialGrid, RadialGrid],
-                nu_y: Optional[AtomPlan], eps: float, config: SolverConfig,
+                nu_y: Optional[AtomPlan], config: SolverConfig,
                 ) -> tuple[AtomPlan, SolveReport]:
     """Entropic extended-space solve by generalized iterative scaling.
 
     Minimises (H_p, alpha) + eps * Div(alpha | nu_Y) subject to
-    h_i^p alpha = mu_i.  The explicit ``eps`` governs the regularisation;
-    ``config`` carries the iteration controls.  nu_Y must be a probability
+    h_i^p alpha = mu_i, with eps = ``config.eps``.  nu_Y must be a probability
     measure over the atom tensor (default: uniform over atoms with positive
     radial values).
     Targets below 0.25 are reached by an eps-continuation ladder with
@@ -418,9 +418,11 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     max(200, max_iters // 4) of them and leaves at least one to the target
     stage, whose plan is returned; the verdict applies the target stage's
     test to that plan.
-    ``dual`` is the weak-duality lower bound; the gap is
-    eps * sum_i (|lambda_i|, |h_i^p alpha - mu_i|), nonnegative by construction
-    and at least |primal - dual| = |eps * sum_i (lambda_i, h_i^p alpha - mu_i)|.
+    ``dual`` is the weak-duality lower bound.  The plan is the scaling plan
+    nu_Y exp(-H_p/eps + lambda_0 s0^p + lambda_1 s1^p) of the tilts, so its
+    primal value is dual + eps * sum_i (lambda_i, d_i) over the defects
+    d_i = h_i^p alpha - mu_i; the gap eps * sum_i (|lambda_i|, |d_i|) is
+    nonnegative by construction and at least |primal - dual|.
     """
     grid0, grid1 = grids
     if nu_y is None:
@@ -432,6 +434,7 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         raise ValueError("nu_Y must be a probability measure over the atoms")
     _check_reachable(mu0, grid0, "first")
     _check_reachable(mu1, grid1, "second")
+    eps = config.eps
 
     sps = (grid0.nodes ** p, grid1.nodes ** p)
     mus = (mu0.weights, mu1.weights)
@@ -473,10 +476,10 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 
     alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(h.shape))
     alpha_w = alpha.weights
-    primal = float(np.sum(h * alpha_w)) + eps * divergence_arrays(KL, alpha_w, nu_y.weights)
     dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)
                   + nu_y.total_mass - float(np.sum(alpha_w)))
     d = defects((alpha_w.sum(axis=(2, 3)).ravel(), alpha_w.sum(axis=(0, 1)).ravel()))
+    primal = dual + eps * sum(float(lam @ x) for lam, x in zip(lams, d))
     gap = eps * sum(float(np.abs(lam) @ np.abs(x)) for lam, x in zip(lams, d))
     res = residuals(d)
     report = SolveReport(primal, dual, gap, iters_total, res, max(res) <= config.tolerance)

@@ -181,7 +181,7 @@ def test_criterion_5_monotone_convergence():
         values = []
         for eps in eps_list:
             config = SolverConfig(eps=eps, tolerance=1e-11, max_iters=40_000)
-            _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu, eps, config)
+            _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu, config)
             values.append(rep.primal)
         steps = [b - a for a, b in zip(values, values[1:])]
         worst_step = max(worst_step, max(steps))
@@ -355,7 +355,7 @@ def test_criterion_10_generic_minimizer_equivalence():
 
         grids = default_grids(mu0, mu1, 1.0, n_nodes=6, smin_frac=0.05)
         nu_y = default_nu_y(mu0, mu1, grids, 1.0)
-        alpha, rep_y = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu_y, eps,
+        alpha, rep_y = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu_y,
                                    SolverConfig(eps=eps, tolerance=1e-12, max_iters=30_000))
         h = hp_tensor(cost, grids[0], grids[1], 1.0).ravel()
         nu_flat = nu_y.weights.ravel()

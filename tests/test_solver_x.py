@@ -315,8 +315,13 @@ def test_stabilization_modes_agree():
 
 def assert_matches_log_domain(mu0, mu1, cost, nu, config, init=None):
     """Same primal (1e-9 relative), iteration count and verdict as the
-    log-domain loop with full evaluations; returns the report."""
-    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, config, init=init)
+    log-domain loop with full evaluations, and a report whose primal and
+    dual equal the n x n evaluators at the returned plan and potentials
+    (1e-12 relative); returns the report."""
+    plan, phi, rep = solve_x_eps(mu0, mu1, cost, nu, config, init=init)
+    for got, want in ((rep.primal, eval_primal_eps(plan, mu0, mu1, cost, nu, config.eps)),
+                      (rep.dual, eval_dual_eps(phi, mu0, mu1, cost, nu, config.eps))):
+        assert abs(got - want) <= 1e-12 * abs(want)
     want, iters, converged, _ = solve_x_log_domain(
         mu0.weights, mu1.weights, cost.values, nu.weights, config.eps,
         config.tolerance, config.max_iters, None if init is None else init[1])
@@ -396,9 +401,13 @@ def test_kernel_point_reaching_only_massless_points():
     mu1 = DiscreteMeasure(g1, [0.8, 0.0, 0.6])
     cost = CostMatrix(np.array([[np.inf, 0.3, np.inf], [0.2, 0.1, 0.4], [0.5, np.inf, 0.1]]))
     nu = default_nu_x(mu0, DiscreteMeasure(g1, [0.8, 0.3, 0.6]))
-    rep = assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=0.3))
+    config = SolverConfig(eps=0.3)
+    rep = assert_matches_log_domain(mu0, mu1, cost, nu, config)
     assert rep.converged
     assert rep.primal - rep.dual == pytest.approx(rep.gap, abs=1e-12)
+    plan, phi, _ = solve_x_eps(mu0, mu1, cost, nu, config)
+    assert (eval_primal_eps(plan, mu0, mu1, cost, nu, 0.3) - eval_dual_eps(phi, mu0, mu1, cost, nu, 0.3)
+            == pytest.approx(rep.gap, abs=1e-12))
 
 
 def test_kernel_warm_start_matches_log_domain():

@@ -176,7 +176,7 @@ def test_eps_values_decrease_with_eps():
     grids = default_grids(mu, mu, 1.0, n_nodes=12, smin_frac=1e-2)
     vals = []
     for eps in (0.5, 0.1):
-        _, rep = solve_y_eps(mu, mu, cost, 1.0, grids, None, eps,
+        _, rep = solve_y_eps(mu, mu, cost, 1.0, grids, None,
                              SolverConfig(eps=eps, tolerance=1e-10))
         vals.append(rep.primal)
         assert rep.primal >= 0.0
@@ -195,7 +195,7 @@ def test_eps_sweep_monotone_toward_unreg():
     _, unreg = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
     vals = []
     for eps in (1.0, 0.5, 0.2, 0.1, 0.05):
-        _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, eps,
+        _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None,
                              SolverConfig(eps=eps, tolerance=1e-10, max_iters=30_000))
         vals.append(rep.primal)
     assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
@@ -326,7 +326,7 @@ def test_eps_budget_bounds_the_whole_ladder(max_iters):
     # family-1 projection at the target eps, so that family is met exactly
     mu0, mu1, cost, grids = massless_instance(np.random.default_rng(73), "sqeuclidean", 1.0)
     eps = 0.05
-    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, eps,
+    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None,
                              SolverConfig(eps=eps, max_iters=max_iters))
     assert 1 <= rep.iterations <= max_iters
     assert not rep.converged
@@ -345,13 +345,16 @@ def test_eps_zero_radial_atoms_stay_free_at_massless_points():
     mu0, mu1, cost, grids = massless_instance(np.random.default_rng(75), "sqeuclidean", 1.0)
     nu = AtomPlan(mu0.ground, mu1.ground, grids, 1.0, np.full((4, 12, 5, 12), 1.0 / 2880))
     eps = 0.5
-    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu, eps,
+    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu,
                              SolverConfig(eps=eps, tolerance=1e-10))
     assert rep.converged
-    factor = alpha.weights[:, 0] / (nu.weights[:, 0] * np.exp(
-        -hp_tensor(cost, grids[0], grids[1], 1.0)[:, 0] / eps))
+    h = hp_tensor(cost, grids[0], grids[1], 1.0)
+    factor = alpha.weights[:, 0] / (nu.weights[:, 0] * np.exp(-h[:, 0] / eps))
     assert mu0.weights[1] == 0.0 and np.all(factor[1, mu1.weights > 0] > 0.0)
     assert np.allclose(factor, factor[0], rtol=1e-12, atol=0.0)
+    # the report's primal, read off the marginal defects, is the full-tensor value
+    want = float(np.sum(h * alpha.weights)) + eps * divergence_arrays(KL, alpha.weights, nu.weights)
+    assert abs(rep.primal - want) <= 1e-12 * abs(want)
 
 
 def absorption_runs():
@@ -362,7 +365,7 @@ def absorption_runs():
         for eps in (0.5, 0.05):
             config = SolverConfig(eps=eps, tolerance=1e-10)
             runs.append(lambda mu0=mu0, mu1=mu1, cost=cost, grids=grids, eps=eps, config=config:
-                        solve_y_eps(mu0, mu1, cost, 1.0, grids, None, eps, config)[1])
+                        solve_y_eps(mu0, mu1, cost, 1.0, grids, None, config)[1])
     return runs
 
 
@@ -392,7 +395,7 @@ def test_eps_solver_matches_constrained_oracle():
     grids = default_grids(mu0, mu1, 1.0, n_nodes=6, smin_frac=0.05)
     nu = default_nu_y(mu0, mu1, grids, 1.0)
     eps = 0.3
-    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu, eps,
+    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu,
                              SolverConfig(eps=eps, tolerance=1e-12, max_iters=30_000))
 
     h = hp_tensor(cost, grids[0], grids[1], 1.0).ravel()
@@ -432,7 +435,7 @@ def test_eps_solver_validates_reference():
     bad = default_nu_y(mu, mu, grids, 1.0)
     bad = AtomPlan(bad.row_ground, bad.col_ground, bad.grids, 1.0, bad.weights * 2.0)
     with pytest.raises(ValueError):
-        solve_y_eps(mu, mu, cost, 1.0, grids, bad, 0.5, SolverConfig(eps=0.5))
+        solve_y_eps(mu, mu, cost, 1.0, grids, bad, SolverConfig(eps=0.5))
 
 
 def test_eps_gap_is_a_nonnegative_bound_on_primal_minus_dual():
@@ -444,7 +447,7 @@ def test_eps_gap_is_a_nonnegative_bound_on_primal_minus_dual():
     mu1 = DiscreteMeasure(g1, rng.uniform(0.5, 1.5, 7))
     cost = sqeuclidean_matrix(g0, g1)
     grids = default_grids(mu0, mu1, 1.0, n_nodes=16)
-    _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, 0.1,
+    _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None,
                          SolverConfig(eps=0.1, tolerance=1e-10))
     assert rep.converged
     assert rep.gap >= 0.0
@@ -465,7 +468,7 @@ def test_eps_solver_infeasible_when_support_unreachable():
     w /= w.sum()
     nu_bad = AtomPlan(nu.row_ground, nu.col_ground, nu.grids, 1.0, w)
     with pytest.raises(InfeasibleProblemError):
-        solve_y_eps(mu0, mu1, cost, 1.0, grids, nu_bad, 0.5, SolverConfig(eps=0.5))
+        solve_y_eps(mu0, mu1, cost, 1.0, grids, nu_bad, SolverConfig(eps=0.5))
 
 
 # ---------------------------------------------------------------------------
