@@ -10,19 +10,10 @@ from .costs import (
     hk_matrix,
     perspective_H,
     perspective_H_eps,
-    perspective_H_p,
-    perspective_H_p_eps,
     second_order_H_tilde,
     sqeuclidean_matrix,
 )
-from .entropy import (
-    BALANCED,
-    KL,
-    EntropyFunction,
-    EntropyKind,
-    divergence,
-    entropy_by_name,
-)
+from .entropy import divergence
 from .measures import (
     DiscreteMeasure,
     GroundMismatchError,

@@ -42,7 +42,7 @@ from .measures import (
 )
 from .simplex import balanced_masses, transport_lp
 from .solver_x import SolveReport, SolverConfig, default_nu_x, solve_x_eps
-from .solver_y import RadialGrid, default_grids, solve_y_eps, solve_y_unreg
+from .solver_y import RadialGrid, default_grids, mass_cap, solve_y_eps, solve_y_unreg
 
 log = logging.getLogger("uotlab")
 
@@ -101,12 +101,6 @@ def _load_nu(path: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
     return Plan(mu0.ground, mu1.ground, weights)
 
 
-def _report_dict(report: SolveReport) -> dict:
-    d = asdict(report)
-    d["marginal_residuals"] = list(report.marginal_residuals)
-    return d
-
-
 def _write_record(path: str, args, subcommand: str, t0: float, **fields) -> None:
     """Write a subcommand's record: the echoed arguments, the version,
     ``fields`` and the wall-clock seconds since ``t0``."""
@@ -153,22 +147,23 @@ def _cmd_solve_x(args) -> int:
     mu1 = _load_measure(args.mu1)
     cost = _cost_matrix(args.cost, mu0, mu1)
     nu = _load_nu(args.nu, mu0, mu1) if args.nu else default_nu_x(mu0, mu1)
+    config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
     if args.entropy == "balanced":
         # sharp marginals: plain balanced scaling against the reference
         if not balanced_masses(mu0.total_mass, mu1.total_mass):
             raise InputError("balanced marginal entropies need equal masses")
         gamma, iters, residual = balanced_sinkhorn(
-            mu0.weights, mu1.weights, cost.values, args.eps, nu.weights,
-            tol=args.tol, max_iters=args.max_iters)
-        value = balanced_entropic_value(gamma, mu0.weights, cost.values, args.eps, nu.weights)
+            mu0.weights, mu1.weights, cost.values, config.eps, nu.weights,
+            tol=config.tolerance, max_iters=config.max_iters)
+        value = balanced_entropic_value(gamma, mu0.weights, cost.values, config.eps,
+                                        nu.weights)
         report = SolveReport(value, value, 0.0, iters, (residual, residual),
-                             residual <= args.tol)
+                             residual <= config.tolerance)
         plan = Plan(mu0.ground, mu1.ground, gamma)
     else:
-        config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
         plan, phi, report = solve_x_eps(mu0, mu1, cost, nu, config)
     extra = {"plan": plan_to_dict(plan)} if args.emit_plan else {}
-    _write_record(args.out, args, "solve-x", t0, report=_report_dict(report), **extra)
+    _write_record(args.out, args, "solve-x", t0, report=asdict(report), **extra)
     return 0 if report.converged else 2
 
 
@@ -181,7 +176,7 @@ def _cmd_solve_y(args) -> int:
                           smin_frac=args.smin_frac)
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
     alpha, report = solve_y_eps(mu0, mu1, cost, args.p, grids, None, config)
-    _write_record(args.out, args, "solve-y", t0, report=_report_dict(report))
+    _write_record(args.out, args, "solve-y", t0, report=asdict(report))
     return 0 if report.converged else 2
 
 
@@ -236,11 +231,11 @@ def _cmd_compare(args) -> int:
     cost = _cost_matrix(args.cost, mu0, mu1)
     nu = default_nu_x(mu0, mu1)
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
+    grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
+                          smin_frac=args.smin_frac)
 
     _, _, report_x = solve_x_eps(mu0, mu1, cost, nu, config)
     _, value_ext = solve_x_extended_refined(mu0, mu1, cost, nu, args.eps, args.p)
-    grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
-                          smin_frac=args.smin_frac)
     _, report_y = solve_y_eps(mu0, mu1, cost, args.p, grids, None, config)
 
     values = {
@@ -254,7 +249,7 @@ def _cmd_compare(args) -> int:
         for i, a in enumerate(names) for b in names[i + 1:]
     }
     _write_record(args.out, args, "compare", t0, values=values, residuals=residuals,
-                  reports={"x": _report_dict(report_x), "y": _report_dict(report_y)})
+                  reports={"x": asdict(report_x), "y": asdict(report_y)})
     return 0 if (report_x.converged and report_y.converged) else 2
 
 
@@ -263,9 +258,9 @@ def _cmd_lift_check(args) -> int:
     mu0 = _load_measure(args.mu0)
     mu1 = _load_measure(args.mu1)
     cost = _cost_matrix(args.cost, mu0, mu1)
-    cap = (mu0.total_mass + mu1.total_mass) ** (1.0 / args.p)
-    grid = RadialGrid.geometric(max(cap, 1e-9), n_nodes=args.radial_nodes,
-                                smin_frac=args.smin_frac)
+    config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
+    grid = RadialGrid.geometric(max(mass_cap(mu0, mu1, args.p), 1e-9),
+                                n_nodes=args.radial_nodes, smin_frac=args.smin_frac)
     values: dict = {}
     residuals: dict = {}
     converged = True
@@ -282,32 +277,28 @@ def _cmd_lift_check(args) -> int:
         nu = default_nu_x(mu0, mu1)
         s_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
         result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, args.p,
-                                           (s_grid, grid), args.eps)
+                                           (s_grid, grid), config.eps)
         values["lifted_balanced_eps"] = result.value
         values["status"] = result.status
         if result.feasible:
             gamma, _, _ = balanced_sinkhorn(mu0.weights, mu1.weights, cost.values,
-                                            args.eps, nu.weights)
-            ref = balanced_entropic_value(gamma, mu0.weights, cost.values, args.eps,
+                                            config.eps, nu.weights)
+            ref = balanced_entropic_value(gamma, mu0.weights, cost.values, config.eps,
                                           nu.weights)
             values["balanced_entropic"] = ref
             residuals["lifted_eps_vs_entropic"] = abs(result.value - ref)
     elif args.which == "x-extended":
         nu = default_nu_x(mu0, mu1)
-        _, value = solve_x_extended_refined(mu0, mu1, cost, nu, args.eps, args.p)
-        config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
+        _, value = solve_x_extended_refined(mu0, mu1, cost, nu, config.eps, args.p)
         _, _, report = solve_x_eps(mu0, mu1, cost, nu, config)
         values["solve_x_extended"] = value
         values["solve_x_eps"] = report.primal
         residuals["extended_vs_sinkhorn"] = abs(value - report.primal)
         converged = report.converged
     elif args.which == "second-order":
-        grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
-                              smin_frac=args.smin_frac)
         w_grid = RadialGrid.geometric(2.0, n_nodes=6, smin_frac=0.1)
-        value, _ = solve_second_order_lift(mu0, mu1, cost, args.p,
-                                           (grids[0], grids[1], w_grid))
-        _, y_value = solve_y_unreg(mu0, mu1, cost, args.p, grids)
+        value, _ = solve_second_order_lift(mu0, mu1, cost, args.p, (grid, grid, w_grid))
+        _, y_value = solve_y_unreg(mu0, mu1, cost, args.p, (grid, grid))
         values["second_order"] = value
         values["solve_y_unreg"] = y_value
         residuals["second_order_vs_y"] = abs(value - y_value)

@@ -5,7 +5,7 @@ cost c is the shared-scale infimum
 
     H(s0, s1, c) = inf_{t>0} t * (R(s0/t) + R(s1/t) + c),
 
-which for KL reverse entropies has the closed form
+with R the reverse KL entropy, which closes to
 ``s0 + s1 - 2 sqrt(s0 s1) exp(-c/2)``.  Its regularised counterpart adds a
 third radial value S weighted by eps inside the infimum and closes to
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import KL, EntropyFunction, EntropyKind
 from .measures import GroundSet
 
 HALF_PI = math.pi / 2.0
@@ -79,7 +78,7 @@ def hk_matrix(g0: GroundSet, g1: GroundSet) -> CostMatrix:
 # Perspective costs
 # ---------------------------------------------------------------------------
 
-def perspective_H(s0, s1, c, entropy: EntropyFunction = KL):
+def perspective_H(s0, s1, c):
     """Marginal perspective cost H(s0, s1, c); vectorized over arrays."""
     a0, a1, cc = np.broadcast_arrays(
         np.asarray(s0, dtype=float), np.asarray(s1, dtype=float), np.asarray(c, dtype=float)
@@ -87,20 +86,14 @@ def perspective_H(s0, s1, c, entropy: EntropyFunction = KL):
     scalar = a0.ndim == 0
     if np.any(a0 < 0) or np.any(a1 < 0):
         raise ValueError("radial arguments must be nonnegative")
-    if entropy.kind is EntropyKind.KL:
-        infc = np.isinf(cc)
-        expf = np.where(infc, 0.0, np.exp(-np.where(infc, 0.0, cc) / 2.0))
-        out = np.maximum(a0 + a1 - 2.0 * np.sqrt(a0 * a1) * expf, 0.0)
-    else:
-        # sharp marginals force a common scale: a*c on the diagonal, else +inf
-        diag = a0 == a1
-        prod = np.where(diag & (a0 == 0), 0.0, np.where(a0 == 0, 1.0, a0) * cc)
-        out = np.where(diag, prod, np.inf)
+    infc = np.isinf(cc)
+    expf = np.where(infc, 0.0, np.exp(-np.where(infc, 0.0, cc) / 2.0))
+    out = np.maximum(a0 + a1 - 2.0 * np.sqrt(a0 * a1) * expf, 0.0)
     return float(out) if scalar else out
 
 
 def perspective_H_eps(s0, s1, S, c, eps: float):
-    """Regularised marginal perspective cost H_eps(s0, s1, S, c) for KL."""
+    """Regularised marginal perspective cost H_eps(s0, s1, S, c)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     a0, a1, aS, cc = np.broadcast_arrays(
@@ -125,28 +118,6 @@ def perspective_H_eps(s0, s1, S, c, eps: float):
     )
     out = np.maximum(a0 + a1 + eps * aS - term, 0.0)
     return float(out) if scalar else out
-
-
-def perspective_H_p(x0_idx, s0, x1_idx, s1, cost: CostMatrix, p: float):
-    """p-th power perspective cost H_p(y0, y1) = H(x0, s0^p, x1, s1^p) for KL."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    c = cost.values[np.asarray(x0_idx), np.asarray(x1_idx)]
-    return perspective_H(np.asarray(s0, dtype=float) ** p, np.asarray(s1, dtype=float) ** p, c)
-
-
-def perspective_H_p_eps(x0_idx, s0, x1_idx, s1, S, cost: CostMatrix, p: float, eps: float):
-    """Regularised p-th power perspective cost H_eps(x0, s0^p, x1, s1^p, S^p)."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    c = cost.values[np.asarray(x0_idx), np.asarray(x1_idx)]
-    return perspective_H_eps(
-        np.asarray(s0, dtype=float) ** p,
-        np.asarray(s1, dtype=float) ** p,
-        np.asarray(S, dtype=float) ** p,
-        c,
-        eps,
-    )
 
 
 def second_order_H_tilde(s0, s1, w0, w1, H_val):

@@ -1,33 +1,25 @@
-"""Entropy functions, their reverses and Legendre duals, and divergences.
+"""The KL entropy function, its reverse and Legendre duals, and the divergence.
 
-Two kinds ship as a closed enumeration:
+    F(s)     = s log s - s + 1,   F(0) = 1,   recession F'_inf = +inf,
+    F*(p)    = exp(p) - 1,
+    R(s)     = s F(1/s) = s - log s - 1,   R(0) = F'_inf = +inf,
+    R*(q)    = -log(1 - q),
 
-* ``kl``        F(s) = s log s - s + 1, recession F'_inf = +inf,
-                F*(p) = exp(p) - 1, R(s) = s - log s - 1, R*(q) = -log(1 - q).
-* ``balanced``  the sharp indicator F(s) = 0 iff s = 1 else +inf, whose
-                divergence pins a measure to its reference exactly;
-                F*(p) = p and R*(q) = q.
-
-The reverse entropy is R(s) = s F(1/s) for s > 0 with R(0) = F'_inf, and
-R'_inf = F(0) in both cases.  Conventions: 0 log 0 = 0, and the singular
-term F'_inf * (singular mass) is 0 when the singular mass is exactly 0 even
-if F'_inf = +inf.
+and the recession constant of the reverse entropy is R'_inf = F(0) = 1.
+Conventions: 0 log 0 = 0, and the singular term F'_inf * (singular mass) is
+0 when the singular mass is exactly 0 and +inf otherwise.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import DiscreteMeasure, GroundMismatchError, Plan, split_arrays
 
-
-class EntropyKind(enum.Enum):
-    KL = "kl"
-    BALANCED = "balanced"
+F_ZERO = 1.0
+"""F(0), which is also the reverse recession constant R'_inf."""
 
 
 def _as_array(s):
@@ -35,112 +27,63 @@ def _as_array(s):
     return arr, arr.ndim == 0
 
 
-@dataclass(frozen=True)
-class EntropyFunction:
-    """Bundle of F, F(0), F'_inf and the derived reverse/dual maps."""
-
-    kind: EntropyKind
-
-    # -- primitive values ---------------------------------------------------
-    @property
-    def F_zero(self) -> float:
-        return 1.0 if self.kind is EntropyKind.KL else math.inf
-
-    @property
-    def F_inf(self) -> float:
-        """Recession constant lim F(s)/s; +inf for both shipped kinds."""
-        return math.inf
-
-    @property
-    def R_inf(self) -> float:
-        """Recession constant of the reverse entropy; equals F(0)."""
-        return self.F_zero
-
-    # -- scalar maps (vectorized over numpy arrays) -------------------------
-    def F(self, s):
-        arr, scalar = _as_array(s)
-        if np.any(arr < 0):
-            raise ValueError("entropy functions are defined on s >= 0")
-        if self.kind is EntropyKind.KL:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(arr > 0, arr * np.log(np.where(arr > 0, arr, 1.0)) - arr + 1.0, 1.0)
-        else:
-            out = np.where(arr == 1.0, 0.0, math.inf)
-        return float(out) if scalar else out
-
-    def R(self, s):
-        arr, scalar = _as_array(s)
-        if np.any(arr < 0):
-            raise ValueError("reverse entropies are defined on s >= 0")
-        if self.kind is EntropyKind.KL:
-            with np.errstate(divide="ignore"):
-                out = np.where(arr > 0, arr - np.log(np.where(arr > 0, arr, 1.0)) - 1.0, math.inf)
-        else:
-            out = np.where(arr == 1.0, 0.0, math.inf)
-        return float(out) if scalar else out
-
-    def F_star(self, phi):
-        arr, scalar = _as_array(phi)
-        if self.kind is EntropyKind.KL:
-            out = np.expm1(arr)
-        else:
-            out = arr.copy()
-        return float(out) if scalar else out
-
-    def R_star(self, psi):
-        arr, scalar = _as_array(psi)
-        if self.kind is EntropyKind.KL:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(arr < 1.0, -np.log1p(-np.where(arr < 1.0, arr, 0.0)), math.inf)
-        else:
-            out = arr.copy()
-        return float(out) if scalar else out
+def F(s):
+    arr, scalar = _as_array(s)
+    if np.any(arr < 0):
+        raise ValueError("entropy functions are defined on s >= 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(arr > 0, arr * np.log(np.where(arr > 0, arr, 1.0)) - arr + 1.0, 1.0)
+    return float(out) if scalar else out
 
 
-KL = EntropyFunction(EntropyKind.KL)
-BALANCED = EntropyFunction(EntropyKind.BALANCED)
+def R(s):
+    arr, scalar = _as_array(s)
+    if np.any(arr < 0):
+        raise ValueError("reverse entropies are defined on s >= 0")
+    with np.errstate(divide="ignore"):
+        out = np.where(arr > 0, arr - np.log(np.where(arr > 0, arr, 1.0)) - 1.0, math.inf)
+    return float(out) if scalar else out
 
 
-def entropy_by_name(name: str) -> EntropyFunction:
-    try:
-        return EntropyFunction(EntropyKind(name.lower()))
-    except ValueError as exc:
-        raise ValueError(f"unknown entropy kind {name!r}; use 'kl' or 'balanced'") from exc
+def F_star(phi):
+    arr, scalar = _as_array(phi)
+    out = np.expm1(arr)
+    return float(out) if scalar else out
 
 
-def divergence_arrays(e: EntropyFunction, measure: np.ndarray, reference: np.ndarray) -> float:
-    """Divergence sum_ref F(measure/reference) * reference + F'_inf * singular mass.
+def R_star(psi):
+    arr, scalar = _as_array(psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(arr < 1.0, -np.log1p(-np.where(arr < 1.0, arr, 0.0)), math.inf)
+    return float(out) if scalar else out
 
-    Shared array-level core for measures and plans.  +inf propagates exactly:
-    any singular mass against an infinite recession constant gives +inf, and
-    a zero singular mass contributes exactly 0.
+
+def divergence_arrays(measure: np.ndarray, reference: np.ndarray) -> float:
+    """KL divergence sum_ref F(measure/reference) * reference, +inf when the
+    measure has singular mass against the reference.
+
+    Shared array-level core for measures and plans.
     """
     m = np.asarray(measure, dtype=float)
     r = np.asarray(reference, dtype=float)
     density, singular = split_arrays(m, r)
-    singular_mass = float(np.sum(singular))
     pos = r > 0
-    values = e.F(density[pos]) if np.any(pos) else np.zeros(0)
-    if np.any(np.isinf(values) & (r[pos] > 0)):
+    values = F(density[pos])
+    if float(np.sum(singular)) > 0:
         return math.inf
-    total = float(np.sum(values * r[pos]))
-    if singular_mass > 0:
-        if math.isinf(e.F_inf):
-            return math.inf
-        total += e.F_inf * singular_mass
-    return total
+    return float(np.sum(values * r[pos]))
 
 
-def divergence(e: EntropyFunction, measure, reference) -> float:
-    """Divergence of a measure (or plan) against a reference on the same ground."""
+def divergence(measure, reference) -> float:
+    """KL divergence of a measure (or plan) against a reference on the same ground."""
     if isinstance(measure, DiscreteMeasure) and isinstance(reference, DiscreteMeasure):
         if measure.ground is not reference.ground:
             raise GroundMismatchError("divergence requires a shared ground set")
-        return divergence_arrays(e, measure.weights, reference.weights)
+        return divergence_arrays(measure.weights, reference.weights)
     if isinstance(measure, Plan) and isinstance(reference, Plan):
         if measure.row_ground is not reference.row_ground or (
             measure.col_ground is not reference.col_ground
         ):
             raise GroundMismatchError("divergence requires shared ground sets")
-        return divergence_arrays(e, measure.weights, reference.weights)
-    return divergence_arrays(e, measure, reference)
+        return divergence_arrays(measure.weights, reference.weights)
+    return divergence_arrays(measure, reference)

@@ -62,6 +62,8 @@ def grid_measure(n_per_side: int, dim: int, weights=None,
                  rng: Optional[np.random.Generator] = None,
                  box: float = 1.0) -> GridMeasure:
     """Uniform grid of cell centers over [0, box]^dim with given weights."""
+    if n_per_side < 1 or dim < 1:
+        raise ValueError("grid measures need at least one cell per side and dimension")
     axes = [(np.arange(n_per_side) + 0.5) * (box / n_per_side)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
@@ -185,6 +187,8 @@ def verify_identities(mu: GridMeasure, nu: GridMeasure, eps: float) -> dict:
     """
     if mu.dim != nu.dim:
         raise ValueError("grid measures must share the ambient dimension")
+    if not (0.0 < eps < math.inf):
+        raise ValueError("eps must be positive and finite")
     d = mu.dim
     (v1, g1, r1), (v2, g2, r2), (v3, g3, r3), (v1_2eps, g1_2eps, r1_2eps) = (
         _solve(mu, nu, e, k) for e, k in ((eps, 1), (eps, 2), (eps, 3), (2.0 * eps, 1)))

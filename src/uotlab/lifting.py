@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostMatrix, perspective_H, perspective_H_eps
-from .entropy import KL
+from . import entropy
 from .measures import DiscreteMeasure, GroundMismatchError, Plan
 from .simplex import LpResult, atom_lp, balanced_masses
 from .solver_y import AtomPlan, RadialGrid, _optimal
@@ -101,7 +101,7 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                              grids[0].nodes ** p, grids[1].nodes ** p)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(sp > 0, ssp / np.where(sp > 0, sp, 1.0), 0.0)
-        penalty = np.where(sp > 0, np.where(ssp > 0, sp * KL.R(ratio), math.inf), ssp)
+        penalty = np.where(sp > 0, np.where(ssp > 0, sp * entropy.R(ratio), math.inf), ssp)
     families = [(i0, sp, mu0.weights), (i1, sp, mu1.weights),
                 (i0 * n1 + i1, ssp, nu_x.weights)]
     return _lift_value(atom_lp(sp * cost.values[i0, i1] + eps * penalty, families))
@@ -129,7 +129,7 @@ def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatri
     h = perspective_H_eps(s0p, s1p, ssp, cost.values[i0, i1], eps)
     families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights),
                 (i0 * n1 + i1, ssp, nu_x.weights)]
-    res = _optimal(atom_lp(h, families, KL.F_zero if mode == "inequality" else None),
+    res = _optimal(atom_lp(h, families, entropy.F_ZERO if mode == "inequality" else None),
                    "extended")
     return AtomPlan(mu0.ground, mu1.ground, tuple(grids), p, res.x), res.value
 

@@ -5,9 +5,9 @@ Implements the four equivalent functionals of the problem
     UOT_eps(mu0, mu1) = inf_gamma  sum_i Div(gamma_i | mu_i) + (c, gamma)
                                    + eps * Div(gamma | nu_X)
 
-over plans gamma on the product support, together with a generalized
-Sinkhorn solver.  The solver performs exact alternating maximisation of the
-concave dual
+over plans gamma on the product support, Div the KL divergence of
+``entropy``, together with a generalized Sinkhorn solver.  The solver
+performs exact alternating maximisation of the concave dual
 
     D(phi) = sum_i mu_i(1 - exp(-phi_i))
              + eps * nu_X(1 - exp((phi_0 + phi_1 - c)/eps)),
@@ -35,9 +35,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .costs import CostMatrix, perspective_H_eps
-from .entropy import KL, EntropyFunction, EntropyKind, divergence_arrays
+from . import entropy
+from .entropy import divergence_arrays
 from .measures import DiscreteMeasure, GroundMismatchError, Plan, split_arrays
-from .simplex import transport_lp
 
 _EXP_CLIP = 700.0  # exp overflow guard
 _LOG_TINY = -745.0  # log of the smallest positive double, used to clamp potentials
@@ -134,7 +134,7 @@ def eval_primal_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     """Primal value Div(g0|mu0) + Div(g1|mu1) + (c,g) + eps*Div(g|nu_X)."""
     _check_instance(mu0, mu1, cost, nu_x)
     return (eval_primal_unreg(plan, mu0, mu1, cost)
-            + eps * divergence_arrays(KL, plan.weights, nu_x.weights))
+            + eps * divergence_arrays(plan.weights, nu_x.weights))
 
 
 def eval_dual_eps(phi: DualPotentials, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -148,11 +148,11 @@ def eval_dual_eps(phi: DualPotentials, mu0: DiscreteMeasure, mu1: DiscreteMeasur
     total = 0.0
     for m, p in ((mu0.weights, phi.phi0), (mu1.weights, phi.phi1)):
         pos = m > 0
-        total += float(np.sum(m[pos] * (-KL.F_star(-p[pos]))))
+        total += float(np.sum(m[pos] * (-entropy.F_star(-p[pos]))))
     expo = (phi.phi0[:, None] + phi.phi1[None, :] - cost.values) / eps
     expo = np.minimum(expo, _EXP_CLIP)
     pos = nu_x.weights > 0
-    total += eps * float(np.sum(nu_x.weights[pos] * (-KL.F_star(expo[pos]))))
+    total += eps * float(np.sum(nu_x.weights[pos] * (-entropy.F_star(expo[pos]))))
     return total
 
 
@@ -168,17 +168,18 @@ def eval_reverse_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 
     pos = g > 0
     integrand = np.zeros_like(g)
-    r0 = KL.R(rho0)
-    r1 = KL.R(rho1)
-    rr = KL.R(varrho[pos]) if np.any(pos) else np.zeros(0)
+    r0 = entropy.R(rho0)
+    r1 = entropy.R(rho1)
+    rr = entropy.R(varrho[pos]) if np.any(pos) else np.zeros(0)
     integrand[pos] = (
         r0[np.nonzero(pos)[0]] + r1[np.nonzero(pos)[1]] + cost.values[pos] + eps * rr
     )
     if np.any(np.isinf(integrand[pos])):
         return math.inf
     total = float(np.sum(integrand[pos] * g[pos]))
-    total += KL.R_inf * float(np.sum(sing0) + np.sum(sing1))
-    total += eps * KL.R_inf * float(np.sum(sing_nu))
+    # plan-null masses cost R'_inf = F(0) per unit
+    total += entropy.F_ZERO * float(np.sum(sing0) + np.sum(sing1))
+    total += eps * entropy.F_ZERO * float(np.sum(sing_nu))
     return total
 
 
@@ -201,7 +202,7 @@ def eval_homogeneous_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         rho0[i_idx], rho1[j_idx], varrho[i_idx, j_idx], cost.values[i_idx, j_idx], eps
     )
     total = float(np.sum(hvals * g[i_idx, j_idx]))
-    total += KL.F_zero * float(np.sum(sing0) + np.sum(sing1) + np.sum(sing_nu))
+    total += entropy.F_ZERO * float(np.sum(sing0) + np.sum(sing1) + np.sum(sing_nu))
     return total
 
 
@@ -426,8 +427,8 @@ def eval_primal_unreg(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                       cost: CostMatrix) -> float:
     """Unregularised value Div(g0|mu0) + Div(g1|mu1) + (c,g)."""
     g = plan.weights
-    total = divergence_arrays(KL, g.sum(axis=1), mu0.weights)
-    total += divergence_arrays(KL, g.sum(axis=0), mu1.weights)
+    total = divergence_arrays(g.sum(axis=1), mu0.weights)
+    total += divergence_arrays(g.sum(axis=0), mu1.weights)
     total += _coupling_value(cost.values, g)
     return total
 
@@ -459,8 +460,8 @@ def _pgd_direct(mu0_w, mu1_w, cost, max_iters=60_000, grad_tol=1e-12):
     floor = -200.0  # surrogate slope for log at zero marginals
 
     def value(gm):
-        v = divergence_arrays(KL, gm.sum(axis=1), mu0_w)
-        v += divergence_arrays(KL, gm.sum(axis=0), mu1_w)
+        v = divergence_arrays(gm.sum(axis=1), mu0_w)
+        v += divergence_arrays(gm.sum(axis=0), mu1_w)
         return v + float(np.sum(c_safe * gm))
 
     def gradient(gm):
@@ -504,26 +505,14 @@ def _pgd_direct(mu0_w, mu1_w, cost, max_iters=60_000, grad_tol=1e-12):
 
 
 def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
-                  entropy: EntropyFunction = KL,
                   method: str = "eps_continuation") -> tuple[Plan, SolveReport]:
     """Minimise the unregularised functional Div+Div+(c, .).
 
-    ``eps_continuation`` follows warm-started regularised solves down an
+    Balanced transport is ``simplex.transport_lp``.  ``eps_continuation`` follows warm-started regularised solves down an
     eps ladder and reports the unregularised value of the final plan;
     ``direct`` runs projected gradient on the plan entries (small instances).
-    Balanced entropies route to the exact transport LP.
     """
     _check_instance(mu0, mu1, cost, None)
-    if entropy.kind is EntropyKind.BALANCED:
-        plan_w, value, status = transport_lp(mu0.weights, mu1.weights, cost.values)
-        if status != "optimal":
-            plan = Plan(mu0.ground, mu1.ground, np.zeros(cost.shape))
-            return plan, SolveReport(math.inf, math.inf, 0.0, 0, (math.inf, math.inf), False)
-        plan = Plan(mu0.ground, mu1.ground, plan_w)
-        res0 = float(np.max(np.abs(plan_w.sum(axis=1) - mu0.weights)))
-        res1 = float(np.max(np.abs(plan_w.sum(axis=0) - mu1.weights)))
-        return plan, SolveReport(value, value, 0.0, 0, (res0, res1), True)
-
     if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:
         plan = Plan(mu0.ground, mu1.ground, np.zeros(cost.shape))
         value = mu0.total_mass + mu1.total_mass
@@ -599,14 +588,14 @@ def check_remark_identities(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     nu_mass = float(np.sum(nu_w))
 
     value = rep.primal
-    marg_cost = value - eps * divergence_arrays(KL, g, nu_w)
+    marg_cost = value - eps * divergence_arrays(g, nu_w)
 
     tilde_value = marg_cost + eps * _plain_kl(g, nu_w)
     residual_tilde = abs(value - (tilde_value + eps * nu_mass))
 
     bar_ref = np.where(np.isinf(cost.values), 0.0, np.exp(-np.minimum(cost.values, _EXP_CLIP) / eps)) * nu_w
     bar_marg = marg_cost - _coupling_value(cost.values, g)
-    bar_value = bar_marg + eps * divergence_arrays(KL, g, bar_ref)
+    bar_value = bar_marg + eps * divergence_arrays(g, bar_ref)
     residual_bar = abs(value - (bar_value - eps * float(np.sum(bar_ref)) + eps * nu_mass))
 
     # two forms of the homogeneity-preserving penalty, on a random plan
@@ -615,8 +604,8 @@ def check_remark_identities(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     base = np.outer(mu0.weights, mu1.weights)
     gamma_rand = base * rng.uniform(0.25, 4.0, size=base.shape)
     half_form = 0.5 * (
-        divergence_arrays(KL, gamma_rand, base / m0)
-        + divergence_arrays(KL, gamma_rand, base / m1)
+        divergence_arrays(gamma_rand, base / m0)
+        + divergence_arrays(gamma_rand, base / m1)
     )
     c0 = 0.5 * math.log(m0 * m1)
     c1 = 2.0 * m0 * m1 / (m0 + m1)

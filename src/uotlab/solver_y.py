@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostMatrix, perspective_H, perspective_H_eps
-from .entropy import KL
+from . import entropy
 from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan
 from .simplex import LpResult, atom_lp, transport_lp
 from .solver_x import SolveReport, SolverConfig, scaling_kernel
@@ -249,7 +249,14 @@ class YMeasure:
 # ---------------------------------------------------------------------------
 
 def mass_cap(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float) -> float:
-    return (mu0.total_mass + mu1.total_mass) ** (1.0 / p)
+    """Radial cap (m0 + m1)^(1/p) of the grids for a finite exponent p > 0."""
+    if not (0.0 < p < math.inf):
+        raise ValueError("p must be positive and finite")
+    try:
+        return (mu0.total_mass + mu1.total_mass) ** (1.0 / p)
+    except OverflowError:
+        raise ValueError(f"the radial cap (m0 + m1)^(1/p) overflows at p = {p}") from None
+
 
 def default_grids(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float = 1.0,
                   n_nodes: int = 64, smin_frac: float = 1e-4
@@ -323,7 +330,7 @@ def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                               np.arange(mu1.ground.size), grid1.nodes ** p)
     families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights)]
     res = _optimal(atom_lp(hp_tensor(cost, grid0, grid1, p), families,
-                           KL.F_zero if mode == "inequality" else None),
+                           entropy.F_ZERO if mode == "inequality" else None),
                    "homogeneous-marginal")
     return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, res.x), res.value
 

@@ -237,3 +237,26 @@ def test_identities_nonconverged_solve_exits_two(tmp_path, monkeypatch):
                 "--seed", "3", "--out", str(out)])
     assert code == 2
     assert json.loads(out.read_text())["values"]["sinkhorn_residual"] > 1e-13
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-x", "--entropy", "balanced", "--eps", "-1"],
+    ["solve-x", "--entropy", "balanced", "--eps", "0.5", "--tol", "-1"],
+    ["lift-check", "--which", "balanced-eps", "--eps", "0"],
+    ["solve-y", "--eps", "0.5", "--p", "0"],
+    ["solve-y", "--eps", "0.5", "--p", "1e-3"],
+    ["solve-y", "--eps", "0.5", "--p", "inf"],
+    ["lift-check", "--which", "balanced", "--p", "0"],
+    ["compare", "--eps", "0.5", "--p", "0"],
+    ["identities", "--grid", "0", "--dim", "1", "--eps", "0.2"],
+    ["identities", "--grid", "4", "--dim", "1", "--eps", "0"],
+], ids=["balanced-eps", "balanced-tol", "lift-check-eps", "solve-y-p", "solve-y-p-overflow",
+        "solve-y-p-inf", "lift-check-p", "compare-p", "identities-grid", "identities-eps"])
+def test_invalid_numeric_input_exits_one(fixtures, capsys, argv):
+    tmp, mu0, _, _ = fixtures
+    if argv[0] != "identities":
+        argv = argv + ["--mu0", mu0, "--mu1", mu0, "--cost", "sqeuclidean"]
+    assert run(argv + ["--out", str(tmp / "out.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp / "out.json").exists()

@@ -9,12 +9,9 @@ from uotlab.costs import (
     hk_matrix,
     perspective_H,
     perspective_H_eps,
-    perspective_H_p,
-    perspective_H_p_eps,
     second_order_H_tilde,
     sqeuclidean_matrix,
 )
-from uotlab.entropy import BALANCED
 from uotlab.measures import GroundSet
 
 from oracles import h_by_minimization, h_eps_by_dual_ascent, h_eps_by_minimization
@@ -59,12 +56,6 @@ def test_perspective_H_matches_shared_scale_minimization():
         assert perspective_H(s0, s1, c) == pytest.approx(
             h_by_minimization(s0, s1, c), abs=1e-9
         )
-
-
-def test_perspective_H_balanced_kind():
-    assert perspective_H(2.0, 2.0, 1.5, BALANCED) == 3.0
-    assert perspective_H(1.0, 2.0, 0.0, BALANCED) == math.inf
-    assert perspective_H(0.0, 0.0, math.inf, BALANCED) == 0.0
 
 
 def test_perspective_H_eps_values():
@@ -133,35 +124,6 @@ def test_eps_to_zero_consistency_at_optimal_scale():
             gaps.append(abs(perspective_H_eps(s0, s1, s_opt, c, eps) - h))
         assert max(gaps) < 1e-12
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-
-
-def test_perspective_H_p():
-    g0 = GroundSet([[0.0]])
-    g1 = GroundSet([[1.0]])
-    cost = CostMatrix(np.array([[0.0]]))
-    assert perspective_H_p(0, 2.0, 0, 1.0, cost, 2.0) == pytest.approx(1.0, abs=1e-14)
-    assert perspective_H_p(0, 1.0, 0, 1.0, cost, 2.0) == perspective_H_p(0, 1.0, 0, 1.0, cost, 1.0)
-    rng = np.random.default_rng(25)
-    cost2 = CostMatrix(np.array([[0.7]]))
-    for _ in range(20):
-        s0, s1 = rng.uniform(0.1, 3.0, 2)
-        assert perspective_H_p(0, s0, 0, s1, cost2, 1.0) == pytest.approx(
-            perspective_H(s0, s1, 0.7), abs=1e-14
-        )
-    with pytest.raises(ValueError):
-        perspective_H_p(0, 1.0, 0, 1.0, cost, 0.0)
-
-
-def test_perspective_H_p_eps_composition():
-    cost = CostMatrix(np.array([[0.9]]))
-    rng = np.random.default_rng(26)
-    for _ in range(20):
-        s0, s1, S = rng.uniform(0.1, 3.0, 3)
-        p = rng.uniform(0.5, 3.0)
-        eps = rng.uniform(0.1, 1.0)
-        assert perspective_H_p_eps(0, s0, 0, s1, S, cost, p, eps) == pytest.approx(
-            perspective_H_eps(s0 ** p, s1 ** p, S ** p, 0.9, eps), rel=1e-13
-        )
 
 
 def test_second_order_H_tilde():

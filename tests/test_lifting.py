@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uotlab.costs import CostMatrix, hk_cost, sqeuclidean_matrix
-from uotlab.entropy import KL
+from uotlab.entropy import R
 from uotlab.identities import balanced_sinkhorn
 from uotlab.lifting import (
     solve_lifted_balanced,
@@ -140,7 +140,7 @@ def test_balanced_eps_approaches_balanced_as_eps_vanishes():
 def test_balanced_eps_diagonal_atoms_cost_nothing():
     # s = S atoms with zero ground cost contribute eps * s * R(1) = 0, so a
     # coincident-dirac instance whose reference equals the coupling is free
-    assert KL.R(1.0) == 0.0
+    assert R(1.0) == 0.0
     g = GroundSet([[0.0]])
     mu = DiscreteMeasure(g, [1.0])
     cost = CostMatrix(np.array([[0.0]]))

@@ -5,7 +5,7 @@ import pytest
 
 from uotlab import solver_x
 from uotlab.costs import CostMatrix, hk_cost, hk_matrix, sqeuclidean_matrix
-from uotlab.entropy import BALANCED, KL, divergence_arrays
+from uotlab.entropy import divergence_arrays
 from uotlab.identities import balanced_entropic_value, balanced_sinkhorn
 from uotlab.measures import DiscreteMeasure, GroundSet, Plan, product
 from uotlab.solver_x import (
@@ -159,9 +159,9 @@ def test_solver_blocked_diracs_scalar_value():
     # scalar oracle over the single plan entry t: the infinite cost prices
     # every t > 0 at +inf, so the minimum sits at t = 0
     def scalar(t):
-        base = (divergence_arrays(KL, np.array([t]), np.array([m0]))
-                + divergence_arrays(KL, np.array([t]), np.array([m1]))
-                + eps * divergence_arrays(KL, np.array([t]), np.array([m0 * m1])))
+        base = (divergence_arrays(np.array([t]), np.array([m0]))
+                + divergence_arrays(np.array([t]), np.array([m1]))
+                + eps * divergence_arrays(np.array([t]), np.array([m0 * m1])))
         return base + (math.inf if t > 0 else 0.0)
 
     want = min(scalar(t) for t in np.linspace(0.0, 2.0, 101))
@@ -184,10 +184,10 @@ def test_solver_matches_projected_gradient_oracle():
 
     def value(x):
         g = x.reshape(3, 3)
-        return (divergence_arrays(KL, g.sum(1), mu0.weights)
-                + divergence_arrays(KL, g.sum(0), mu1.weights)
+        return (divergence_arrays(g.sum(1), mu0.weights)
+                + divergence_arrays(g.sum(0), mu1.weights)
                 + float(np.sum(c * g))
-                + eps * divergence_arrays(KL, g, nuw))
+                + eps * divergence_arrays(g, nuw))
 
     def grad(x):
         g = np.maximum(x.reshape(3, 3), 1e-300)
@@ -509,20 +509,6 @@ def test_unreg_continuation_close_to_direct():
         _, rep_c = solve_x_unreg(mu0, mu1, cost, method="eps_continuation")
         assert rep_c.primal == pytest.approx(rep_d.primal, abs=1e-5)
         assert rep_c.primal >= rep_d.primal - 1e-9
-
-
-def test_unreg_balanced_routes_to_transport_lp():
-    rng = np.random.default_rng(53)
-    mu0, mu1, cost = random_instance(rng, 3, 3)
-    mu1 = DiscreteMeasure(mu1.ground, mu1.weights * (mu0.total_mass / mu1.total_mass))
-    plan, rep = solve_x_unreg(mu0, mu1, cost, entropy=BALANCED)
-    assert rep.converged
-    # plan is an exact coupling
-    assert np.max(np.abs(plan.weights.sum(1) - mu0.weights)) < 1e-9
-    # imbalanced masses are infeasible
-    bad = DiscreteMeasure(mu1.ground, mu1.weights * 2.0)
-    _, rep_bad = solve_x_unreg(mu0, bad, cost, entropy=BALANCED)
-    assert rep_bad.primal == math.inf
 
 
 def test_unreg_direct_size_guard():
