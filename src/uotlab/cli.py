@@ -258,7 +258,6 @@ def _cmd_lift_check(args) -> int:
     mu0 = _load_measure(args.mu0)
     mu1 = _load_measure(args.mu1)
     cost = _cost_matrix(args.cost, mu0, mu1)
-    config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
     grid = RadialGrid.geometric(max(mass_cap(mu0, mu1, args.p), 1e-9),
                                 n_nodes=args.radial_nodes, smin_frac=args.smin_frac)
     values: dict = {}
@@ -274,20 +273,20 @@ def _cmd_lift_check(args) -> int:
         if result.feasible and ot_status == "optimal":
             residuals["lifted_vs_classical"] = abs(result.value - ot_value)
     elif args.which == "balanced-eps":
+        eps = SolverConfig(eps=args.eps).eps  # validates eps; only eps is used here
         nu = default_nu_x(mu0, mu1)
         s_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
-        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, args.p,
-                                           (s_grid, grid), config.eps)
+        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, args.p, (s_grid, grid), eps)
         values["lifted_balanced_eps"] = result.value
         values["status"] = result.status
         if result.feasible:
             gamma, _, _ = balanced_sinkhorn(mu0.weights, mu1.weights, cost.values,
-                                            config.eps, nu.weights)
-            ref = balanced_entropic_value(gamma, mu0.weights, cost.values, config.eps,
-                                          nu.weights)
+                                            eps, nu.weights)
+            ref = balanced_entropic_value(gamma, mu0.weights, cost.values, eps, nu.weights)
             values["balanced_entropic"] = ref
             residuals["lifted_eps_vs_entropic"] = abs(result.value - ref)
     elif args.which == "x-extended":
+        config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
         nu = default_nu_x(mu0, mu1)
         _, value = solve_x_extended_refined(mu0, mu1, cost, nu, config.eps, args.p)
         _, _, report = solve_x_eps(mu0, mu1, cost, nu, config)

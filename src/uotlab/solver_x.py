@@ -35,8 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .costs import CostMatrix, perspective_H_eps
-from . import entropy
-from .entropy import divergence_arrays
+from .entropy import F_ZERO, R, F_star, divergence_arrays
 from .measures import DiscreteMeasure, GroundMismatchError, Plan, split_arrays
 
 _EXP_CLIP = 700.0  # exp overflow guard
@@ -148,11 +147,11 @@ def eval_dual_eps(phi: DualPotentials, mu0: DiscreteMeasure, mu1: DiscreteMeasur
     total = 0.0
     for m, p in ((mu0.weights, phi.phi0), (mu1.weights, phi.phi1)):
         pos = m > 0
-        total += float(np.sum(m[pos] * (-entropy.F_star(-p[pos]))))
+        total += float(np.sum(m[pos] * (-F_star(-p[pos]))))
     expo = (phi.phi0[:, None] + phi.phi1[None, :] - cost.values) / eps
     expo = np.minimum(expo, _EXP_CLIP)
     pos = nu_x.weights > 0
-    total += eps * float(np.sum(nu_x.weights[pos] * (-entropy.F_star(expo[pos]))))
+    total += eps * float(np.sum(nu_x.weights[pos] * (-F_star(expo[pos]))))
     return total
 
 
@@ -168,9 +167,9 @@ def eval_reverse_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 
     pos = g > 0
     integrand = np.zeros_like(g)
-    r0 = entropy.R(rho0)
-    r1 = entropy.R(rho1)
-    rr = entropy.R(varrho[pos]) if np.any(pos) else np.zeros(0)
+    r0 = R(rho0)
+    r1 = R(rho1)
+    rr = R(varrho[pos]) if np.any(pos) else np.zeros(0)
     integrand[pos] = (
         r0[np.nonzero(pos)[0]] + r1[np.nonzero(pos)[1]] + cost.values[pos] + eps * rr
     )
@@ -178,8 +177,8 @@ def eval_reverse_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         return math.inf
     total = float(np.sum(integrand[pos] * g[pos]))
     # plan-null masses cost R'_inf = F(0) per unit
-    total += entropy.F_ZERO * float(np.sum(sing0) + np.sum(sing1))
-    total += eps * entropy.F_ZERO * float(np.sum(sing_nu))
+    total += F_ZERO * float(np.sum(sing0) + np.sum(sing1))
+    total += eps * F_ZERO * float(np.sum(sing_nu))
     return total
 
 
@@ -202,7 +201,7 @@ def eval_homogeneous_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         rho0[i_idx], rho1[j_idx], varrho[i_idx, j_idx], cost.values[i_idx, j_idx], eps
     )
     total = float(np.sum(hvals * g[i_idx, j_idx]))
-    total += entropy.F_ZERO * float(np.sum(sing0) + np.sum(sing1) + np.sum(sing_nu))
+    total += F_ZERO * float(np.sum(sing0) + np.sum(sing1) + np.sum(sing_nu))
     return total
 
 
@@ -508,9 +507,10 @@ def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                   method: str = "eps_continuation") -> tuple[Plan, SolveReport]:
     """Minimise the unregularised functional Div+Div+(c, .).
 
-    Balanced transport is ``simplex.transport_lp``.  ``eps_continuation`` follows warm-started regularised solves down an
-    eps ladder and reports the unregularised value of the final plan;
-    ``direct`` runs projected gradient on the plan entries (small instances).
+    Balanced transport is ``simplex.transport_lp``.  ``eps_continuation``
+    follows warm-started regularised solves down an eps ladder and reports
+    the unregularised value of the final plan; ``direct`` runs projected
+    gradient on the plan entries (small instances).
     """
     _check_instance(mu0, mu1, cost, None)
     if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:

@@ -239,7 +239,6 @@ def test_identities_nonconverged_solve_exits_two(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["values"]["sinkhorn_residual"] > 1e-13
 
 
-
 @pytest.mark.parametrize("argv", [
     ["solve-x", "--entropy", "balanced", "--eps", "-1"],
     ["solve-x", "--entropy", "balanced", "--eps", "0.5", "--tol", "-1"],

@@ -1,17 +1,16 @@
 """Print the size of the uotlab package: source lines and settable parameters.
 
-    python3 tools/size.py [SRC_DIR]
+    python3 tools/size.py
 
 Settable parameters are the arguments (``self`` and ``cls`` excluded) of
 every function or method whose name has no leading underscore, nested
 definitions included, plus the flags the command-line parser declares with
-``add_argument``.  SRC_DIR defaults to ``src/uotlab`` next to this script.
+``add_argument``.
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
 
 
@@ -35,8 +34,7 @@ def count(src: Path) -> dict:
 
 
 def main() -> None:
-    src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent.parent / "src" / "uotlab"
-    c = count(src)
+    c = count(Path(__file__).parent.parent / "src" / "uotlab")
     print(f"src/uotlab lines: {c['lines']}")
     print(f"settable parameters: {c['parameters']} ({c['cli_flags']} CLI flags; "
           f"{c['with_default']} function arguments have a default)")
