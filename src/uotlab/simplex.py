@@ -1,20 +1,27 @@
-"""Dense two-phase revised simplex and the one builder of atom LPs.
+"""Two-phase revised simplex with implicit pricing, and the one builder of
+atom LPs.
 
 Solves  min c.x  subject to  A x = b, x >= 0  where A has few rows (the
 homogeneous-marginal constraint families) and possibly very many columns
-(one per grid atom).  The basis inverse is kept explicitly and updated by
-pivoting, with periodic refactorisation; pricing is a single dense
-mat-vec over all columns.  Dantzig pricing with a Bland fallback after a
+(one per grid atom).  A is never formed: an ``AtomMatrix`` keeps each
+constraint family as its (rows, coeff) pair broadcast over the atom cost
+tensor, and slack and phase-1 artificial columns as implicit identity
+columns.  Pricing computes the reduced costs c - A^T y by broadcasting the
+row duals over the tensor, one family at a time; only the entering column
+is formed at each pivot, and the m basic columns at each refactorisation.
+The basis inverse is kept explicitly and updated by pivoting.  Dantzig
+pricing (first index in C order on ties) with a Bland fallback after a
 degenerate stall guarantees termination.
 
 ``atom_lp`` assembles every LP of the package: an atom cost tensor plus
-constraint families, each a (rows, coeff, target) triple broadcast over the
-tensor.  Every lift, the extended-space LP and classical transport go
-through it.
+constraint families, each a (rows, coeff, target) triple.  Every lift, the
+extended-space LP and classical transport go through it.  A dense ``A``
+given to ``solve_lp`` runs as an ``AtomMatrix`` with one single-row family
+per row, through the same loop.
 
-Desk scale only: a few hundred rows; the matrix is dense, so memory is
-8 bytes per row and column (20 rows by 1.4e6 columns is about 220 MB, and
-phase 1 holds a second copy).
+Desk scale only: a few hundred rows.  Memory is a few arrays the size of
+the cost tensor (costs of each phase and the reduced costs) plus the
+O(m^2) basis inverse; the 1.4e6-atom second-order lift needs tens of MB.
 """
 
 from __future__ import annotations
@@ -40,6 +47,82 @@ class LpResult:
         return self.status == "optimal"
 
 
+class AtomMatrix:
+    """Equality-constraint matrix of an atom LP, kept as its families.
+
+    Columns are the atoms of a tensor of shape ``atoms`` in C order, then
+    one block of m columns per entry of ``diag``: column r of block k is
+    diag[k][r] times the unit vector e_r (slacks, phase-1 artificials).
+    Atom a adds coeff[a] to row rows[a] of the whole matrix for every
+    (rows, coeff) pair of ``families``; both broadcast to ``atoms``.
+    ``kept`` lists the rows that remain after redundant ones are dropped
+    (all m when None).
+    """
+
+    def __init__(self, atoms: tuple, families: tuple, m: int, diag: tuple = (),
+                 kept: np.ndarray | None = None):
+        self.atoms = atoms
+        self.families = families
+        self.m = m
+        self.diag = diag
+        self.kept = kept
+        self._n_atoms = math.prod(atoms)
+        # the families as read-only views of the tensor's shape, for columns
+        self._broadcast = tuple((np.broadcast_to(rows, atoms), np.broadcast_to(coeff, atoms))
+                                for rows, coeff in families)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        rows = self.m if self.kept is None else self.kept.size
+        return rows, self._n_atoms + self.m * len(self.diag)
+
+    def _price(self, c: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = c - A^T y over every column: the one pricing routine."""
+        if self.kept is not None:  # dropped rows price at 0
+            full = np.zeros(self.m)
+            full[self.kept] = y
+            y = full
+        n_atoms = self._n_atoms
+        acc = out[:n_atoms].reshape(self.atoms)
+        if self.families:
+            (rows, coeff), *rest = self.families
+            np.multiply(y[rows], coeff, out=acc)
+            for rows, coeff in rest:
+                acc += y[rows] * coeff
+            np.subtract(c[:n_atoms].reshape(self.atoms), acc, out=acc)
+        else:
+            out[:n_atoms] = c[:n_atoms]
+        for k, d in enumerate(self.diag):
+            block = slice(n_atoms + k * self.m, n_atoms + (k + 1) * self.m)
+            np.subtract(c[block], d * y, out=out[block])
+        return out
+
+    def _column(self, j: int) -> np.ndarray:
+        col = np.zeros(self.m)
+        n_atoms = self._n_atoms
+        if j < n_atoms:
+            at = np.unravel_index(j, self.atoms)
+            for rows, coeff in self._broadcast:
+                col[rows[at]] += coeff[at]
+        else:
+            k, r = divmod(j - n_atoms, self.m)
+            col[r] = self.diag[k][r]
+        return col if self.kept is None else col[self.kept]
+
+    def _columns(self, cols) -> np.ndarray:
+        """The dense m x len(cols) submatrix A[:, cols]."""
+        out = np.zeros((self.shape[0], len(cols)))
+        for i, j in enumerate(cols):
+            out[:, i] = self._column(j)
+        return out
+
+    def _flipped(self, flip: np.ndarray) -> AtomMatrix:
+        """The matrix with the rows where ``flip`` holds negated."""
+        sign = np.where(flip, -1.0, 1.0)
+        families = tuple((rows, sign[rows] * coeff) for rows, coeff in self.families)
+        return AtomMatrix(self.atoms, families, self.m, tuple(sign * d for d in self.diag))
+
+
 def _pivot_update(binv: np.ndarray, d: np.ndarray, row: int) -> None:
     """In-place product-form update of the basis inverse after a pivot."""
     piv = d[row]
@@ -57,16 +140,17 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, tol):
     xb = binv @ b
     if n == 0:
         return "optimal", xb, 0
+    reduced = np.empty(n)
     stall = 0
     bland = False
     iters = 0
     last_value = math.inf
     for iters in range(1, max_iters + 1):
         if iters % _REFACTOR_EVERY == 0:
-            binv[:] = np.linalg.inv(A[:, basis])
+            binv[:] = np.linalg.inv(A._columns(basis))
             xb = binv @ b
         y = binv.T @ c[basis]
-        reduced = c - A.T @ y
+        A._price(c, y, reduced)
         reduced[basis] = 0.0
         if bland:
             candidates = np.flatnonzero(reduced < -tol)
@@ -77,7 +161,7 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, tol):
             enter = int(np.argmin(reduced))
             if reduced[enter] >= -tol:
                 return "optimal", xb, iters
-        d = binv @ A[:, enter]
+        d = binv @ A._column(enter)
         pos = d > tol
         if not np.any(pos):
             return "unbounded", xb, iters
@@ -107,27 +191,43 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, tol):
 
 
 def solve_lp(c, A, b, max_iters: int | None = None, tol: float = 1e-11) -> LpResult:
-    """Minimize c.x over {A x = b, x >= 0} by two-phase revised simplex."""
-    c = np.asarray(c, dtype=float).copy()
-    A = np.asarray(A, dtype=float)
+    """Minimize c.x over {A x = b, x >= 0} by two-phase revised simplex.
+
+    ``A`` is an ``AtomMatrix`` or a dense array.  Columns whose cost is not
+    finite cost +inf in both phases, so they never enter the basis; the
+    default ``max_iters`` counts only the finite ones.
+    """
+    if not isinstance(A, AtomMatrix):
+        # a dense matrix: one single-row family per row
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2:
+            raise ValueError("inconsistent LP dimensions")
+        A = AtomMatrix((A.shape[1],), tuple((np.intp(r), row) for r, row in enumerate(A)),
+                       A.shape[0])
+    c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float).copy()
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
+    finite = np.isfinite(c)
+    n_finite = int(np.count_nonzero(finite))
+    if n_finite < n:
+        c = np.where(finite, c, math.inf)
     if max_iters is None:
-        max_iters = 50 * (m + n) + 1000
+        max_iters = 50 * (m + n_finite) + 1000
 
     flip = b < 0
     if np.any(flip):
-        A = A.copy()
-        A[flip, :] *= -1.0
+        A = A._flipped(flip)
         b[flip] *= -1.0
 
-    # Phase 1: artificial identity basis.
-    A1 = np.hstack([A, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    # Phase 1: implicit artificial identity basis.
+    c1 = np.zeros(n + m)
+    c1[:n][~finite] = math.inf
+    c1[n:] = 1.0
     basis = list(range(n, n + m))
     binv = np.eye(m)
+    A1 = AtomMatrix(A.atoms, A.families, m, A.diag + (np.ones(m),))
     status, xb, it1 = _simplex_phase(c1, A1, b, basis, binv, max_iters, tol)
     feas = float(c1[basis] @ xb)
     scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
@@ -137,31 +237,37 @@ def solve_lp(c, A, b, max_iters: int | None = None, tol: float = 1e-11) -> LpRes
         return LpResult("infeasible", None, math.inf, it1)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
+    # Pricing row r of binv against the phase-1 costs gives -(binv A)[r] on
+    # the finite columns and +inf on the others, which may not pivot in.
     keep_rows = np.ones(m, dtype=bool)
+    row = np.empty(n)
     for r in range(m):
         if basis[r] >= n:
-            row = binv[r, :] @ A
-            pivots = np.flatnonzero(np.abs(row) > 1e-9)
+            A._price(c1[:n], binv[r, :], row)
+            pivots = np.flatnonzero(np.isfinite(row) & (np.abs(row) > 1e-9))
             if pivots.size:
-                d = binv @ A[:, pivots[0]]
+                d = binv @ A._column(int(pivots[0]))
                 _pivot_update(binv, d, r)
                 basis[r] = int(pivots[0])
             else:
                 keep_rows[r] = False
+    del c1, row
     if not np.all(keep_rows):
         rows = np.flatnonzero(keep_rows)
-        A = A[rows, :]
+        A = AtomMatrix(A.atoms, A.families, A.m, A.diag, rows)
         b = b[rows]
         basis = [basis[r] for r in rows]
         m = len(rows)
-        binv = np.linalg.inv(A[:, basis])
+        binv = np.linalg.inv(A._columns(basis))
 
     status, xb, it2 = _simplex_phase(c, A, b, basis, binv, max_iters, tol)
     if status != "optimal":
         return LpResult(status, None, math.nan if status != "unbounded" else -math.inf, it1 + it2)
+    xb = np.maximum(xb, 0.0)
     x = np.zeros(n)
-    x[np.asarray(basis, dtype=int)] = np.maximum(xb, 0.0)
-    return LpResult("optimal", x, float(c @ x), it1 + it2)
+    x[np.asarray(basis, dtype=int)] = xb
+    # leave out the +inf costs of the atoms that never entered
+    return LpResult("optimal", x, float(np.where(x > 0.0, c, 0.0) @ x), it1 + it2)
 
 
 def atom_lp(cost, families, slack_cost: float | None = None) -> LpResult:
@@ -170,32 +276,28 @@ def atom_lp(cost, families, slack_cost: float | None = None) -> LpResult:
 
     Each family is a (rows, coeff, target) triple: atom a adds coeff[a] to
     row rows[a] of the family, whose right-hand sides are ``target``
-    (raveled); rows and coeff broadcast to ``cost.shape``.  Atoms whose cost
-    is not finite are dropped; the others become columns in the C order of
-    the tensor.  ``slack_cost`` adds one identity slack column per row at
-    that price, which relaxes every constraint to <=.  The result's ``x``
-    is a read-only array of the tensor's shape (0 on dropped atoms, slacks
-    left out), or None when the LP is not solved to optimality.
+    (raveled); rows and coeff broadcast to ``cost.shape``.  The families
+    stay in that broadcast form: the LP is priced on the cost tensor and
+    only basic columns are ever formed (``AtomMatrix``).  Atoms whose cost
+    is not finite never enter the basis.  ``slack_cost`` adds one identity
+    slack column per row at that price, which relaxes every constraint to
+    <=.  The result's ``x`` is a read-only array of the tensor's shape (0
+    on atoms of non-finite cost, slacks left out), or None when the LP is
+    not solved to optimality.
     """
     cost = np.asarray(cost, dtype=float)
-    keep = np.flatnonzero(np.isfinite(cost))
     b = np.concatenate([np.ravel(target) for _, _, target in families])
-    n_slack = 0 if slack_cost is None else b.size
-    A = np.zeros((b.size, keep.size + n_slack))
-    cols = np.arange(keep.size)
+    pairs = []
     offset = 0
     for rows, coeff, target in families:
-        rows = np.broadcast_to(rows, cost.shape).ravel()[keep]
-        A[offset + rows, cols] += np.broadcast_to(coeff, cost.shape).ravel()[keep]
+        pairs.append((offset + np.asarray(rows), np.asarray(coeff, dtype=float)))
         offset += np.size(target)
-    A[np.arange(n_slack), keep.size + np.arange(n_slack)] = 1.0
-    c = np.append(cost.ravel()[keep], [slack_cost] * n_slack)
-    res = solve_lp(c, A, b)
+    slack = () if slack_cost is None else (np.ones(b.size),)
+    c = cost.ravel() if slack_cost is None else np.append(cost, [slack_cost] * b.size)
+    res = solve_lp(c, AtomMatrix(cost.shape, tuple(pairs), b.size, slack), b)
     if not res.optimal:
         return res
-    x = np.zeros(cost.size)
-    x[keep] = res.x[:keep.size]
-    x = x.reshape(cost.shape)
+    x = res.x[:cost.size].reshape(cost.shape)
     x.flags.writeable = False
     return replace(res, x=x)
 
@@ -208,7 +310,7 @@ def balanced_masses(m0: float, m1: float) -> bool:
 
 def transport_lp(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray
                  ) -> tuple[np.ndarray | None, float, str]:
-    """Classical balanced optimal transport as a dense LP.
+    """Classical balanced optimal transport as an atom LP over the (i, j) pairs.
 
     Returns (plan, value, status); value is +inf with status 'infeasible'
     when the masses differ (``balanced_masses``) or when infinite costs

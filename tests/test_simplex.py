@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -141,3 +143,31 @@ def test_atom_lp_against_scipy(slack_cost):
     assert res.optimal and res.value == pytest.approx(ref.fun, abs=1e-9)
     assert res.x.shape == cost.shape and not res.x.flags.writeable
     assert np.all(res.x[np.isinf(cost)] == 0.0)
+
+    # the dense matrix runs through the same loop and pivots alike
+    dense = solve_lp(c, a_eq, b)
+    assert dense.status == res.status and dense.iterations == res.iterations
+    assert np.array_equal(dense.x[:len(atoms)], res.x[np.isfinite(cost)])
+    assert dense.value == pytest.approx(res.value, rel=1e-12, abs=0.0)
+
+
+def test_atom_lp_memory_stays_near_the_cost_tensor():
+    # 8 x 8 points over 16,000 radial nodes: 1.02M atoms and 16 rows.  A
+    # dense constraint matrix alone would be 16 times the cost tensor.
+    rng = np.random.default_rng(33)
+    n, k = 8, 16_000
+    pts = rng.uniform(size=(n, 2))
+    ground = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    mu0, mu1 = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+    mu1 *= mu0.sum() / mu1.sum()
+    i0, i1, sp = np.ix_(np.arange(n), np.arange(n), np.linspace(0.0, 3.0, k) ** 2)
+    cost = sp * ground[i0, i1]
+    tracemalloc.start()
+    try:
+        res = atom_lp(cost, [(i0, sp, mu0), (i1, sp, mu1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.optimal
+    assert np.allclose(np.einsum("ijk,k->i", res.x, sp.ravel()), mu0, rtol=0, atol=1e-9)
+    assert peak <= 10 * cost.nbytes
