@@ -81,7 +81,7 @@ def _cost_matrix(spec: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> CostM
                 values = plan_weights_from_dict(data)
             else:
                 values = np.array(data, dtype=float)
-            return CostMatrix(values, provenance="custom")
+            return CostMatrix(values)
         except FileNotFoundError as exc:
             raise InputError(f"cost file not found: {path}") from exc
         except (ValueError, json.JSONDecodeError) as exc:

@@ -36,7 +36,6 @@ class CostMatrix:
     """Extended-real cost matrix over point pairs of two ground sets."""
 
     values: np.ndarray
-    provenance: str = "custom"
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
@@ -67,11 +66,11 @@ def hk_cost(d):
 
 def sqeuclidean_matrix(g0: GroundSet, g1: GroundSet) -> CostMatrix:
     d = g0.distances_to(g1)
-    return CostMatrix(d * d, provenance="squared_euclidean")
+    return CostMatrix(d * d)
 
 
 def hk_matrix(g0: GroundSet, g1: GroundSet) -> CostMatrix:
-    return CostMatrix(hk_cost(g0.distances_to(g1)), provenance="hellinger_kantorovich")
+    return CostMatrix(hk_cost(g0.distances_to(g1)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ import numpy as np
 
 from .costs import CostMatrix, perspective_H, perspective_H_eps
 from . import entropy
-from .measures import DiscreteMeasure, GroundMismatchError, Plan
+from .measures import DiscreteMeasure, Plan
 from .simplex import LpResult, atom_lp, balanced_masses
+from .solver_x import _check_instance
 from .solver_y import AtomPlan, RadialGrid, _optimal
 
 
@@ -46,11 +47,6 @@ class LiftValue:
     @property
     def feasible(self) -> bool:
         return self.status == "optimal"
-
-
-def _check_shape(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix) -> None:
-    if cost.shape != (mu0.ground.size, mu1.ground.size):
-        raise GroundMismatchError("cost shape does not match supports")
 
 
 def _lift_value(res: LpResult) -> LiftValue:
@@ -73,7 +69,7 @@ def solve_lifted_balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     Mass-unbalanced inputs are infeasible, mirroring the +inf value of the
     sharp-marginal problem.
     """
-    _check_shape(mu0, mu1, cost)
+    _check_instance(mu0, mu1, cost, None)
     if not balanced_masses(mu0.total_mass, mu1.total_mass):
         return LiftValue(math.inf, "infeasible")
     i0, i1, sp = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
@@ -93,7 +89,7 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     Constraints: s^p-weighted point marginals equal mu_i and the
     S^p-weighted pair marginal equals nu_X.
     """
-    _check_shape(mu0, mu1, cost)
+    _check_instance(mu0, mu1, cost, nu_x)
     if not balanced_masses(mu0.total_mass, mu1.total_mass):
         return LiftValue(math.inf, "infeasible")
     n1 = mu1.ground.size
@@ -120,7 +116,7 @@ def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatri
     Equality mode pins h_i^p eta = mu_i and the S^p pair marginal to nu_X;
     inequality mode relaxes all three families with defects priced at F(0).
     """
-    _check_shape(mu0, mu1, cost)
+    _check_instance(mu0, mu1, cost, nu_x)
     if mode not in ("equality", "inequality"):
         raise ValueError("mode must be 'equality' or 'inequality'")
     n1 = mu1.ground.size
@@ -177,7 +173,7 @@ def solve_second_order_lift(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     sides, so the reduced plan carries a single w coordinate; constraints
     are the s_i^p w-weighted point marginals.
     """
-    _check_shape(mu0, mu1, cost)
+    _check_instance(mu0, mu1, cost, None)
     i0, i1, s0p, s1p, w = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
                                  grids[0].nodes ** p, grids[1].nodes ** p, grids[2].nodes)
     families = [(i0, s0p * w, mu0.weights), (i1, s1p * w, mu1.weights)]

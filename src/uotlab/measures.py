@@ -36,10 +36,9 @@ def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Finite point cloud in R^n with a named metric (only 'euclidean')."""
+    """Finite point cloud in R^n with the Euclidean metric."""
 
     points: np.ndarray
-    metric: str = "euclidean"
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -47,8 +46,6 @@ class GroundSet:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a nonempty (count, dim) array")
-        if self.metric != "euclidean":
-            raise ValueError(f"unsupported metric: {self.metric!r}")
         # pairwise-distinct points; duplicates would make atoms ambiguous
         if len({tuple(p) for p in pts}) != pts.shape[0]:
             raise ValueError("ground set points must be pairwise distinct")

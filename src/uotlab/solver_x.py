@@ -419,9 +419,6 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 # Unregularised problem
 # ---------------------------------------------------------------------------
 
-_CONTINUATION_EPS = (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4)
-
-
 def eval_primal_unreg(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                       cost: CostMatrix) -> float:
     """Unregularised value Div(g0|mu0) + Div(g1|mu1) + (c,g)."""
@@ -432,21 +429,22 @@ def eval_primal_unreg(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     return total
 
 
-def _feasible_dual_value(sigma0, sigma1, mu0_w, mu1_w, cost):
-    """Lower bound from potentials phi_i = -log sigma_i shifted into the
-    constraint set {phi0 + phi1 <= c}."""
-    with np.errstate(divide="ignore"):
-        phi0 = np.where(sigma0 > 0, -np.log(np.where(sigma0 > 0, sigma0, 1.0)), -_EXP_CLIP)
-        phi1 = np.where(sigma1 > 0, -np.log(np.where(sigma1 > 0, sigma1, 1.0)), -_EXP_CLIP)
+def _c_transform_dual(sigma0, mu0_w, mu1_w, cost) -> float:
+    """Lower bound from the double c-transform of phi0 = -log sigma0.
+
+    phi0 is -inf (no constraint) where sigma0 vanishes; then phi1 = min_i
+    (c_ij - phi0_i) and phi0 = min_j (c_ij - phi1_j) over finite costs, +inf
+    for a potential with no finite constraint, so phi0 + phi1 <= c and each
+    transform only raises the dual sum mu_i (1 - exp(-phi_i)) over the points
+    with mass.
+    """
     finite = np.isfinite(cost)
-    if np.any(finite):
-        viol = np.max((phi0[:, None] + phi1[None, :] - cost)[finite])
-        if viol > 0:
-            phi0 = phi0 - viol / 2.0
-            phi1 = phi1 - viol / 2.0
-    val = float(np.sum(mu0_w * (1.0 - np.exp(-phi0))) +
-                np.sum(mu1_w * (1.0 - np.exp(-phi1))))
-    return val
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi0 = np.where(sigma0 > 0, -np.log(sigma0), -math.inf)
+        phi1 = np.min(np.where(finite, cost - phi0[:, None], math.inf), axis=0)
+        phi0 = np.min(np.where(finite, cost - phi1, math.inf), axis=1)
+        return sum(float(np.sum(m[m > 0] * -np.expm1(-p[m > 0])))
+                   for m, p in ((mu0_w, phi0), (mu1_w, phi1)))
 
 
 def _pgd_direct(mu0_w, mu1_w, cost, max_iters=60_000, grad_tol=1e-12):
@@ -503,54 +501,33 @@ def _pgd_direct(mu0_w, mu1_w, cost, max_iters=60_000, grad_tol=1e-12):
     return gamma, val, iters
 
 
-def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
-                  method: str = "eps_continuation") -> tuple[Plan, SolveReport]:
+def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix
+                  ) -> tuple[Plan, SolveReport]:
     """Minimise the unregularised functional Div+Div+(c, .).
 
-    Balanced transport is ``simplex.transport_lp``.  ``eps_continuation``
-    follows warm-started regularised solves down an eps ladder and reports
-    the unregularised value of the final plan; ``direct`` runs projected
-    gradient on the plan entries (small instances).
+    Balanced transport is ``simplex.transport_lp``.  Runs projected gradient
+    on the plan entries, so it is limited to at most 12 support points per
+    side.  ``dual`` is the objective of the dual problem
+    sup {sum_i mu_i(1 - exp(-phi_i)) : phi0 + phi1 <= c} at the double
+    c-transform of -log of the plan's first marginal density; the gap
+    primal - dual certifies the plan, and ``converged`` holds when it is at
+    most 1e-6 (1 + |primal|).
     """
     _check_instance(mu0, mu1, cost, None)
     if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:
         plan = Plan(mu0.ground, mu1.ground, np.zeros(cost.shape))
         value = mu0.total_mass + mu1.total_mass
         return plan, SolveReport(value, value, 0.0, 0, (0.0, 0.0), True)
+    if max(mu0.ground.size, mu1.ground.size) > 12:
+        raise ValueError("solve_x_unreg is limited to at most 12 support points per side")
 
-    if method == "direct":
-        if max(mu0.ground.size, mu1.ground.size) > 12:
-            raise ValueError("direct method is limited to at most 12 support points per side")
-        gamma, value, iters = _pgd_direct(mu0.weights, mu1.weights, cost.values)
-    elif method == "eps_continuation":
-        nu = default_nu_x(mu0, mu1)
-        phi = None
-        gamma = np.zeros(cost.shape)
-        iters = 0
-        for eps in _CONTINUATION_EPS:
-            # warm-started path following: the previous stage's potentials
-            # become this stage's log-scalings phi/eps; the damped update
-            # contracts like 1/(1+eps), so tiny-eps stages get a budget, not
-            # a tight target
-            cfg = SolverConfig(eps=eps, max_iters=3000, tolerance=1e-9)
-            init = None if phi is None else (phi.phi0 / eps, phi.phi1 / eps)
-            plan, phi, rep = solve_x_eps(mu0, mu1, cost, nu, cfg, init=init)
-            gamma = plan.weights
-            iters += rep.iterations
-        value = eval_primal_unreg(Plan(mu0.ground, mu1.ground, gamma), mu0, mu1, cost)
-    else:
-        raise ValueError("method must be 'eps_continuation' or 'direct'")
-
-    g0, g1 = gamma.sum(axis=1), gamma.sum(axis=0)
-    sigma0, _ = split_arrays(g0, mu0.weights)
-    sigma1, _ = split_arrays(g1, mu1.weights)
-    dual = _feasible_dual_value(sigma0, sigma1, mu0.weights, mu1.weights, cost.values)
-    plan = Plan(mu0.ground, mu1.ground, gamma)
-    primal = value
+    gamma, primal, iters = _pgd_direct(mu0.weights, mu1.weights, cost.values)
+    sigma0, _ = split_arrays(gamma.sum(axis=1), mu0.weights)
+    dual = _c_transform_dual(sigma0, mu0.weights, mu1.weights, cost.values)
     gap = primal - dual
-    converged = gap <= 1e-6 * (1.0 + abs(primal))
-    report = SolveReport(primal, dual, gap, iters, (0.0, 0.0), converged)
-    return plan, report
+    report = SolveReport(primal, dual, gap, iters, (0.0, 0.0),
+                         gap <= 1e-6 * (1.0 + abs(primal)))
+    return Plan(mu0.ground, mu1.ground, gamma), report
 
 
 # ---------------------------------------------------------------------------

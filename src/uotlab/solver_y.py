@@ -51,7 +51,7 @@ from .costs import CostMatrix, perspective_H, perspective_H_eps
 from . import entropy
 from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan
 from .simplex import LpResult, atom_lp, transport_lp
-from .solver_x import SolveReport, SolverConfig, scaling_kernel
+from .solver_x import SolveReport, SolverConfig, _check_instance, scaling_kernel
 
 _TILT_TOL = 1e-14           # stop when |LSE - log mu| falls below this
 _TILT_MAX_STEPS = 200       # Newton steps per tilt before giving up
@@ -319,8 +319,7 @@ def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     ``mode='inequality'`` solves the relaxed variant h_i^p alpha <= mu_i with
     the defect priced at F(0) per unit of unmatched mass.
     """
-    if cost.shape != (mu0.ground.size, mu1.ground.size):
-        raise GroundMismatchError("cost shape does not match supports")
+    _check_instance(mu0, mu1, cost, None)
     grid0, grid1 = grids
     _check_reachable(mu0, grid0, "first")
     _check_reachable(mu1, grid1, "second")
@@ -431,6 +430,7 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     d_i = h_i^p alpha - mu_i; the gap eps * sum_i (|lambda_i|, |d_i|) is
     nonnegative by construction and at least |primal - dual|.
     """
+    _check_instance(mu0, mu1, cost, None)
     grid0, grid1 = grids
     if nu_y is None:
         nu_y = default_nu_y(mu0, mu1, grids, p)

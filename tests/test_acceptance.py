@@ -88,8 +88,8 @@ def test_criterion_2_hk_dirac_benchmark():
         g1 = GroundSet([[d]])
         mu0 = DiscreteMeasure(g0, [m0])
         mu1 = DiscreteMeasure(g1, [m1])
-        cost = CostMatrix(np.array([[hk_cost(d)]]), "hellinger_kantorovich")
-        _, rep = solve_x_unreg(mu0, mu1, cost, method="direct")
+        cost = CostMatrix(np.array([[hk_cost(d)]]))
+        _, rep = solve_x_unreg(mu0, mu1, cost)
         worst_x = max(worst_x, abs(rep.primal - exact))
         grids = default_grids(mu0, mu1, 1.0, n_nodes=256)
         _, value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)

@@ -13,7 +13,7 @@ from uotlab.lifting import (
     solve_x_extended,
     solve_x_extended_refined,
 )
-from uotlab.measures import DiscreteMeasure, GroundSet, Plan, product
+from uotlab.measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan, product
 from uotlab.simplex import transport_lp
 from uotlab.solver_x import SolverConfig, default_nu_x, solve_x_eps
 from uotlab.solver_y import AtomPlan, RadialGrid, default_grids, solve_y_unreg
@@ -186,6 +186,16 @@ def test_x_extended_coincident_dirac_zero():
     grid = RadialGrid(np.array([0.0, 0.5, 1.0, 2.0]), 2.0)
     eta, value = solve_x_extended(mu, mu, cost, nu, 0.5, 1.0, (grid, grid, grid))
     assert value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_x_extended_rejects_reference_on_other_grounds():
+    rng = np.random.default_rng(78)
+    mu0, mu1, cost = random_pair(rng)
+    copies = [DiscreteMeasure(GroundSet(mu.ground.points), mu.weights) for mu in (mu0, mu1)]
+    nu = default_nu_x(*copies)
+    grid = RadialGrid(np.array([0.0, 0.5, 1.0]), 1.0)
+    with pytest.raises(GroundMismatchError):
+        solve_x_extended(mu0, mu1, cost, nu, 0.5, 1.0, (grid, grid, grid))
 
 
 def test_x_extended_product_reference_relation():

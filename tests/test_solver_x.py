@@ -477,9 +477,8 @@ def test_unreg_coincident_diracs():
     g = GroundSet([[0.0]])
     mu = DiscreteMeasure(g, [1.0])
     cost = CostMatrix(np.array([[0.0]]))
-    for method in ("direct", "eps_continuation"):
-        plan, rep = solve_x_unreg(mu, mu, cost, method=method)
-        assert rep.primal == pytest.approx(0.0, abs=1e-7)
+    plan, rep = solve_x_unreg(mu, mu, cost)
+    assert rep.primal == pytest.approx(0.0, abs=1e-7)
 
 
 def test_unreg_dirac_closed_form():
@@ -489,33 +488,48 @@ def test_unreg_dirac_closed_form():
         c = rng.uniform(0.0, 3.0)
         mu0, mu1, cost = dirac_pair(m0, m1, c)
         want = m0 + m1 - 2.0 * math.sqrt(m0 * m1) * math.exp(-c / 2.0)
-        plan, rep = solve_x_unreg(mu0, mu1, cost, method="direct")
+        plan, rep = solve_x_unreg(mu0, mu1, cost)
         assert rep.primal == pytest.approx(want, abs=1e-9)
 
 
 def test_unreg_hk_diracs():
     mu0, mu1, _ = dirac_pair(1.0, 1.0)
     cost = CostMatrix(np.array([[hk_cost(math.pi / 3)]]))
-    plan, rep = solve_x_unreg(mu0, mu1, cost, method="direct")
+    plan, rep = solve_x_unreg(mu0, mu1, cost)
     assert rep.primal == pytest.approx(2.0 - 2.0 * math.cos(math.pi / 3), abs=1e-9)
     assert rep.primal == pytest.approx(1.0, abs=1e-9)
 
 
-def test_unreg_continuation_close_to_direct():
-    rng = np.random.default_rng(52)
-    for _ in range(2):
-        mu0, mu1, cost = random_instance(rng, 3, 3)
-        _, rep_d = solve_x_unreg(mu0, mu1, cost, method="direct")
-        _, rep_c = solve_x_unreg(mu0, mu1, cost, method="eps_continuation")
-        assert rep_c.primal == pytest.approx(rep_d.primal, abs=1e-5)
-        assert rep_c.primal >= rep_d.primal - 1e-9
+def test_unreg_certificate():
+    # the c-transform dual certifies the projected-gradient plan
+    for seed in range(52, 60):
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            mu0, mu1, cost = random_instance(rng, 3, 3)
+            plan, rep = solve_x_unreg(mu0, mu1, cost)
+            assert rep.converged
+            assert -1e-12 <= rep.gap <= 1e-8 * (1.0 + abs(rep.primal))
+            assert rep.primal == pytest.approx(eval_primal_unreg(plan, mu0, mu1, cost),
+                                               abs=1e-12)
+
+
+def test_unreg_certificate_unmatched_point():
+    # the point at 3.0 is out of HK reach, so its plan marginal is zero
+    g0, g1 = GroundSet([[0.0]]), GroundSet([[0.5], [3.0]])
+    mu0 = DiscreteMeasure(g0, [1.0])
+    mu1 = DiscreteMeasure(g1, [0.7, 0.4])
+    plan, rep = solve_x_unreg(mu0, mu1, hk_matrix(g0, g1))
+    assert plan.weights[0, 1] == 0.0
+    assert rep.primal == pytest.approx(0.63152350097, abs=1e-10)
+    assert rep.converged
+    assert -1e-12 <= rep.gap <= 1e-8 * (1.0 + abs(rep.primal))
 
 
 def test_unreg_direct_size_guard():
     rng = np.random.default_rng(54)
     mu0, mu1, cost = random_instance(rng, 13, 3)
     with pytest.raises(ValueError):
-        solve_x_unreg(mu0, mu1, cost, method="direct")
+        solve_x_unreg(mu0, mu1, cost)
 
 
 def test_unreg_zero_mass():

@@ -5,7 +5,7 @@ import pytest
 
 from uotlab.costs import CostMatrix, hk_cost, hk_matrix, sqeuclidean_matrix
 from uotlab.entropy import divergence_arrays
-from uotlab.measures import DiscreteMeasure, GroundSet
+from uotlab.measures import DiscreteMeasure, GroundMismatchError, GroundSet
 from uotlab.solver_x import SolverConfig, scaling_kernel, solve_x_unreg
 from uotlab import solver_x, solver_y
 from uotlab.solver_y import (
@@ -30,7 +30,7 @@ def dirac_instance(m0, m1, d):
     g1 = GroundSet([[float(d)]])
     mu0 = DiscreteMeasure(g0, [m0])
     mu1 = DiscreteMeasure(g1, [m1])
-    return mu0, mu1, CostMatrix(np.array([[hk_cost(d)]]), "hellinger_kantorovich")
+    return mu0, mu1, CostMatrix(np.array([[hk_cost(d)]]))
 
 
 def single_atom_plan(grid0, grid1, k0, k1, weight, p=1.0):
@@ -119,7 +119,7 @@ def test_unreg_matches_original_space_solver():
         mu0 = DiscreteMeasure(g0, rng.uniform(0.4, 1.2, 2))
         mu1 = DiscreteMeasure(g1, rng.uniform(0.4, 1.2, 2))
         cost = sqeuclidean_matrix(g0, g1)
-        _, rep = solve_x_unreg(mu0, mu1, cost, method="direct")
+        _, rep = solve_x_unreg(mu0, mu1, cost)
         grids = default_grids(mu0, mu1, 1.0, n_nodes=96, smin_frac=1e-3)
         _, value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
         assert value == pytest.approx(rep.primal, abs=1e-3)
@@ -469,6 +469,18 @@ def test_eps_solver_infeasible_when_support_unreachable():
     nu_bad = AtomPlan(nu.row_ground, nu.col_ground, nu.grids, 1.0, w)
     with pytest.raises(InfeasibleProblemError):
         solve_y_eps(mu0, mu1, cost, 1.0, grids, nu_bad, SolverConfig(eps=0.5))
+
+
+def test_eps_solver_rejects_cost_of_wrong_shape():
+    rng = np.random.default_rng(1)
+    g0 = GroundSet(rng.uniform(0, 1, size=(3, 2)))
+    g1 = GroundSet(rng.uniform(0, 1, size=(4, 2)))
+    mu0 = DiscreteMeasure(g0, rng.uniform(0.5, 1.5, 3))
+    mu1 = DiscreteMeasure(g1, rng.uniform(0.5, 1.5, 4))
+    cost = CostMatrix(rng.uniform(0, 1, size=(3, 5)))
+    grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
+    with pytest.raises(GroundMismatchError):
+        solve_y_eps(mu0, mu1, cost, 1.0, grids, None, SolverConfig(eps=0.5))
 
 
 # ---------------------------------------------------------------------------
