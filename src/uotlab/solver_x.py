@@ -97,15 +97,17 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 def _check_instance(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
-                    nu_x: Optional[Plan]):
+                    reference):
+    """The cost's shape, and the grounds of a reference (a ``Plan`` or a
+    ``solver_y.AtomPlan``, or None for none) against those of mu0 and mu1."""
     n0, n1 = mu0.ground.size, mu1.ground.size
     if cost.shape != (n0, n1):
         raise GroundMismatchError(
             f"cost shape {cost.shape} does not match supports ({n0}, {n1})"
         )
-    if nu_x is not None:
-        if nu_x.row_ground is not mu0.ground or nu_x.col_ground is not mu1.ground:
-            raise GroundMismatchError("reference plan must live on the same grounds")
+    if reference is not None:
+        if reference.row_ground is not mu0.ground or reference.col_ground is not mu1.ground:
+            raise GroundMismatchError("reference must live on the same grounds")
 
 
 def default_nu_x(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
@@ -364,19 +366,19 @@ def _converged(gap: float, primal: float, residuals, tol: float) -> bool:
 
 def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                 nu_x: Optional[Plan], config: SolverConfig,
-                init: Optional[tuple[np.ndarray, np.ndarray]] = None,
                 on_iteration: Optional[Callable[[int, float], None]] = None,
                 ) -> tuple[Plan, DualPotentials, SolveReport]:
     """Generalized Sinkhorn for the KL-penalised regularised problem.
 
-    Runs the KL steps of ``scaling_kernel`` until the Fenchel-Young gap and
-    the first-order marginal residuals, checked every 5 iterations from the
-    marginals the sweep computes, meet ``config.tolerance``.  The report
-    applies the same assessment to the returned plan, the scaling plan of
-    the returned potentials, so its primal value is dual + gap.  ``init``
-    optionally warm starts the log-scaling vectors (f, g) = (phi0, phi1)/eps;
-    ``on_iteration`` receives (iteration, dual value) after every update
-    pair, which is how dual monotonicity is observed.
+    One ``scaling_kernel`` call runs the KL steps from zero potentials until
+    the Fenchel-Young gap and the first-order marginal residuals, checked
+    every 5 iterations from the marginals the sweep computes, meet
+    ``config.tolerance``, or for ``config.max_iters`` iterations.  The report
+    is the assessment made at the loop's last check, which sees both
+    marginals of the returned plan, the scaling plan of the returned
+    potentials: its primal value is dual + gap, and ``converged`` is the
+    stop test itself.  ``on_iteration`` receives (iteration, dual value)
+    after every update pair, which is how dual monotonicity is observed.
     """
     if nu_x is None:
         nu_x = default_nu_x(mu0, mu1)
@@ -392,7 +394,12 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         f = np.full(mu0.ground.size, lo if mu0.total_mass == 0.0 else hi)
         g = np.full(mu1.ground.size, lo if mu1.total_mass == 0.0 else hi)
         iters = 0
+        dual, gap, res = _assess(_clamped_potentials(f, g, eps), np.zeros(f.size),
+                                 np.zeros(g.size), mu0_w, mu1_w, eps, nu_mass)
+        converged = _converged(gap, dual + gap, res, config.tolerance)
     else:
+        last = []
+
         def check(it, f, g, marg0, marg1):
             if on_iteration is None and marg0 is None:
                 return False
@@ -400,19 +407,19 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                                      mu0_w, mu1_w, eps, nu_mass)
             if on_iteration is not None:
                 on_iteration(it, dual)
-            return marg0 is not None and _converged(gap, dual + gap, res, config.tolerance)
+            if marg0 is None:
+                return False
+            last[:] = dual, gap, res, _converged(gap, dual + gap, res, config.tolerance)
+            return last[-1]
 
-        g = np.zeros(mu1.ground.size) if init is None else init[1]
         step = proximal_step(mu0_w, mu1_w, 1.0 / (1.0 + eps))
         f, g, iters, gamma = scaling_kernel(log_kernel(nu_x.weights, cost.values, eps),
-                                            mu0_w, mu1_w, step, g, config.max_iters, 5, check)
+                                            mu0_w, mu1_w, step, np.zeros(mu1.ground.size),
+                                            config.max_iters, 5, check)
+        dual, gap, res, converged = last
 
-    phi = _clamped_potentials(f, g, eps)
-    dual, gap, res = _assess(phi, gamma.sum(axis=1), gamma.sum(axis=0), mu0_w, mu1_w,
-                             eps, nu_mass)
-    report = SolveReport(dual + gap, dual, gap, iters, res,
-                         _converged(gap, dual + gap, res, config.tolerance))
-    return Plan(mu0.ground, mu1.ground, gamma), phi, report
+    report = SolveReport(dual + gap, dual, gap, iters, res, converged)
+    return Plan(mu0.ground, mu1.ground, gamma), _clamped_potentials(f, g, eps), report
 
 
 # ---------------------------------------------------------------------------

@@ -413,27 +413,24 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 
     Minimises (H_p, alpha) + eps * Div(alpha | nu_Y) subject to
     h_i^p alpha = mu_i, with eps = ``config.eps``.  nu_Y must be a probability
-    measure over the atom tensor (default: uniform over atoms with positive
-    radial values).
-    Targets below 0.25 are reached by an eps-continuation ladder with
-    rescaled tilts, one ``scaling_kernel`` call per stage.  A stage stops
-    when the largest homogeneous-marginal residual, relative to the mass
-    scale, drops below its tolerance (``config.tolerance`` at the target,
-    at most 1e-6 before it).  ``config.max_iters`` bounds the iterations
-    over the whole ladder: an earlier stage runs at most
-    max(200, max_iters // 4) of them and leaves at least one to the target
-    stage, whose plan is returned; the verdict applies the target stage's
-    test to that plan.
+    measure over the atom tensor on the grounds of mu0 and mu1 (default:
+    uniform over atoms with positive radial values).
+    One ``scaling_kernel`` call runs the tilt steps at eps from zero tilts
+    for at most ``config.max_iters`` iterations, and stops when the largest
+    homogeneous-marginal residual, relative to the mass scale, is at most
+    ``config.tolerance``.  The report is the assessment made at the loop's
+    last check, which sees both line marginals of the returned plan, so
+    ``converged`` is the stop test itself.
     ``dual`` is the weak-duality lower bound.  The plan is the scaling plan
     nu_Y exp(-H_p/eps + lambda_0 s0^p + lambda_1 s1^p) of the tilts, so its
     primal value is dual + eps * sum_i (lambda_i, d_i) over the defects
     d_i = h_i^p alpha - mu_i; the gap eps * sum_i (|lambda_i|, |d_i|) is
     nonnegative by construction and at least |primal - dual|.
     """
-    _check_instance(mu0, mu1, cost, None)
     grid0, grid1 = grids
     if nu_y is None:
         nu_y = default_nu_y(mu0, mu1, grids, p)
+    _check_instance(mu0, mu1, cost, nu_y)
     for side, (ref, grid) in enumerate(zip(nu_y.grids, grids)):
         if ref is not grid and not np.array_equal(ref.nodes, grid.nodes):
             raise GroundMismatchError(f"reference grid does not match grid{side}")
@@ -452,45 +449,28 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     with np.errstate(divide="ignore"):
         log_nu = np.where(nu_y.weights > 0, np.log(np.maximum(nu_y.weights, 1e-300)), -math.inf)
     scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
+    last = []
 
-    def defects(margs):
-        return [m.reshape(mu.size, -1) @ sp - mu for m, sp, mu in zip(margs, sps, mus)]
+    def stop(margs):
+        """The stop test on the line marginals; keeps the defects, the
+        residuals, the plan's mass and the verdict for the report."""
+        d = [m.reshape(mu.size, -1) @ sp - mu for m, sp, mu in zip(margs, sps, mus)]
+        res = tuple(float(np.max(np.abs(x))) / scale for x in d)
+        last[:] = d, res, float(np.sum(margs[1])), max(res) <= config.tolerance
+        return last[-1]
 
-    def residuals(d):
-        return tuple(float(np.max(np.abs(x))) / scale for x in d)
+    _, _, iters, alpha_w = scaling_kernel(
+        (log_nu - h / eps).reshape(masses[0].size, -1), *masses,
+        _tilt_step(sps, mus, lams), np.zeros(masses[1].size), config.max_iters, 1,
+        lambda _it, _f, _g, *margs: stop(margs))
 
-    ladder = [eps]
-    while ladder[0] < 0.25:
-        ladder.insert(0, min(2.0 * ladder[0], 0.5))
-    iters_total, g = 0, np.zeros(masses[1].size)
-    for stage, stage_eps in enumerate(ladder):
-        if stage > 0:
-            for lam in lams:
-                lam *= ladder[stage - 1] / stage_eps
-        left = config.max_iters - iters_total
-        final = stage == len(ladder) - 1
-        budget = left if final else min(max(200, config.max_iters // 4), left - 1)
-        if budget < 1:
-            continue
-        tol = config.tolerance if final else max(config.tolerance, 1e-6)
-        log_k = (log_nu - h / stage_eps).reshape(masses[0].size, -1)
-        # warm start: the last stage's g, whose zero-mass lines the kernel emptied
-        g = np.where(np.isneginf(g), g, (lams[1][:, None] * sps[1]).ravel())
-        _, g, iters, alpha_w = scaling_kernel(
-            log_k, *masses, _tilt_step(sps, mus, lams), g, budget, 1,
-            lambda _it, _f, _g, *margs: max(residuals(defects(margs))) <= tol)
-        iters_total += iters
-
+    d, res, mass, converged = last
     alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(h.shape))
-    alpha_w = alpha.weights
     dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)
-                  + nu_y.total_mass - float(np.sum(alpha_w)))
-    d = defects((alpha_w.sum(axis=(2, 3)).ravel(), alpha_w.sum(axis=(0, 1)).ravel()))
+                  + nu_y.total_mass - mass)
     primal = dual + eps * sum(float(lam @ x) for lam, x in zip(lams, d))
     gap = eps * sum(float(np.abs(lam) @ np.abs(x)) for lam, x in zip(lams, d))
-    res = residuals(d)
-    report = SolveReport(primal, dual, gap, iters_total, res, max(res) <= config.tolerance)
-    return alpha, report
+    return alpha, SolveReport(primal, dual, gap, iters, res, converged)
 
 
 # ---------------------------------------------------------------------------

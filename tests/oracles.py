@@ -301,7 +301,7 @@ def _kl_divergence(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a[pos] * np.log(a[pos] / b[pos]) - a[pos]) + np.sum(b))
 
 
-def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, tol, max_iters, g=None):
+def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, tol, max_iters):
     """Generalized Sinkhorn in the log domain, with the full primal and dual
     evaluated every 5th iteration.
 
@@ -336,9 +336,8 @@ def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, tol, max_iters, g=None):
         value = primal(gamma)
         return value - dual <= tol * (1.0 + abs(value)) and res <= max(tol, 1e-9)
 
-    g = np.zeros(len(mu1_w)) if g is None else g
     _, _, iters, gamma, stopped = log_domain_sinkhorn(
-        log_k, mu0_w, mu1_w, 1.0 / (1.0 + eps), g, max_iters, 5, stop)
+        log_k, mu0_w, mu1_w, 1.0 / (1.0 + eps), np.zeros(len(mu1_w)), max_iters, 5, stop)
     return primal(gamma), iters, stopped, gamma
 
 

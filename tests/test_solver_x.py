@@ -313,18 +313,18 @@ def test_stabilization_modes_agree():
 # Scaling kernel against the log-domain loop of tests/oracles.py
 # ---------------------------------------------------------------------------
 
-def assert_matches_log_domain(mu0, mu1, cost, nu, config, init=None):
+def assert_matches_log_domain(mu0, mu1, cost, nu, config):
     """Same primal (1e-9 relative), iteration count and verdict as the
     log-domain loop with full evaluations, and a report whose primal and
     dual equal the n x n evaluators at the returned plan and potentials
     (1e-12 relative); returns the report."""
-    plan, phi, rep = solve_x_eps(mu0, mu1, cost, nu, config, init=init)
+    plan, phi, rep = solve_x_eps(mu0, mu1, cost, nu, config)
     for got, want in ((rep.primal, eval_primal_eps(plan, mu0, mu1, cost, nu, config.eps)),
                       (rep.dual, eval_dual_eps(phi, mu0, mu1, cost, nu, config.eps))):
         assert abs(got - want) <= 1e-12 * abs(want)
     want, iters, converged, _ = solve_x_log_domain(
         mu0.weights, mu1.weights, cost.values, nu.weights, config.eps,
-        config.tolerance, config.max_iters, None if init is None else init[1])
+        config.tolerance, config.max_iters)
     assert rep.iterations == iters
     assert rep.converged == converged
     assert rep.primal == pytest.approx(want, rel=1e-9)
@@ -411,13 +411,21 @@ def test_kernel_point_reaching_only_massless_points():
 
 
 def test_kernel_warm_start_matches_log_domain():
+    # both loops start at eps 0.03 from the g of an eps-0.3 solve
     rng = np.random.default_rng(53)
     mu0, mu1, cost = random_instance(rng, 10, 14)
     nu = default_nu_x(mu0, mu1)
     _, phi, _ = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=0.3))
-    init = (phi.phi0 / 0.3, phi.phi1 / 0.3)
-    rep = assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=0.03), init=init)
-    assert rep.converged
+    g, eps, iters = phi.phi1 / 0.3, 0.03, 60
+    log_k = solver_x.log_kernel(nu.weights, cost.values, eps)
+    step = solver_x.proximal_step(mu0.weights, mu1.weights, 1.0 / (1.0 + eps))
+    *_, got_iters, got = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights, step, g,
+                                                 iters, 5, lambda *_: False)
+    *_, want_iters, want, _ = log_domain_sinkhorn(log_k, mu0.weights, mu1.weights,
+                                                  1.0 / (1.0 + eps), g, iters, 5,
+                                                  lambda *_: False)
+    assert got_iters == want_iters == iters
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 def test_kernel_cold_start_full_underflow():
@@ -467,6 +475,40 @@ def test_verdict_requires_first_order_residual():
     assert max(rep.marginal_residuals) > 1e-6
     assert rep.iterations == 500
     assert not rep.converged
+
+
+@pytest.mark.parametrize("seed", [2, 7, 8])
+def test_verdict_is_the_stop_test_at_the_boundary(monkeypatch, seed):
+    # a tolerance equal to the last check's own measure stops the loop at
+    # that check, and the report must say converged
+    rng = np.random.default_rng(seed)
+    g0 = GroundSet(rng.uniform(0, 1, size=(30, 2)))
+    g1 = GroundSet(rng.uniform(0, 1, size=(40, 2)))
+    mu0 = DiscreteMeasure(g0, rng.uniform(0.5, 1.5, 30))
+    mu1 = DiscreteMeasure(g1, 1.3 * rng.uniform(0.5, 1.5, 40))
+    cost = sqeuclidean_matrix(g0, g1)
+    nu = default_nu_x(mu0, mu1)
+    eps = 0.05
+    kernel, seen = solver_x.scaling_kernel, []
+
+    def spy(*args):
+        *head, check = args
+
+        def wrapped(it, f, g, marg0, marg1):
+            if marg0 is not None:
+                seen[:] = solver_x._assess(solver_x._clamped_potentials(f, g, eps), marg0,
+                                           marg1, mu0.weights, mu1.weights, eps, nu.total_mass)
+            return check(it, f, g, marg0, marg1)
+        return kernel(*head, wrapped)
+
+    monkeypatch.setattr(solver_x, "scaling_kernel", spy)
+    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=eps, max_iters=40))
+    assert rep.iterations == 40 and not rep.converged
+    dual, gap, res = seen
+    tol = max(max(res), gap / (1.0 + abs(dual + gap)))
+    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=eps, tolerance=tol))
+    assert rep.iterations == 40
+    assert rep.converged
 
 
 # ---------------------------------------------------------------------------

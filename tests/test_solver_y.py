@@ -321,9 +321,8 @@ def test_tilt_newton_step_cap_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("max_iters", [1, 2, 5])
-def test_eps_budget_bounds_the_whole_ladder(max_iters):
-    # eps = 0.05 runs the ladder 0.4, 0.2, 0.1, 0.05; the last half-step is a
-    # family-1 projection at the target eps, so that family is met exactly
+def test_eps_budget_bounds_the_solve(max_iters):
+    # the last half-step is a family-1 projection, so that family is met exactly
     mu0, mu1, cost, grids = massless_instance(np.random.default_rng(73), "sqeuclidean", 1.0)
     eps = 0.05
     alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None,
@@ -481,6 +480,56 @@ def test_eps_solver_rejects_cost_of_wrong_shape():
     grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
     with pytest.raises(GroundMismatchError):
         solve_y_eps(mu0, mu1, cost, 1.0, grids, None, SolverConfig(eps=0.5))
+
+
+def test_eps_solver_rejects_reference_on_other_grounds():
+    rng = np.random.default_rng(2)
+    g0 = GroundSet(rng.uniform(0, 1, size=(3, 2)))
+    g1 = GroundSet(rng.uniform(0, 1, size=(4, 2)))
+    mu0 = DiscreteMeasure(g0, rng.uniform(0.5, 1.5, 3))
+    mu1 = DiscreteMeasure(g1, rng.uniform(0.5, 1.5, 4))
+    cost = sqeuclidean_matrix(g0, g1)
+    grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
+    same_sizes = [DiscreteMeasure(GroundSet(mu.ground.points.copy()), mu.weights)
+                  for mu in (mu0, mu1)]
+    other_sizes = [DiscreteMeasure(GroundSet(rng.uniform(0, 1, size=(n, 2))), np.ones(n))
+                   for n in (5, 2)]
+    for other in (same_sizes, other_sizes):
+        nu = default_nu_y(*other, grids, 1.0)
+        with pytest.raises(GroundMismatchError):
+            solve_y_eps(mu0, mu1, cost, 1.0, grids, nu, SolverConfig(eps=0.5))
+
+
+def test_eps_verdict_is_the_stop_test_at_the_boundary(monkeypatch):
+    # a tolerance equal to the last check's residual stops the loop at that
+    # check, and the report must say converged
+    rng = np.random.default_rng(0)
+    g0 = GroundSet(rng.uniform(0, 1, size=(6, 2)))
+    g1 = GroundSet(rng.uniform(0, 1, size=(7, 2)))
+    mu0 = DiscreteMeasure(g0, rng.uniform(0.5, 1.5, 6))
+    mu1 = DiscreteMeasure(g1, rng.uniform(0.5, 1.5, 7))
+    cost = sqeuclidean_matrix(g0, g1)
+    grids = default_grids(mu0, mu1, 1.0, n_nodes=16)
+    sps = [grid.nodes for grid in grids]
+    scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
+    kernel, seen = solver_y.scaling_kernel, []
+
+    def spy(*args):
+        *head, check = args
+
+        def wrapped(it, f, g, *margs):
+            seen[:] = [float(np.max(np.abs(m.reshape(mu.size, -1) @ sp - mu))) / scale
+                       for m, sp, mu in zip(margs, sps, (mu0.weights, mu1.weights))]
+            return check(it, f, g, *margs)
+        return kernel(*head, wrapped)
+
+    monkeypatch.setattr(solver_y, "scaling_kernel", spy)
+    _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, SolverConfig(eps=0.3, max_iters=40))
+    assert rep.iterations == 40 and not rep.converged
+    _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None,
+                         SolverConfig(eps=0.3, tolerance=max(seen)))
+    assert rep.iterations == 40
+    assert rep.converged
 
 
 # ---------------------------------------------------------------------------
