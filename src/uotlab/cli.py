@@ -5,7 +5,8 @@ Structured results go to JSON: one line with sorted keys from the C
 encoder, so a re-read record re-serialises byte-identically.  Eps sweeps
 also emit a CSV (formulation, eps, value, gap, iterations, seconds).  Exit
 codes: 0 on success with converged solves, 2 when a solver failed to
-converge or a lift-check residual missed its bound, 1 on input errors.
+converge, a lift-check LP ended neither optimal nor infeasible or a
+lift-check residual missed its bound, 1 on input errors.
 UOTLAB_LOG selects the log level (error, info, debug).
 """
 
@@ -113,28 +114,12 @@ def _write_record(path: str, args, subcommand: str, t0: float, **fields) -> None
 
 def emit_convergence_csv(rows: list[dict], path: str) -> None:
     """Write sweep rows with the stable column order
-    (formulation, eps, value, gap, iterations, seconds).
-
-    Requires at least two distinct eps values; duplicate eps entries are
-    dropped with a warning.
-    """
-    seen = set()
-    unique = []
-    for row in rows:
-        key = (row["formulation"], row["eps"])
-        if key in seen:
-            log.warning("duplicate eps %s in sweep; dropping", row["eps"])
-            continue
-        seen.add(key)
-        unique.append(row)
-    if len(unique) < 2:
-        raise InputError("a sweep needs at least two distinct eps values")
+    (formulation, eps, value, gap, iterations, seconds)."""
     columns = ["formulation", "eps", "value", "gap", "iterations", "seconds"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
-        for row in unique:
-            writer.writerow({k: row[k] for k in columns})
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +174,15 @@ def _cmd_sweep_eps(args) -> int:
         eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
     except ValueError as exc:
         raise InputError(f"bad eps list {args.eps_list!r}") from exc
+    distinct = []
+    for eps in eps_list:
+        if eps in distinct:
+            log.warning("duplicate eps %s in sweep; dropping", eps)
+        else:
+            distinct.append(eps)
+    eps_list = sorted(distinct, reverse=True)
     if len(eps_list) < 2:
-        raise InputError("sweep-eps needs at least two eps values")
+        raise InputError("a sweep needs at least two distinct eps values")
 
     def solve_one(eps: float) -> dict:
         start = time.perf_counter()
@@ -217,7 +209,6 @@ def _cmd_sweep_eps(args) -> int:
             rows = list(pool.map(solve_one, eps_list))
     else:
         rows = [solve_one(eps) for eps in eps_list]
-    rows.sort(key=lambda r: -r["eps"])
     emit_convergence_csv(rows, args.out)
     if args.report:
         _write_record(args.report, args, "sweep-eps", t0, rows=rows)
@@ -268,10 +259,11 @@ def _cmd_lift_check(args) -> int:
         result = solve_lifted_balanced(mu0, mu1, cost, args.p, grid)
         values["lifted_balanced"] = result.value
         values["status"] = result.status
-        _, ot_value, ot_status = transport_lp(mu0.weights, mu1.weights, cost.values)
-        values["classical_ot"] = ot_value
-        if result.feasible and ot_status == "optimal":
-            residuals["lifted_vs_classical"] = abs(result.value - ot_value)
+        ot = transport_lp(mu0.weights, mu1.weights, cost.values)
+        values["classical_ot"] = ot.value
+        converged = {result.status, ot.status} <= {"optimal", "infeasible"}
+        if result.optimal and ot.optimal:
+            residuals["lifted_vs_classical"] = abs(result.value - ot.value)
     elif args.which == "balanced-eps":
         eps = SolverConfig(eps=args.eps).eps  # validates eps; only eps is used here
         nu = default_nu_x(mu0, mu1)
@@ -279,7 +271,8 @@ def _cmd_lift_check(args) -> int:
         result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, args.p, (s_grid, grid), eps)
         values["lifted_balanced_eps"] = result.value
         values["status"] = result.status
-        if result.feasible:
+        converged = result.status in ("optimal", "infeasible")
+        if result.optimal:
             gamma, _, _ = balanced_sinkhorn(mu0.weights, mu1.weights, cost.values,
                                             eps, nu.weights)
             ref = balanced_entropic_value(gamma, mu0.weights, cost.values, eps, nu.weights)
@@ -296,7 +289,7 @@ def _cmd_lift_check(args) -> int:
         converged = report.converged
     elif args.which == "second-order":
         w_grid = RadialGrid.geometric(2.0, n_nodes=6, smin_frac=0.1)
-        value, _ = solve_second_order_lift(mu0, mu1, cost, args.p, (grid, grid, w_grid))
+        value = solve_second_order_lift(mu0, mu1, cost, args.p, (grid, grid, w_grid)).value
         _, y_value = solve_y_unreg(mu0, mu1, cost, args.p, (grid, grid))
         values["second_order"] = value
         values["solve_y_unreg"] = y_value

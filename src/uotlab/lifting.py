@@ -18,15 +18,14 @@ against baseline solvers on small instances:
 Each lift broadcasts its atom cost tensor over the open mesh (``np.ix_``)
 of point indices and radial powers, takes its constraint families from the
 same mesh, and solves with ``simplex.atom_lp``.  The extended lift returns
-an ``AtomPlan`` with an S axis; the reduced lifts return their read-only
-weight tensors.
+an ``AtomPlan`` with an S axis and its value; the reduced lifts return
+``atom_lp``'s ``LpResult`` as it is, whose ``x`` is the read-only weight
+tensor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,50 +37,30 @@ from .solver_x import _check_instance
 from .solver_y import AtomPlan, RadialGrid, _optimal
 
 
-@dataclass(frozen=True)
-class LiftValue:
-    value: float
-    status: str  # optimal | infeasible
-    plan: Optional[np.ndarray] = None  # weights over (x0, x1, radial...) atoms
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "optimal"
-
-
-def _lift_value(res: LpResult) -> LiftValue:
-    if res.status == "infeasible":
-        return LiftValue(math.inf, "infeasible")
-    if not res.optimal:
-        raise RuntimeError(f"LP failed with status {res.status}")
-    return LiftValue(res.value, "optimal", res.x)
-
-
 # ---------------------------------------------------------------------------
 # Balanced lifting
 # ---------------------------------------------------------------------------
 
 def solve_lifted_balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                          cost: CostMatrix, p: float, grid: RadialGrid) -> LiftValue:
+                          cost: CostMatrix, p: float, grid: RadialGrid) -> LpResult:
     """Balanced transport lifted over a shared radial coordinate.
 
     min sum s^p c(x0, x1) beta  s.t.  s^p-weighted marginals equal mu_i.
     Mass-unbalanced inputs are infeasible, mirroring the +inf value of the
-    sharp-marginal problem.
+    sharp-marginal problem; every status is returned, none raised.
     """
     _check_instance(mu0, mu1, cost, None)
     if not balanced_masses(mu0.total_mass, mu1.total_mass):
-        return LiftValue(math.inf, "infeasible")
+        return LpResult("infeasible", None, math.inf, 0)
     i0, i1, sp = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
                         grid.nodes ** p)
-    return _lift_value(atom_lp(sp * cost.values[i0, i1],
-                               [(i0, sp, mu0.weights), (i1, sp, mu1.weights)]))
+    return atom_lp(sp * cost.values[i0, i1], [(i0, sp, mu0.weights), (i1, sp, mu1.weights)])
 
 
 def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                               cost: CostMatrix, nu_x: Plan, p: float,
                               grids: tuple[RadialGrid, RadialGrid],
-                              eps: float) -> LiftValue:
+                              eps: float) -> LpResult:
     """Entropic balanced lifting over (x0, x1, s, S) atoms.
 
     Per-atom cost s^p c + eps s^p R(S^p / s^p), with the conventions
@@ -91,7 +70,7 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     """
     _check_instance(mu0, mu1, cost, nu_x)
     if not balanced_masses(mu0.total_mass, mu1.total_mass):
-        return LiftValue(math.inf, "infeasible")
+        return LpResult("infeasible", None, math.inf, 0)
     n1 = mu1.ground.size
     i0, i1, sp, ssp = np.ix_(np.arange(mu0.ground.size), np.arange(n1),
                              grids[0].nodes ** p, grids[1].nodes ** p)
@@ -100,7 +79,7 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         penalty = np.where(sp > 0, np.where(ssp > 0, sp * entropy.R(ratio), math.inf), ssp)
     families = [(i0, sp, mu0.weights), (i1, sp, mu1.weights),
                 (i0 * n1 + i1, ssp, nu_x.weights)]
-    return _lift_value(atom_lp(sp * cost.values[i0, i1] + eps * penalty, families))
+    return atom_lp(sp * cost.values[i0, i1] + eps * penalty, families)
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +145,18 @@ def solve_x_extended_refined(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 def solve_second_order_lift(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                             cost: CostMatrix, p: float,
                             grids: tuple[RadialGrid, RadialGrid, RadialGrid]
-                            ) -> tuple[float, np.ndarray]:
+                            ) -> LpResult:
     """LP over (x0, x1, s0, s1, w) atoms with cost w * H(s0^p, s1^p, c).
 
     The sharp second-order perspective forces a shared density w on both
     sides, so the reduced plan carries a single w coordinate; constraints
-    are the s_i^p w-weighted point marginals.
+    are the s_i^p w-weighted point marginals.  Returns the optimal result;
+    raises InfeasibleProblemError when the LP is infeasible and
+    RuntimeError on any other status.
     """
     _check_instance(mu0, mu1, cost, None)
     i0, i1, s0p, s1p, w = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
                                  grids[0].nodes ** p, grids[1].nodes ** p, grids[2].nodes)
     families = [(i0, s0p * w, mu0.weights), (i1, s1p * w, mu1.weights)]
-    res = _optimal(atom_lp(perspective_H(s0p, s1p, cost.values[i0, i1]) * w, families),
-                   "second-order")
-    return res.value, res.x
+    return _optimal(atom_lp(perspective_H(s0p, s1p, cost.values[i0, i1]) * w, families),
+                    "second-order")

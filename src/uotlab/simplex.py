@@ -15,7 +15,8 @@ degenerate stall guarantees termination.
 
 ``atom_lp`` assembles every LP of the package: an atom cost tensor plus
 constraint families, each a (rows, coeff, target) triple.  Every lift, the
-extended-space LP and classical transport go through it.  A dense ``A``
+extended-space LP and classical transport go through it, and its
+``LpResult`` is the one outcome type of every LP.  A dense ``A``
 given to ``solve_lp`` runs as an ``AtomMatrix`` with one single-row family
 per row, through the same loop.
 
@@ -33,6 +34,7 @@ import numpy as np
 
 _REFACTOR_EVERY = 64
 _STALL_LIMIT = 60
+_TOL = 1e-11  # pricing, ratio-test and stall tolerance
 
 
 @dataclass
@@ -131,7 +133,7 @@ def _pivot_update(binv: np.ndarray, d: np.ndarray, row: int) -> None:
     binv[others, :] -= np.outer(d[others], binv[row, :])
 
 
-def _simplex_phase(c, A, b, basis, binv, max_iters, tol):
+def _simplex_phase(c, A, b, basis, binv, max_iters):
     """Run primal simplex from a feasible basis; mutates basis/binv.
 
     Returns (status, xB, iterations).
@@ -153,16 +155,16 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, tol):
         A._price(c, y, reduced)
         reduced[basis] = 0.0
         if bland:
-            candidates = np.flatnonzero(reduced < -tol)
+            candidates = np.flatnonzero(reduced < -_TOL)
             if candidates.size == 0:
                 return "optimal", xb, iters
             enter = int(candidates[0])
         else:
             enter = int(np.argmin(reduced))
-            if reduced[enter] >= -tol:
+            if reduced[enter] >= -_TOL:
                 return "optimal", xb, iters
         d = binv @ A._column(enter)
-        pos = d > tol
+        pos = d > _TOL
         if not np.any(pos):
             return "unbounded", xb, iters
         ratios = np.full(m, math.inf)
@@ -171,11 +173,11 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, tol):
         if bland:
             # smallest basic-variable index among the minimal ratios
             best = ratios[leave]
-            ties = np.flatnonzero(ratios <= best + tol)
+            ties = np.flatnonzero(ratios <= best + _TOL)
             leave = int(ties[np.argmin(np.asarray(basis)[ties])])
         step = ratios[leave]
         value = float(c[basis] @ xb)
-        if step <= tol and value >= last_value - tol * (1.0 + abs(value)):
+        if step <= _TOL and value >= last_value - _TOL * (1.0 + abs(value)):
             stall += 1
             if stall > _STALL_LIMIT:
                 bland = True
@@ -190,12 +192,13 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, tol):
     return "iteration_limit", xb, iters
 
 
-def solve_lp(c, A, b, max_iters: int | None = None, tol: float = 1e-11) -> LpResult:
+def solve_lp(c, A, b) -> LpResult:
     """Minimize c.x over {A x = b, x >= 0} by two-phase revised simplex.
 
     ``A`` is an ``AtomMatrix`` or a dense array.  Columns whose cost is not
-    finite cost +inf in both phases, so they never enter the basis; the
-    default ``max_iters`` counts only the finite ones.
+    finite cost +inf in both phases, so they never enter the basis.  Each
+    phase stops with status 'iteration_limit' after 50 (m + n') + 1000
+    pivots, n' the number of finite-cost columns.
     """
     if not isinstance(A, AtomMatrix):
         # a dense matrix: one single-row family per row
@@ -213,8 +216,7 @@ def solve_lp(c, A, b, max_iters: int | None = None, tol: float = 1e-11) -> LpRes
     n_finite = int(np.count_nonzero(finite))
     if n_finite < n:
         c = np.where(finite, c, math.inf)
-    if max_iters is None:
-        max_iters = 50 * (m + n_finite) + 1000
+    max_iters = 50 * (m + n_finite) + 1000
 
     flip = b < 0
     if np.any(flip):
@@ -228,7 +230,7 @@ def solve_lp(c, A, b, max_iters: int | None = None, tol: float = 1e-11) -> LpRes
     basis = list(range(n, n + m))
     binv = np.eye(m)
     A1 = AtomMatrix(A.atoms, A.families, m, A.diag + (np.ones(m),))
-    status, xb, it1 = _simplex_phase(c1, A1, b, basis, binv, max_iters, tol)
+    status, xb, it1 = _simplex_phase(c1, A1, b, basis, binv, max_iters)
     feas = float(c1[basis] @ xb)
     scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
     if status == "iteration_limit":
@@ -260,7 +262,7 @@ def solve_lp(c, A, b, max_iters: int | None = None, tol: float = 1e-11) -> LpRes
         m = len(rows)
         binv = np.linalg.inv(A._columns(basis))
 
-    status, xb, it2 = _simplex_phase(c, A, b, basis, binv, max_iters, tol)
+    status, xb, it2 = _simplex_phase(c, A, b, basis, binv, max_iters)
     if status != "optimal":
         return LpResult(status, None, math.nan if status != "unbounded" else -math.inf, it1 + it2)
     xb = np.maximum(xb, 0.0)
@@ -308,21 +310,17 @@ def balanced_masses(m0: float, m1: float) -> bool:
     return abs(m0 - m1) <= 1e-9 * (1.0 + m0 + m1)
 
 
-def transport_lp(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray
-                 ) -> tuple[np.ndarray | None, float, str]:
+def transport_lp(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> LpResult:
     """Classical balanced optimal transport as an atom LP over the (i, j) pairs.
 
-    Returns (plan, value, status); value is +inf with status 'infeasible'
-    when the masses differ (``balanced_masses``) or when infinite costs
-    block every coupling.
+    Returns ``atom_lp``'s result, whose ``x`` is the plan.  The status is
+    'infeasible', with value +inf and no plan, when the masses differ
+    (``balanced_masses``) or when infinite costs block every coupling.
     """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     if not balanced_masses(float(mu.sum()), float(nu.sum())):
-        return None, math.inf, "infeasible"
+        return LpResult("infeasible", None, math.inf, 0)
     # both row and column sums; the simplex drops the one redundant row
     i, j = np.ix_(np.arange(mu.size), np.arange(nu.size))
-    res = atom_lp(cost, [(i, 1.0, mu), (j, 1.0, nu)])
-    if not res.optimal:
-        return None, math.inf, res.status
-    return res.x, res.value, "optimal"
+    return atom_lp(cost, [(i, 1.0, mu), (j, 1.0, nu)])

@@ -304,13 +304,6 @@ def _optimal(res: LpResult, what: str) -> LpResult:
     return res
 
 
-def _check_reachable(mu: DiscreteMeasure, grid: RadialGrid, side: str) -> None:
-    if np.any(mu.weights > 0) and not np.any(grid.nodes > 0):
-        raise InfeasibleProblemError(
-            f"{side} marginal carries mass but its radial grid has no positive node"
-        )
-
-
 def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                   p: float, grids: tuple[RadialGrid, RadialGrid],
                   mode: str = "equality") -> tuple[AtomPlan, float]:
@@ -321,8 +314,6 @@ def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     """
     _check_instance(mu0, mu1, cost, None)
     grid0, grid1 = grids
-    _check_reachable(mu0, grid0, "first")
-    _check_reachable(mu1, grid1, "second")
     if mode not in ("equality", "inequality"):
         raise ValueError("mode must be 'equality' or 'inequality'")
     i0, s0p, i1, s1p = np.ix_(np.arange(mu0.ground.size), grid0.nodes ** p,
@@ -436,8 +427,6 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
             raise GroundMismatchError(f"reference grid does not match grid{side}")
     if abs(nu_y.total_mass - 1.0) > 1e-8:
         raise ValueError("nu_Y must be a probability measure over the atoms")
-    _check_reachable(mu0, grid0, "first")
-    _check_reachable(mu1, grid1, "second")
     eps = config.eps
 
     sps = (grid0.nodes ** p, grid1.nodes ** p)
@@ -498,8 +487,6 @@ def extended_ot_value(beta0: YMeasure, beta1: YMeasure, cost: CostMatrix,
     h = hp_tensor(cost, beta0.grid, beta1.grid, p)
     n0, k0 = beta0.weights.shape
     n1, k1 = beta1.weights.shape
-    pairs = h.transpose(0, 1, 2, 3).reshape(n0 * k0, n1 * k1)
-    _, value, status = transport_lp(beta0.weights.ravel(), beta1.weights.ravel(), pairs)
-    if status != "optimal":
-        raise RuntimeError(f"transport LP failed: {status}")
-    return value
+    pairs = h.reshape(n0 * k0, n1 * k1)
+    return _optimal(transport_lp(beta0.weights.ravel(), beta1.weights.ravel(), pairs),
+                    "transport").value

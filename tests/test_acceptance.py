@@ -279,8 +279,8 @@ def test_criterion_7_cross_formulation_agreement():
         grids = default_grids(mu0, mu1, 1.0, n_nodes=12, smin_frac=1e-2)
         _, y_value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
         w_grid = RadialGrid.geometric(2.0, n_nodes=5, smin_frac=0.1)
-        second, _ = solve_second_order_lift(mu0, mu1, cost, 1.0,
-                                            (grids[0], grids[1], w_grid))
+        second = solve_second_order_lift(mu0, mu1, cost, 1.0,
+                                         (grids[0], grids[1], w_grid)).value
         worst_second = max(worst_second, abs(second - y_value))
 
         balanced_mu1 = DiscreteMeasure(
@@ -288,7 +288,7 @@ def test_criterion_7_cross_formulation_agreement():
         grid = RadialGrid.geometric(mu0.total_mass + balanced_mu1.total_mass,
                                     n_nodes=7, smin_frac=0.05)
         lift = solve_lifted_balanced(mu0, balanced_mu1, cost, 1.0, grid)
-        _, ot_value, _ = transport_lp(mu0.weights, balanced_mu1.weights, cost.values)
+        ot_value = transport_lp(mu0.weights, balanced_mu1.weights, cost.values).value
         worst_bal = max(worst_bal, abs(lift.value - ot_value))
     report_line(7, worst_ext <= 1e-3 and worst_second <= 1e-3 and worst_bal <= 1e-9,
                 f"10 instances, extended {worst_ext:.2e}, second-order {worst_second:.2e}, "

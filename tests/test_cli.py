@@ -1,12 +1,14 @@
 import csv
+import dataclasses
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from uotlab import cli, identities
-from uotlab.cli import emit_convergence_csv, run, InputError
+from uotlab import cli, identities, lifting
+from uotlab.cli import run
 from uotlab.simplex import transport_lp
 
 
@@ -68,19 +70,18 @@ def test_sweep_eps_rejects_single_value(fixtures):
     assert code == 1
 
 
-def test_emit_csv_dedupes_and_validates(tmp_path):
-    rows = [
-        {"formulation": "x", "eps": 1.0, "value": 2.0, "gap": 0.0, "iterations": 3, "seconds": 0.1},
-        {"formulation": "x", "eps": 1.0, "value": 2.0, "gap": 0.0, "iterations": 3, "seconds": 0.2},
-        {"formulation": "x", "eps": 0.5, "value": 1.5, "gap": 0.0, "iterations": 4, "seconds": 0.1},
-    ]
-    path = tmp_path / "out.csv"
-    emit_convergence_csv(rows, str(path))
-    with open(path, newline="") as fh:
-        written = list(csv.DictReader(fh))
-    assert len(written) == 2
-    with pytest.raises(InputError):
-        emit_convergence_csv(rows[:1], str(path))
+def test_sweep_eps_solves_each_distinct_eps_once(fixtures):
+    tmp, mu0, mu1, _ = fixtures
+    out, report = tmp / "dup.csv", tmp / "dup.json"
+    code = run(["sweep-eps", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean",
+                "--eps-list", "0.5,0.5,0.3", "--out", str(out), "--report", str(report)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        assert [float(row["eps"]) for row in csv.DictReader(fh)] == [0.5, 0.3]
+    assert [row["eps"] for row in json.loads(report.read_text())["rows"]] == [0.5, 0.3]
+    code = run(["sweep-eps", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean",
+                "--eps-list", "0.5,0.5", "--out", str(out)])
+    assert code == 1
 
 
 def test_compare_subcommand(fixtures):
@@ -115,13 +116,27 @@ def test_lift_check_balanced(tmp_path):
 
 def test_lift_check_exits_two_past_residual_bound(tmp_path, monkeypatch):
     def shifted_transport_lp(*args):
-        plan, value, status = transport_lp(*args)
-        return plan, value + 1e-6, status
+        res = transport_lp(*args)
+        return dataclasses.replace(res, value=res.value + 1e-6)
 
     monkeypatch.setattr(cli, "transport_lp", shifted_transport_lp)
     code, record = run_balanced_lift_check(tmp_path)
     assert code == 2
     assert record["residuals"]["lifted_vs_classical"] > 1e-9
+
+
+@pytest.mark.parametrize("status", ["iteration_limit", "unbounded"])
+def test_lift_check_records_a_failed_lp_and_exits_two(tmp_path, monkeypatch, status):
+    solved = lifting.atom_lp
+
+    def failing_atom_lp(*args):
+        return dataclasses.replace(solved(*args), status=status, x=None, value=math.nan)
+
+    monkeypatch.setattr(lifting, "atom_lp", failing_atom_lp)
+    code, record = run_balanced_lift_check(tmp_path)
+    assert code == 2
+    assert record["values"]["status"] == status
+    assert "lifted_vs_classical" not in record["residuals"]
 
 
 def test_identities_subcommand(tmp_path):

@@ -67,7 +67,7 @@ def test_balanced_coincident_diracs():
     cost = CostMatrix(np.array([[0.0]]))
     grid = RadialGrid.geometric(2.0, n_nodes=6, smin_frac=0.1)
     result = solve_lifted_balanced(mu, mu, cost, 1.0, grid)
-    assert result.feasible and result.value == pytest.approx(0.0, abs=1e-12)
+    assert result.optimal and result.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_balanced_matches_classical_ot():
@@ -78,8 +78,9 @@ def test_balanced_matches_classical_ot():
         grid = RadialGrid.geometric(mu0.total_mass + scaled.total_mass, n_nodes=7,
                                     smin_frac=0.05)
         result = solve_lifted_balanced(mu0, scaled, cost, 1.0, grid)
-        _, ot_value, status = transport_lp(mu0.weights, scaled.weights, cost.values)
-        assert status == "optimal" and result.feasible
+        ot = transport_lp(mu0.weights, scaled.weights, cost.values)
+        ot_value, status = ot.value, ot.status
+        assert status == "optimal" and result.optimal
         assert result.value == pytest.approx(ot_value, abs=1e-9)
 
 
@@ -89,7 +90,7 @@ def test_balanced_mass_mismatch_infeasible():
     bumped = DiscreteMeasure(mu1.ground, mu1.weights * 1.5)
     result = solve_lifted_balanced(mu0, bumped, cost, 1.0,
                                    RadialGrid.geometric(4.0, n_nodes=6, smin_frac=0.1))
-    assert not result.feasible
+    assert not result.optimal
     assert result.value == math.inf
 
 
@@ -116,7 +117,7 @@ def test_balanced_eps_matches_balanced_entropic_transport():
         S_grid = RadialGrid(
             np.concatenate([[0.0], np.geomspace(float(ratio.min()) / 2.0, hi, 500)]), hi)
         result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, 1.0, (s_grid, S_grid), eps)
-        assert result.feasible
+        assert result.optimal
         assert result.value == pytest.approx(want, abs=1e-5)
 
 
@@ -147,7 +148,7 @@ def test_balanced_eps_diagonal_atoms_cost_nothing():
     nu = Plan(g, g, [[1.0]])
     s_grid = RadialGrid(np.array([0.0, 0.5, 1.0]), 1.0)
     result = solve_lifted_balanced_eps(mu, mu, cost, nu, 1.0, (s_grid, s_grid), 0.7)
-    assert result.feasible
+    assert result.optimal
     assert result.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -159,7 +160,7 @@ def test_balanced_eps_mass_mismatch():
     s_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
     S_grid = RadialGrid(np.array([0.0, 0.5, 1.0, 2.0]), 2.0)
     result = solve_lifted_balanced_eps(mu0, bumped, cost, nu, 1.0, (s_grid, S_grid), 0.5)
-    assert not result.feasible
+    assert not result.optimal
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +236,8 @@ def test_second_order_matches_extended_space_lp():
         grids = default_grids(mu0, mu1, p, n_nodes=12, smin_frac=1e-2)
         _, y_value = solve_y_unreg(mu0, mu1, cost, p, grids)
         w_grid = RadialGrid.geometric(2.0, n_nodes=5, smin_frac=0.1)
-        value, plan = solve_second_order_lift(mu0, mu1, cost, p,
-                                              (grids[0], grids[1], w_grid))
+        res = solve_second_order_lift(mu0, mu1, cost, p, (grids[0], grids[1], w_grid))
+        value, plan = res.value, res.x
         assert value == pytest.approx(y_value, abs=1e-3)
         assert plan.shape == (2, 2, grids[0].size, grids[1].size, w_grid.size)
 
@@ -247,7 +248,7 @@ def test_second_order_coincident_diracs():
     cost = CostMatrix(np.array([[0.0]]))
     grid = RadialGrid(np.array([0.0, 0.5, 1.0, 2.0]), 2.0)
     w_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
-    value, _ = solve_second_order_lift(mu, mu, cost, 1.0, (grid, grid, w_grid))
+    value = solve_second_order_lift(mu, mu, cost, 1.0, (grid, grid, w_grid)).value
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -260,7 +261,7 @@ def test_second_order_dirac_hk_close():
     cost = CostMatrix(np.array([[hk_cost(d)]]))
     grids = default_grids(mu0, mu1, 1.0, n_nodes=96, smin_frac=1e-3)
     w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.5)
-    value, _ = solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid))
+    value = solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid)).value
     exact = m0 + m1 - 2.0 * math.sqrt(m0 * m1) * math.cos(d)
     assert value == pytest.approx(exact, abs=1e-3)
 
@@ -275,7 +276,7 @@ def test_second_order_full_density_grid_gate():
     cost = sqeuclidean_matrix(g0, g1)
     grids = default_grids(mu0, mu1, 1.0, n_nodes=8, smin_frac=0.05)
     w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.2)
-    v_red, _ = solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid))
+    v_red = solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid)).value
     v_full = solve_second_order_full_w(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid))
     assert v_full == pytest.approx(v_red, abs=1e-12)
 

@@ -77,7 +77,8 @@ def test_transport_lp_against_scipy():
         nu = rng.uniform(0.1, 1.0, n1)
         nu *= mu.sum() / nu.sum()
         cost = rng.uniform(0.0, 3.0, size=(n0, n1))
-        plan, value, status = transport_lp(mu, nu, cost)
+        res = transport_lp(mu, nu, cost)
+        plan, value, status = res.x, res.value, res.status
         assert status == "optimal"
         a_eq = np.zeros((n0 + n1, n0 * n1))
         for i in range(n0):
@@ -92,19 +93,21 @@ def test_transport_lp_against_scipy():
 
 
 def test_transport_lp_mass_mismatch():
-    _, value, status = transport_lp(np.array([1.0]), np.array([2.0]), np.array([[1.0]]))
+    res = transport_lp(np.array([1.0]), np.array([2.0]), np.array([[1.0]]))
+    value, status = res.value, res.status
     assert status == "infeasible" and value == np.inf
 
 
 def test_transport_lp_infinite_costs():
     cost = np.array([[np.inf, 1.0], [1.0, np.inf]])
-    plan, value, status = transport_lp(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cost)
+    res = transport_lp(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cost)
+    plan, value, status = res.x, res.value, res.status
     assert status == "optimal"
     assert value == pytest.approx(1.0)
     assert plan[0, 0] == 0.0 and plan[1, 1] == 0.0
 
     blocked = np.full((1, 1), np.inf)
-    _, value, status = transport_lp(np.array([1.0]), np.array([1.0]), blocked)
+    status = transport_lp(np.array([1.0]), np.array([1.0]), blocked).status
     assert status == "infeasible"
 
 

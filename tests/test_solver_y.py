@@ -470,6 +470,23 @@ def test_eps_solver_infeasible_when_support_unreachable():
         solve_y_eps(mu0, mu1, cost, 1.0, grids, nu_bad, SolverConfig(eps=0.5))
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_eps_solver_infeasible_on_a_zero_grid(side):
+    # a side with mass whose radial grid is {0}: an explicit uniform nu_Y,
+    # since the default one needs a positive node on each side
+    g0 = GroundSet([[0.0], [0.5]])
+    g1 = GroundSet([[0.2]])
+    mu0 = DiscreteMeasure(g0, [0.5, 0.5])
+    mu1 = DiscreteMeasure(g1, [1.0])
+    cost = CostMatrix(np.array([[0.04], [0.09]]))
+    grids = list(default_grids(mu0, mu1, 1.0, n_nodes=8, smin_frac=1e-2))
+    grids[side] = RadialGrid(np.array([0.0]), 1.0)
+    w = np.ones((2, grids[0].size, 1, grids[1].size))
+    nu = AtomPlan(g0, g1, tuple(grids), 1.0, w / w.sum())
+    with pytest.raises(InfeasibleProblemError):
+        solve_y_eps(mu0, mu1, cost, 1.0, tuple(grids), nu, SolverConfig(eps=0.5))
+
+
 def test_eps_solver_rejects_cost_of_wrong_shape():
     rng = np.random.default_rng(1)
     g0 = GroundSet(rng.uniform(0, 1, size=(3, 2)))

@@ -1,0 +1,71 @@
+"""Print the CLI records of every benchmark job as one sorted JSON document.
+
+    python3 tools/records.py [ROOT]
+
+Runs every job of the three workloads in ``ROOT/perfbench/workloads.py``
+once, in this process, on seeds 1 and 2, against the package in
+``ROOT/src`` (ROOT defaults to this repository).  Each job's exit code and
+JSON record are printed under "<workload>/<seed>/<job>", one job per line,
+with clock fields removed and paths given relative to the temporary input
+directory, so two checkouts that compute the same results print the same
+document and ``diff`` names the jobs whose records differ.  Exits 1 when any job exits non-zero or raises.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+import traceback
+
+SEEDS = (1, 2)
+# keys of a CLI record that hold clock readings, not results
+CLOCK_KEYS = ("wallClockSeconds", "seconds")
+
+
+def _clean(value, workdir: str):
+    if isinstance(value, dict):
+        return {k: _clean(v, workdir) for k, v in value.items() if k not in CLOCK_KEYS}
+    if isinstance(value, list):
+        return [_clean(v, workdir) for v in value]
+    if isinstance(value, str) and value.startswith(workdir + os.sep):
+        return os.path.relpath(value, workdir)
+    return value
+
+
+def main(root: str) -> int:
+    # one BLAS thread, as the benchmark workers run
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    root = os.path.abspath(root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    from uotlab import cli
+    from workloads import WORKLOADS, output_path, write_inputs
+
+    records, failed = {}, 0
+    for workload, jobs in sorted(WORKLOADS.items()):
+        for seed in SEEDS:
+            with tempfile.TemporaryDirectory() as workdir:
+                write_inputs(workload, seed, workdir)
+                for job in jobs:
+                    entry = {}
+                    try:
+                        entry["exit_code"] = cli.run(job.argv(workdir, seed))
+                        with open(output_path(workdir, job), encoding="utf-8") as fh:
+                            entry["record"] = _clean(json.load(fh), workdir)
+                    except Exception:  # a raising job is a failed job; keep going
+                        entry["error"] = traceback.format_exc().splitlines()[-1]
+                    if entry.get("exit_code") != 0:
+                        failed += 1
+                        print(f"failed: {workload}/{seed}/{job.name}", file=sys.stderr)
+                    records[f"{workload}/{seed}/{job.name}"] = entry
+    # one job per line, so a diff names the jobs that differ
+    print("{\n" + ",\n".join(f"{json.dumps(name)}: {json.dumps(records[name], sort_keys=True)}"
+                              for name in sorted(records)) + "\n}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else
+                  os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
