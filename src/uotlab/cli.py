@@ -2,7 +2,9 @@
 cross-formulation comparisons, and the grid-measure identity checks.
 
 Structured results go to JSON: one line with sorted keys from the C
-encoder, so a re-read record re-serialises byte-identically.  Eps sweeps
+encoder, so a re-read record re-serialises byte-identically.  Records are
+strict JSON: a non-finite value is written as the string "inf", "-inf" or
+"nan".  Eps sweeps
 also emit a CSV (formulation, eps, value, gap, iterations, seconds).  Exit
 codes: 0 on success with converged solves, 2 when a solver failed to
 converge, a lift-check LP ended neither optimal nor infeasible or a
@@ -16,6 +18,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -102,14 +105,30 @@ def _load_nu(path: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
     return Plan(mu0.ground, mu1.ground, weights)
 
 
+def _strict(value):
+    """``value`` with every non-finite float written as the string "inf",
+    "-inf" or "nan", which strict JSON can hold."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _write_record(path: str, args, subcommand: str, t0: float, **fields) -> None:
     """Write a subcommand's record: the echoed arguments, the version,
-    ``fields`` and the wall-clock seconds since ``t0``."""
+    ``fields`` and the wall-clock seconds since ``t0``, as strict JSON."""
     config = {k: v for k, v in vars(args).items() if k != "func"}
     record = {"config": {**config, "subcommand": subcommand}, "version": __version__,
               "wallClockSeconds": time.perf_counter() - t0, **fields}
+    try:
+        line = json.dumps(record, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float somewhere: the rare slow path
+        line = json.dumps(_strict(record), sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(line + "\n")
 
 
 def emit_convergence_csv(rows: list[dict], path: str) -> None:

@@ -6,12 +6,17 @@ homogeneous-marginal constraint families) and possibly very many columns
 (one per grid atom).  A is never formed: an ``AtomMatrix`` keeps each
 constraint family as its (rows, coeff) pair broadcast over the atom cost
 tensor, and slack and phase-1 artificial columns as implicit identity
-columns.  Pricing computes the reduced costs c - A^T y by broadcasting the
-row duals over the tensor, one family at a time; only the entering column
-is formed at each pivot, and the m basic columns at each refactorisation.
-The basis inverse is kept explicitly and updated by pivoting.  Dantzig
-pricing (first index in C order on ties) with a Bland fallback after a
-degenerate stall guarantees termination.
+columns.  A full pricing pass computes the reduced costs c - A^T y by
+broadcasting the row duals over the tensor, one family at a time, and keeps
+the ``_CANDIDATES`` most negative columns as a candidate list whose columns
+are formed once.  Each pivot prices only that list (Dantzig on the list,
+first index on ties); a full pass runs again only when no candidate prices
+negative, and then either refills the list or proves optimality.  The
+first pivot after a full pass is the Dantzig choice over every column
+(first index in C order on ties).  The basis inverse is kept explicitly and
+updated by pivoting; only the entering column and, at each
+refactorisation, the m basic columns are formed.  A Bland fallback after a
+degenerate stall, pricing every column, guarantees termination.
 
 ``atom_lp`` assembles every LP of the package: an atom cost tensor plus
 constraint families, each a (rows, coeff, target) triple.  Every lift, the
@@ -33,6 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _REFACTOR_EVERY = 64
+_CANDIDATES = 200  # columns kept from a full pricing pass
+_SELECT_BLOCK = 1 << 16  # reduced costs scanned at a time when selecting them
 _STALL_LIMIT = 60
 _TOL = 1e-11  # pricing, ratio-test and stall tolerance
 
@@ -99,24 +106,22 @@ class AtomMatrix:
             np.subtract(c[block], d * y, out=out[block])
         return out
 
-    def _column(self, j: int) -> np.ndarray:
-        col = np.zeros(self.m)
-        n_atoms = self._n_atoms
-        if j < n_atoms:
-            at = np.unravel_index(j, self.atoms)
-            for rows, coeff in self._broadcast:
-                col[rows[at]] += coeff[at]
-        else:
-            k, r = divmod(j - n_atoms, self.m)
-            col[r] = self.diag[k][r]
-        return col if self.kept is None else col[self.kept]
-
     def _columns(self, cols) -> np.ndarray:
         """The dense m x len(cols) submatrix A[:, cols]."""
-        out = np.zeros((self.shape[0], len(cols)))
-        for i, j in enumerate(cols):
-            out[:, i] = self._column(j)
-        return out
+        cols = np.asarray(cols, dtype=np.intp)
+        out = np.zeros((self.m, cols.size))
+        n_atoms = self._n_atoms
+        atom = cols < n_atoms
+        pos = np.flatnonzero(atom)
+        at = np.unravel_index(cols[pos], self.atoms)
+        # one atom lands in one row per family, so no (row, pos) pair repeats
+        for rows, coeff in self._broadcast:
+            out[rows[at], pos] += coeff[at]
+        if self.diag:
+            pos = np.flatnonzero(~atom)
+            k, r = np.divmod(cols[pos] - n_atoms, self.m)
+            out[r, pos] = np.asarray(self.diag)[k, r]
+        return out if self.kept is None else out[self.kept]
 
     def _flipped(self, flip: np.ndarray) -> AtomMatrix:
         """The matrix with the rows where ``flip`` holds negated."""
@@ -133,9 +138,31 @@ def _pivot_update(binv: np.ndarray, d: np.ndarray, row: int) -> None:
     binv[others, :] -= np.outer(d[others], binv[row, :])
 
 
+def _candidates(reduced: np.ndarray) -> np.ndarray:
+    """Ascending indices of ``_CANDIDATES`` columns whose reduced costs are
+    the most negative below -_TOL (among ties at the cut, those that
+    ``np.argpartition`` keeps).  Scans ``reduced`` block by block so that no
+    temporary grows with its length."""
+    best = np.empty(0, dtype=np.intp)
+    bound = -_TOL  # once the list is full, a column must price below its worst
+    for start in range(0, reduced.size, _SELECT_BLOCK):
+        block = reduced[start:start + _SELECT_BLOCK]
+        new = np.flatnonzero(block < bound)
+        if new.size > _CANDIDATES:
+            new = np.sort(new[np.argpartition(block[new], _CANDIDATES - 1)[:_CANDIDATES]])
+        pool = np.concatenate([best, new + start])
+        if pool.size > _CANDIDATES:
+            pool = np.sort(pool[np.argpartition(reduced[pool], _CANDIDATES - 1)[:_CANDIDATES]])
+            bound = float(reduced[pool].max())
+        best = pool
+    return best
+
+
 def _simplex_phase(c, A, b, basis, binv, max_iters):
     """Run primal simplex from a feasible basis; mutates basis/binv.
 
+    Prices the candidate list at each pivot and every column only to
+    refill the list, to prove optimality or under Bland's rule.
     Returns (status, xB, iterations).
     """
     m, n = A.shape
@@ -143,6 +170,8 @@ def _simplex_phase(c, A, b, basis, binv, max_iters):
     if n == 0:
         return "optimal", xb, 0
     reduced = np.empty(n)
+    cand = np.empty(0, dtype=np.intp)
+    cand_cols = np.empty((m, 0))
     stall = 0
     bland = False
     iters = 0
@@ -152,18 +181,30 @@ def _simplex_phase(c, A, b, basis, binv, max_iters):
             binv[:] = np.linalg.inv(A._columns(basis))
             xb = binv @ b
         y = binv.T @ c[basis]
-        A._price(c, y, reduced)
-        reduced[basis] = 0.0
-        if bland:
-            candidates = np.flatnonzero(reduced < -_TOL)
-            if candidates.size == 0:
-                return "optimal", xb, iters
-            enter = int(candidates[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -_TOL:
-                return "optimal", xb, iters
-        d = binv @ A._column(enter)
+        col = None
+        if not bland and cand.size:
+            priced = c[cand] - y @ cand_cols
+            slot = np.minimum(np.searchsorted(cand, basis), cand.size - 1)
+            priced[slot[cand[slot] == basis]] = 0.0  # basic columns price at 0
+            i = int(np.argmin(priced))
+            if priced[i] < -_TOL:
+                enter, col = int(cand[i]), cand_cols[:, i]
+        if col is None:
+            A._price(c, y, reduced)
+            reduced[basis] = 0.0
+            if bland:
+                negative = np.flatnonzero(reduced < -_TOL)
+                if negative.size == 0:
+                    return "optimal", xb, iters
+                enter = int(negative[0])
+            else:
+                enter = int(np.argmin(reduced))
+                if reduced[enter] >= -_TOL:
+                    return "optimal", xb, iters
+                cand = _candidates(reduced)
+                cand_cols = A._columns(cand)
+            col = A._columns([enter])[:, 0]
+        d = binv @ col
         pos = d > _TOL
         if not np.any(pos):
             return "unbounded", xb, iters
@@ -248,7 +289,7 @@ def solve_lp(c, A, b) -> LpResult:
             A._price(c1[:n], binv[r, :], row)
             pivots = np.flatnonzero(np.isfinite(row) & (np.abs(row) > 1e-9))
             if pivots.size:
-                d = binv @ A._column(int(pivots[0]))
+                d = binv @ A._columns(pivots[:1])[:, 0]
                 _pivot_update(binv, d, r)
                 basis[r] = int(pivots[0])
             else:
@@ -267,9 +308,9 @@ def solve_lp(c, A, b) -> LpResult:
         return LpResult(status, None, math.nan if status != "unbounded" else -math.inf, it1 + it2)
     xb = np.maximum(xb, 0.0)
     x = np.zeros(n)
-    x[np.asarray(basis, dtype=int)] = xb
-    # leave out the +inf costs of the atoms that never entered
-    return LpResult("optimal", x, float(np.where(x > 0.0, c, 0.0) @ x), it1 + it2)
+    x[basis] = xb
+    # c.x over the basic entries alone: a nonbasic atom is 0 and may cost +inf
+    return LpResult("optimal", x, float(c[basis] @ xb), it1 + it2)
 
 
 def atom_lp(cost, families, slack_cost: float | None = None) -> LpResult:

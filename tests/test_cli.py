@@ -139,6 +139,23 @@ def test_lift_check_records_a_failed_lp_and_exits_two(tmp_path, monkeypatch, sta
     assert "lifted_vs_classical" not in record["residuals"]
 
 
+def test_lift_check_record_is_strict_json(fixtures):
+    # unequal masses: both balanced LPs are infeasible and their values +inf
+    tmp, mu0, mu1, _ = fixtures
+    out = tmp / "lift.json"
+    code = run(["lift-check", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean",
+                "--which", "balanced", "--radial-nodes", "8", "--out", str(out)])
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    record = json.loads(out.read_text(), parse_constant=reject)
+    assert code == 0
+    assert record["values"]["status"] == "infeasible"
+    assert record["values"]["lifted_balanced"] == "inf"
+    assert record["values"]["classical_ot"] == "inf"
+
+
 def test_identities_subcommand(tmp_path):
     out = tmp_path / "id.json"
     code = run(["identities", "--grid", "4", "--dim", "1", "--eps", "0.2",

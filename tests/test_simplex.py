@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from uotlab import simplex
 from uotlab.simplex import atom_lp, solve_lp, transport_lp
 
 
@@ -174,3 +175,93 @@ def test_atom_lp_memory_stays_near_the_cost_tensor():
     assert res.optimal
     assert np.allclose(np.einsum("ijk,k->i", res.x, sp.ravel()), mu0, rtol=0, atol=1e-9)
     assert peak <= 10 * cost.nbytes
+
+
+def lifted_balanced_lp(rng, n, k):
+    """A lifted-balanced atom LP over n x n points and k radial nodes, and
+    its dense (c, A_eq, b) with one column per atom in C order."""
+    x0, x1 = rng.uniform(size=(n, 2)), rng.uniform(size=(n, 2))
+    ground = ((x0[:, None, :] - x1[None, :, :]) ** 2).sum(axis=-1)
+    mu0, mu1 = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+    mu1 *= mu0.sum() / mu1.sum()
+    i0, i1, sp = np.ix_(np.arange(n), np.arange(n), np.linspace(0.05, 2.0, k) ** 2)
+    cost = sp * ground[i0, i1]
+    a_eq = np.zeros((2 * n, cost.size))
+    for col, (i, j, l) in enumerate(np.ndindex(cost.shape)):
+        a_eq[i, col] = a_eq[n + j, col] = sp.ravel()[l]
+    return (cost, [(i0, sp, mu0), (i1, sp, mu1)]), (cost.ravel(), a_eq, np.concatenate([mu0, mu1]))
+
+
+def tied_transport_lp(rng, n):
+    """A degenerate transport LP, with integer masses and costs that take
+    four values, and its dense form."""
+    mu = rng.integers(1, 4, n).astype(float)
+    nu = rng.permutation(mu)
+    cost = rng.integers(1, 5, size=(n, n)).astype(float)
+    i, j = np.ix_(np.arange(n), np.arange(n))
+    a_eq = np.zeros((2 * n, n * n))
+    for r in range(n):
+        a_eq[r, r * n:(r + 1) * n] = 1.0
+        a_eq[n + r, r::n] = 1.0
+    return (cost, [(i, 1.0, mu), (j, 1.0, nu)]), (cost.ravel(), a_eq, np.concatenate([mu, nu]))
+
+
+@pytest.mark.parametrize("build, stall_limit", [
+    (lambda rng: lifted_balanced_lp(rng, 6, 60), simplex._STALL_LIMIT),
+    (lambda rng: tied_transport_lp(rng, 30), simplex._STALL_LIMIT),
+    (lambda rng: tied_transport_lp(rng, 30), 0),
+], ids=["lifted-balanced", "transport-ties", "transport-ties-bland"])
+def test_wide_lps_refill_the_candidate_list(monkeypatch, build, stall_limit):
+    # more negative reduced costs than the candidate list holds, so the
+    # list is refilled; with no stall allowed Bland's rule takes over
+    (cost, families), (c, a_eq, b) = build(np.random.default_rng(34))
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", stall_limit)
+    negatives = []
+    select = simplex._candidates
+
+    def counted(reduced):
+        negatives.append(int(np.count_nonzero(reduced < -simplex._TOL)))
+        return select(reduced)
+
+    full_passes = []
+    price = simplex.AtomMatrix._price
+
+    def priced(self, *args):
+        full_passes.append(1)
+        return price(self, *args)
+
+    monkeypatch.setattr(simplex, "_candidates", counted)
+    monkeypatch.setattr(simplex.AtomMatrix, "_price", priced)
+    res = atom_lp(cost, families)
+    assert max(negatives) > simplex._CANDIDATES
+    if stall_limit == 0:
+        # under Bland's rule each pivot prices every column
+        assert len(full_passes) > res.iterations // 2
+    else:
+        assert len(negatives) > 2  # a phase refilled its list
+    ref = linprog(c, A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert res.optimal and res.value == pytest.approx(ref.fun, abs=1e-9)
+    assert np.max(np.abs(a_eq @ res.x.ravel() - b)) <= 1e-9
+    assert np.min(res.x) >= 0.0
+
+
+def test_columns_match_a_column_by_column_build():
+    # two families share rows, two diagonal blocks, one row dropped
+    rng = np.random.default_rng(35)
+    atoms, m = (3, 4, 2), 5
+    families = ((rng.integers(0, m, size=(3, 1, 1)), rng.uniform(size=(1, 4, 2))),
+                (rng.integers(0, m, size=(1, 4, 2)), 1.5))
+    diag = (np.ones(m), rng.uniform(-1.0, 1.0, m))
+    kept = np.array([0, 1, 3, 4])
+    A = simplex.AtomMatrix(atoms, families, m, diag, kept)
+    n_atoms = int(np.prod(atoms))
+    dense = np.zeros((m, n_atoms + m * len(diag)))
+    for col, at in enumerate(np.ndindex(atoms)):
+        for rows, coeff in families:
+            dense[np.broadcast_to(rows, atoms)[at], col] += np.broadcast_to(coeff, atoms)[at]
+    for k, d in enumerate(diag):
+        for r in range(m):
+            dense[r, n_atoms + k * m + r] = d[r]
+    cols = rng.permutation(dense.shape[1])
+    assert np.array_equal(A._columns(cols), dense[kept][:, cols])
