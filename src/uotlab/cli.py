@@ -4,11 +4,10 @@ cross-formulation comparisons, and the grid-measure identity checks.
 Structured results go to JSON: one line with sorted keys from the C
 encoder, so a re-read record re-serialises byte-identically.  Records are
 strict JSON: a non-finite value is written as the string "inf", "-inf" or
-"nan".  Eps sweeps
-also emit a CSV (formulation, eps, value, gap, iterations, seconds).  Exit
-codes: 0 on success with converged solves, 2 when a solver failed to
-converge, a lift-check LP ended neither optimal nor infeasible or a
-lift-check residual missed its bound, 1 on input errors.
+"nan".  Eps sweeps also emit a CSV (formulation, eps, value, gap,
+iterations, seconds).  Exit codes: 0 on success with converged solves, 2
+when a solver failed to converge, a lift-check LP ended neither optimal nor
+infeasible or a lift-check residual missed its bound, 1 on input errors.
 UOTLAB_LOG selects the log level (error, info, debug).
 """
 

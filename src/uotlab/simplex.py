@@ -140,9 +140,13 @@ def _pivot_update(binv: np.ndarray, d: np.ndarray, row: int) -> None:
 
 def _candidates(reduced: np.ndarray) -> np.ndarray:
     """Ascending indices of ``_CANDIDATES`` columns whose reduced costs are
-    the most negative below -_TOL (among ties at the cut, those that
-    ``np.argpartition`` keeps).  Scans ``reduced`` block by block so that no
-    temporary grows with its length."""
+    the most negative below -_TOL.  Scans ``reduced`` block by block so that
+    no temporary grows with its length.
+
+    Among ties at the cut it keeps those that ``np.argpartition`` keeps,
+    which spreads the list over a run of tied neighbours but depends on the
+    SIMD code numpy dispatches to: on LPs with such ties, pivot counts
+    repeat exactly on one CPU type, not across CPU types."""
     best = np.empty(0, dtype=np.intp)
     bound = -_TOL  # once the list is full, a column must price below its worst
     for start in range(0, reduced.size, _SELECT_BLOCK):
