@@ -89,11 +89,13 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                      nu_x: Plan, eps: float, p: float,
                      grids: tuple[RadialGrid, RadialGrid, RadialGrid],
-                     mode: str = "equality") -> tuple[AtomPlan, float]:
+                     mode: str = "equality", *, full_pricing: bool = False
+                     ) -> tuple[AtomPlan, float]:
     """LP over (x0, s0, x1, s1, S) atoms with cost H_eps(s0^p, s1^p, S^p, c).
 
     Equality mode pins h_i^p eta = mu_i and the S^p pair marginal to nu_X;
     inequality mode relaxes all three families with defects priced at F(0).
+    ``full_pricing`` goes to ``simplex.solve_lp``.
     """
     _check_instance(mu0, mu1, cost, nu_x)
     if mode not in ("equality", "inequality"):
@@ -104,8 +106,8 @@ def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatri
     h = perspective_H_eps(s0p, s1p, ssp, cost.values[i0, i1], eps)
     families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights),
                 (i0 * n1 + i1, ssp, nu_x.weights)]
-    res = _optimal(atom_lp(h, families, entropy.F_ZERO if mode == "inequality" else None),
-                   "extended")
+    res = _optimal(atom_lp(h, families, entropy.F_ZERO if mode == "inequality" else None,
+                           full_pricing=full_pricing), "extended")
     return AtomPlan(mu0.ground, mu1.ground, tuple(grids), p, res.x), res.value
 
 
@@ -119,14 +121,20 @@ def solve_x_extended_refined(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                              ) -> tuple[AtomPlan, float]:
     """Two-pass extended solve: wide coarse grids, then grids rebuilt around
     the radial support of the coarse optimum.  Self-contained grid choice
-    for cross-solver comparisons."""
+    for cross-solver comparisons.
+
+    The coarse LP can have several optimal vertices, with different
+    supports, and the grids follow the one it returns; it is solved with
+    full Dantzig pricing, so that vertex is the one that rule reaches
+    whatever the simplex's candidate list does."""
     def build(lo, hi, k, padf):
         lo = max(lo / padf, 1e-6)
         hi = hi * padf
         return RadialGrid(np.concatenate([[0.0], np.geomspace(lo, hi, k)]), hi)
 
     wide = build(1e-2, 1e2, _REFINE_COARSE_NODES, 1.0)
-    eta, _ = solve_x_extended(mu0, mu1, cost, nu_x, eps, p, (wide, wide, wide))
+    eta, _ = solve_x_extended(mu0, mu1, cost, nu_x, eps, p, (wide, wide, wide),
+                              full_pricing=True)
     atoms = eta.atoms()
     if atoms.weights.size == 0:
         return eta, 0.0

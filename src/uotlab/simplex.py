@@ -8,15 +8,17 @@ constraint family as its (rows, coeff) pair broadcast over the atom cost
 tensor, and slack and phase-1 artificial columns as implicit identity
 columns.  A full pricing pass computes the reduced costs c - A^T y by
 broadcasting the row duals over the tensor, one family at a time, and keeps
-the ``_CANDIDATES`` most negative columns as a candidate list whose columns
-are formed once.  Each pivot prices only that list (Dantzig on the list,
-first index on ties); a full pass runs again only when no candidate prices
-negative, and then either refills the list or proves optimality.  The
-first pivot after a full pass is the Dantzig choice over every column
-(first index in C order on ties).  The basis inverse is kept explicitly and
-updated by pivoting; only the entering column and, at each
-refactorisation, the m basic columns are formed.  A Bland fallback after a
-degenerate stall, pricing every column, guarantees termination.
+the ``_CANDIDATES`` columns that price lowest, ties going to the lowest
+index, as a candidate list (``AtomMatrix._select``).  Each pivot prices
+only that list, with the same arithmetic as a full pass, and enters its
+most negative column (first index on ties); a full pass runs again only
+when no candidate prices negative, and then either refills the list or
+proves optimality.  The first pivot after a full pass is the Dantzig choice
+over every column (first index in C order on ties), and ``full_pricing``
+makes every pivot one.  The basis inverse is kept explicitly and updated by
+pivoting; only the entering column and, at each refactorisation, the m
+basic columns are formed.  A Bland fallback after a degenerate stall,
+pricing every column, guarantees termination.
 
 ``atom_lp`` assembles every LP of the package: an atom cost tensor plus
 constraint families, each a (rows, coeff, target) triple.  Every lift, the
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,9 +79,12 @@ class AtomMatrix:
         self.diag = diag
         self.kept = kept
         self._n_atoms = math.prod(atoms)
-        # the families as read-only views of the tensor's shape, for columns
-        self._broadcast = tuple((np.broadcast_to(rows, atoms), np.broadcast_to(coeff, atoms))
-                                for rows, coeff in families)
+
+    @cached_property
+    def _broadcast(self) -> tuple:
+        """The families as read-only views of the tensor's shape, for columns."""
+        return tuple((np.broadcast_to(rows, self.atoms), np.broadcast_to(coeff, self.atoms))
+                     for rows, coeff in self.families)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -106,21 +112,35 @@ class AtomMatrix:
             np.subtract(c[block], d * y, out=out[block])
         return out
 
-    def _columns(self, cols) -> np.ndarray:
-        """The dense m x len(cols) submatrix A[:, cols]."""
+    def _select(self, cols) -> AtomMatrix:
+        """The columns ``cols`` as a matrix of their own, one atom each.
+
+        Every family keeps each atom column's row and coefficient (row 0
+        and coefficient 0 on diagonal columns), and the diagonal columns'
+        entries form one family more (row 0 and 0 on atom columns).
+        ``_price`` on it with c[cols] gives exactly the reduced costs of a
+        full pass on those columns: the same products and sums, in the
+        same order, plus exact zeros.
+        """
         cols = np.asarray(cols, dtype=np.intp)
-        out = np.zeros((self.m, cols.size))
         n_atoms = self._n_atoms
         atom = cols < n_atoms
-        pos = np.flatnonzero(atom)
-        at = np.unravel_index(cols[pos], self.atoms)
-        # one atom lands in one row per family, so no (row, pos) pair repeats
-        for rows, coeff in self._broadcast:
-            out[rows[at], pos] += coeff[at]
+        at = np.unravel_index(np.where(atom, cols, 0), self.atoms)
+        families = [(np.where(atom, rows[at], 0), np.where(atom, coeff[at], 0.0))
+                    for rows, coeff in self._broadcast]
         if self.diag:
-            pos = np.flatnonzero(~atom)
-            k, r = np.divmod(cols[pos] - n_atoms, self.m)
-            out[r, pos] = np.asarray(self.diag)[k, r]
+            k, r = np.divmod(np.where(atom, 0, cols - n_atoms), self.m)
+            families.append((r, np.where(atom, 0.0, np.asarray(self.diag)[k, r])))
+        return AtomMatrix((cols.size,), tuple(families), self.m, (), self.kept)
+
+    def _columns(self, cols) -> np.ndarray:
+        """The dense m x len(cols) submatrix A[:, cols]."""
+        select = self._select(cols)
+        out = np.zeros((self.m, select._n_atoms))
+        pos = np.arange(select._n_atoms)
+        # one column lands in one row per family, so no (row, pos) pair repeats
+        for rows, coeff in select.families:
+            out[rows, pos] += coeff
         return out if self.kept is None else out[self.kept]
 
     def _flipped(self, flip: np.ndarray) -> AtomMatrix:
@@ -138,35 +158,34 @@ def _pivot_update(binv: np.ndarray, d: np.ndarray, row: int) -> None:
     binv[others, :] -= np.outer(d[others], binv[row, :])
 
 
-def _candidates(reduced: np.ndarray) -> np.ndarray:
-    """Ascending indices of ``_CANDIDATES`` columns whose reduced costs are
-    the most negative below -_TOL.  Scans ``reduced`` block by block so that
-    no temporary grows with its length.
-
-    Among ties at the cut it keeps those that ``np.argpartition`` keeps,
-    which spreads the list over a run of tied neighbours but depends on the
-    SIMD code numpy dispatches to: on LPs with such ties, pivot counts
-    repeat exactly on one CPU type, not across CPU types."""
+def _candidates(reduced: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the k columns that come first in the order
+    (reduced cost, index) among those pricing below -_TOL: on ties at the
+    cut the lowest indices stay, as in Dantzig's rule.  Scans ``reduced``
+    block by block so that no temporary grows with its length."""
     best = np.empty(0, dtype=np.intp)
     bound = -_TOL  # once the list is full, a column must price below its worst
     for start in range(0, reduced.size, _SELECT_BLOCK):
         block = reduced[start:start + _SELECT_BLOCK]
-        new = np.flatnonzero(block < bound)
-        if new.size > _CANDIDATES:
-            new = np.sort(new[np.argpartition(block[new], _CANDIDATES - 1)[:_CANDIDATES]])
-        pool = np.concatenate([best, new + start])
-        if pool.size > _CANDIDATES:
-            pool = np.sort(pool[np.argpartition(reduced[pool], _CANDIDATES - 1)[:_CANDIDATES]])
-            bound = float(reduced[pool].max())
+        # later blocks hold higher indices, so the pool stays ascending
+        pool = np.concatenate([best, np.flatnonzero(block < bound) + start])
+        if pool.size > k:
+            values = reduced[pool]
+            bound = float(np.partition(values, k - 1)[k - 1])
+            below = values < bound
+            ties = np.flatnonzero(values == bound)[:k - np.count_nonzero(below)]
+            below[ties] = True
+            pool = pool[below]
         best = pool
     return best
 
 
-def _simplex_phase(c, A, b, basis, binv, max_iters):
+def _simplex_phase(c, A, b, basis, binv, max_iters, list_size):
     """Run primal simplex from a feasible basis; mutates basis/binv.
 
-    Prices the candidate list at each pivot and every column only to
-    refill the list, to prove optimality or under Bland's rule.
+    Prices a list of ``list_size`` candidates at each pivot and every
+    column only to refill the list, to prove optimality or under Bland's
+    rule; a list size of 0 prices every column at every pivot.
     Returns (status, xB, iterations).
     """
     m, n = A.shape
@@ -175,7 +194,6 @@ def _simplex_phase(c, A, b, basis, binv, max_iters):
         return "optimal", xb, 0
     reduced = np.empty(n)
     cand = np.empty(0, dtype=np.intp)
-    cand_cols = np.empty((m, 0))
     stall = 0
     bland = False
     iters = 0
@@ -185,15 +203,15 @@ def _simplex_phase(c, A, b, basis, binv, max_iters):
             binv[:] = np.linalg.inv(A._columns(basis))
             xb = binv @ b
         y = binv.T @ c[basis]
-        col = None
+        enter = None
         if not bland and cand.size:
-            priced = c[cand] - y @ cand_cols
+            listed._price(c_listed, y, priced)
             slot = np.minimum(np.searchsorted(cand, basis), cand.size - 1)
             priced[slot[cand[slot] == basis]] = 0.0  # basic columns price at 0
             i = int(np.argmin(priced))
             if priced[i] < -_TOL:
-                enter, col = int(cand[i]), cand_cols[:, i]
-        if col is None:
+                enter = int(cand[i])
+        if enter is None:
             A._price(c, y, reduced)
             reduced[basis] = 0.0
             if bland:
@@ -205,9 +223,10 @@ def _simplex_phase(c, A, b, basis, binv, max_iters):
                 enter = int(np.argmin(reduced))
                 if reduced[enter] >= -_TOL:
                     return "optimal", xb, iters
-                cand = _candidates(reduced)
-                cand_cols = A._columns(cand)
-            col = A._columns([enter])[:, 0]
+                if list_size:
+                    cand = _candidates(reduced, list_size)
+                    listed, c_listed, priced = A._select(cand), c[cand], np.empty(cand.size)
+        col = A._columns([enter])[:, 0]
         d = binv @ col
         pos = d > _TOL
         if not np.any(pos):
@@ -237,13 +256,16 @@ def _simplex_phase(c, A, b, basis, binv, max_iters):
     return "iteration_limit", xb, iters
 
 
-def solve_lp(c, A, b) -> LpResult:
+def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
     """Minimize c.x over {A x = b, x >= 0} by two-phase revised simplex.
 
     ``A`` is an ``AtomMatrix`` or a dense array.  Columns whose cost is not
     finite cost +inf in both phases, so they never enter the basis.  Each
     phase stops with status 'iteration_limit' after 50 (m + n') + 1000
-    pivots, n' the number of finite-cost columns.
+    pivots, n' the number of finite-cost columns.  ``full_pricing`` prices
+    every column at every pivot (Dantzig's rule) instead of a candidate
+    list: slower on wide LPs, and on LPs with several optimal vertices it
+    returns the one that rule reaches.
     """
     if not isinstance(A, AtomMatrix):
         # a dense matrix: one single-row family per row
@@ -262,6 +284,7 @@ def solve_lp(c, A, b) -> LpResult:
     if n_finite < n:
         c = np.where(finite, c, math.inf)
     max_iters = 50 * (m + n_finite) + 1000
+    list_size = 0 if full_pricing else _CANDIDATES
 
     flip = b < 0
     if np.any(flip):
@@ -275,7 +298,7 @@ def solve_lp(c, A, b) -> LpResult:
     basis = list(range(n, n + m))
     binv = np.eye(m)
     A1 = AtomMatrix(A.atoms, A.families, m, A.diag + (np.ones(m),))
-    status, xb, it1 = _simplex_phase(c1, A1, b, basis, binv, max_iters)
+    status, xb, it1 = _simplex_phase(c1, A1, b, basis, binv, max_iters, list_size)
     feas = float(c1[basis] @ xb)
     scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
     if status == "iteration_limit":
@@ -307,7 +330,7 @@ def solve_lp(c, A, b) -> LpResult:
         m = len(rows)
         binv = np.linalg.inv(A._columns(basis))
 
-    status, xb, it2 = _simplex_phase(c, A, b, basis, binv, max_iters)
+    status, xb, it2 = _simplex_phase(c, A, b, basis, binv, max_iters, list_size)
     if status != "optimal":
         return LpResult(status, None, math.nan if status != "unbounded" else -math.inf, it1 + it2)
     xb = np.maximum(xb, 0.0)
@@ -317,7 +340,8 @@ def solve_lp(c, A, b) -> LpResult:
     return LpResult("optimal", x, float(c[basis] @ xb), it1 + it2)
 
 
-def atom_lp(cost, families, slack_cost: float | None = None) -> LpResult:
+def atom_lp(cost, families, slack_cost: float | None = None, *,
+            full_pricing: bool = False) -> LpResult:
     """Minimise <cost, x> over nonnegative atom tensors x under equality
     constraint families.
 
@@ -328,9 +352,9 @@ def atom_lp(cost, families, slack_cost: float | None = None) -> LpResult:
     only basic columns are ever formed (``AtomMatrix``).  Atoms whose cost
     is not finite never enter the basis.  ``slack_cost`` adds one identity
     slack column per row at that price, which relaxes every constraint to
-    <=.  The result's ``x`` is a read-only array of the tensor's shape (0
-    on atoms of non-finite cost, slacks left out), or None when the LP is
-    not solved to optimality.
+    <=.  ``full_pricing`` goes to ``solve_lp``.  The result's ``x`` is a
+    read-only array of the tensor's shape (0 on atoms of non-finite cost,
+    slacks left out), or None when the LP is not solved to optimality.
     """
     cost = np.asarray(cost, dtype=float)
     b = np.concatenate([np.ravel(target) for _, _, target in families])
@@ -341,7 +365,8 @@ def atom_lp(cost, families, slack_cost: float | None = None) -> LpResult:
         offset += np.size(target)
     slack = () if slack_cost is None else (np.ones(b.size),)
     c = cost.ravel() if slack_cost is None else np.append(cost, [slack_cost] * b.size)
-    res = solve_lp(c, AtomMatrix(cost.shape, tuple(pairs), b.size, slack), b)
+    res = solve_lp(c, AtomMatrix(cost.shape, tuple(pairs), b.size, slack), b,
+                   full_pricing=full_pricing)
     if not res.optimal:
         return res
     x = res.x[:cost.size].reshape(cost.shape)

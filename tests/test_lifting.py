@@ -179,6 +179,23 @@ def test_x_extended_matches_sinkhorn():
         assert value >= rep.primal - 1e-9
 
 
+def test_x_extended_refined_prices_its_coarse_lp_in_full(monkeypatch):
+    # the fine grids follow the coarse LP's vertex, so that LP keeps
+    # Dantzig's rule; the fine LP may use the candidate list
+    from uotlab import lifting
+    flags = []
+    solve = lifting.atom_lp
+
+    def recorded(*args, **kwargs):
+        flags.append(kwargs.get("full_pricing", False))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, "atom_lp", recorded)
+    mu0, mu1, cost = random_pair(np.random.default_rng(75), box=0.5, lo=0.5, hi=1.4)
+    solve_x_extended_refined(mu0, mu1, cost, default_nu_x(mu0, mu1), 0.6, 1.0)
+    assert flags == [True, False]
+
+
 def test_x_extended_coincident_dirac_zero():
     g = GroundSet([[0.0]])
     mu = DiscreteMeasure(g, [1.0])

@@ -219,9 +219,9 @@ def test_wide_lps_refill_the_candidate_list(monkeypatch, build, stall_limit):
     negatives = []
     select = simplex._candidates
 
-    def counted(reduced):
+    def counted(reduced, k):
         negatives.append(int(np.count_nonzero(reduced < -simplex._TOL)))
-        return select(reduced)
+        return select(reduced, k)
 
     full_passes = []
     price = simplex.AtomMatrix._price
@@ -265,3 +265,49 @@ def test_columns_match_a_column_by_column_build():
             dense[r, n_atoms + k * m + r] = d[r]
     cols = rng.permutation(dense.shape[1])
     assert np.array_equal(A._columns(cols), dense[kept][:, cols])
+
+
+def test_candidates_keep_the_lowest_indices_on_ties(monkeypatch):
+    # values from a small set, so the cut falls inside a run of ties, and
+    # blocks small enough that the list is trimmed many times
+    monkeypatch.setattr(simplex, "_SELECT_BLOCK", 64)
+    rng = np.random.default_rng(36)
+    reduced = rng.integers(-5, 2, size=5000).astype(float)
+    for k in (1, 7, 200, 3000):
+        negative = np.flatnonzero(reduced < -simplex._TOL)
+        order = negative[np.lexsort((negative, reduced[negative]))]
+        assert np.array_equal(simplex._candidates(reduced, k), np.sort(order[:k]))
+
+
+def test_list_prices_equal_a_full_pass():
+    # shared rows, two diagonal blocks and a dropped row, as in the build test
+    rng = np.random.default_rng(37)
+    atoms, m = (3, 4, 2), 5
+    families = ((rng.integers(0, m, size=(3, 1, 1)), rng.uniform(size=(1, 4, 2))),
+                (rng.integers(0, m, size=(1, 4, 2)), 1.5))
+    A = simplex.AtomMatrix(atoms, families, m, (np.ones(m), rng.uniform(-1.0, 1.0, m)),
+                           np.array([0, 1, 3, 4]))
+    n = A.shape[1]
+    c, y = rng.normal(size=n), rng.normal(size=A.shape[0])
+    full = A._price(c, y, np.empty(n))
+    cols = rng.permutation(n)[:20]
+    listed = A._select(cols)._price(c[cols], y, np.empty(cols.size))
+    assert np.array_equal(listed, full[cols])
+
+
+def test_full_pricing_builds_no_list(monkeypatch):
+    (cost, families), (c, a_eq, b) = lifted_balanced_lp(np.random.default_rng(34), 6, 60)
+    calls = []
+    select = simplex._candidates
+
+    def counted(reduced, k):
+        calls.append(k)
+        return select(reduced, k)
+
+    monkeypatch.setattr(simplex, "_candidates", counted)
+    res = atom_lp(cost, families, full_pricing=True)
+    assert calls == []
+    ref = linprog(c, A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
+    assert res.optimal and res.value == pytest.approx(ref.fun, abs=1e-9)
+    assert atom_lp(cost, families).value == pytest.approx(res.value, abs=1e-9)
+    assert calls
