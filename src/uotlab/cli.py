@@ -104,6 +104,14 @@ def _load_nu(path: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
     return Plan(mu0.ground, mu1.ground, weights)
 
 
+def _instance(args) -> tuple[float, DiscreteMeasure, DiscreteMeasure, CostMatrix]:
+    """The clock start, both measures and the cost of a subcommand's instance."""
+    t0 = time.perf_counter()
+    mu0 = _load_measure(args.mu0)
+    mu1 = _load_measure(args.mu1)
+    return t0, mu0, mu1, _cost_matrix(args.cost, mu0, mu1)
+
+
 def _strict(value):
     """``value`` with every non-finite float written as the string "inf",
     "-inf" or "nan", which strict JSON can hold."""
@@ -145,10 +153,7 @@ def emit_convergence_csv(rows: list[dict], path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve_x(args) -> int:
-    t0 = time.perf_counter()
-    mu0 = _load_measure(args.mu0)
-    mu1 = _load_measure(args.mu1)
-    cost = _cost_matrix(args.cost, mu0, mu1)
+    t0, mu0, mu1, cost = _instance(args)
     nu = _load_nu(args.nu, mu0, mu1) if args.nu else default_nu_x(mu0, mu1)
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
     if args.entropy == "balanced":
@@ -171,10 +176,7 @@ def _cmd_solve_x(args) -> int:
 
 
 def _cmd_solve_y(args) -> int:
-    t0 = time.perf_counter()
-    mu0 = _load_measure(args.mu0)
-    mu1 = _load_measure(args.mu1)
-    cost = _cost_matrix(args.cost, mu0, mu1)
+    t0, mu0, mu1, cost = _instance(args)
     grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
                           smin_frac=args.smin_frac)
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
@@ -184,10 +186,7 @@ def _cmd_solve_y(args) -> int:
 
 
 def _cmd_sweep_eps(args) -> int:
-    t0 = time.perf_counter()
-    mu0 = _load_measure(args.mu0)
-    mu1 = _load_measure(args.mu1)
-    cost = _cost_matrix(args.cost, mu0, mu1)
+    t0, mu0, mu1, cost = _instance(args)
     try:
         eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
     except ValueError as exc:
@@ -234,10 +233,7 @@ def _cmd_sweep_eps(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    t0 = time.perf_counter()
-    mu0 = _load_measure(args.mu0)
-    mu1 = _load_measure(args.mu1)
-    cost = _cost_matrix(args.cost, mu0, mu1)
+    t0, mu0, mu1, cost = _instance(args)
     nu = default_nu_x(mu0, mu1)
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
     grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
@@ -263,10 +259,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_lift_check(args) -> int:
-    t0 = time.perf_counter()
-    mu0 = _load_measure(args.mu0)
-    mu1 = _load_measure(args.mu1)
-    cost = _cost_matrix(args.cost, mu0, mu1)
+    t0, mu0, mu1, cost = _instance(args)
     grid = RadialGrid.geometric(max(mass_cap(mu0, mu1, args.p), 1e-9),
                                 n_nodes=args.radial_nodes, smin_frac=args.smin_frac)
     values: dict = {}
@@ -418,10 +411,7 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

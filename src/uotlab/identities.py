@@ -58,27 +58,23 @@ class GridMeasure:
         return self.points.shape[1]
 
 
-def grid_measure(n_per_side: int, dim: int, weights=None,
-                 rng: Optional[np.random.Generator] = None,
-                 box: float = 1.0) -> GridMeasure:
-    """Uniform grid of cell centers over [0, box]^dim with given weights."""
+def grid_measure(n_per_side: int, dim: int,
+                 rng: Optional[np.random.Generator] = None) -> GridMeasure:
+    """Uniform grid of cell centers over [0, 1]^dim; uniform weights, or
+    weights drawn uniformly from [0.2, 1] by ``rng`` and normalised."""
     if n_per_side < 1 or dim < 1:
         raise ValueError("grid measures need at least one cell per side and dimension")
-    axes = [(np.arange(n_per_side) + 0.5) * (box / n_per_side)] * dim
+    side = 1.0 / n_per_side
+    axes = [(np.arange(n_per_side) + 0.5) * side] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    cell_volume = (box / n_per_side) ** dim
     n = points.shape[0]
-    if weights is None:
-        if rng is None:
-            w = np.full(n, 1.0 / n)
-        else:
-            w = rng.uniform(0.2, 1.0, size=n)
-            w = w / w.sum()
+    if rng is None:
+        w = np.full(n, 1.0 / n)
     else:
-        w = np.asarray(weights, dtype=float)
+        w = rng.uniform(0.2, 1.0, size=n)
         w = w / w.sum()
-    return GridMeasure(points, cell_volume, w)
+    return GridMeasure(points, side ** dim, w)
 
 
 def entropy_against_lebesgue(mu: GridMeasure) -> float:
@@ -115,19 +111,14 @@ def balanced_sinkhorn(mu_w: np.ndarray, nu_w: np.ndarray, cost: np.ndarray,
     checked every 10 iterations, falls below ``tol``.  Returns
     (plan, iterations, residual).
     """
-    residual = math.inf
-
-    def check(_, f, g, marg0, marg1):
-        nonlocal residual
-        if marg0 is None:
-            return False
+    def check(_f, _g, marg0, marg1):
         residual = max(float(np.max(np.abs(marg0 - mu_w))),
                        float(np.max(np.abs(marg1 - nu_w))))
-        return residual <= tol
+        return residual <= tol, residual
 
-    _, _, iters, gamma = scaling_kernel(log_kernel(reference, cost, eps), mu_w, nu_w,
-                                        proximal_step(mu_w, nu_w, 1.0),
-                                        np.zeros(nu_w.size), max_iters, 10, check)
+    _, _, iters, gamma, residual = scaling_kernel(
+        log_kernel(reference, cost, eps), mu_w, nu_w, proximal_step(mu_w, nu_w, 1.0),
+        np.zeros(nu_w.size), max_iters, 10, check)
     return gamma, iters, residual
 
 

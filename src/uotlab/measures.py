@@ -46,6 +46,8 @@ class GroundSet:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a nonempty (count, dim) array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("ground set points must be finite")
         # pairwise-distinct points; duplicates would make atoms ambiguous
         if len({tuple(p) for p in pts}) != pts.shape[0]:
             raise ValueError("ground set points must be pairwise distinct")

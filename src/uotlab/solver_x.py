@@ -233,7 +233,7 @@ def proximal_step(mu0_w: np.ndarray, mu1_w: np.ndarray, damp: float) -> Callable
 
 def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, step: Callable,
                    g: np.ndarray, max_iters: int, check_every: int,
-                   check: Callable) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+                   check: Callable) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, object]:
     """Alternate f = step(0, m) with m_i = LSE_j(g_j + log_k_ij), then g likewise.
 
     ``step(side, m)`` returns that side's new log-potentials: the closed
@@ -248,11 +248,12 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, step
     line with mass and no reachable partner has m = -inf.  Only the starting
     g matters, as f is updated first.
 
-    ``check(iteration, f, g, marg0, marg1)`` runs after every iteration with
-    the plan's column marginal and, every ``check_every``-th and at the last
-    iteration, its row marginal (else None; its mat-vec is reused by the
-    next half-step); a true return stops the sweep.  Returns (f, g,
-    iterations, plan exp(f_i + g_j + log_k_ij) in the kernel's storage).
+    ``check(f, g, marg0, marg1)`` runs after every ``check_every``-th
+    iteration and after the last, with both marginals of the plan
+    exp(f_i + g_j + log_k_ij) (the row mat-vec is reused by the next
+    half-step), and returns (stop, result); a true stop ends the sweep.
+    Returns (f, g, iterations, that plan in the kernel's storage, the last
+    check's result).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -309,18 +310,17 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, step
         for iters in range(1, max_iters + 1):
             half_step(0, prod0)
             prod1 = half_step(1)
-            marg1 = scal[1] * prod1
-            marg0 = prod0 = None
+            prod0 = None
             if iters % check_every == 0 or iters == max_iters:
                 prod0 = kern @ scal[1]
-                marg0 = scal[0] * prod0
-            if check(iters, pot[0], pot[1], marg0, marg1):
-                break
+                stop, result = check(pot[0], pot[1], scal[0] * prod0, scal[1] * prod1)
+                if stop:
+                    break
             if drifted(0) or drifted(1):
                 rebuild()
                 prod0 = None
         rebuild()
-    return pot[0], pot[1], iters, kern
+    return pot[0], pot[1], iters, kern, result
 
 
 def _clamped_potentials(f, g, eps: float) -> DualPotentials:
@@ -339,8 +339,7 @@ def _assess(phi: DualPotentials, marg0, marg1, mu0_w, mu1_w, eps: float, nu_mass
     The dual's coupling term is eps * (nu_X(X) - gamma(X)); with s_i the
     marginal densities, the gap sum_i mu_i (F(s_i) + F*(-phi_i) + s_i phi_i)
     is exactly primal - dual, each term clamped at 0 against rounding.  The
-    residuals are max_i |s_i - exp(-phi_i)|.  With ``marg0`` None only the
-    dual is computed (gap and residuals are None).
+    residuals are max_i |s_i - exp(-phi_i)|.  Returns (dual, gap, residuals).
     """
     dual = eps * (nu_mass - float(np.sum(marg1)))
     gap, res = 0.0, []
@@ -348,14 +347,12 @@ def _assess(phi: DualPotentials, marg0, marg1, mu0_w, mu1_w, eps: float, nu_mass
         pos = m > 0
         m, p = m[pos], p[pos]
         dual += float(np.sum(m * -np.expm1(-p)))
-        if marg0 is None:
-            continue
         s, w = marg[pos] / m, np.exp(-p)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(s > 0, s * (np.log(s) + p) - s + w, w)
         gap += float(np.sum(m * np.maximum(terms, 0.0)))
         res.append(float(np.max(np.abs(s - w), initial=0.0)))
-    return (dual, None, None) if marg0 is None else (dual, gap, tuple(res))
+    return dual, gap, tuple(res)
 
 
 def _converged(gap: float, primal: float, residuals, tol: float) -> bool:
@@ -366,19 +363,18 @@ def _converged(gap: float, primal: float, residuals, tol: float) -> bool:
 
 def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                 nu_x: Optional[Plan], config: SolverConfig,
-                on_iteration: Optional[Callable[[int, float], None]] = None,
                 ) -> tuple[Plan, DualPotentials, SolveReport]:
     """Generalized Sinkhorn for the KL-penalised regularised problem.
 
     One ``scaling_kernel`` call runs the KL steps from zero potentials until
     the Fenchel-Young gap and the first-order marginal residuals, checked
     every 5 iterations from the marginals the sweep computes, meet
-    ``config.tolerance``, or for ``config.max_iters`` iterations.  The report
-    is the assessment made at the loop's last check, which sees both
+    ``config.tolerance``, or for ``config.max_iters`` iterations.  Each
+    check's result is its assessment (dual, gap, residuals, verdict), and
+    the report is the result of the loop's last check, which sees both
     marginals of the returned plan, the scaling plan of the returned
     potentials: its primal value is dual + gap, and ``converged`` is the
-    stop test itself.  ``on_iteration`` receives (iteration, dual value)
-    after every update pair, which is how dual monotonicity is observed.
+    stop test itself.
     """
     if nu_x is None:
         nu_x = default_nu_x(mu0, mu1)
@@ -387,6 +383,12 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     mu0_w, mu1_w = mu0.weights, mu1.weights
     nu_mass = float(np.sum(nu_x.weights))
 
+    def check(f, g, marg0, marg1):
+        dual, gap, res = _assess(_clamped_potentials(f, g, eps), marg0, marg1,
+                                 mu0_w, mu1_w, eps, nu_mass)
+        converged = _converged(gap, dual + gap, res, config.tolerance)
+        return converged, (dual, gap, res, converged)
+
     if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:
         # one side empty: the zero plan is optimal outright
         gamma = np.zeros(cost.shape)
@@ -394,30 +396,14 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         f = np.full(mu0.ground.size, lo if mu0.total_mass == 0.0 else hi)
         g = np.full(mu1.ground.size, lo if mu1.total_mass == 0.0 else hi)
         iters = 0
-        dual, gap, res = _assess(_clamped_potentials(f, g, eps), np.zeros(f.size),
-                                 np.zeros(g.size), mu0_w, mu1_w, eps, nu_mass)
-        converged = _converged(gap, dual + gap, res, config.tolerance)
+        _, result = check(f, g, np.zeros(f.size), np.zeros(g.size))
     else:
-        last = []
-
-        def check(it, f, g, marg0, marg1):
-            if on_iteration is None and marg0 is None:
-                return False
-            dual, gap, res = _assess(_clamped_potentials(f, g, eps), marg0, marg1,
-                                     mu0_w, mu1_w, eps, nu_mass)
-            if on_iteration is not None:
-                on_iteration(it, dual)
-            if marg0 is None:
-                return False
-            last[:] = dual, gap, res, _converged(gap, dual + gap, res, config.tolerance)
-            return last[-1]
-
         step = proximal_step(mu0_w, mu1_w, 1.0 / (1.0 + eps))
-        f, g, iters, gamma = scaling_kernel(log_kernel(nu_x.weights, cost.values, eps),
-                                            mu0_w, mu1_w, step, np.zeros(mu1.ground.size),
-                                            config.max_iters, 5, check)
-        dual, gap, res, converged = last
+        f, g, iters, gamma, result = scaling_kernel(
+            log_kernel(nu_x.weights, cost.values, eps), mu0_w, mu1_w, step,
+            np.zeros(mu1.ground.size), config.max_iters, 5, check)
 
+    dual, gap, res, converged = result
     report = SolveReport(dual + gap, dual, gap, iters, res, converged)
     return Plan(mu0.ground, mu1.ground, gamma), _clamped_potentials(f, g, eps), report
 

@@ -438,22 +438,19 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     with np.errstate(divide="ignore"):
         log_nu = np.where(nu_y.weights > 0, np.log(np.maximum(nu_y.weights, 1e-300)), -math.inf)
     scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
-    last = []
 
-    def stop(margs):
-        """The stop test on the line marginals; keeps the defects, the
-        residuals, the plan's mass and the verdict for the report."""
+    def check(_f, _g, *margs):
+        """The stop test on the line marginals; its result holds the defects,
+        the residuals, the plan's mass and the verdict for the report."""
         d = [m.reshape(mu.size, -1) @ sp - mu for m, sp, mu in zip(margs, sps, mus)]
         res = tuple(float(np.max(np.abs(x))) / scale for x in d)
-        last[:] = d, res, float(np.sum(margs[1])), max(res) <= config.tolerance
-        return last[-1]
+        converged = max(res) <= config.tolerance
+        return converged, (d, res, float(np.sum(margs[1])), converged)
 
-    _, _, iters, alpha_w = scaling_kernel(
+    _, _, iters, alpha_w, (d, res, mass, converged) = scaling_kernel(
         (log_nu - h / eps).reshape(masses[0].size, -1), *masses,
-        _tilt_step(sps, mus, lams), np.zeros(masses[1].size), config.max_iters, 1,
-        lambda _it, _f, _g, *margs: stop(margs))
+        _tilt_step(sps, mus, lams), np.zeros(masses[1].size), config.max_iters, 1, check)
 
-    d, res, mass, converged = last
     alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(h.shape))
     dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)
                   + nu_y.total_mass - mass)

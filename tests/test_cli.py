@@ -214,6 +214,18 @@ def test_malformed_inputs_exit_one(fixtures, capsys):
     assert code == 1
 
 
+def test_non_finite_point_is_a_malformed_measure_file(fixtures, capsys):
+    # hk would map the NaN distance to an infinite cost and converge
+    tmp, _, mu1, _ = fixtures
+    bad = tmp / "nan.json"
+    bad.write_text(json.dumps({"points": [[0.0, 0.0], [math.nan, 0.3]], "weights": [0.8, 0.5]}))
+    code = run(["solve-x", "--mu0", str(bad), "--mu1", mu1, "--cost", "hk",
+                "--eps", "0.5", "--out", str(tmp / "x.json")])
+    assert code == 1
+    assert f"malformed measure file {bad}" in capsys.readouterr().err
+    assert not (tmp / "x.json").exists()
+
+
 def test_solve_y_rejects_zero_max_iters(fixtures, capsys):
     tmp, mu0, mu1, _ = fixtures
     code = run(["solve-y", "--mu0", mu0, "--mu1", mu1, "--cost", "hk", "--eps", "0.4",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -136,6 +137,12 @@ def test_construction_validation(ground2):
         GroundSet(np.array([[0.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         DiscreteMeasure(ground2, [1.0])
+
+
+def test_ground_set_rejects_non_finite_points():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            GroundSet([[0.0, 0.0], [bad, 1.0]])
 
 
 def test_immutability(ground2):

@@ -201,15 +201,33 @@ def test_solver_matches_projected_gradient_oracle():
     assert rep.primal == pytest.approx(oracle_val, rel=1e-6)
 
 
+def solve_with_duals(mu0, mu1, cost, nu, config):
+    """``solve_x_eps`` with its kernel checking after every iteration; returns
+    the report and the dual of each check's result, one per iteration."""
+    kernel, duals = solver_x.scaling_kernel, []
+
+    def every_iteration(*args):
+        *head, _, check = args
+
+        def record(*state):
+            stop, result = check(*state)
+            duals.append(result[0])
+            return stop, result
+        return kernel(*head, 1, record)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_x, "scaling_kernel", every_iteration)
+        _, _, rep = solve_x_eps(mu0, mu1, cost, nu, config)
+    return rep, duals
+
+
 def test_dual_monotone_and_gap():
     rng = np.random.default_rng(46)
     for eps in (1.0, 0.2, 0.05):
         mu0, mu1, cost = random_instance(rng, 5, 5)
         nu = default_nu_x(mu0, mu1)
-        duals = []
-        _, _, rep = solve_x_eps(mu0, mu1, cost, nu,
-                                SolverConfig(eps=eps, tolerance=1e-10),
-                                on_iteration=lambda i, d: duals.append(d))
+        rep, duals = solve_with_duals(mu0, mu1, cost, nu,
+                                      SolverConfig(eps=eps, tolerance=1e-10))
         assert rep.converged
         assert rep.gap <= 1e-10 * (1.0 + abs(rep.primal))
         assert rep.gap >= -1e-10 * (1.0 + abs(rep.primal))
@@ -419,13 +437,43 @@ def test_kernel_warm_start_matches_log_domain():
     g, eps, iters = phi.phi1 / 0.3, 0.03, 60
     log_k = solver_x.log_kernel(nu.weights, cost.values, eps)
     step = solver_x.proximal_step(mu0.weights, mu1.weights, 1.0 / (1.0 + eps))
-    *_, got_iters, got = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights, step, g,
-                                                 iters, 5, lambda *_: False)
+    *_, got_iters, got, _ = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights, step, g,
+                                                    iters, 5, lambda *_: (False, None))
     *_, want_iters, want, _ = log_domain_sinkhorn(log_k, mu0.weights, mu1.weights,
                                                   1.0 / (1.0 + eps), g, iters, 5,
                                                   lambda *_: False)
     assert got_iters == want_iters == iters
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+@pytest.mark.parametrize("absorb", [solver_x._ABSORB, 0.0])
+def test_kernel_checks_on_schedule_with_both_marginals(monkeypatch, absorb):
+    # check_every 3 over 11 iterations: checks after 3, 6, 9 and the last;
+    # absorb 0 rebuilds the kernel after every iteration, checked or not
+    monkeypatch.setattr(solver_x, "_ABSORB", absorb)
+    rng = np.random.default_rng(56)
+    mu0, mu1, cost = random_instance(rng, 6, 8)
+    nu = default_nu_x(mu0, mu1)
+    eps = 0.02
+    log_k = solver_x.log_kernel(nu.weights, cost.values, eps)
+    kl_step = solver_x.proximal_step(mu0.weights, mu1.weights, 1.0 / (1.0 + eps))
+    iteration, seen = [0], []
+
+    def step(side, m):
+        iteration[0] += side == 0  # side 0 opens an iteration
+        return kl_step(side, m)
+
+    def check(f, g, marg0, marg1):
+        plan = np.exp(f[:, None] + g[None, :] + log_k)
+        for got, want in ((marg0, plan.sum(axis=1)), (marg1, plan.sum(axis=0))):
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+        seen.append(iteration[0])
+        return False, iteration[0]
+
+    *_, iters, _, result = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights, step,
+                                                   np.zeros(mu1.ground.size), 11, 3, check)
+    assert seen == [3, 6, 9, 11]
+    assert iters == result == 11
 
 
 def test_kernel_cold_start_full_underflow():
@@ -438,9 +486,7 @@ def test_kernel_cold_start_full_underflow():
     cost = sqeuclidean_matrix(g0, g1)
     nu = default_nu_x(mu0, mu1)
     assert np.all(np.exp(np.log(nu.weights) - cost.values / 1e-3) == 0.0)
-    duals = []
-    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=1e-3, max_iters=3000),
-                            on_iteration=lambda i, d: duals.append(d))
+    rep, duals = solve_with_duals(mu0, mu1, cost, nu, SolverConfig(eps=1e-3, max_iters=3000))
     assert math.isfinite(rep.primal)
     assert all(b >= a - 1e-12 * (1.0 + abs(a)) for a, b in zip(duals, duals[1:]))
     assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=1e-3, max_iters=3000))
@@ -453,9 +499,7 @@ def test_kernel_absorption_extremes_match_log_domain(monkeypatch, absorb):
     rng = np.random.default_rng(55)
     mu0, mu1, cost = random_instance(rng, 8, 11)
     nu = default_nu_x(mu0, mu1)
-    duals = []
-    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=0.02),
-                            on_iteration=lambda i, d: duals.append(d))
+    rep, duals = solve_with_duals(mu0, mu1, cost, nu, SolverConfig(eps=0.02))
     assert rep.converged and rep.gap >= 0.0
     assert all(b >= a - 1e-12 for a, b in zip(duals, duals[1:]))
     assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=0.02))
@@ -494,11 +538,10 @@ def test_verdict_is_the_stop_test_at_the_boundary(monkeypatch, seed):
     def spy(*args):
         *head, check = args
 
-        def wrapped(it, f, g, marg0, marg1):
-            if marg0 is not None:
-                seen[:] = solver_x._assess(solver_x._clamped_potentials(f, g, eps), marg0,
-                                           marg1, mu0.weights, mu1.weights, eps, nu.total_mass)
-            return check(it, f, g, marg0, marg1)
+        def wrapped(f, g, marg0, marg1):
+            seen[:] = solver_x._assess(solver_x._clamped_potentials(f, g, eps), marg0,
+                                       marg1, mu0.weights, mu1.weights, eps, nu.total_mass)
+            return check(f, g, marg0, marg1)
         return kernel(*head, wrapped)
 
     monkeypatch.setattr(solver_x, "scaling_kernel", spy)

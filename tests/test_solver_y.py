@@ -220,7 +220,7 @@ def kernel_reduction(log_base, sps, mus, lams, side):
 
     masses = [np.repeat(mu, sp.size) for mu, sp in zip(mus, sps)]
     scaling_kernel(log_base.reshape(masses[0].size, -1), *masses, record,
-                   (lams[1][:, None] * sps[1]).ravel(), 1, 1, lambda *args: True)
+                   (lams[1][:, None] * sps[1]).ravel(), 1, 1, lambda *args: (True, None))
     return got[side]
 
 
@@ -534,10 +534,10 @@ def test_eps_verdict_is_the_stop_test_at_the_boundary(monkeypatch):
     def spy(*args):
         *head, check = args
 
-        def wrapped(it, f, g, *margs):
+        def wrapped(f, g, *margs):
             seen[:] = [float(np.max(np.abs(m.reshape(mu.size, -1) @ sp - mu))) / scale
                        for m, sp, mu in zip(margs, sps, (mu0.weights, mu1.weights))]
-            return check(it, f, g, *margs)
+            return check(f, g, *margs)
         return kernel(*head, wrapped)
 
     monkeypatch.setattr(solver_y, "scaling_kernel", spy)

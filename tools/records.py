@@ -1,6 +1,8 @@
-"""Print the CLI records of every benchmark job as one sorted JSON document.
+"""Print the CLI records of every benchmark job as one sorted JSON document,
+or compare those of two checkouts.
 
     python3 tools/records.py [ROOT]
+    python3 tools/records.py ROOT_A ROOT_B
 
 Runs every job of the three workloads in ``ROOT/perfbench/workloads.py``
 once, in this process, on seeds 1 and 2, against the package in
@@ -8,13 +10,19 @@ once, in this process, on seeds 1 and 2, against the package in
 JSON record are printed under "<workload>/<seed>/<job>", one job per line,
 with clock fields removed and paths given relative to the temporary input
 directory, so two checkouts that compute the same results print the same
-document and ``diff`` names the jobs whose records differ.  Exits 1 when any job exits non-zero or raises.
+document.  Exits 1 when any job exits non-zero or raises.
+
+With two roots, each checkout's document is made in its own process by
+this script, the jobs whose records differ (or that only one side has) are
+named, and the exit code is 1 when any job differs or either document
+could not be made, else 0.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -66,6 +74,28 @@ def main(root: str) -> int:
     return 1 if failed else 0
 
 
+def compare(root_a: str, root_b: str) -> int:
+    docs = []
+    for root in (root_a, root_b):
+        run = subprocess.run([sys.executable, os.path.abspath(__file__), root],
+                             stdout=subprocess.PIPE, text=True)
+        try:
+            docs.append(json.loads(run.stdout))
+        except json.JSONDecodeError:
+            print(f"no records from {root} (exit {run.returncode})", file=sys.stderr)
+            return 1
+    names = sorted(docs[0].keys() | docs[1].keys())
+    # compared as printed, so -0.0 and 0.0 or 1 and 1.0 differ
+    differ = [name for name in names
+              if len({json.dumps(doc.get(name), sort_keys=True) for doc in docs}) > 1]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(names)} job records differ")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) > 2:
+        sys.exit(compare(sys.argv[1], sys.argv[2]))
     sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else
                   os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
