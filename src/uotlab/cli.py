@@ -28,8 +28,7 @@ import numpy as np
 
 from . import __version__
 from .costs import CostMatrix, hk_matrix, sqeuclidean_matrix
-from .identities import (SINKHORN_TOL, balanced_entropic_value, balanced_sinkhorn,
-                         grid_measure, verify_identities)
+from .identities import SINKHORN_TOL, balanced_sinkhorn, grid_measure, verify_identities
 from .lifting import (
     solve_lifted_balanced,
     solve_lifted_balanced_eps,
@@ -112,6 +111,16 @@ def _instance(args) -> tuple[float, DiscreteMeasure, DiscreteMeasure, CostMatrix
     return t0, mu0, mu1, _cost_matrix(args.cost, mu0, mu1)
 
 
+def _balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix, eps: float,
+              nu: Plan, **limits) -> tuple[np.ndarray, int, float, tuple[float, float]]:
+    """``balanced_sinkhorn`` against the reference ``nu``, its value in the KL
+    convention (c, g) + eps * (sum g log(g / nu) - g(X) + nu(X)) of the
+    other solves: the returned value plus eps * (nu(X) - mu0(X))."""
+    gamma, iters, value, residuals = balanced_sinkhorn(
+        mu0.weights, mu1.weights, cost.values, eps, nu.weights, **limits)
+    return gamma, iters, value + eps * (nu.total_mass - mu0.total_mass), residuals
+
+
 def _strict(value):
     """``value`` with every non-finite float written as the string "inf",
     "-inf" or "nan", which strict JSON can hold."""
@@ -160,13 +169,10 @@ def _cmd_solve_x(args) -> int:
         # sharp marginals: plain balanced scaling against the reference
         if not balanced_masses(mu0.total_mass, mu1.total_mass):
             raise InputError("balanced marginal entropies need equal masses")
-        gamma, iters, residual = balanced_sinkhorn(
-            mu0.weights, mu1.weights, cost.values, config.eps, nu.weights,
-            tol=config.tolerance, max_iters=config.max_iters)
-        value = balanced_entropic_value(gamma, mu0.weights, cost.values, config.eps,
-                                        nu.weights)
-        report = SolveReport(value, value, 0.0, iters, (residual, residual),
-                             residual <= config.tolerance)
+        gamma, iters, value, residuals = _balanced(
+            mu0, mu1, cost, config.eps, nu, tol=config.tolerance, max_iters=config.max_iters)
+        report = SolveReport(value, value, 0.0, iters, residuals,
+                             max(residuals) <= config.tolerance)
         plan = Plan(mu0.ground, mu1.ground, gamma)
     else:
         plan, phi, report = solve_x_eps(mu0, mu1, cost, nu, config)
@@ -284,9 +290,7 @@ def _cmd_lift_check(args) -> int:
         values["status"] = result.status
         converged = result.status in ("optimal", "infeasible")
         if result.optimal:
-            gamma, _, _ = balanced_sinkhorn(mu0.weights, mu1.weights, cost.values,
-                                            eps, nu.weights)
-            ref = balanced_entropic_value(gamma, mu0.weights, cost.values, eps, nu.weights)
+            ref = _balanced(mu0, mu1, cost, eps, nu)[2]
             values["balanced_entropic"] = ref
             residuals["lifted_eps_vs_entropic"] = abs(result.value - ref)
     elif args.which == "x-extended":

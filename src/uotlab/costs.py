@@ -64,13 +64,24 @@ def hk_cost(d):
     return float(out) if scalar else out
 
 
+def squared_distances(points0: np.ndarray, points1: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of two (count, dim)
+    arrays, summed one coordinate at a time into one n0 x n1 array."""
+    out = np.subtract.outer(points0[:, 0], points1[:, 0])
+    np.square(out, out=out)
+    for k in range(1, points0.shape[1]):
+        diff = np.subtract.outer(points0[:, k], points1[:, k])
+        out += np.square(diff, out=diff)
+    return out
+
+
 def sqeuclidean_matrix(g0: GroundSet, g1: GroundSet) -> CostMatrix:
-    d = g0.distances_to(g1)
-    return CostMatrix(d * d)
+    return CostMatrix(squared_distances(g0.points, g1.points))
 
 
 def hk_matrix(g0: GroundSet, g1: GroundSet) -> CostMatrix:
-    return CostMatrix(hk_cost(g0.distances_to(g1)))
+    d = squared_distances(g0.points, g1.points)
+    return CostMatrix(hk_cost(np.sqrt(d, out=d)))
 
 
 # ---------------------------------------------------------------------------

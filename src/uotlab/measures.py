@@ -62,11 +62,6 @@ class GroundSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def distances_to(self, other: "GroundSet") -> np.ndarray:
-        """Euclidean distance matrix between this ground set and another."""
-        diff = self.points[:, None, :] - other.points[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure:

@@ -301,6 +301,17 @@ def _kl_divergence(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a[pos] * np.log(a[pos] / b[pos]) - a[pos]) + np.sum(b))
 
 
+def balanced_entropic_value(gamma: np.ndarray, mu_w: np.ndarray, cost: np.ndarray,
+                            eps: float, reference: np.ndarray) -> float:
+    """(c, g) + eps * (sum g log(g / reference) - mu(X) + reference(X)), the
+    balanced entropic value of a coupling g of mu, evaluated over the n x n
+    plan entries."""
+    pos = gamma > 0
+    value = float(np.sum(cost[pos] * gamma[pos]))
+    return value + eps * (float(np.sum(gamma[pos] * np.log(gamma[pos] / reference[pos])))
+                          - float(np.sum(mu_w)) + float(np.sum(reference)))
+
+
 def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, tol, max_iters):
     """Generalized Sinkhorn in the log domain, with the full primal and dual
     evaluated every 5th iteration.

@@ -11,6 +11,8 @@ from uotlab import cli, identities, lifting
 from uotlab.cli import run
 from uotlab.simplex import transport_lp
 
+from oracles import balanced_entropic_value
+
 
 @pytest.fixture
 def fixtures(tmp_path):
@@ -271,6 +273,33 @@ def test_solve_x_gap_alone_is_not_convergence(tmp_path):
     assert code == 2
     assert report["converged"] is False
     assert max(report["marginal_residuals"]) > 1e-6
+
+
+def test_solve_x_balanced_records_each_side_and_the_plan_value(tmp_path):
+    rng = np.random.default_rng(33)
+    w0, w1 = rng.uniform(0.5, 1.5, 6), rng.uniform(0.5, 1.5, 6)
+    w0, w1 = w0 / w0.sum(), w1 / w1.sum()
+    pts0, pts1 = rng.uniform(0.0, 1.0, (6, 2)), rng.uniform(0.0, 1.0, (6, 2))
+    files = []
+    for side, (pts, w) in enumerate(((pts0, w0), (pts1, w1))):
+        (tmp_path / f"mu{side}.json").write_text(
+            json.dumps({"points": pts.tolist(), "weights": w.tolist()}))
+        files.append(str(tmp_path / f"mu{side}.json"))
+    out = tmp_path / "balanced.json"
+    code = run(["solve-x", "--mu0", files[0], "--mu1", files[1], "--cost", "sqeuclidean",
+                "--eps", "0.1", "--entropy", "balanced", "--emit-plan", "--out", str(out)])
+    assert code == 0
+    record = json.loads(out.read_text())
+    gamma = np.array(record["plan"]["weights"])
+    residuals = record["report"]["marginal_residuals"]
+    for got, plan_marginal, w in zip(residuals, (gamma.sum(1), gamma.sum(0)), (w0, w1)):
+        assert got == pytest.approx(np.max(np.abs(plan_marginal - w)), abs=1e-15)
+    assert residuals[0] != residuals[1]
+    cost = np.sum((pts0[:, None, :] - pts1[None, :, :]) ** 2, axis=-1)
+    nu = np.outer(w0, w1) / (w0.sum() * w1.sum())  # the default reference
+    want = balanced_entropic_value(gamma, w0, cost, 0.1, nu)
+    assert record["report"]["primal"] == pytest.approx(want, rel=1e-12)
+    assert record["report"]["gap"] == 0.0
 
 
 def test_identities_nonconverged_solve_exits_two(tmp_path, monkeypatch):

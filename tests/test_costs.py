@@ -38,6 +38,22 @@ def test_cost_matrices():
         CostMatrix(np.array([[-1.0]]))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cost_matrices_sum_squared_coordinate_differences(dim):
+    rng = np.random.default_rng(40 + dim)
+    g0 = GroundSet(rng.uniform(-1.0, 2.0, size=(23, dim)))
+    g1 = GroundSet(rng.uniform(-1.0, 2.0, size=(17, dim)))
+    per_coordinate = sum(np.subtract.outer(g0.points[:, k], g1.points[:, k]) ** 2
+                         for k in range(dim))
+    assert np.array_equal(sqeuclidean_matrix(g0, g1).values, per_coordinate)
+    # hk is bit-identical to the square root of the (n0, n1, dim) broadcast sum
+    diff = g0.points[:, None, :] - g1.points[None, :, :]
+    broadcast_hk = hk_cost(np.sqrt(np.sum(diff * diff, axis=-1)))
+    hk = hk_matrix(g0, g1).values
+    assert np.any(np.isinf(hk)) and np.any(np.isfinite(hk))
+    assert np.array_equal(hk, broadcast_hk)
+
+
 def test_perspective_H_values():
     assert perspective_H(1.0, 1.0, 0.0) == 0.0
     assert perspective_H(1.0, 0.0, 3.7) == 1.0

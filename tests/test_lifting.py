@@ -105,8 +105,8 @@ def test_balanced_eps_matches_balanced_entropic_transport():
         mu1 = DiscreteMeasure(mu1.ground, mu1.weights * (mu0.total_mass / mu1.total_mass))
         nu = default_nu_x(mu0, mu1)
         eps = 0.8
-        gamma, _, _ = balanced_sinkhorn(mu0.weights, mu1.weights, cost.values, eps,
-                                        nu.weights, tol=1e-14)
+        gamma, _, _, _ = balanced_sinkhorn(mu0.weights, mu1.weights, cost.values, eps,
+                                           nu.weights, tol=1e-14)
         m = mu0.total_mass
         want = (float(np.sum(cost.values * gamma))
                 + eps * (float(np.sum(gamma * np.log(gamma / nu.weights)))

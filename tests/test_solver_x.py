@@ -6,7 +6,7 @@ import pytest
 from uotlab import solver_x
 from uotlab.costs import CostMatrix, hk_cost, hk_matrix, sqeuclidean_matrix
 from uotlab.entropy import divergence_arrays
-from uotlab.identities import balanced_entropic_value, balanced_sinkhorn
+from uotlab.identities import balanced_sinkhorn
 from uotlab.measures import DiscreteMeasure, GroundSet, Plan, product
 from uotlab.solver_x import (
     DualPotentials,
@@ -22,7 +22,13 @@ from uotlab.solver_x import (
     solve_x_unreg,
 )
 
-from oracles import bisect, log_domain_sinkhorn, projected_gradient, solve_x_log_domain
+from oracles import (
+    balanced_entropic_value,
+    bisect,
+    log_domain_sinkhorn,
+    projected_gradient,
+    solve_x_log_domain,
+)
 
 
 def dirac_pair(m0=1.0, m1=1.0, c=0.0):
@@ -401,13 +407,15 @@ def test_kernel_balanced_steps_match_log_domain(cost_kind, massless):
         log_k = np.log(ref) - np.where(np.isinf(cost.values), np.inf, cost.values) / eps
     _, _, iters, want_plan, stopped = log_domain_sinkhorn(
         log_k, mu0.weights, mu1.weights, 1.0, np.zeros(10), 5000, 10, stop)
-    gamma, got_iters, residual = balanced_sinkhorn(mu0.weights, mu1.weights, cost.values,
-                                                   eps, ref, tol=tol, max_iters=5000)
-    assert stopped and residual <= tol
+    gamma, got_iters, value, residuals = balanced_sinkhorn(
+        mu0.weights, mu1.weights, cost.values, eps, ref, tol=tol, max_iters=5000)
+    assert stopped and max(residuals) <= tol
     assert got_iters == iters
     want = balanced_entropic_value(want_plan, mu0.weights, cost.values, eps, ref)
     got = balanced_entropic_value(gamma, mu0.weights, cost.values, eps, ref)
     assert got == pytest.approx(want, rel=1e-9)
+    # the value read off the last check is the n x n value of the returned plan
+    assert value + eps * (ref.sum() - mu0.total_mass) == pytest.approx(got, rel=1e-12)
     assert np.all(gamma[np.isinf(cost.values)] == 0.0)
 
 

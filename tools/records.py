@@ -14,8 +14,10 @@ document.  Exits 1 when any job exits non-zero or raises.
 
 With two roots, each checkout's document is made in its own process by
 this script, the jobs whose records differ (or that only one side has) are
-named, and the exit code is 1 when any job differs or either document
-could not be made, else 0.
+named, each with the largest relative difference among its float fields
+and the paths of the other fields that differ (iterations, status, exit
+code, a field only one side has), and the exit code is 1 when any job
+differs or either document could not be made, else 0.
 """
 
 from __future__ import annotations
@@ -74,6 +76,27 @@ def main(root: str) -> int:
     return 1 if failed else 0
 
 
+def _differences(a, b, path: str, floats: list, others: set) -> None:
+    """Collect (relative difference, path) of the float fields of a and b in
+    ``floats`` and the paths of the other fields that differ in ``others``
+    (list indices written as [], so a plan counts once)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                _differences(a[key], b[key], sub, floats, others)
+            else:
+                others.add(sub)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _differences(x, y, path + "[]", floats, others)
+    elif isinstance(a, float) and isinstance(b, float):
+        scale = max(abs(a), abs(b))
+        floats.append((0.0 if a == b else abs(a - b) / scale, path))
+    elif json.dumps(a) != json.dumps(b):
+        others.add(path)
+
+
 def compare(root_a: str, root_b: str) -> int:
     docs = []
     for root in (root_a, root_b):
@@ -89,7 +112,13 @@ def compare(root_a: str, root_b: str) -> int:
     differ = [name for name in names
               if len({json.dumps(doc.get(name), sort_keys=True) for doc in docs}) > 1]
     for name in differ:
-        print(f"differs: {name}")
+        floats, others = [], set()
+        _differences(docs[0].get(name), docs[1].get(name), "", floats, others)
+        line = f"differs: {name}"
+        if floats:
+            worst, where = max(floats)
+            line += f": largest relative float difference {worst:.2g} ({where})"
+        print(line + "".join(f"; {path or 'the whole entry'} differs" for path in sorted(others)))
     print(f"{len(differ)} of {len(names)} job records differ")
     return 1 if differ else 0
 
