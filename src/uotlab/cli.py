@@ -79,11 +79,7 @@ def _cost_matrix(spec: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> CostM
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            if isinstance(data, dict):
-                values = plan_weights_from_dict(data)
-            else:
-                values = np.array(data, dtype=float)
-            return CostMatrix(values)
+            return CostMatrix(plan_weights_from_dict(data) if isinstance(data, dict) else data)
         except FileNotFoundError as exc:
             raise InputError(f"cost file not found: {path}") from exc
         except (ValueError, json.JSONDecodeError) as exc:

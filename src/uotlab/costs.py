@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GroundSet
+from .measures import GroundSet, _frozen_array
 
 HALF_PI = math.pi / 2.0
 
@@ -38,13 +38,7 @@ class CostMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("cost matrix must be 2-dimensional")
-        if np.any(np.isnan(v)) or np.any(v < 0):
-            raise ValueError("cost entries must be >= 0 or +inf")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        _frozen_array(self, "values", "cost entries", ndim=2, nonnegative=True, infinite=True)
 
     @property
     def shape(self):

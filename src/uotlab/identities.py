@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import squared_distances
+from .measures import _frozen_array
 from .solver_x import log_kernel, proximal_step, scaling_kernel
 
 
@@ -41,18 +42,12 @@ class GridMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        w = np.array(self.weights, dtype=float)
-        if pts.ndim != 2 or w.shape != (pts.shape[0],):
-            raise ValueError("points must be (cells, dim) with one weight per cell")
-        if self.cell_volume <= 0:
-            raise ValueError("cell volume must be positive")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (0.0 < self.cell_volume < math.inf):
+            raise ValueError("cell volume must be positive and finite")
+        pts = _frozen_array(self, "points", "grid points", ndim=2)
+        w = _frozen_array(self, "weights", "grid weights", shape=pts.shape[:1], nonnegative=True)
+        if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("grid measures are probability measures")
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
 
     @property
     def dim(self) -> int:
@@ -138,6 +133,12 @@ def _solve(mu: GridMeasure, nu: GridMeasure, eps: float,
     return value, gamma, residuals
 
 
+def _matched(mu: GridMeasure, nu: GridMeasure, first: tuple, second: tuple) -> tuple:
+    """Values, largest plan difference and residuals of two matched problems."""
+    (v0, g0, r0), (v1, g1, r1) = _solve(mu, nu, *first), _solve(mu, nu, *second)
+    return v0, v1, float(np.max(np.abs(g1 - g0))), r0 + r1
+
+
 def w_eps_1(mu: GridMeasure, nu: GridMeasure, eps: float) -> tuple[float, np.ndarray]:
     """(c, g) + eps * H(g) with the plan-level Lebesgue weight cellVolume^2."""
     return _solve(mu, nu, eps, 1)[:2]
@@ -167,8 +168,8 @@ def verify_identities(mu: GridMeasure, nu: GridMeasure, eps: float) -> dict:
     if not (0.0 < eps < math.inf):
         raise ValueError("eps must be positive and finite")
     d = mu.dim
-    (v1, g1, r1), (v2, g2, r2), (v3, g3, r3), (v1_2eps, g1_2eps, r1_2eps) = (
-        _solve(mu, nu, e, k) for e, k in ((eps, 1), (eps, 2), (eps, 3), (2.0 * eps, 1)))
+    v1, v2, plan_residual_w2, r_w2 = _matched(mu, nu, (eps, 1), (eps, 2))
+    v1_2eps, v3, plan_residual_w3, r_w3 = _matched(mu, nu, (2.0 * eps, 1), (eps, 3))
     h_mu = entropy_against_lebesgue(mu)
     h_nu = entropy_against_lebesgue(nu)
     return {
@@ -180,7 +181,7 @@ def verify_identities(mu: GridMeasure, nu: GridMeasure, eps: float) -> dict:
         "entropy_nu": h_nu,
         "residual_w2": abs(v2 - (v1 - eps * (h_mu + h_nu))),
         "residual_w3": abs(v3 - (0.5 * v1_2eps + 0.5 * d * eps * math.log(2.0 * math.pi * eps))),
-        "plan_residual_w2": float(np.max(np.abs(g2 - g1))),
-        "plan_residual_w3": float(np.max(np.abs(g3 - g1_2eps))),
-        "sinkhorn_residual": max(r1 + r2 + r3 + r1_2eps),
+        "plan_residual_w2": plan_residual_w2,
+        "plan_residual_w3": plan_residual_w3,
+        "sinkhorn_residual": max(r_w2 + r_w3),
     }

@@ -17,10 +17,10 @@ against baseline solvers on small instances:
 
 Each lift broadcasts its atom cost tensor over the open mesh (``np.ix_``)
 of point indices and radial powers, takes its constraint families from the
-same mesh, and solves with ``simplex.atom_lp``.  The extended lift returns
-an ``AtomPlan`` with an S axis and its value; the reduced lifts return
-``atom_lp``'s ``LpResult`` as it is, whose ``x`` is the read-only weight
-tensor.
+same mesh, and solves with ``simplex.atom_lp``; every constraint is sharp.
+The extended lift returns an ``AtomPlan`` with an S axis and its value; the
+reduced lifts return ``atom_lp``'s ``LpResult`` as it is, whose ``x`` is
+the read-only weight tensor.
 """
 
 from __future__ import annotations
@@ -88,26 +88,22 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 
 def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                      nu_x: Plan, eps: float, p: float,
-                     grids: tuple[RadialGrid, RadialGrid, RadialGrid],
-                     mode: str = "equality", *, full_pricing: bool = False
-                     ) -> tuple[AtomPlan, float]:
+                     grids: tuple[RadialGrid, RadialGrid, RadialGrid], *,
+                     full_pricing: bool = False) -> tuple[AtomPlan, float]:
     """LP over (x0, s0, x1, s1, S) atoms with cost H_eps(s0^p, s1^p, S^p, c).
 
-    Equality mode pins h_i^p eta = mu_i and the S^p pair marginal to nu_X;
-    inequality mode relaxes all three families with defects priced at F(0).
-    ``full_pricing`` goes to ``simplex.solve_lp``.
+    Sharp constraints h_i^p eta = mu_i and S^p pair marginal = nu_X; an atom
+    with one nonzero radial value costs s0^p, s1^p or eps S^p, the defect
+    prices F(0) and eps F(0).  ``full_pricing`` goes to ``simplex.solve_lp``.
     """
     _check_instance(mu0, mu1, cost, nu_x)
-    if mode not in ("equality", "inequality"):
-        raise ValueError("mode must be 'equality' or 'inequality'")
     n1 = mu1.ground.size
     i0, s0p, i1, s1p, ssp = np.ix_(np.arange(mu0.ground.size), grids[0].nodes ** p,
                                    np.arange(n1), grids[1].nodes ** p, grids[2].nodes ** p)
     h = perspective_H_eps(s0p, s1p, ssp, cost.values[i0, i1], eps)
     families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights),
                 (i0 * n1 + i1, ssp, nu_x.weights)]
-    res = _optimal(atom_lp(h, families, entropy.F_ZERO if mode == "inequality" else None,
-                           full_pricing=full_pricing), "extended")
+    res = _optimal(atom_lp(h, families, full_pricing=full_pricing), "extended")
     return AtomPlan(mu0.ground, mu1.ground, tuple(grids), p, res.x), res.value
 
 

@@ -24,13 +24,24 @@ class GroundMismatchError(ValueError):
     """Raised when an operation mixes measures living on different grounds."""
 
 
-def _frozen_array(values, ndim: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain finite values")
+def _frozen_array(owner, field: str, what: str, *, ndim=None, shape=None,
+                  nonnegative: bool = False, infinite: bool = False) -> np.ndarray:
+    """Set ``field`` of the frozen dataclass ``owner`` to a read-only float
+    copy of its value, checked for ``ndim`` or ``shape`` when given, NaN,
+    infinity unless ``infinite`` (-inf then fails ``nonnegative``) and sign
+    when ``nonnegative``, each by a boolean mask; ``what`` names it in errors.
+    Every frozen value type of the package builds its arrays here."""
+    arr = np.array(getattr(owner, field), dtype=float)
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{what} have shape {arr.shape}, expected {shape}")
+    if (np.isnan(arr).any() if infinite else not np.isfinite(arr).all()):
+        raise ValueError(f"{what} must be finite" + (" or +inf" if infinite else ""))
+    if nonnegative and (arr < 0).any():
+        raise ValueError(f"{what} must be nonnegative")
     arr.flags.writeable = False
+    object.__setattr__(owner, field, arr)
     return arr
 
 
@@ -41,18 +52,15 @@ class GroundSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim == 1:
+        pts = _frozen_array(self, "points", "ground set points")
+        if pts.ndim == 1:  # one coordinate per point; the view stays read-only
             pts = pts[:, None]
+            object.__setattr__(self, "points", pts)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a nonempty (count, dim) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("ground set points must be finite")
         # pairwise-distinct points; duplicates would make atoms ambiguous
         if len({tuple(p) for p in pts}) != pts.shape[0]:
             raise ValueError("ground set points must be pairwise distinct")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
 
     @property
     def size(self) -> int:
@@ -71,14 +79,8 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _frozen_array(self.weights, 1, "weights")
-        if w.shape[0] != self.ground.size:
-            raise ValueError(
-                f"weight count {w.shape[0]} does not match ground size {self.ground.size}"
-            )
-        if np.any(w < 0):
-            raise ValueError("measure weights must be nonnegative")
-        object.__setattr__(self, "weights", w)
+        _frozen_array(self, "weights", "measure weights", shape=(self.ground.size,),
+                      nonnegative=True)
 
     @property
     def total_mass(self) -> float:
@@ -94,15 +96,8 @@ class Plan:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _frozen_array(self.weights, 2, "weights")
-        if w.shape != (self.row_ground.size, self.col_ground.size):
-            raise ValueError(
-                f"plan shape {w.shape} does not match grounds "
-                f"({self.row_ground.size}, {self.col_ground.size})"
-            )
-        if np.any(w < 0):
-            raise ValueError("plan weights must be nonnegative")
-        object.__setattr__(self, "weights", w)
+        _frozen_array(self, "weights", "plan weights",
+                      shape=(self.row_ground.size, self.col_ground.size), nonnegative=True)
 
     @property
     def total_mass(self) -> float:
@@ -122,8 +117,7 @@ class LebesgueSplit:
     singular_part: DiscreteMeasure
 
     def __post_init__(self):
-        d = _frozen_array(self.density, 1, "density")
-        object.__setattr__(self, "density", d)
+        _frozen_array(self, "density", "density", shape=(self.singular_part.ground.size,))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +184,7 @@ def measure_to_dict(measure: DiscreteMeasure) -> dict:
 
 def measure_from_dict(data: dict) -> DiscreteMeasure:
     try:
-        ground = GroundSet(np.array(data["points"], dtype=float))
-        return DiscreteMeasure(ground, np.array(data["weights"], dtype=float))
+        return DiscreteMeasure(GroundSet(data["points"]), data["weights"])
     except KeyError as exc:
         raise ValueError(f"measure object is missing field {exc}") from exc
 

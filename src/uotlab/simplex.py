@@ -5,10 +5,10 @@ Solves  min c.x  subject to  A x = b, x >= 0  where A has few rows (the
 homogeneous-marginal constraint families) and possibly very many columns
 (one per grid atom).  A is never formed: an ``AtomMatrix`` keeps each
 constraint family as its (rows, coeff) pair broadcast over the atom cost
-tensor, and slack and phase-1 artificial columns as implicit identity
-columns.  A full pricing pass computes the reduced costs c - A^T y by
-broadcasting the row duals over the tensor, one family at a time, and keeps
-the ``_CANDIDATES`` columns that price lowest, ties going to the lowest
+tensor, and phase 1's artificial columns as an implicit identity block.
+A full pricing pass computes the reduced costs c - A^T y by broadcasting
+the row duals over the tensor, one family at a time, and keeps the
+``_CANDIDATES`` columns that price lowest, ties going to the lowest
 index, as a candidate list (``AtomMatrix._select``).  Each pivot prices
 only that list, with the same arithmetic as a full pass, and enters its
 most negative column (first index on ties); a full pass runs again only
@@ -21,11 +21,11 @@ basic columns are formed.  A Bland fallback after a degenerate stall,
 pricing every column, guarantees termination.
 
 ``atom_lp`` assembles every LP of the package: an atom cost tensor plus
-constraint families, each a (rows, coeff, target) triple.  Every lift, the
-extended-space LP and classical transport go through it, and its
-``LpResult`` is the one outcome type of every LP.  A dense ``A``
-given to ``solve_lp`` runs as an ``AtomMatrix`` with one single-row family
-per row, through the same loop.
+constraint families, each a (rows, coeff, target) triple whose constraints
+are sharp equalities.  Every lift, the extended-space LP and classical
+transport go through it, and its ``LpResult`` is the one outcome type of
+every LP.  A dense ``A`` given to ``solve_lp`` runs as an ``AtomMatrix``
+with one single-row family per row, through the same loop.
 
 Desk scale only: a few hundred rows.  Memory is a few arrays the size of
 the cost tensor (costs of each phase and the reduced costs) plus the
@@ -62,21 +62,21 @@ class LpResult:
 class AtomMatrix:
     """Equality-constraint matrix of an atom LP, kept as its families.
 
-    Columns are the atoms of a tensor of shape ``atoms`` in C order, then
-    one block of m columns per entry of ``diag``: column r of block k is
-    diag[k][r] times the unit vector e_r (slacks, phase-1 artificials).
+    Columns are the atoms of a tensor of shape ``atoms`` in C order, then,
+    when ``artificial`` holds, phase 1's m artificial columns: column r of
+    that block is the unit vector e_r.
     Atom a adds coeff[a] to row rows[a] of the whole matrix for every
     (rows, coeff) pair of ``families``; both broadcast to ``atoms``.
     ``kept`` lists the rows that remain after redundant ones are dropped
     (all m when None).
     """
 
-    def __init__(self, atoms: tuple, families: tuple, m: int, diag: tuple = (),
+    def __init__(self, atoms: tuple, families: tuple, m: int, artificial: bool = False,
                  kept: np.ndarray | None = None):
         self.atoms = atoms
         self.families = families
         self.m = m
-        self.diag = diag
+        self.artificial = artificial
         self.kept = kept
         self._n_atoms = math.prod(atoms)
 
@@ -89,7 +89,7 @@ class AtomMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         rows = self.m if self.kept is None else self.kept.size
-        return rows, self._n_atoms + self.m * len(self.diag)
+        return rows, self._n_atoms + (self.m if self.artificial else 0)
 
     def _price(self, c: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = c - A^T y over every column: the one pricing routine."""
@@ -107,16 +107,15 @@ class AtomMatrix:
             np.subtract(c[:n_atoms].reshape(self.atoms), acc, out=acc)
         else:
             out[:n_atoms] = c[:n_atoms]
-        for k, d in enumerate(self.diag):
-            block = slice(n_atoms + k * self.m, n_atoms + (k + 1) * self.m)
-            np.subtract(c[block], d * y, out=out[block])
+        if self.artificial:
+            np.subtract(c[n_atoms:], y, out=out[n_atoms:])
         return out
 
     def _select(self, cols) -> AtomMatrix:
         """The columns ``cols`` as a matrix of their own, one atom each.
 
         Every family keeps each atom column's row and coefficient (row 0
-        and coefficient 0 on diagonal columns), and the diagonal columns'
+        and coefficient 0 on artificial columns), and the artificials' unit
         entries form one family more (row 0 and 0 on atom columns).
         ``_price`` on it with c[cols] gives exactly the reduced costs of a
         full pass on those columns: the same products and sums, in the
@@ -128,10 +127,9 @@ class AtomMatrix:
         at = np.unravel_index(np.where(atom, cols, 0), self.atoms)
         families = [(np.where(atom, rows[at], 0), np.where(atom, coeff[at], 0.0))
                     for rows, coeff in self._broadcast]
-        if self.diag:
-            k, r = np.divmod(np.where(atom, 0, cols - n_atoms), self.m)
-            families.append((r, np.where(atom, 0.0, np.asarray(self.diag)[k, r])))
-        return AtomMatrix((cols.size,), tuple(families), self.m, (), self.kept)
+        if self.artificial:
+            families.append((np.where(atom, 0, cols - n_atoms), np.where(atom, 0.0, 1.0)))
+        return AtomMatrix((cols.size,), tuple(families), self.m, kept=self.kept)
 
     def _columns(self, cols) -> np.ndarray:
         """The dense m x len(cols) submatrix A[:, cols]."""
@@ -147,7 +145,7 @@ class AtomMatrix:
         """The matrix with the rows where ``flip`` holds negated."""
         sign = np.where(flip, -1.0, 1.0)
         families = tuple((rows, sign[rows] * coeff) for rows, coeff in self.families)
-        return AtomMatrix(self.atoms, families, self.m, tuple(sign * d for d in self.diag))
+        return AtomMatrix(self.atoms, families, self.m)
 
 
 def _pivot_update(binv: np.ndarray, d: np.ndarray, row: int) -> None:
@@ -297,7 +295,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
     c1[n:] = 1.0
     basis = list(range(n, n + m))
     binv = np.eye(m)
-    A1 = AtomMatrix(A.atoms, A.families, m, A.diag + (np.ones(m),))
+    A1 = AtomMatrix(A.atoms, A.families, m, artificial=True)
     status, xb, it1 = _simplex_phase(c1, A1, b, basis, binv, max_iters, list_size)
     feas = float(c1[basis] @ xb)
     scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
@@ -324,7 +322,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
     del c1, row
     if not np.all(keep_rows):
         rows = np.flatnonzero(keep_rows)
-        A = AtomMatrix(A.atoms, A.families, A.m, A.diag, rows)
+        A = AtomMatrix(A.atoms, A.families, A.m, kept=rows)
         b = b[rows]
         basis = [basis[r] for r in rows]
         m = len(rows)
@@ -340,8 +338,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
     return LpResult("optimal", x, float(c[basis] @ xb), it1 + it2)
 
 
-def atom_lp(cost, families, slack_cost: float | None = None, *,
-            full_pricing: bool = False) -> LpResult:
+def atom_lp(cost, families, *, full_pricing: bool = False) -> LpResult:
     """Minimise <cost, x> over nonnegative atom tensors x under equality
     constraint families.
 
@@ -350,11 +347,10 @@ def atom_lp(cost, families, slack_cost: float | None = None, *,
     (raveled); rows and coeff broadcast to ``cost.shape``.  The families
     stay in that broadcast form: the LP is priced on the cost tensor and
     only basic columns are ever formed (``AtomMatrix``).  Atoms whose cost
-    is not finite never enter the basis.  ``slack_cost`` adds one identity
-    slack column per row at that price, which relaxes every constraint to
-    <=.  ``full_pricing`` goes to ``solve_lp``.  The result's ``x`` is a
-    read-only array of the tensor's shape (0 on atoms of non-finite cost,
-    slacks left out), or None when the LP is not solved to optimality.
+    is not finite never enter the basis.  ``full_pricing`` goes to
+    ``solve_lp``.  The result's ``x`` is a read-only array of the tensor's
+    shape (0 on atoms of non-finite cost), or None when the LP is not
+    solved to optimality.
     """
     cost = np.asarray(cost, dtype=float)
     b = np.concatenate([np.ravel(target) for _, _, target in families])
@@ -363,13 +359,11 @@ def atom_lp(cost, families, slack_cost: float | None = None, *,
     for rows, coeff, target in families:
         pairs.append((offset + np.asarray(rows), np.asarray(coeff, dtype=float)))
         offset += np.size(target)
-    slack = () if slack_cost is None else (np.ones(b.size),)
-    c = cost.ravel() if slack_cost is None else np.append(cost, [slack_cost] * b.size)
-    res = solve_lp(c, AtomMatrix(cost.shape, tuple(pairs), b.size, slack), b,
+    res = solve_lp(cost.ravel(), AtomMatrix(cost.shape, tuple(pairs), b.size), b,
                    full_pricing=full_pricing)
     if not res.optimal:
         return res
-    x = res.x[:cost.size].reshape(cost.shape)
+    x = res.x.reshape(cost.shape)
     x.flags.writeable = False
     return replace(res, x=x)
 

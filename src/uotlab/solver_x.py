@@ -36,7 +36,7 @@ import numpy as np
 
 from .costs import CostMatrix, perspective_H_eps
 from .entropy import F_ZERO, R, F_star, divergence_arrays
-from .measures import DiscreteMeasure, GroundMismatchError, Plan, split_arrays
+from .measures import DiscreteMeasure, GroundMismatchError, Plan, _frozen_array, split_arrays
 
 _EXP_CLIP = 700.0  # exp overflow guard
 _LOG_TINY = -745.0  # log of the smallest positive double, used to clamp potentials
@@ -54,14 +54,8 @@ class DualPotentials:
     phi1: np.ndarray
 
     def __post_init__(self):
-        p0 = np.array(self.phi0, dtype=float)
-        p1 = np.array(self.phi1, dtype=float)
-        if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
-            raise ValueError("dual potentials must be finite")
-        p0.flags.writeable = False
-        p1.flags.writeable = False
-        object.__setattr__(self, "phi0", p0)
-        object.__setattr__(self, "phi1", p1)
+        for field in ("phi0", "phi1"):
+            _frozen_array(self, field, "dual potentials", ndim=1)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ and the problem
 
 is a linear program over the atoms because the objective is linear in the
 weights; ``simplex.atom_lp`` builds and solves it from the cost tensor and
-the two s_i^p-weighted families.  Its entropic regularisation adds
-eps * Div(alpha | nu_Y) for a probability reference nu_Y and is solved by
-alternating KL projections onto the two homogeneous-marginal constraint
-families (generalized iterative scaling): each projection multiplies alpha
-by exp(lambda(x_i) s_i^p).  As an (n0 K0) x (n1 K1) matrix over (point,
+the two s_i^p-weighted families.  The constraints are sharp: an atom with
+s_j = 0 (the apex of the cone) costs s_i^p, the defect price F(0) = 1 per
+unit of unmatched mass.  The entropic regularisation adds eps * Div(alpha |
+nu_Y) for a probability reference nu_Y and is solved by alternating KL
+projections onto the two homogeneous-marginal constraint families
+(generalized iterative scaling): each projection multiplies alpha by
+exp(lambda(x_i) s_i^p).  As an (n0 K0) x (n1 K1) matrix over (point,
 radial node) lines, alpha is nu_Y exp(-H_p/eps) scaled by the line
 potentials lambda_i s_k^p, so these are the iterations of
 ``solver_x.scaling_kernel`` with another marginal step: its mat-vec gives
@@ -48,8 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostMatrix, perspective_H, perspective_H_eps
-from . import entropy
-from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan
+from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan, _frozen_array
 from .simplex import LpResult, atom_lp, transport_lp
 from .solver_x import SolveReport, SolverConfig, _check_instance, scaling_kernel
 
@@ -73,21 +74,15 @@ class RadialGrid:
     cap: float
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 1:
-            raise ValueError("radial grid needs a 1-d node array")
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("radial nodes must be finite")
+        nodes = _frozen_array(self, "nodes", "radial nodes", ndim=1)
         if not math.isfinite(self.cap):
             raise ValueError("radial grid cap must be finite")
-        if nodes[0] != 0.0:
+        if nodes.size == 0 or nodes[0] != 0.0:
             raise ValueError("radial grids include the node 0")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("radial nodes must be strictly increasing")
         if nodes[-1] > self.cap * (1 + 1e-12):
             raise ValueError("radial nodes must not exceed the cap")
-        nodes.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
 
     @property
     def size(self) -> int:
@@ -194,18 +189,12 @@ class AtomPlan:
     def __post_init__(self):
         if len(self.grids) not in (2, 3):
             raise ValueError("an atom plan has two or three radial grids")
-        w = np.array(self.weights, dtype=float)
+        if not (0.0 < self.p < math.inf):
+            raise ValueError("p must be positive and finite")
         g = self.grids
         shape = (self.row_ground.size, g[0].size, self.col_ground.size,
                  *(grid.size for grid in g[1:]))
-        if w.shape != shape:
-            raise ValueError(f"atom plan shape {w.shape} != {shape}")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("atom plan weights must be finite and nonnegative")
-        if self.p <= 0:
-            raise ValueError("p must be positive")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        _frozen_array(self, "weights", "atom plan weights", shape=shape, nonnegative=True)
 
     @property
     def total_mass(self) -> float:
@@ -238,6 +227,10 @@ class YMeasure:
     ground: GroundSet
     grid: RadialGrid
     weights: np.ndarray  # (points, nodes)
+
+    def __post_init__(self):
+        _frozen_array(self, "weights", "Y-measure weights",
+                      shape=(self.ground.size, self.grid.size), nonnegative=True)
 
     @property
     def total_mass(self) -> float:
@@ -305,23 +298,14 @@ def _optimal(res: LpResult, what: str) -> LpResult:
 
 
 def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
-                  p: float, grids: tuple[RadialGrid, RadialGrid],
-                  mode: str = "equality") -> tuple[AtomPlan, float]:
-    """Linear program min (H_p, alpha) under homogeneous-marginal constraints.
-
-    ``mode='inequality'`` solves the relaxed variant h_i^p alpha <= mu_i with
-    the defect priced at F(0) per unit of unmatched mass.
-    """
+                  p: float, grids: tuple[RadialGrid, RadialGrid]) -> tuple[AtomPlan, float]:
+    """Linear program min (H_p, alpha) under the sharp constraints h_i^p alpha = mu_i."""
     _check_instance(mu0, mu1, cost, None)
     grid0, grid1 = grids
-    if mode not in ("equality", "inequality"):
-        raise ValueError("mode must be 'equality' or 'inequality'")
     i0, s0p, i1, s1p = np.ix_(np.arange(mu0.ground.size), grid0.nodes ** p,
                               np.arange(mu1.ground.size), grid1.nodes ** p)
     families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights)]
-    res = _optimal(atom_lp(hp_tensor(cost, grid0, grid1, p), families,
-                           entropy.F_ZERO if mode == "inequality" else None),
-                   "homogeneous-marginal")
+    res = _optimal(atom_lp(hp_tensor(cost, grid0, grid1, p), families), "homogeneous-marginal")
     return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, res.x), res.value
 
 

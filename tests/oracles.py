@@ -7,12 +7,14 @@ package, so an agreement test
 exercises two genuinely different computational routes.  The imports from
 the package are the exception type the tilt loop raises, and the cost
 closed forms plus the simplex behind the full-density second-order LP,
-which assembles its own constraint matrix.
+which assembles its own constraint matrix.  The relaxed atom LPs are
+solved densely by scipy's HiGHS.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from uotlab.costs import perspective_H, second_order_H_tilde
 from uotlab.simplex import solve_lp
@@ -396,3 +398,23 @@ def solve_second_order_full_w(mu0, mu1, cost, p: float, grids) -> float:
     if not res.optimal:
         raise InfeasibleProblemError("full-density second-order LP infeasible")
     return res.value
+
+
+def relaxed_lp_value(cost, families, prices):
+    """Dense LP of an atom cost tensor with each family relaxed to <=: a
+    slack column per row, priced at the family's entry of ``prices``,
+    solved by scipy's HiGHS."""
+    n = cost.size
+    blocks, b, c = [], [], [cost.ravel()]
+    for (rows, coeff, target), price in zip(families, prices):
+        a = np.zeros((np.size(target), n))
+        a[np.broadcast_to(rows, cost.shape).ravel(), np.arange(n)] = (
+            np.broadcast_to(coeff, cost.shape).ravel())
+        blocks.append(a)
+        b.append(np.ravel(target))
+        c.append(np.full(np.size(target), price))
+    a = np.vstack(blocks)
+    ref = linprog(np.concatenate(c), A_eq=np.hstack([a, np.eye(a.shape[0])]),
+                  b_eq=np.concatenate(b), bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.fun

@@ -24,6 +24,19 @@ def test_grid_measure_builder():
         GridMeasure(mu.points, mu.cell_volume, mu.weights * 2.0)
 
 
+def test_grid_measure_rejects_non_finite_values():
+    mu = grid_measure(2, 1)
+    nan_weight = mu.weights.copy()
+    nan_weight[0] = math.nan
+    nan_point = mu.points.copy()
+    nan_point[1, 0] = math.nan
+    for args in ((mu.points, math.nan, mu.weights), (mu.points, math.inf, mu.weights),
+                 (mu.points, mu.cell_volume, nan_weight),
+                 (nan_point, mu.cell_volume, mu.weights)):
+        with pytest.raises(ValueError, match="finite"):
+            GridMeasure(*args)
+
+
 def test_entropy_against_lebesgue_uniform():
     mu = grid_measure(8, 1)
     # uniform density over a unit-volume box has zero differential entropy

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uotlab.costs import CostMatrix, hk_cost, sqeuclidean_matrix
-from uotlab.entropy import R
+from uotlab.costs import CostMatrix, hk_cost, perspective_H_eps, sqeuclidean_matrix
+from uotlab.entropy import F_ZERO, R
 from uotlab.identities import balanced_sinkhorn
 from uotlab.lifting import (
     solve_lifted_balanced,
@@ -18,7 +18,7 @@ from uotlab.simplex import transport_lp
 from uotlab.solver_x import SolverConfig, default_nu_x, solve_x_eps
 from uotlab.solver_y import AtomPlan, RadialGrid, default_grids, solve_y_unreg
 
-from oracles import solve_second_order_full_w
+from oracles import relaxed_lp_value, solve_second_order_full_w
 
 
 def random_pair(rng, n0=2, n1=2, box=1.0, lo=0.4, hi=1.2):
@@ -232,14 +232,22 @@ def test_x_extended_product_reference_relation():
 
 
 def test_x_extended_inequality_mode():
-    rng = np.random.default_rng(77)
-    mu0, mu1, cost = random_pair(rng, box=0.5)
-    nu = default_nu_x(mu0, mu1)
+    # the s = 0 atoms carry every marginal defect at its price, so the
+    # sharp LP needs no slack: its value equals the relaxed LP with point
+    # defects priced F(0) and pair defects priced eps F(0)
+    mu0, mu1, cost = random_pair(np.random.default_rng(74), box=2.0)
+    nu = product(mu0, mu1)
     grid = RadialGrid.geometric(10.0, n_nodes=14, smin_frac=1e-3)
-    _, v_eq = solve_x_extended(mu0, mu1, cost, nu, 0.5, 1.0, (grid, grid, grid))
-    _, v_le = solve_x_extended(mu0, mu1, cost, nu, 0.5, 1.0, (grid, grid, grid),
-                               mode="inequality")
-    assert v_le <= v_eq + 1e-10
+    i0, s0p, i1, s1p, ssp = np.ix_(np.arange(2), grid.nodes, np.arange(2), grid.nodes,
+                                   grid.nodes)
+    families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights), (i0 * 2 + i1, ssp, nu.weights)]
+    for eps in (0.5, 1.5):
+        _, value = solve_x_extended(mu0, mu1, cost, nu, eps, 1.0, (grid, grid, grid))
+        h = perspective_H_eps(s0p, s1p, ssp, cost.values[i0, i1], eps)
+        relaxed = relaxed_lp_value(h, families, (F_ZERO, F_ZERO, eps * F_ZERO))
+        assert value == pytest.approx(relaxed, abs=1e-9)
+        if eps > 1.0:  # pricing the pair defect at F(0) undercuts the LP
+            assert relaxed_lp_value(h, families, (F_ZERO,) * 3) < value - 1e-3
 
 
 # ---------------------------------------------------------------------------

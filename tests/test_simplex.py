@@ -112,8 +112,7 @@ def test_transport_lp_infinite_costs():
     assert status == "infeasible"
 
 
-@pytest.mark.parametrize("slack_cost", [None, 0.5])
-def test_atom_lp_against_scipy(slack_cost):
+def test_atom_lp_against_scipy():
     # (x0, s0, x1, s1) atoms with +inf-cost atoms, two s^p-weighted point
     # families and a pair family, assembled here atom by atom
     rng = np.random.default_rng(32)
@@ -128,7 +127,7 @@ def test_atom_lp_against_scipy(slack_cost):
     pair = feasible.sum(axis=(1, 3))
     i0, a0, i1, a1 = np.ix_(np.arange(n0), s0, np.arange(n1), s1)
     families = [(i0, a0, mu0), (i1, a1, mu1), (i0 * n1 + i1, 1.0, pair)]
-    res = atom_lp(cost, families, slack_cost)
+    res = atom_lp(cost, families)
 
     atoms = [a for a in np.ndindex(cost.shape) if np.isfinite(cost[a])]
     m = n0 + n1 + n0 * n1
@@ -139,9 +138,6 @@ def test_atom_lp_against_scipy(slack_cost):
         a_eq[n0 + n1 + i * n1 + j, col] = 1.0
     c = np.array([cost[a] for a in atoms])
     b = np.concatenate([mu0, mu1, pair.ravel()])
-    if slack_cost is not None:
-        a_eq = np.hstack([a_eq, np.eye(m)])
-        c = np.concatenate([c, np.full(m, slack_cost)])
     ref = linprog(c, A_eq=a_eq, b_eq=b, bounds=(0, None), method="highs")
     assert ref.status == 0
     assert res.optimal and res.value == pytest.approx(ref.fun, abs=1e-9)
@@ -247,22 +243,20 @@ def test_wide_lps_refill_the_candidate_list(monkeypatch, build, stall_limit):
 
 
 def test_columns_match_a_column_by_column_build():
-    # two families share rows, two diagonal blocks, one row dropped
+    # two families share rows, the artificial block, one row dropped
     rng = np.random.default_rng(35)
     atoms, m = (3, 4, 2), 5
     families = ((rng.integers(0, m, size=(3, 1, 1)), rng.uniform(size=(1, 4, 2))),
                 (rng.integers(0, m, size=(1, 4, 2)), 1.5))
-    diag = (np.ones(m), rng.uniform(-1.0, 1.0, m))
     kept = np.array([0, 1, 3, 4])
-    A = simplex.AtomMatrix(atoms, families, m, diag, kept)
+    A = simplex.AtomMatrix(atoms, families, m, artificial=True, kept=kept)
     n_atoms = int(np.prod(atoms))
-    dense = np.zeros((m, n_atoms + m * len(diag)))
+    dense = np.zeros((m, n_atoms + m))
     for col, at in enumerate(np.ndindex(atoms)):
         for rows, coeff in families:
             dense[np.broadcast_to(rows, atoms)[at], col] += np.broadcast_to(coeff, atoms)[at]
-    for k, d in enumerate(diag):
-        for r in range(m):
-            dense[r, n_atoms + k * m + r] = d[r]
+    for r in range(m):
+        dense[r, n_atoms + r] = 1.0
     cols = rng.permutation(dense.shape[1])
     assert np.array_equal(A._columns(cols), dense[kept][:, cols])
 
@@ -280,13 +274,12 @@ def test_candidates_keep_the_lowest_indices_on_ties(monkeypatch):
 
 
 def test_list_prices_equal_a_full_pass():
-    # shared rows, two diagonal blocks and a dropped row, as in the build test
+    # shared rows, the artificial block and a dropped row, as in the build test
     rng = np.random.default_rng(37)
     atoms, m = (3, 4, 2), 5
     families = ((rng.integers(0, m, size=(3, 1, 1)), rng.uniform(size=(1, 4, 2))),
                 (rng.integers(0, m, size=(1, 4, 2)), 1.5))
-    A = simplex.AtomMatrix(atoms, families, m, (np.ones(m), rng.uniform(-1.0, 1.0, m)),
-                           np.array([0, 1, 3, 4]))
+    A = simplex.AtomMatrix(atoms, families, m, artificial=True, kept=np.array([0, 1, 3, 4]))
     n = A.shape[1]
     c, y = rng.normal(size=n), rng.normal(size=A.shape[0])
     full = A._price(c, y, np.empty(n))

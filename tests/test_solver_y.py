@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uotlab.costs import CostMatrix, hk_cost, hk_matrix, sqeuclidean_matrix
-from uotlab.entropy import divergence_arrays
+from uotlab.entropy import F_ZERO, divergence_arrays
 from uotlab.measures import DiscreteMeasure, GroundMismatchError, GroundSet
 from uotlab.solver_x import SolverConfig, scaling_kernel, solve_x_unreg
 from uotlab import solver_x, solver_y
@@ -12,6 +12,7 @@ from uotlab.solver_y import (
     AtomPlan,
     InfeasibleProblemError,
     RadialGrid,
+    YMeasure,
     default_grids,
     default_nu_y,
     extended_ot_value,
@@ -22,7 +23,7 @@ from uotlab.solver_y import (
     _tilt_step,
 )
 
-from oracles import constrained_minimize, project_family_loop
+from oracles import constrained_minimize, project_family_loop, relaxed_lp_value
 
 
 def dirac_instance(m0, m1, d):
@@ -56,6 +57,16 @@ def test_radial_grid_validation():
     assert grid.nodes[0] == 0.0
     assert grid.size == 16
     assert grid.nodes[-1] == 2.0
+
+
+def test_atom_types_reject_non_finite_values():
+    grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            single_atom_plan(grid, grid, 1, 1, 1.0, p)
+    ground = GroundSet([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        YMeasure(ground, grid, np.array([[0.0, 1.0], [math.nan, 0.0]]))
 
 
 @pytest.mark.parametrize("nodes, cap", [
@@ -144,6 +155,8 @@ def test_unreg_p_invariance_on_matched_grids():
 
 
 def test_unreg_inequality_mode_not_above_equality():
+    # every marginal defect is carried by an s = 0 atom at its price F(0),
+    # so relaxing the sharp LP to <= with F(0)-priced slacks gains nothing
     rng = np.random.default_rng(62)
     g0 = GroundSet(rng.uniform(0, 1, size=(2, 2)))
     g1 = GroundSet(rng.uniform(0, 1, size=(2, 2)))
@@ -151,9 +164,11 @@ def test_unreg_inequality_mode_not_above_equality():
     mu1 = DiscreteMeasure(g1, rng.uniform(0.4, 1.2, 2))
     cost = hk_matrix(g0, g1)
     grids = default_grids(mu0, mu1, 1.0, n_nodes=24, smin_frac=1e-2)
-    _, v_eq = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
-    _, v_le = solve_y_unreg(mu0, mu1, cost, 1.0, grids, mode="inequality")
-    assert v_le <= v_eq + 1e-10
+    _, value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
+    i0, s0p, i1, s1p = np.ix_(np.arange(2), grids[0].nodes, np.arange(2), grids[1].nodes)
+    families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights)]
+    relaxed = relaxed_lp_value(hp_tensor(cost, *grids, 1.0), families, (F_ZERO, F_ZERO))
+    assert value == pytest.approx(relaxed, abs=1e-9)
 
 
 def test_unreg_infeasible_grid():

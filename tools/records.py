@@ -14,10 +14,13 @@ document.  Exits 1 when any job exits non-zero or raises.
 
 With two roots, each checkout's document is made in its own process by
 this script, the jobs whose records differ (or that only one side has) are
-named, each with the largest relative difference among its float fields
-and the paths of the other fields that differ (iterations, status, exit
-code, a field only one side has), and the exit code is 1 when any job
-differs or either document could not be made, else 0.
+named, each with the largest relative difference among its float fields,
+its largest float difference divided by 1 + the largest |value| among
+those fields (so that a rounding change in a certificate, a small
+difference of O(1) numbers, reads near 1e-16 and not as a large relative
+difference), and the paths of the other fields that differ (iterations,
+status, exit code, a field only one side has).  The exit code is 1 when
+any job differs or either document could not be made, else 0.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def main(root: str) -> int:
 
 
 def _differences(a, b, path: str, floats: list, others: set) -> None:
-    """Collect (relative difference, path) of the float fields of a and b in
+    """Collect (a value, b value, path) of the float fields of a and b in
     ``floats`` and the paths of the other fields that differ in ``others``
     (list indices written as [], so a plan counts once)."""
     if isinstance(a, dict) and isinstance(b, dict):
@@ -91,8 +94,7 @@ def _differences(a, b, path: str, floats: list, others: set) -> None:
         for x, y in zip(a, b):
             _differences(x, y, path + "[]", floats, others)
     elif isinstance(a, float) and isinstance(b, float):
-        scale = max(abs(a), abs(b))
-        floats.append((0.0 if a == b else abs(a - b) / scale, path))
+        floats.append((a, b, path))
     elif json.dumps(a) != json.dumps(b):
         others.add(path)
 
@@ -116,8 +118,12 @@ def compare(root_a: str, root_b: str) -> int:
         _differences(docs[0].get(name), docs[1].get(name), "", floats, others)
         line = f"differs: {name}"
         if floats:
-            worst, where = max(floats)
-            line += f": largest relative float difference {worst:.2g} ({where})"
+            worst, where = max((0.0 if a == b else abs(a - b) / max(abs(a), abs(b)), path)
+                               for a, b, path in floats)
+            scale = 1.0 + max(max(abs(a), abs(b)) for a, b, _ in floats)
+            spread = max(abs(a - b) for a, b, _ in floats) / scale
+            line += (f": largest relative float difference {worst:.2g} ({where}); largest "
+                     f"float difference / (1 + largest |value|) {spread:.2g}")
         print(line + "".join(f"; {path or 'the whole entry'} differs" for path in sorted(others)))
     print(f"{len(differ)} of {len(names)} job records differ")
     return 1 if differ else 0
