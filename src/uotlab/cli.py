@@ -91,12 +91,11 @@ def _load_nu(path: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        weights = plan_weights_from_dict(data)
+        return Plan(mu0.ground, mu1.ground, plan_weights_from_dict(data))
     except FileNotFoundError as exc:
         raise InputError(f"reference file not found: {path}") from exc
     except (ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed reference file {path}: {exc}") from exc
-    return Plan(mu0.ground, mu1.ground, weights)
 
 
 def _instance(args) -> tuple[float, DiscreteMeasure, DiscreteMeasure, CostMatrix]:

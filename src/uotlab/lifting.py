@@ -21,6 +21,12 @@ same mesh, and solves with ``simplex.atom_lp``; every constraint is sharp.
 The extended lift returns an ``AtomPlan`` with an S axis and its value; the
 reduced lifts return ``atom_lp``'s ``LpResult`` as it is, whose ``x`` is
 the read-only weight tensor.
+
+The balanced and second-order lifts are 1-homogeneous along their last
+axis (s, or w): each column is s^p, or w, times the column of the same
+atom at the top node.  They solve the slice at that node first, from a
+crash start, and then the full LP from the slice's optimal basis, which one
+full pricing pass proves optimal.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 from .costs import CostMatrix, perspective_H, perspective_H_eps
 from . import entropy
 from .measures import DiscreteMeasure, Plan
-from .simplex import LpResult, atom_lp, balanced_masses
+from .simplex import LpResult, _singleton_crash, _transport_crash, atom_lp, balanced_masses
 from .solver_x import _check_instance
 from .solver_y import AtomPlan, RadialGrid, _optimal
 
@@ -54,7 +60,9 @@ def solve_lifted_balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         return LpResult("infeasible", None, math.inf, 0)
     i0, i1, sp = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
                         grid.nodes ** p)
-    return atom_lp(sp * cost.values[i0, i1], [(i0, sp, mu0.weights), (i1, sp, mu1.weights)])
+    # the slice at the top node is transport scaled by its s^p
+    return _restricted_first(sp * cost.values[i0, i1],
+                             [(i0, sp, mu0.weights), (i1, sp, mu1.weights)], _transport_crash)
 
 
 def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -162,5 +170,33 @@ def solve_second_order_lift(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     i0, i1, s0p, s1p, w = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
                                  grids[0].nodes ** p, grids[1].nodes ** p, grids[2].nodes)
     families = [(i0, s0p * w, mu0.weights), (i1, s1p * w, mu1.weights)]
-    return _optimal(atom_lp(perspective_H(s0p, s1p, cost.values[i0, i1]) * w, families),
-                    "second-order")
+    return _optimal(_restricted_first(perspective_H(s0p, s1p, cost.values[i0, i1]) * w,
+                                      families, _singleton_crash), "second-order")
+
+
+# ---------------------------------------------------------------------------
+# Restricted-first solves of the homogeneous lifts
+# ---------------------------------------------------------------------------
+
+def _restricted_first(cost, families, crash) -> LpResult:
+    """``atom_lp(cost, families)`` solved on the slice at the last node of
+    the tensor's last axis first, from the start ``crash(slice cost, slice
+    families)`` (None: cold), then in full from the slice's optimal basis.
+    Rows and coefficients are arrays of the tensor's ndim (``np.ix_``).
+
+    Along that axis every column and its cost are a nonnegative multiple
+    of the slice's column on the same atom, so a basis of the slice is a
+    basis of the full LP, and its optimal one stays optimal: the warm solve
+    takes the one full pricing pass that proves it.  The same scaling maps
+    feasible points of either LP onto the other at equal value, so a slice
+    that is infeasible or unbounded is returned as it is.
+    """
+    sliced = cost[..., -1:]
+    sliced_families = [(rows[..., -1:], coeff[..., -1:], target)
+                       for rows, coeff, target in families]
+    res = atom_lp(sliced, sliced_families, start=crash(sliced, sliced_families))
+    if not res.optimal:
+        return res
+    cols, kept = res.basis
+    k = cost.shape[-1]
+    return atom_lp(cost, families, start=(cols * k + k - 1, kept))

@@ -18,7 +18,12 @@ over every column (first index in C order on ties), and ``full_pricing``
 makes every pivot one.  The basis inverse is kept explicitly and updated by
 pivoting; only the entering column and, at each refactorisation, the m
 basic columns are formed.  A Bland fallback after a degenerate stall,
-pricing every column, guarantees termination.
+pricing every column, guarantees termination.  A start basis (basic
+columns and kept rows) replaces phase 1, and an optimal result carries
+its basis and row duals, so one solve can start another.  Two crash
+builders make starts: a matrix-minimum allocation for transport LPs and
+one singleton atom per row (the apex atoms of radial node 0); each returns
+None when it has no feasible start, and only then does phase 1 run.
 
 ``atom_lp`` assembles every LP of the package: an atom cost tensor plus
 constraint families, each a (rows, coeff, target) triple whose constraints
@@ -45,6 +50,7 @@ _CANDIDATES = 200  # columns kept from a full pricing pass
 _SELECT_BLOCK = 1 << 16  # reduced costs scanned at a time when selecting them
 _STALL_LIMIT = 60
 _TOL = 1e-11  # pricing, ratio-test and stall tolerance
+_FEASIBLE = 1e-8  # infeasibility accepted, relative to 1 + max |b|
 
 
 @dataclass
@@ -53,6 +59,8 @@ class LpResult:
     x: np.ndarray | None
     value: float
     iterations: int
+    basis: tuple[np.ndarray, np.ndarray] | None = None  # (basic columns, kept rows)
+    duals: np.ndarray | None = None  # row duals, 0 on dropped rows
 
     @property
     def optimal(self) -> bool:
@@ -254,7 +262,7 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, list_size):
     return "iteration_limit", xb, iters
 
 
-def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
+def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
     """Minimize c.x over {A x = b, x >= 0} by two-phase revised simplex.
 
     ``A`` is an ``AtomMatrix`` or a dense array.  Columns whose cost is not
@@ -264,6 +272,15 @@ def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
     every column at every pivot (Dantzig's rule) instead of a candidate
     list: slower on wide LPs, and on LPs with several optimal vertices it
     returns the one that rule reaches.
+
+    ``start`` = (basic columns, kept rows), the ``basis`` of an earlier
+    result or a crash builder's, is a primal feasible basis that replaces
+    phase 1: column k is basic in row kept[k], and the rows not kept are
+    taken as redundant (one that is not is pivoted back in).  A start that
+    is singular, holds a column of infinite cost or is infeasible raises
+    ValueError.  An optimal result carries its ``basis`` in the same form
+    and the row ``duals`` y of that basis, c - A^T y >= 0 up to _TOL, 0 on
+    dropped rows.
     """
     if not isinstance(A, AtomMatrix):
         # a dense matrix: one single-row family per row
@@ -277,10 +294,9 @@ def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
-    finite = np.isfinite(c)
-    n_finite = int(np.count_nonzero(finite))
+    n_finite = int(np.count_nonzero(np.isfinite(c)))
     if n_finite < n:
-        c = np.where(finite, c, math.inf)
+        c = np.where(np.isfinite(c), c, math.inf)
     max_iters = 50 * (m + n_finite) + 1000
     list_size = 0 if full_pricing else _CANDIDATES
 
@@ -288,30 +304,34 @@ def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
     if np.any(flip):
         A = A._flipped(flip)
         b[flip] *= -1.0
-
-    # Phase 1: implicit artificial identity basis.
-    c1 = np.zeros(n + m)
-    c1[:n][~finite] = math.inf
-    c1[n:] = 1.0
-    basis = list(range(n, n + m))
-    binv = np.eye(m)
+    tol = _FEASIBLE * (1.0 + float(np.max(b, initial=0.0)))
     A1 = AtomMatrix(A.atoms, A.families, m, artificial=True)
-    status, xb, it1 = _simplex_phase(c1, A1, b, basis, binv, max_iters, list_size)
-    feas = float(c1[basis] @ xb)
-    scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
-    if status == "iteration_limit":
-        return LpResult("iteration_limit", None, math.nan, it1)
-    if feas > 1e-8 * scale:
-        return LpResult("infeasible", None, math.inf, it1)
+
+    it1 = 0
+    if start is None:
+        # Phase 1: implicit artificial identity basis.
+        c1 = np.zeros(n + m)
+        c1[:n][c == math.inf] = math.inf
+        c1[n:] = 1.0
+        basis = list(range(n, n + m))
+        binv = np.eye(m)
+        status, xb, it1 = _simplex_phase(c1, A1, b, basis, binv, max_iters, list_size)
+        if status == "iteration_limit":
+            return LpResult("iteration_limit", None, math.nan, it1)
+        if float(c1[basis] @ xb) > tol:
+            return LpResult("infeasible", None, math.inf, it1)
+        del c1
+    else:
+        basis, binv = _start_basis(c, A1, b, start, tol)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
-    # Pricing row r of binv against the phase-1 costs gives -(binv A)[r] on
-    # the finite columns and +inf on the others, which may not pivot in.
+    # Pricing row r of binv against costs 0 (+inf on non-finite columns)
+    # gives -(binv A)[r] on the finite columns and +inf on the others,
+    # which may not pivot in.
     keep_rows = np.ones(m, dtype=bool)
-    row = np.empty(n)
     for r in range(m):
         if basis[r] >= n:
-            A._price(c1[:n], binv[r, :], row)
+            row = A._price(np.where(c < math.inf, 0.0, math.inf), binv[r, :], np.empty(n))
             pivots = np.flatnonzero(np.isfinite(row) & (np.abs(row) > 1e-9))
             if pivots.size:
                 d = binv @ A._columns(pivots[:1])[:, 0]
@@ -319,13 +339,11 @@ def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
                 basis[r] = int(pivots[0])
             else:
                 keep_rows[r] = False
-    del c1, row
-    if not np.all(keep_rows):
-        rows = np.flatnonzero(keep_rows)
-        A = AtomMatrix(A.atoms, A.families, A.m, kept=rows)
-        b = b[rows]
-        basis = [basis[r] for r in rows]
-        m = len(rows)
+    kept = np.flatnonzero(keep_rows)
+    if kept.size < m:
+        A = AtomMatrix(A.atoms, A.families, A.m, kept=kept)
+        b = b[kept]
+        basis = [basis[r] for r in kept]
         binv = np.linalg.inv(A._columns(basis))
 
     status, xb, it2 = _simplex_phase(c, A, b, basis, binv, max_iters, list_size)
@@ -334,11 +352,46 @@ def solve_lp(c, A, b, *, full_pricing: bool = False) -> LpResult:
     xb = np.maximum(xb, 0.0)
     x = np.zeros(n)
     x[basis] = xb
+    duals = np.zeros(m)
+    duals[kept] = binv.T @ c[basis]
+    duals[flip] *= -1.0
     # c.x over the basic entries alone: a nonbasic atom is 0 and may cost +inf
-    return LpResult("optimal", x, float(c[basis] @ xb), it1 + it2)
+    return LpResult("optimal", x, float(c[basis] @ xb), it1 + it2,
+                    basis=(np.array(basis, dtype=np.intp), kept), duals=duals)
 
 
-def atom_lp(cost, families, *, full_pricing: bool = False) -> LpResult:
+def _start_basis(c, A1, b, start, tol) -> tuple[list, np.ndarray]:
+    """The basis and basis inverse of a start, checked, over the matrix
+    ``A1`` with its artificial block: each row that is not kept holds its
+    artificial, which carries that row's residual."""
+    m, n_all = A1.shape
+    n = n_all - m
+    cols, kept = (np.asarray(part, dtype=np.intp).ravel() for part in start)
+    if (cols.size != kept.size or np.unique(kept).size != kept.size
+            or not (np.all((cols >= 0) & (cols < n)) and np.all((kept >= 0) & (kept < m)))):
+        raise ValueError("a start pairs each basic column with a kept row of its own")
+    if not np.all(np.isfinite(c[cols])):
+        raise ValueError("start basis holds a column of infinite cost")
+    basis = list(range(n, n + m))
+    for col, r in zip(cols, kept):
+        basis[r] = int(col)
+    columns = A1._columns(basis)
+    try:
+        binv = np.linalg.inv(columns)
+    except np.linalg.LinAlgError:
+        binv = None
+    # singular to working precision: no inverse, or one whose product with
+    # the basis misses the identity by about cond(B)·eps > 1e-6
+    if binv is None or np.max(np.abs(binv @ columns - np.eye(m)), initial=0.0) > 1e-6:
+        raise ValueError("start basis is singular")
+    xb = binv @ b
+    artificial = np.asarray(basis) >= n
+    if np.any(xb[~artificial] < -tol) or float(np.sum(np.abs(xb[artificial]))) > tol:
+        raise ValueError("start basis is infeasible")
+    return basis, binv
+
+
+def atom_lp(cost, families, *, full_pricing: bool = False, start=None) -> LpResult:
     """Minimise <cost, x> over nonnegative atom tensors x under equality
     constraint families.
 
@@ -347,25 +400,112 @@ def atom_lp(cost, families, *, full_pricing: bool = False) -> LpResult:
     (raveled); rows and coeff broadcast to ``cost.shape``.  The families
     stay in that broadcast form: the LP is priced on the cost tensor and
     only basic columns are ever formed (``AtomMatrix``).  Atoms whose cost
-    is not finite never enter the basis.  ``full_pricing`` goes to
-    ``solve_lp``.  The result's ``x`` is a read-only array of the tensor's
-    shape (0 on atoms of non-finite cost), or None when the LP is not
-    solved to optimality.
+    is not finite never enter the basis.  ``full_pricing`` and ``start``
+    go to ``solve_lp``; the LP's columns are the atoms in C order and its
+    rows the families' rows in family order, in ``start``, ``basis`` and
+    ``duals`` alike.  The result's ``x`` is a read-only array of the
+    tensor's shape (0 on atoms of non-finite cost), or None when the LP is
+    not solved to optimality.
     """
     cost = np.asarray(cost, dtype=float)
     b = np.concatenate([np.ravel(target) for _, _, target in families])
-    pairs = []
-    offset = 0
-    for rows, coeff, target in families:
-        pairs.append((offset + np.asarray(rows), np.asarray(coeff, dtype=float)))
-        offset += np.size(target)
-    res = solve_lp(cost.ravel(), AtomMatrix(cost.shape, tuple(pairs), b.size), b,
-                   full_pricing=full_pricing)
+    pairs = [(offset + np.asarray(rows), np.asarray(coeff, dtype=float))
+             for offset, (rows, coeff, _) in zip(_offsets(families), families)]
+    # reshape, not ravel: a strided slice of a larger tensor stays a view
+    res = solve_lp(cost.reshape(-1), AtomMatrix(cost.shape, tuple(pairs), b.size), b,
+                   full_pricing=full_pricing, start=start)
     if not res.optimal:
         return res
     x = res.x.reshape(cost.shape)
     x.flags.writeable = False
     return replace(res, x=x)
+
+
+def _offsets(families) -> list[int]:
+    """The LP row of each family's first row: families stack in order."""
+    return np.cumsum([0] + [np.size(target) for _, _, target in families])[:-1].tolist()
+
+
+def _singleton_crash(cost, families):
+    """A start for ``atom_lp(cost, families)`` made of singleton atoms.
+
+    For each row it takes the cheapest atom of finite cost (the first in C
+    order on ties) whose coefficient is positive in that row's family and 0
+    in every other family, such as the apex atoms of a radial grid's node
+    0.  The basis is diagonal, so it is feasible when every target is
+    nonnegative.  None when a target is negative or a row has no such atom.
+    """
+    cost = np.asarray(cost, dtype=float)
+    coeffs = [np.asarray(coeff) for _, coeff, _ in families]
+    cols, kept = [], []
+    for f, (offset, (rows, _, target)) in enumerate(zip(_offsets(families), families)):
+        if np.any(np.asarray(target) < 0):
+            return None
+        alone = coeffs[f] > 0
+        for g, other in enumerate(coeffs):
+            if g != f:
+                alone = alone & (other == 0)
+        atoms = np.flatnonzero(np.broadcast_to(alone, cost.shape))
+        at = np.unravel_index(atoms, cost.shape)
+        row, price = np.broadcast_to(rows, cost.shape)[at], cost[at]
+        pick = np.lexsort((atoms, price, row))  # non-finite prices sort last
+        found, first = np.unique(row[pick], return_index=True)
+        pick = pick[first]
+        if found.size < np.size(target) or not np.all(np.isfinite(price[pick])):
+            return None
+        cols.append(atoms[pick])
+        kept.append(offset + found)
+    return np.concatenate(cols), np.concatenate(kept)
+
+
+def _transport_crash(cost, families):
+    """A start for a transport atom LP: ``cost`` holds the (i, j) cells in C
+    order, and ``families`` are the rows i with masses mu, then the rows j
+    with masses nu, as ``transport_lp`` builds them, or such an LP with
+    every coefficient scaled by one positive factor.
+
+    A matrix-minimum allocation.  Cells are taken in the order (cost,
+    index), skipping those whose row or column is closed, and each take
+    closes the row or the column with less mass left (the row on ties; the
+    only other one once a single row or column is open).  The n0 + n1 - 1
+    cells taken, zero cells among them, span a tree, and the last row is
+    dropped as redundant.  None when a take would need a cell of infinite
+    cost, or when a coefficient that is not positive, a negative mass or
+    masses unbalanced past solve_lp's feasibility test leave no feasible
+    start.
+    """
+    (_, coeff0, mu), (_, coeff1, nu) = families
+    mu = np.array(mu, dtype=float).ravel()
+    nu = np.array(nu, dtype=float).ravel()
+    n0, n1 = mu.size, nu.size
+    cost = np.asarray(cost, dtype=float).reshape(n0, n1)
+    scale = 1.0 + max(float(np.max(mu, initial=0.0)), float(np.max(nu, initial=0.0)))
+    # half solve_lp's tolerance, so that the start always passes its test
+    if (n0 == 0 or n1 == 0 or np.any(np.asarray(coeff0) <= 0) or np.any(np.asarray(coeff1) <= 0)
+            or np.any(mu < 0) or np.any(nu < 0)
+            or abs(float(mu.sum() - nu.sum())) > 0.5 * _FEASIBLE * scale):
+        return None
+    open0, open1 = np.ones(n0, dtype=bool), np.ones(n1, dtype=bool)
+    left0, left1 = n0, n1
+    cells = []
+    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, n1)
+        if not (open0[i] and open1[j]):
+            continue
+        if not math.isfinite(cost[i, j]):
+            return None
+        cells.append(cell)
+        if left0 == 1 and left1 == 1:
+            break
+        if left1 > 1 and (left0 == 1 or nu[j] < mu[i]):
+            mu[i] -= nu[j]
+            open1[j] = False
+            left1 -= 1
+        else:
+            nu[j] -= mu[i]
+            open0[i] = False
+            left0 -= 1
+    return np.array(cells, dtype=np.intp), np.arange(n0 + n1 - 1)
 
 
 def balanced_masses(m0: float, m1: float) -> bool:
@@ -385,6 +525,7 @@ def transport_lp(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> LpResult:
     nu = np.asarray(nu, dtype=float)
     if not balanced_masses(float(mu.sum()), float(nu.sum())):
         return LpResult("infeasible", None, math.inf, 0)
-    # both row and column sums; the simplex drops the one redundant row
+    # both row and column sums; one of them is redundant
     i, j = np.ix_(np.arange(mu.size), np.arange(nu.size))
-    return atom_lp(cost, [(i, 1.0, mu), (j, 1.0, nu)])
+    families = [(i, 1.0, mu), (j, 1.0, nu)]
+    return atom_lp(cost, families, start=_transport_crash(cost, families))

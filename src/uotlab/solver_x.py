@@ -182,8 +182,9 @@ def eval_homogeneous_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                          cost: CostMatrix, nu_x: Plan, eps: float) -> float:
     """Homogeneous value: regularised perspective cost of the plan densities.
 
-    The plan-null masses of mu_i and nu_X are charged at F(0), matching the
-    defect terms of the extended formulation.
+    The plan-null masses of mu_i are charged at F(0) and that of nu_X at
+    eps F(0), as H_eps(0, 0, S, c) = eps S: the defect terms of the extended
+    formulation, and the charges of ``eval_reverse_eps``.
     """
     _check_instance(mu0, mu1, cost, nu_x)
     g = plan.weights
@@ -197,7 +198,8 @@ def eval_homogeneous_eps(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         rho0[i_idx], rho1[j_idx], varrho[i_idx, j_idx], cost.values[i_idx, j_idx], eps
     )
     total = float(np.sum(hvals * g[i_idx, j_idx]))
-    total += F_ZERO * float(np.sum(sing0) + np.sum(sing1) + np.sum(sing_nu))
+    total += F_ZERO * float(np.sum(sing0) + np.sum(sing1))
+    total += eps * F_ZERO * float(np.sum(sing_nu))
     return total
 
 

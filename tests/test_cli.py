@@ -131,8 +131,9 @@ def test_lift_check_exits_two_past_residual_bound(tmp_path, monkeypatch):
 def test_lift_check_records_a_failed_lp_and_exits_two(tmp_path, monkeypatch, status):
     solved = lifting.atom_lp
 
-    def failing_atom_lp(*args):
-        return dataclasses.replace(solved(*args), status=status, x=None, value=math.nan)
+    def failing_atom_lp(*args, **kwargs):
+        return dataclasses.replace(solved(*args, **kwargs), status=status, x=None,
+                                   value=math.nan)
 
     monkeypatch.setattr(lifting, "atom_lp", failing_atom_lp)
     code, record = run_balanced_lift_check(tmp_path)
@@ -225,6 +226,20 @@ def test_non_finite_point_is_a_malformed_measure_file(fixtures, capsys):
                 "--eps", "0.5", "--out", str(tmp / "x.json")])
     assert code == 1
     assert f"malformed measure file {bad}" in capsys.readouterr().err
+    assert not (tmp / "x.json").exists()
+
+
+@pytest.mark.parametrize("weights", [[[0.3, math.nan], [0.2, 0.4]], [[0.3, 0.1, 0.2]]],
+                         ids=["nan-weight", "wrong-shape"])
+def test_malformed_reference_file_names_the_file(fixtures, capsys, weights):
+    tmp, mu0, mu1, _ = fixtures
+    bad = tmp / "nu.json"
+    rows, cols = np.shape(weights)
+    bad.write_text(json.dumps({"rows": rows, "cols": cols, "weights": weights}))
+    code = run(["solve-x", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean",
+                "--nu", str(bad), "--eps", "0.5", "--out", str(tmp / "x.json")])
+    assert code == 1
+    assert f"malformed reference file {bad}: " in capsys.readouterr().err
     assert not (tmp / "x.json").exists()
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uotlab.costs import CostMatrix, hk_cost, perspective_H_eps, sqeuclidean_matrix
+from uotlab import lifting, solver_y
+from uotlab.costs import CostMatrix, hk_cost, hk_matrix, perspective_H_eps, sqeuclidean_matrix
 from uotlab.entropy import F_ZERO, R
 from uotlab.identities import balanced_sinkhorn
 from uotlab.lifting import (
@@ -381,3 +382,35 @@ def test_homogeneity_of_regularised_cost_under_common_scaling():
         lhs = perspective_H_eps(s0 / theta, s1 / theta, ss / theta, c, eps)
         rhs = perspective_H_eps(s0, s1, ss, c, eps) / theta
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed, kind", [(0, "sqeuclidean"), (1, "sqeuclidean"), (2, "hk"),
+                                        (3, "hk")])
+def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind):
+    # hk on a box of 2.5 puts +inf costs on the far pairs
+    rng = np.random.default_rng(90 + seed)
+    mu0, mu1, cost = random_pair(rng, 3, 4, box=2.5 if kind == "hk" else 1.0)
+    if kind == "hk":
+        cost = hk_matrix(mu0.ground, mu1.ground)
+    grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
+    w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.1)
+    balanced = DiscreteMeasure(mu1.ground, mu1.weights * mu0.total_mass / mu1.total_mass)
+
+    def solve_all():
+        return (solve_lifted_balanced(mu0, balanced, cost, 1.0, grids[0]),
+                solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid)),
+                solve_y_unreg(mu0, mu1, cost, 1.0, grids)[1])
+
+    lifted, second, y_value = solve_all()
+    # the full LP starts from the slice's optimal basis and only proves it
+    assert second.iterations == 1
+    assert lifted.iterations == 1 or lifted.status == "infeasible"
+    monkeypatch.setattr(lifting, "_restricted_first",
+                        lambda cost, families, crash: lifting.atom_lp(cost, families))
+    monkeypatch.setattr(solver_y, "_singleton_crash", lambda cost, families: None)
+    cold_lifted, cold_second, cold_y = solve_all()
+    assert cold_lifted.status == lifted.status and cold_second.iterations > 1
+    for warm, cold in ((lifted.value, cold_lifted.value), (second.value, cold_second.value),
+                       (y_value, cold_y)):
+        assert warm == cold or abs(warm - cold) <= 1e-12 * (1.0 + abs(cold))
+

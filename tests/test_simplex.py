@@ -31,10 +31,74 @@ def test_against_scipy_on_random_lps():
             assert res.value == pytest.approx(ref.fun, abs=1e-8)
             assert np.max(np.abs(a @ res.x - b)) < 1e-8
             assert np.min(res.x) >= -1e-12
+            # the duals of the final basis are feasible and certify the value
+            assert np.min(c - a.T @ res.duals) >= -1e-9
+            assert b @ res.duals == pytest.approx(res.value, abs=1e-8)
             solved += 1
         elif ref.status == 3:
             assert res.status == "unbounded"
     assert solved >= 25
+
+
+def test_start_from_a_feasible_basis_matches_the_cold_solve():
+    # the optimal basis under other costs is feasible, rarely optimal
+    rng = np.random.default_rng(38)
+    warm_pivots = cold_pivots = 0
+    for _ in range(30):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(m + 2, 16))
+        _, a, b = random_feasible_lp(rng, m, n)
+        c, other = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n)
+        cold = solve_lp(c, a, b)
+        start = solve_lp(other, a, b).basis
+        warm = solve_lp(c, a, b, start=start)
+        assert cold.optimal and warm.optimal
+        assert abs(warm.value - cold.value) <= 1e-12 * (1.0 + abs(cold.value))
+        assert np.max(np.abs(a @ warm.x - b)) < 1e-8
+        # an optimal basis restarts in the one pass that proves it
+        again = solve_lp(c, a, b, start=warm.basis)
+        assert again.iterations == 1
+        assert again.value == pytest.approx(warm.value, rel=1e-12, abs=0.0)
+        warm_pivots += warm.iterations
+        cold_pivots += cold.iterations
+    assert warm_pivots < cold_pivots
+
+
+def test_start_with_a_dropped_row():
+    # row 1 repeats row 0: a start may keep either one
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([2.0, 2.0, 3.0])
+    c = np.array([1.0, 2.0, 0.5])
+    res = solve_lp(c, a, b, start=([0, 2], [1, 2]))
+    assert res.optimal and res.value == pytest.approx(solve_lp(c, a, b).value, abs=1e-12)
+    cols, kept = res.basis
+    assert kept.size == 2 and res.duals[np.setdiff1d(np.arange(3), kept)] == 0.0
+    assert np.min(c - a.T @ res.duals) >= -1e-12
+
+
+def test_singular_or_infeasible_start_raises():
+    a = np.array([[1.0, 2.0, 1.0, 0.0], [1.0, 2.0, 0.0, 1.0]])
+    b = np.array([1.0, 2.0])
+    c = np.ones(4)
+    assert solve_lp(c, a, b, start=([2, 3], [0, 1])).optimal
+    with pytest.raises(ValueError, match="singular"):
+        solve_lp(c, a, b, start=([0, 1], [0, 1]))  # column 1 is twice column 0
+    with pytest.raises(ValueError, match="infeasible"):
+        solve_lp(c, a, b, start=([0, 2], [1, 0]))  # x2 = 1 - 2 < 0
+    with pytest.raises(ValueError, match="infeasible"):
+        solve_lp(c, a, b, start=([2], [0]))  # row 1 is not redundant: 0 != 2
+    with pytest.raises(ValueError, match="infinite cost"):
+        solve_lp(np.array([1.0, 1.0, np.inf, 1.0]), a, b, start=([2, 3], [0, 1]))
+    with pytest.raises(ValueError, match="singular"):
+        solve_lp(c, a, b, start=([2, 2], [0, 1]))
+    # singular only up to rounding: LU finds no zero pivot
+    rng = np.random.default_rng(39)
+    dense = rng.normal(size=(3, 5))
+    dense[:, 1] = 0.3 * dense[:, 0] + 0.7 * dense[:, 2]
+    with pytest.raises(ValueError, match="singular"):
+        solve_lp(np.ones(5), dense, dense @ np.ones(5), start=([0, 1, 2], [0, 1, 2]))
+    with pytest.raises(ValueError, match="kept row"):
+        solve_lp(c, a, b, start=([2, 3], [0, 0]))
 
 
 def test_redundant_rows():
@@ -91,6 +155,63 @@ def test_transport_lp_against_scipy():
         assert value == pytest.approx(ref.fun, abs=1e-9)
         assert np.max(np.abs(plan.sum(axis=1) - mu)) < 1e-9
         assert np.max(np.abs(plan.sum(axis=0) - nu)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_transport_lp_on_ties_and_infinite_costs(seed):
+    # degenerate instances (integer masses, four cost values), some with
+    # +inf cells: the crash start, or the cold solve when it gives None
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(2, 9))
+    (cost, families), (_, a_eq, b) = tied_transport_lp(rng, n)
+    if seed % 2:
+        cost[rng.uniform(size=cost.shape) < 0.15] = np.inf
+    mu, nu = b[:n], b[n:]
+    start = simplex._transport_crash(cost, families)
+    if seed % 2 == 0:
+        cols, kept = start  # every cell finite: a spanning tree, one row dropped
+        assert cols.size == kept.size == 2 * n - 1
+    res = transport_lp(mu, nu, cost)
+    finite = np.isfinite(cost.ravel())
+    ref = linprog(cost.ravel()[finite], A_eq=a_eq[:, finite], b_eq=b, bounds=(0, None),
+                  method="highs")
+    if ref.status == 2:
+        assert res.status == "infeasible"
+        return
+    assert ref.status == 0
+    assert res.optimal and res.value == pytest.approx(ref.fun, abs=1e-9)
+    assert np.max(np.abs(a_eq @ res.x.ravel() - b)) <= 1e-9
+    assert np.all(res.x[np.isinf(cost)] == 0.0)
+    assert np.min(np.where(finite, cost.ravel() - a_eq.T @ res.duals, 0.0)) >= -1e-9
+
+
+def test_transport_crash_declines_what_it_cannot_start():
+    i, j = np.ix_(np.arange(2), np.arange(2))
+    mu = np.array([1.0, 1.0])
+
+    def crash(cost, mu0=mu, mu1=mu, coeff=1.0):
+        return simplex._transport_crash(cost, [(i, coeff, mu0), (j, coeff, mu1)])
+
+    assert crash(np.ones((2, 2))) is not None
+    assert crash(np.array([[1.0, np.inf], [np.inf, np.inf]])) is None
+    assert crash(np.ones((2, 2)), mu1=mu + 1e-6) is None
+    assert crash(np.ones((2, 2)), mu0=-mu, mu1=-mu) is None
+    assert crash(np.ones((2, 2)), coeff=0.0) is None
+
+
+def test_singleton_crash_takes_the_cheapest_lone_atom():
+    # atom (k, l) of the 3 x 3 tensor is alone in row 0 when l = 0 < k and
+    # alone in row 1 when k = 0 < l; (0, 0) is in no row
+    s = np.array([0.0, 1.0, 2.0])
+    k, l = np.ix_(np.arange(3), np.arange(3))
+    cost = np.array([[0.0, 4.0, 3.0], [2.0, 1.0, 1.0], [np.inf, 1.0, 1.0]])
+    families = [(np.intp(0), s[k], 1.0), (np.intp(0), s[l], 2.0)]
+    assert [c.tolist() for c in simplex._singleton_crash(cost, families)] == [[3, 2], [0, 1]]
+    res = atom_lp(cost, families, start=simplex._singleton_crash(cost, families))
+    assert res.value == pytest.approx(atom_lp(cost, families).value, abs=1e-12)
+    assert simplex._singleton_crash(cost, [(np.intp(0), s[k], -1.0), families[1]]) is None
+    cost[1:, 0] = np.inf
+    assert simplex._singleton_crash(cost, families) is None
 
 
 def test_transport_lp_mass_mismatch():

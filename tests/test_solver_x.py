@@ -132,6 +132,48 @@ def test_sandwich_and_primal_reverse_equality():
         assert r == pytest.approx(e, abs=1e-10)
 
 
+def test_functionals_agree_on_plans_with_null_pairs():
+    # plans that leave pairs null, next to +inf costs and zero-mass points:
+    # the nu_X mass on null pairs costs eps F(0) in every functional
+    rng = np.random.default_rng(45)
+    for eps in (0.3, 1.0, 3.0):
+        for _ in range(60):
+            n0, n1 = rng.integers(1, 5, size=2)
+            mu0, mu1, cost = random_instance(rng, n0, n1)
+            # zero-mass points, one point of each side kept
+            w0, w1 = (np.where((rng.uniform(size=n) < 0.2) & (np.arange(n) != rng.integers(n)),
+                               0.0, mu.weights) for n, mu in ((n0, mu0), (n1, mu1)))
+            mu0, mu1 = DiscreteMeasure(mu0.ground, w0), DiscreteMeasure(mu1.ground, w1)
+            cost = CostMatrix(np.where(rng.uniform(size=(n0, n1)) < 0.2, np.inf, cost.values))
+            nu = default_nu_x(mu0, mu1)
+            # finite primal: no mass where nu_X vanishes or the cost is +inf
+            charged = (nu.weights > 0) & np.isfinite(cost.values) & (rng.uniform(size=(n0, n1)) < 0.6)
+            gamma = Plan(mu0.ground, mu1.ground,
+                         np.where(charged, rng.uniform(0.05, 1.2, size=(n0, n1)), 0.0))
+            phi = DualPotentials(rng.uniform(-2, 2, n0), rng.uniform(-2, 2, n1))
+            e = eval_primal_eps(gamma, mu0, mu1, cost, nu, eps)
+            r = eval_reverse_eps(gamma, mu0, mu1, cost, nu, eps)
+            h = eval_homogeneous_eps(gamma, mu0, mu1, cost, nu, eps)
+            d = eval_dual_eps(phi, mu0, mu1, cost, nu, eps)
+            assert abs(e - r) <= 1e-12 * (1.0 + abs(e))
+            assert h <= r + 1e-12 * (1.0 + abs(r))
+            assert d <= h + 1e-9
+
+
+@pytest.mark.parametrize("eps", [0.5, 2.0])
+def test_homogeneous_equals_primal_at_optimum_with_infinite_pairs(eps):
+    # the +inf off-diagonal pairs stay null at the optimum, and their nu_X
+    # mass costs eps F(0) in the homogeneous value as in the primal
+    g0, g1 = GroundSet([[0.0], [1.0]]), GroundSet([[0.0], [1.0]])
+    mu0, mu1 = DiscreteMeasure(g0, [0.7, 1.1]), DiscreteMeasure(g1, [0.9, 0.5])
+    cost = CostMatrix(np.array([[0.2, np.inf], [np.inf, 0.1]]))
+    nu = default_nu_x(mu0, mu1)
+    plan, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=eps, tolerance=1e-12))
+    assert rep.converged
+    primal = eval_primal_eps(plan, mu0, mu1, cost, nu, eps)
+    assert eval_homogeneous_eps(plan, mu0, mu1, cost, nu, eps) == pytest.approx(primal, abs=1e-9)
+
+
 def test_homogeneous_trivial_zero():
     g = GroundSet([[0.0]])
     mu = DiscreteMeasure(g, [1.0])

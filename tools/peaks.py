@@ -1,5 +1,6 @@
 """Print the peak resident memory of every seed-1 benchmark job, each job
-run alone in a fresh benchmark worker process.
+run alone in a fresh benchmark worker process, and of each workload's jobs
+run in sequence in one.
 
     python3 tools/peaks.py [WORKLOAD ...]
 
@@ -9,8 +10,12 @@ seed 1, with BLAS pinned to one thread as in the benchmark's repetitions,
 and reports its ``ru_maxrss``.  A worker that runs no job gives the
 import-only baseline (``uotlab.cli`` and numpy), printed next to every job.
 A workload's ``peak_rss_mb`` is at least the peak of its largest job, so
-this names the job that sets it.  MB are 10^6 bytes, as the benchmark
-reports them.  Exits 1 if a job exits non-zero or raises, else 0.
+this names the job that sets it.  The last line of each workload is the
+peak of one worker that runs all of its seed-1 jobs in benchmark order:
+the number whose median ``peak_rss_mb`` reports.  It can exceed every
+job's peak alone, because what an earlier job allocated shapes the heap of
+a later one.  MB are 10^6 bytes, as the benchmark reports them.  Exits 1
+if a job exits non-zero or raises, else 0.
 """
 
 from __future__ import annotations
@@ -45,14 +50,15 @@ def main(workloads: list[str]) -> int:
         baseline, _ = _peak_mb(workdir, "import", [])
         for workload in workloads:
             write_inputs(workload, SEED, workdir)
-            for spec in job_specs(WORKLOADS[workload], workdir, SEED):
-                peak, result = _peak_mb(workdir, f"{workload}-{spec['name']}", [spec])
-                job = result["jobs"][0]
-                status = ""
-                if job["exit_code"] != 0:
-                    failed += 1
-                    status = f"  failed (exit code {job['exit_code']})"
-                print(f"{workload + '/' + spec['name']:<30} {peak:6.1f} MB"
+            specs = job_specs(WORKLOADS[workload], workdir, SEED)
+            runs = [(spec["name"], [spec]) for spec in specs] + [("in-sequence", specs)]
+            for name, jobs in runs:
+                peak, result = _peak_mb(workdir, f"{workload}-{name}", jobs)
+                broken = [job for job in result["jobs"] if job["exit_code"] != 0]
+                failed += len(broken)
+                status = "".join(f"  {job['name']} failed (exit code {job['exit_code']})"
+                                 for job in broken)
+                print(f"{workload + '/' + name:<30} {peak:6.1f} MB"
                       f"  (import only {baseline:.1f} MB){status}", flush=True)
     return 1 if failed else 0
 
