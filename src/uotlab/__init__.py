@@ -10,7 +10,6 @@ from .costs import (
     hk_matrix,
     perspective_H,
     perspective_H_eps,
-    second_order_H_tilde,
     sqeuclidean_matrix,
 )
 from .entropy import divergence
@@ -18,11 +17,8 @@ from .measures import (
     DiscreteMeasure,
     GroundMismatchError,
     GroundSet,
-    LebesgueSplit,
     Plan,
-    lebesgue_split,
     marginal,
-    mass,
     product,
 )
 from .solver_x import (
@@ -62,9 +58,6 @@ from .identities import (
     entropy_against_lebesgue,
     grid_measure,
     verify_identities,
-    w_eps_1,
-    w_eps_2,
-    w_eps_3,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -122,27 +122,3 @@ def perspective_H_eps(s0, s1, S, c, eps: float):
     )
     out = np.maximum(a0 + a1 + eps * aS - term, 0.0)
     return float(out) if scalar else out
-
-
-def second_order_H_tilde(s0, s1, w0, w1, H_val):
-    """Second-order perspective: w0 * H when the density pair agrees, else +inf.
-
-    A zero shared density annihilates the cost even when H is +inf (the
-    contribution of a null set).
-    """
-    a0, a1, b0, b1, h = np.broadcast_arrays(
-        np.asarray(s0, dtype=float),
-        np.asarray(s1, dtype=float),
-        np.asarray(w0, dtype=float),
-        np.asarray(w1, dtype=float),
-        np.asarray(H_val, dtype=float),
-    )
-    scalar = a0.ndim == 0
-    if np.any(a0 < 0) or np.any(a1 < 0):
-        raise ValueError("radial arguments must be nonnegative")
-    if np.any(b0 < 0) or np.any(b1 < 0):
-        raise ValueError("density arguments must be nonnegative")
-    agree = b0 == b1
-    prod = np.where(b0 == 0, 0.0, np.where(b0 == 0, 1.0, b0) * h)
-    out = np.where(agree, prod, np.inf)
-    return float(out) if scalar else out

@@ -139,21 +139,6 @@ def _matched(mu: GridMeasure, nu: GridMeasure, first: tuple, second: tuple) -> t
     return v0, v1, float(np.max(np.abs(g1 - g0))), r0 + r1
 
 
-def w_eps_1(mu: GridMeasure, nu: GridMeasure, eps: float) -> tuple[float, np.ndarray]:
-    """(c, g) + eps * H(g) with the plan-level Lebesgue weight cellVolume^2."""
-    return _solve(mu, nu, eps, 1)[:2]
-
-
-def w_eps_2(mu: GridMeasure, nu: GridMeasure, eps: float) -> tuple[float, np.ndarray]:
-    """(c, g) + eps * H(g | mu x nu)."""
-    return _solve(mu, nu, eps, 2)[:2]
-
-
-def w_eps_3(mu: GridMeasure, nu: GridMeasure, eps: float) -> tuple[float, np.ndarray]:
-    """eps * H(g | K) against the heat-kernel reference at time eps/2."""
-    return _solve(mu, nu, eps, 3)[:2]
-
-
 def verify_identities(mu: GridMeasure, nu: GridMeasure, eps: float) -> dict:
     """Residuals of the affine relations between the three conventions.
 

@@ -60,9 +60,10 @@ def solve_lifted_balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
         return LpResult("infeasible", None, math.inf, 0)
     i0, i1, sp = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
                         grid.nodes ** p)
-    # the slice at the top node is transport scaled by its s^p
-    return _restricted_first(sp * cost.values[i0, i1],
-                             [(i0, sp, mu0.weights), (i1, sp, mu1.weights)], _transport_crash)
+    with np.errstate(invalid="ignore"):  # s = 0 at an infinite cost: NaN, priced as +inf
+        atom_cost = sp * cost.values[i0, i1]  # the top node's slice: transport scaled by s^p
+    return _restricted_first(atom_cost, [(i0, sp, mu0.weights), (i1, sp, mu1.weights)],
+                             _transport_crash)
 
 
 def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,

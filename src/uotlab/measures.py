@@ -104,22 +104,6 @@ class Plan:
         return float(np.sum(self.weights))
 
 
-@dataclass(frozen=True)
-class LebesgueSplit:
-    """Atomwise decomposition measure = density * reference + singular part.
-
-    The density is only meaningful where the reference has positive weight;
-    the singular part carries exactly the mass sitting on reference-null
-    atoms, so the reconstruction is exact.
-    """
-
-    density: np.ndarray
-    singular_part: DiscreteMeasure
-
-    def __post_init__(self):
-        _frozen_array(self, "density", "density", shape=(self.singular_part.ground.size,))
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -131,18 +115,6 @@ def marginal(plan: Plan, index: int) -> DiscreteMeasure:
     if index == 1:
         return DiscreteMeasure(plan.col_ground, np.sum(plan.weights, axis=0))
     raise ValueError("marginal index must be 0 or 1")
-
-
-def lebesgue_split(measure: DiscreteMeasure, reference: DiscreteMeasure) -> LebesgueSplit:
-    """Decompose `measure` against `reference` atomwise.
-
-    Returns density d and singular part s with measure = d * reference + s,
-    where s vanishes on every atom charged by the reference.
-    """
-    if measure.ground is not reference.ground:
-        raise GroundMismatchError("lebesgue_split requires a shared ground set")
-    density, singular = split_arrays(measure.weights, reference.weights)
-    return LebesgueSplit(density, DiscreteMeasure(measure.ground, singular))
 
 
 def split_arrays(measure: np.ndarray, reference: np.ndarray):
@@ -161,13 +133,6 @@ def split_arrays(measure: np.ndarray, reference: np.ndarray):
 def product(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
     """Product measure mu0 (x) mu1 as a plan over the two grounds."""
     return Plan(mu0.ground, mu1.ground, np.outer(mu0.weights, mu1.weights))
-
-
-def mass(obj) -> float:
-    """Total mass of a measure or plan (sum of weights)."""
-    if isinstance(obj, (DiscreteMeasure, Plan)):
-        return obj.total_mass
-    return float(np.sum(np.asarray(obj, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

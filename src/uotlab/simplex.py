@@ -50,7 +50,7 @@ _CANDIDATES = 200  # columns kept from a full pricing pass
 _SELECT_BLOCK = 1 << 16  # reduced costs scanned at a time when selecting them
 _STALL_LIMIT = 60
 _TOL = 1e-11  # pricing, ratio-test and stall tolerance
-_FEASIBLE = 1e-8  # infeasibility accepted, relative to 1 + max |b|
+_FEASIBLE = 1e-8  # infeasibility accepted, relative to 1 + sum |b|
 
 
 @dataclass
@@ -304,7 +304,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
     if np.any(flip):
         A = A._flipped(flip)
         b[flip] *= -1.0
-    tol = _FEASIBLE * (1.0 + float(np.max(b, initial=0.0)))
+    tol = _feasibility_tol(b)
     A1 = AtomMatrix(A.atoms, A.families, m, artificial=True)
 
     it1 = 0
@@ -358,6 +358,11 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
     # c.x over the basic entries alone: a nonbasic atom is 0 and may cost +inf
     return LpResult("optimal", x, float(c[basis] @ xb), it1 + it2,
                     basis=(np.array(basis, dtype=np.intp), kept), duals=duals)
+
+
+def _feasibility_tol(b) -> float:
+    """Infeasibility solve_lp accepts: no less than balanced_masses allows."""
+    return _FEASIBLE * (1.0 + float(np.sum(np.abs(b))))
 
 
 def _start_basis(c, A1, b, start, tol) -> tuple[list, np.ndarray]:
@@ -479,11 +484,10 @@ def _transport_crash(cost, families):
     nu = np.array(nu, dtype=float).ravel()
     n0, n1 = mu.size, nu.size
     cost = np.asarray(cost, dtype=float).reshape(n0, n1)
-    scale = 1.0 + max(float(np.max(mu, initial=0.0)), float(np.max(nu, initial=0.0)))
     # half solve_lp's tolerance, so that the start always passes its test
     if (n0 == 0 or n1 == 0 or np.any(np.asarray(coeff0) <= 0) or np.any(np.asarray(coeff1) <= 0)
             or np.any(mu < 0) or np.any(nu < 0)
-            or abs(float(mu.sum() - nu.sum())) > 0.5 * _FEASIBLE * scale):
+            or abs(float(mu.sum() - nu.sum())) > 0.5 * _feasibility_tol(np.r_[mu, nu])):
         return None
     open0, open1 = np.ones(n0, dtype=bool), np.ones(n1, dtype=bool)
     left0, left1 = n0, n1

@@ -1,14 +1,14 @@
 """Independent numerical oracles used to cross-check closed forms and solvers.
 
 Everything here is deliberately self-contained: the reverse entropy, the
-shared-scale objectives, the generic optimisers and the log-domain scaling
-loops are written from their definitions rather than imported from the
-package, so an agreement test
+shared-scale objectives, the second-order perspective, the generic
+optimisers and the log-domain scaling loops are written from their
+definitions rather than imported from the package, so an agreement test
 exercises two genuinely different computational routes.  The imports from
-the package are the exception type the tilt loop raises, and the cost
-closed forms plus the simplex behind the full-density second-order LP,
-which assembles its own constraint matrix.  The relaxed atom LPs are
-solved densely by scipy's HiGHS.
+the package are the exception type the tilt loop raises, and the closed
+form H plus the simplex behind the full-density second-order LP, which
+assembles its own constraint matrix.  The relaxed atom LPs are solved
+densely by scipy's HiGHS.
 """
 
 import math
@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from uotlab.costs import perspective_H, second_order_H_tilde
+from uotlab.costs import perspective_H
 from uotlab.simplex import solve_lp
 from uotlab.solver_y import InfeasibleProblemError
 
@@ -125,32 +125,63 @@ def projected_gradient(value, grad, x0: np.ndarray, iters: int = 50_000,
     return x, fx
 
 
-def constrained_minimize(value, grad, a_mat: np.ndarray, b: np.ndarray,
-                         x0: np.ndarray, inner: int = 4000) -> tuple[np.ndarray, float]:
-    """Augmented-Lagrangian loop for min f(x) s.t. A x = b, x >= 0.
+def homogeneous_marginal_matrix(n0: int, n1: int, s0p: np.ndarray,
+                                s1p: np.ndarray) -> np.ndarray:
+    """Constraint matrix of the extended-space marginals over the atoms
+    (i0, j0, i1, j1) in C order: row i0 weighs an atom by s0p[j0], row
+    n0 + i1 by s1p[j1]."""
+    i0, j0, i1, j1 = np.indices((n0, s0p.size, n1, s1p.size)).reshape(4, -1)
+    cols = np.arange(i0.size)
+    a = np.zeros((n0 + n1, i0.size))
+    a[i0, cols] = s0p[j0]
+    a[n0 + i1, cols] = s1p[j1]
+    return a
 
-    Bounds are handled by projected gradient on each subproblem; each penalty
-    level runs several multiplier updates before the penalty grows, which
-    keeps the subproblems well-conditioned.
+
+def kkt_newton(h: np.ndarray, nu: np.ndarray, a_mat: np.ndarray, b: np.ndarray,
+               eps: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """min h.x + eps KL(x | nu) s.t. A x = b by infeasible-start Newton on
+    the KKT system (Boyd and Vandenberghe, Convex Optimization, 10.3).
+
+    Atoms with nu = 0 or h = +inf stay at 0.  From x = nu, v = 0 each step
+    solves [[diag(eps / x), A^T], [A, 0]] (dx, dv) = -r for the residual
+    r = (h + eps log(x / nu) + A^T v, A x - b), by elimination through the
+    Schur complement A diag(x / eps) A^T, and backtracks on |r| while
+    keeping x > 0.  Stops once max |r| <= 1e-14, or when |r| stops falling
+or after 100 steps.
+    Returns (x, v, value).
     """
-    x = np.array(x0, dtype=float)
-    y = np.zeros(b.size)
-    for rho in (1e1, 1e2, 1e3, 1e4, 1e4, 1e5, 1e5, 1e6, 1e6, 1e6):
-        for _ in range(8):
-            def al_value(z):
-                r = a_mat @ z - b
-                return value(z) + float(y @ r) + 0.5 * rho * float(r @ r)
+    live = (nu > 0) & np.isfinite(h)
+    hl, nl, al = h[live], nu[live], a_mat[:, live]
+    n = hl.size
 
-            def al_grad(z):
-                r = a_mat @ z - b
-                return grad(z) + a_mat.T @ (y + rho * r)
+    def residual(x, v):
+        return np.concatenate([hl + eps * np.log(x / nl) + al.T @ v, al @ x - b])
 
-            x, _ = projected_gradient(al_value, al_grad, x, iters=inner, grad_tol=1e-14)
-            r = a_mat @ x - b
-            y = y + rho * r
-            if float(np.max(np.abs(r))) < 1e-11:
+    x, v = nl.copy(), np.zeros(b.size)
+    r = residual(x, v)
+    for _ in range(100):
+        if float(np.max(np.abs(r))) <= 1e-14:
+            break
+        norm = float(np.linalg.norm(r))
+        hinv = x / eps
+        dv = np.linalg.solve((al * hinv) @ al.T, r[n:] - al @ (hinv * r[:n]))
+        dx = -hinv * (r[:n] + al.T @ dv)
+        t = 1.0
+        while np.any(x + t * dx <= 0.0):
+            t *= 0.5
+        while t > 1e-12:
+            r_new = residual(x + t * dx, v + t * dv)
+            if float(np.linalg.norm(r_new)) <= (1.0 - 0.01 * t) * norm:
                 break
-    return x, value(x)
+            t *= 0.5
+        else:
+            break  # no decrease left at working precision
+        x, v, r = x + t * dx, v + t * dv, r_new
+    full = np.zeros(h.size)
+    full[live] = x
+    value = float(hl @ x) + eps * (float(np.sum(x * np.log(x / nl) - x)) + float(np.sum(nu)))
+    return full, v, value
 
 
 def bisect(f, lo: float, hi: float, iters: int = 200) -> float:
@@ -352,6 +383,30 @@ def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, tol, max_iters):
     _, _, iters, gamma, stopped = log_domain_sinkhorn(
         log_k, mu0_w, mu1_w, 1.0 / (1.0 + eps), np.zeros(len(mu1_w)), max_iters, 5, stop)
     return primal(gamma), iters, stopped, gamma
+
+
+def second_order_H_tilde(s0, s1, w0, w1, H_val):
+    """Second-order perspective: w0 * H when the density pair agrees, else +inf.
+
+    A zero shared density annihilates the cost even when H is +inf (the
+    contribution of a null set).
+    """
+    a0, a1, b0, b1, h = np.broadcast_arrays(
+        np.asarray(s0, dtype=float),
+        np.asarray(s1, dtype=float),
+        np.asarray(w0, dtype=float),
+        np.asarray(w1, dtype=float),
+        np.asarray(H_val, dtype=float),
+    )
+    scalar = a0.ndim == 0
+    if np.any(a0 < 0) or np.any(a1 < 0):
+        raise ValueError("radial arguments must be nonnegative")
+    if np.any(b0 < 0) or np.any(b1 < 0):
+        raise ValueError("density arguments must be nonnegative")
+    agree = b0 == b1
+    prod = np.where(b0 == 0, 0.0, np.where(b0 == 0, 1.0, b0) * h)
+    out = np.where(agree, prod, np.inf)
+    return float(out) if scalar else out
 
 
 def solve_second_order_full_w(mu0, mu1, cost, p: float, grids) -> float:

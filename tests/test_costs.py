@@ -9,7 +9,6 @@ from uotlab.costs import (
     hk_matrix,
     perspective_H,
     perspective_H_eps,
-    second_order_H_tilde,
     sqeuclidean_matrix,
 )
 from uotlab.measures import GroundSet
@@ -140,15 +139,6 @@ def test_eps_to_zero_consistency_at_optimal_scale():
             gaps.append(abs(perspective_H_eps(s0, s1, s_opt, c, eps) - h))
         assert max(gaps) < 1e-12
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-
-
-def test_second_order_H_tilde():
-    assert second_order_H_tilde(1.0, 1.0, 1.0, 1.0, 4.2) == 4.2
-    assert second_order_H_tilde(1.0, 1.0, 2.0, 2.0, 3.0) == 6.0
-    assert second_order_H_tilde(1.0, 1.0, 1.0, 2.0, 3.0) == math.inf
-    assert second_order_H_tilde(1.0, 1.0, 0.0, 0.0, math.inf) == 0.0
-    with pytest.raises(ValueError):
-        second_order_H_tilde(1.0, 1.0, -1.0, -1.0, 1.0)
 
 
 def test_hk_dirac_formula():

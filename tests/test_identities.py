@@ -8,10 +8,8 @@ from uotlab.identities import (
     balanced_sinkhorn,
     entropy_against_lebesgue,
     grid_measure,
+    _solve,
     verify_identities,
-    w_eps_1,
-    w_eps_2,
-    w_eps_3,
 )
 
 
@@ -45,7 +43,7 @@ def test_entropy_against_lebesgue_uniform():
 
 def test_single_cell_value_is_zero():
     mu = grid_measure(1, 1)
-    value, gamma = w_eps_2(mu, mu, 0.5)
+    value, gamma, _ = _solve(mu, mu, 0.5, 2)
     assert value == pytest.approx(0.0, abs=1e-14)
     assert gamma[0, 0] == pytest.approx(1.0)
 
@@ -96,12 +94,12 @@ def test_w1_w2_same_minimizer_distinct_values():
     mu = grid_measure(5, 1, rng=rng)
     nu = grid_measure(5, 1, rng=rng)
     eps = 0.3
-    v1, g1 = w_eps_1(mu, nu, eps)
-    v2, g2 = w_eps_2(mu, nu, eps)
-    v3, g3 = w_eps_3(mu, nu, eps)
+    v1, g1, _ = _solve(mu, nu, eps, 1)
+    v2, g2, _ = _solve(mu, nu, eps, 2)
+    v3, g3, _ = _solve(mu, nu, eps, 3)
     assert np.max(np.abs(g1 - g2)) < 1e-9
     assert v1 != pytest.approx(v2, abs=1e-6)  # values differ by the entropy shift
     assert v3 == pytest.approx(
-        0.5 * w_eps_1(mu, nu, 2 * eps)[0] + 0.5 * eps * math.log(2 * math.pi * eps),
+        0.5 * _solve(mu, nu, 2 * eps, 1)[0] + 0.5 * eps * math.log(2 * math.pi * eps),
         abs=1e-10,
     )

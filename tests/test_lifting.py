@@ -95,6 +95,20 @@ def test_balanced_mass_mismatch_infeasible():
     assert result.value == math.inf
 
 
+def test_balanced_near_balanced_masses_match_classical_ot():
+    # within balanced_masses' tolerance, so both LPs must solve
+    rng = np.random.default_rng(72)
+    mu0, mu1, cost = random_pair(rng, 40, 40, lo=0.5, hi=1.5)
+    w1 = mu1.weights * (mu0.total_mass / mu1.total_mass)
+    w1[0] += 5e-8
+    mu1 = DiscreteMeasure(mu1.ground, w1)
+    lifted = solve_lifted_balanced(mu0, mu1, cost, 1.0,
+                                   RadialGrid.geometric(4.0, n_nodes=6, smin_frac=0.1))
+    classical = transport_lp(mu0.weights, mu1.weights, cost.values)
+    assert lifted.optimal and classical.optimal
+    assert lifted.value == pytest.approx(classical.value, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Entropic balanced lifting
 # ---------------------------------------------------------------------------

@@ -6,19 +6,17 @@ import pytest
 
 from uotlab.measures import (
     DiscreteMeasure,
-    GroundMismatchError,
     GroundSet,
     Plan,
-    lebesgue_split,
     load_measure,
     marginal,
-    mass,
     measure_from_dict,
     measure_to_dict,
     plan_to_dict,
     plan_weights_from_dict,
     product,
     save_measure,
+    split_arrays,
 )
 
 
@@ -45,27 +43,24 @@ def test_marginal_column_sums(ground2):
         marginal(plan, 2)
 
 
-def test_lebesgue_split_identity(ground2):
-    m = DiscreteMeasure(ground2, [0.5, 1.5])
-    split = lebesgue_split(m, m)
-    assert np.allclose(split.density, 1.0)
-    assert split.singular_part.total_mass == 0.0
+def test_lebesgue_split_identity():
+    m = np.array([0.5, 1.5])
+    density, singular = split_arrays(m, m)
+    assert np.allclose(density, 1.0)
+    assert singular.sum() == 0.0
 
 
-def test_lebesgue_split_fully_singular(ground2):
-    m = DiscreteMeasure(ground2, [0.7, 0.2])
-    ref = DiscreteMeasure(ground2, [0.0, 0.0])
-    split = lebesgue_split(m, ref)
-    assert np.allclose(split.density, 0.0)
-    assert np.allclose(split.singular_part.weights, m.weights)
+def test_lebesgue_split_fully_singular():
+    m = np.array([0.7, 0.2])
+    density, singular = split_arrays(m, np.zeros(2))
+    assert np.allclose(density, 0.0)
+    assert np.allclose(singular, m)
 
 
-def test_lebesgue_split_atomwise(ground2):
-    m = DiscreteMeasure(ground2, [2.0, 3.0])
-    ref = DiscreteMeasure(ground2, [1.0, 0.0])
-    split = lebesgue_split(m, ref)
-    assert split.density[0] == 2.0
-    assert np.allclose(split.singular_part.weights, [0.0, 3.0])
+def test_lebesgue_split_atomwise():
+    density, singular = split_arrays(np.array([2.0, 3.0]), np.array([1.0, 0.0]))
+    assert density[0] == 2.0
+    assert np.allclose(singular, [0.0, 3.0])
 
 
 def test_lebesgue_split_reconstruction_random():
@@ -76,15 +71,9 @@ def test_lebesgue_split_reconstruction_random():
         m = DiscreteMeasure(ground, rng.uniform(0.0, 5.0, n))
         ref_w = rng.uniform(0.0, 2.0, n) * rng.integers(0, 2, n)
         ref = DiscreteMeasure(ground, ref_w)
-        split = lebesgue_split(m, ref)
-        rebuilt = split.density * ref.weights + split.singular_part.weights
+        density, singular = split_arrays(m.weights, ref.weights)
+        rebuilt = density * ref.weights + singular
         assert np.allclose(rebuilt, m.weights, rtol=1e-14, atol=0.0)
-
-
-def test_lebesgue_split_ground_mismatch(ground2):
-    other = GroundSet(np.array([[0.0, 0.0], [1.0, 0.5]]))
-    with pytest.raises(GroundMismatchError):
-        lebesgue_split(DiscreteMeasure(ground2, [1, 1]), DiscreteMeasure(other, [1, 1]))
 
 
 def test_product_examples(ground2):
@@ -119,13 +108,6 @@ def test_plan_marginal_masses_agree():
         plan = Plan(g0, g1, rng.uniform(size=(g0.size, g1.size)))
         assert marginal(plan, 0).total_mass == pytest.approx(plan.total_mass, rel=1e-13)
         assert marginal(plan, 1).total_mass == pytest.approx(plan.total_mass, rel=1e-13)
-
-
-def test_mass_examples(ground2):
-    assert mass(DiscreteMeasure(ground2, [0.0, 0.0])) == 0.0
-    g3 = GroundSet([[0.0], [1.0], [2.0]])
-    assert mass(DiscreteMeasure(g3, [1.0, 2.0, 3.0])) == 6.0
-    assert mass(DiscreteMeasure(GroundSet([[0.0]]), [1.0])) == 1.0
 
 
 def test_construction_validation(ground2):

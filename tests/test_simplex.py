@@ -220,6 +220,22 @@ def test_transport_lp_mass_mismatch():
     assert status == "infeasible" and value == np.inf
 
 
+def test_transport_lp_solves_masses_that_balanced_masses_accepts():
+    # 5e-8 apart is within balanced_masses' 1e-9 (1 + m0 + m1) but past a
+    # feasibility test scaled by the largest weight, 1e-8 (1 + 1.5)
+    rng = np.random.default_rng(40)
+    mu = rng.uniform(0.5, 1.5, 40)
+    nu = rng.uniform(0.5, 1.5, 40)
+    nu *= mu.sum() / nu.sum()
+    nu[0] += 5e-8
+    assert simplex.balanced_masses(float(mu.sum()), float(nu.sum()))
+    cost = rng.uniform(0.0, 3.0, size=(40, 40))
+    res = transport_lp(mu, nu, cost)
+    assert res.optimal
+    assert np.max(np.abs(res.x.sum(axis=1) - mu)) <= 1e-7
+    assert np.max(np.abs(res.x.sum(axis=0) - nu)) <= 1e-7
+
+
 def test_transport_lp_infinite_costs():
     cost = np.array([[np.inf, 1.0], [1.0, np.inf]])
     res = transport_lp(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cost)

@@ -23,7 +23,12 @@ from uotlab.solver_y import (
     _tilt_step,
 )
 
-from oracles import constrained_minimize, project_family_loop, relaxed_lp_value
+from oracles import (
+    homogeneous_marginal_matrix,
+    kkt_newton,
+    project_family_loop,
+    relaxed_lp_value,
+)
 
 
 def dirac_instance(m0, m1, d):
@@ -413,31 +418,9 @@ def test_eps_solver_matches_constrained_oracle():
                              SolverConfig(eps=eps, tolerance=1e-12, max_iters=30_000))
 
     h = hp_tensor(cost, grids[0], grids[1], 1.0).ravel()
-    nu_flat = nu.weights.ravel()
-    s0p = grids[0].nodes
-    s1p = grids[1].nodes
-    k0, k1 = grids[0].size, grids[1].size
-    a_mat = np.zeros((4, h.size))
-    idx = np.arange(h.size)
-    i0 = idx // (k0 * 2 * k1)
-    j0 = (idx // (2 * k1)) % k0
-    i1 = (idx // k1) % 2
-    a_mat[i0, idx] = s0p[j0]
-    a_mat[2 + i1, idx] += s1p[idx % k1]
+    a_mat = homogeneous_marginal_matrix(2, 2, grids[0].nodes, grids[1].nodes)
     b = np.concatenate([mu0.weights, mu1.weights])
-
-    def value(x):
-        return float(np.sum(h * x)) + eps * divergence_arrays(x, nu_flat)
-
-    def grad(x):
-        # reference-null atoms price at +inf; a steep positive slope keeps
-        # the projected iterates off them
-        safe = np.maximum(x, 1e-300)
-        g = h + eps * np.where(nu_flat > 0, np.log(safe / np.maximum(nu_flat, 1e-300)), 200.0)
-        return g
-
-    x0 = np.where(nu_flat > 0, nu_flat, 0.0)
-    _, oracle_val = constrained_minimize(value, grad, a_mat, b, x0)
+    _, _, oracle_val = kkt_newton(h, nu.weights.ravel(), a_mat, b, eps)
     assert rep.primal == pytest.approx(oracle_val, rel=1e-6)
 
 
