@@ -108,7 +108,7 @@ def balanced_sinkhorn(mu_w: np.ndarray, nu_w: np.ndarray, cost: np.ndarray,
         return max(residuals) <= tol, (value, residuals)
 
     _, _, iters, gamma, (value, residuals) = scaling_kernel(
-        log_kernel(reference, cost, eps), mu_w, nu_w, proximal_step(mu_w, nu_w, 1.0),
+        log_kernel(reference, cost, eps), mu_w, nu_w, proximal_step(mu_w, nu_w, 0.0),
         np.zeros(nu_w.size), max_iters, 10, check)
     return gamma, iters, value, residuals
 

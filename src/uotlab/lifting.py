@@ -86,9 +86,11 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(sp > 0, ssp / np.where(sp > 0, sp, 1.0), 0.0)
         penalty = np.where(sp > 0, np.where(ssp > 0, sp * entropy.R(ratio), math.inf), ssp)
+        # s = 0 at an infinite cost moves no mass, so it costs eps S^p alone
+        transport = np.where(sp > 0, sp * cost.values[i0, i1], 0.0)
     families = [(i0, sp, mu0.weights), (i1, sp, mu1.weights),
                 (i0 * n1 + i1, ssp, nu_x.weights)]
-    return atom_lp(sp * cost.values[i0, i1] + eps * penalty, families)
+    return atom_lp(transport + eps * penalty, families)
 
 
 # ---------------------------------------------------------------------------

@@ -286,14 +286,24 @@ def lse(a: np.ndarray, axis: int) -> np.ndarray:
     return np.where(finite, out + safe, -math.inf)
 
 
-def log_domain_sinkhorn(log_k, mu0_w, mu1_w, damp, g, max_iters, check_every, stop):
+def log_domain_sinkhorn(log_k, mu0_w, mu1_w, kappa, omega, g, max_iters, check_every, stop):
     """The scaling loop in the log domain, one full log-sum-exp per half-step.
 
-    The reference for the package's stabilised scaling kernel:
-    f = damp*(log mu0 - LSE_j(g_j + log_k_ij)), -inf at zero-mass points,
-    then the column twin for g.  ``stop(f, g, plan)`` sees the full plan
-    every ``check_every``-th and at the last iteration.  Returns
-    (f, g, iterations, plan, stopped).
+    The reference for the package's stabilised scaling kernel with the steps
+    of ``proximal_step``.  The plain row step is
+    f* = (log mu0 - LSE_j(g_j + log_k_ij))/(1 + kappa), -inf at zero-mass
+    points.  Where f and f* are both finite, the row takes
+    f + omega (f* - f) if that does not lower the dual over eps,
+    sum_i mu0_i (1 - exp(-kappa f_i))/kappa - sum_ij exp(f_i + g_j + log_k_ij)
+    (sum_i mu0_i f_i at kappa 0), and f* otherwise; the change is summed
+    line by line as mu0 exp(-kappa f) (1 - exp(-kappa (f' - f)))/kappa
+    (mu0 (f' - f) at kappa 0) less the row mass exp(f + LSE_j(g_j + log_k_ij))
+    times (exp(f' - f) - 1).  Then the column twin for g.  With kappa > 0 each
+    iteration ends with f + t, g - t for the t that maximises the dual,
+    t = log(sum mu0 exp(-kappa f) / sum mu1 exp(-kappa g)) / (2 kappa) over
+    the points with mass and a finite potential, skipped when either sum is
+    empty.  ``stop(f, g, plan)`` sees the full plan every ``check_every``-th
+    and at the last iteration.  Returns (f, g, iterations, plan, stopped).
     """
     with np.errstate(divide="ignore"):
         log_mu0, log_mu1 = np.log(mu0_w), np.log(mu1_w)
@@ -309,16 +319,38 @@ def log_domain_sinkhorn(log_k, mu0_w, mu1_w, damp, g, max_iters, check_every, st
             expo = shifted(f[:, None] + g[None, :])
         return np.exp(np.nan_to_num(expo, nan=-math.inf))
 
+    def step(old, log_mu, mu, lse_other):
+        plain = np.where(np.isneginf(log_mu), -math.inf, (log_mu - lse_other) / (1.0 + kappa))
+        both = np.isfinite(old) & np.isfinite(plain)
+        if omega == 1.0 or not both.any():
+            return plain
+        f, d = old[both], omega * (plain[both] - old[both])
+        sep = (mu[both] * d if kappa == 0.0
+               else mu[both] * np.exp(-kappa * f) * -np.expm1(-kappa * d) / kappa)
+        change = float(np.sum(sep - np.exp(f + lse_other[both]) * np.expm1(d)))
+        if not 0.0 <= change < math.inf:
+            return plain
+        out = plain.copy()
+        out[both] = f + d
+        return out
+
+    def log_sum(log_mu, p):
+        keep = np.isfinite(log_mu) & np.isfinite(p)
+        return lse(log_mu[keep] - kappa * p[keep], 0) if keep.any() else None
+
     f = np.zeros(len(mu0_w))
     g = np.array(g, dtype=float)
     stopped = False
     iters = 0
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for iters in range(1, max_iters + 1):
-            f = np.where(np.isneginf(log_mu0), -math.inf,
-                         damp * (log_mu0 - lse(shifted(g[None, :]), 1)))
-            g = np.where(np.isneginf(log_mu1), -math.inf,
-                         damp * (log_mu1 - lse(shifted(f[:, None]), 0)))
+            f = step(f, log_mu0, mu0_w, lse(shifted(g[None, :]), 1))
+            g = step(g, log_mu1, mu1_w, lse(shifted(f[:, None]), 0))
+            if kappa > 0.0:
+                sums = log_sum(log_mu0, f), log_sum(log_mu1, g)
+                if None not in sums:
+                    t = 0.5 * (sums[0] - sums[1]) / kappa
+                    f, g = f + t, g - t
             if iters % check_every == 0 or iters == max_iters:
                 stopped = stop(f, g, plan(f, g))
                 if stopped:
@@ -345,9 +377,9 @@ def balanced_entropic_value(gamma: np.ndarray, mu_w: np.ndarray, cost: np.ndarra
                           - float(np.sum(mu_w)) + float(np.sum(reference)))
 
 
-def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, tol, max_iters):
-    """Generalized Sinkhorn in the log domain, with the full primal and dual
-    evaluated every 5th iteration.
+def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, omega, tol, max_iters):
+    """Generalized Sinkhorn in the log domain, relaxed by ``omega`` and
+    translated, with the full primal and dual evaluated every 5th iteration.
 
     The loop stops when primal - dual <= tol (1 + |primal|) and the
     first-order residuals |sigma_i - exp(-phi_i)| are at most max(tol, 1e-9),
@@ -381,7 +413,7 @@ def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, tol, max_iters):
         return value - dual <= tol * (1.0 + abs(value)) and res <= max(tol, 1e-9)
 
     _, _, iters, gamma, stopped = log_domain_sinkhorn(
-        log_k, mu0_w, mu1_w, 1.0 / (1.0 + eps), np.zeros(len(mu1_w)), max_iters, 5, stop)
+        log_k, mu0_w, mu1_w, eps, omega, np.zeros(len(mu1_w)), max_iters, 5, stop)
     return primal(gamma), iters, stopped, gamma
 
 

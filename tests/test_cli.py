@@ -273,7 +273,7 @@ def test_cost_file_spec(fixtures):
 
 
 def test_solve_x_gap_alone_is_not_convergence(tmp_path):
-    # the gap is within tolerance after 500 iterations, the residual is not
+    # the gap is within tolerance after 40 iterations, the residual is not
     rng = np.random.default_rng(0)
     pts0, pts1 = rng.uniform(0, 1, size=(200, 2)), rng.uniform(0, 1, size=(200, 2))
     w0, w1 = rng.uniform(0.5, 1.5, 200), rng.uniform(0.5, 1.5, 200)
@@ -283,7 +283,7 @@ def test_solve_x_gap_alone_is_not_convergence(tmp_path):
         files.append(str(tmp_path / name))
     out = tmp_path / "x.json"
     code = run(["solve-x", "--mu0", files[0], "--mu1", files[1], "--cost", "sqeuclidean",
-                "--eps", "0.01", "--max-iters", "500", "--out", str(out)])
+                "--eps", "0.01", "--max-iters", "40", "--out", str(out)])
     report = json.loads(out.read_text())["report"]
     assert code == 2
     assert report["converged"] is False

@@ -167,6 +167,23 @@ def test_balanced_eps_diagonal_atoms_cost_nothing():
     assert result.value == pytest.approx(0.0, abs=1e-12)
 
 
+def test_balanced_eps_with_infinite_costs_prices_null_scale_atoms():
+    # the off-diagonal HK costs are +inf; the s = 0 atoms of those pairs still
+    # carry their nu_X mass at eps S^p, so the LP is feasible and equals the
+    # LP with the +inf cells at 1e6
+    g0, g1 = GroundSet([[0.0], [1.9]]), GroundSet([[0.1], [2.0]])
+    mu0, mu1 = DiscreteMeasure(g0, [0.4, 0.6]), DiscreteMeasure(g1, [0.4, 0.6])
+    cost = hk_matrix(g0, g1)
+    assert np.isinf(cost.values[0, 1]) and np.isinf(cost.values[1, 0])
+    nu = default_nu_x(mu0, mu1)
+    grids = (RadialGrid(np.array([0.0, 1.0]), 1.0), RadialGrid.geometric(2.0, n_nodes=8))
+    result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, 1.0, grids, 0.5)
+    capped = CostMatrix(np.where(np.isinf(cost.values), 1e6, cost.values))
+    want = solve_lifted_balanced_eps(mu0, mu1, capped, nu, 1.0, grids, 0.5)
+    assert result.optimal and want.optimal
+    assert result.value == pytest.approx(want.value, abs=1e-9)
+
+
 def test_balanced_eps_mass_mismatch():
     rng = np.random.default_rng(74)
     mu0, mu1, cost = random_pair(rng)

@@ -388,8 +388,9 @@ def assert_matches_log_domain(mu0, mu1, cost, nu, config):
     for got, want in ((rep.primal, eval_primal_eps(plan, mu0, mu1, cost, nu, config.eps)),
                       (rep.dual, eval_dual_eps(phi, mu0, mu1, cost, nu, config.eps))):
         assert abs(got - want) <= 1e-12 * abs(want)
+    omega = solver_x.proximal_step(mu0.weights, mu1.weights, config.eps).omega
     want, iters, converged, _ = solve_x_log_domain(
-        mu0.weights, mu1.weights, cost.values, nu.weights, config.eps,
+        mu0.weights, mu1.weights, cost.values, nu.weights, config.eps, omega,
         config.tolerance, config.max_iters)
     assert rep.iterations == iters
     assert rep.converged == converged
@@ -447,8 +448,9 @@ def test_kernel_balanced_steps_match_log_domain(cost_kind, massless):
 
     with np.errstate(divide="ignore"):
         log_k = np.log(ref) - np.where(np.isinf(cost.values), np.inf, cost.values) / eps
+    omega = solver_x.proximal_step(mu0.weights, mu1.weights, 0.0).omega
     _, _, iters, want_plan, stopped = log_domain_sinkhorn(
-        log_k, mu0.weights, mu1.weights, 1.0, np.zeros(10), 5000, 10, stop)
+        log_k, mu0.weights, mu1.weights, 0.0, omega, np.zeros(10), 5000, 10, stop)
     gamma, got_iters, value, residuals = balanced_sinkhorn(
         mu0.weights, mu1.weights, cost.values, eps, ref, tol=tol, max_iters=5000)
     assert stopped and max(residuals) <= tol
@@ -486,11 +488,11 @@ def test_kernel_warm_start_matches_log_domain():
     _, phi, _ = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=0.3))
     g, eps, iters = phi.phi1 / 0.3, 0.03, 60
     log_k = solver_x.log_kernel(nu.weights, cost.values, eps)
-    step = solver_x.proximal_step(mu0.weights, mu1.weights, 1.0 / (1.0 + eps))
+    step = solver_x.proximal_step(mu0.weights, mu1.weights, eps)
     *_, got_iters, got, _ = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights, step, g,
                                                     iters, 5, lambda *_: (False, None))
     *_, want_iters, want, _ = log_domain_sinkhorn(log_k, mu0.weights, mu1.weights,
-                                                  1.0 / (1.0 + eps), g, iters, 5,
+                                                  eps, step.omega, g, iters, 5,
                                                   lambda *_: False)
     assert got_iters == want_iters == iters
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
@@ -506,12 +508,12 @@ def test_kernel_checks_on_schedule_with_both_marginals(monkeypatch, absorb):
     nu = default_nu_x(mu0, mu1)
     eps = 0.02
     log_k = solver_x.log_kernel(nu.weights, cost.values, eps)
-    kl_step = solver_x.proximal_step(mu0.weights, mu1.weights, 1.0 / (1.0 + eps))
+    kl_step = solver_x.proximal_step(mu0.weights, mu1.weights, eps)
     iteration, seen = [0], []
 
-    def step(side, m):
+    def update(side, m):
         iteration[0] += side == 0  # side 0 opens an iteration
-        return kl_step(side, m)
+        return kl_step.update(side, m)
 
     def check(f, g, marg0, marg1):
         plan = np.exp(f[:, None] + g[None, :] + log_k)
@@ -520,7 +522,8 @@ def test_kernel_checks_on_schedule_with_both_marginals(monkeypatch, absorb):
         seen.append(iteration[0])
         return False, iteration[0]
 
-    *_, iters, _, result = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights, step,
+    *_, iters, _, result = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights,
+                                                   kl_step._replace(update=update),
                                                    np.zeros(mu1.ground.size), 11, 3, check)
     assert seen == [3, 6, 9, 11]
     assert iters == result == 11
@@ -555,6 +558,40 @@ def test_kernel_absorption_extremes_match_log_domain(monkeypatch, absorb):
     assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=0.02))
 
 
+def solve_with_plain_steps(mu0, mu1, cost, nu, config):
+    """``solve_x_eps`` with the steps of ``proximal_step`` taken plain: omega 1
+    and no translation."""
+    proximal = solver_x.proximal_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_x, "proximal_step",
+                   lambda *args: proximal(*args)._replace(omega=1.0, shift=None))
+        return solve_x_eps(mu0, mu1, cost, nu, config)
+
+
+@pytest.mark.parametrize("cost_kind", ["sqeuclidean", "hk"])
+def test_relaxed_steps_never_slower_than_plain_steps(cost_kind):
+    # mass ratios 1 and 3, two seeds, eps down to 0.002: without the guard no
+    # sqeuclidean solve at eps 0.002 converges in 10,000 iterations; with it,
+    # each solve converges in no more iterations than the plain steps, to the
+    # plain primal
+    for ratio in (1.0, 3.0):
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            mu0, mu1, _ = random_instance(rng, 40, 40, lo=0.5, hi=1.5,
+                                          box=2.0 if cost_kind == "hk" else 1.0)
+            mu0 = DiscreteMeasure(mu0.ground, mu0.weights / mu0.total_mass)
+            mu1 = DiscreteMeasure(mu1.ground, mu1.weights * (ratio / mu1.total_mass))
+            cost = (hk_matrix if cost_kind == "hk" else sqeuclidean_matrix)(mu0.ground, mu1.ground)
+            nu = default_nu_x(mu0, mu1)
+            for eps in (0.05, 0.005, 0.002):
+                config = SolverConfig(eps=eps, tolerance=1e-9)
+                _, _, relaxed = solve_x_eps(mu0, mu1, cost, nu, config)
+                _, _, plain = solve_with_plain_steps(mu0, mu1, cost, nu, config)
+                assert relaxed.converged and plain.converged
+                assert relaxed.iterations <= plain.iterations
+                assert relaxed.primal == pytest.approx(plain.primal, rel=1e-9)
+
+
 def test_verdict_requires_first_order_residual():
     # the gap alone passes here, but sigma - exp(-phi) is still ~2e-5
     rng = np.random.default_rng(0)
@@ -563,11 +600,11 @@ def test_verdict_requires_first_order_residual():
     w0, w1 = rng.uniform(0.5, 1.5, 200), rng.uniform(0.5, 1.5, 200)
     mu0 = DiscreteMeasure(g0, w0 / w0.sum())
     mu1 = DiscreteMeasure(g1, 1.3 * w1 / w1.sum())
-    config = SolverConfig(eps=0.01, max_iters=500)
+    config = SolverConfig(eps=0.01, max_iters=40)
     _, _, rep = solve_x_eps(mu0, mu1, sqeuclidean_matrix(g0, g1), None, config)
     assert rep.gap <= config.tolerance * (1.0 + abs(rep.primal))
     assert max(rep.marginal_residuals) > 1e-6
-    assert rep.iterations == 500
+    assert rep.iterations == 40
     assert not rep.converged
 
 
@@ -595,12 +632,12 @@ def test_verdict_is_the_stop_test_at_the_boundary(monkeypatch, seed):
         return kernel(*head, wrapped)
 
     monkeypatch.setattr(solver_x, "scaling_kernel", spy)
-    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=eps, max_iters=40))
-    assert rep.iterations == 40 and not rep.converged
+    _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=eps, max_iters=25))
+    assert rep.iterations == 25 and not rep.converged
     dual, gap, res = seen
     tol = max(max(res), gap / (1.0 + abs(dual + gap)))
     _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=eps, tolerance=tol))
-    assert rep.iterations == 40
+    assert rep.iterations == 25
     assert rep.converged
 
 
@@ -674,6 +711,30 @@ def test_unreg_zero_mass():
     cost = CostMatrix(np.array([[1.0]]))
     _, rep = solve_x_unreg(mu0, mu1, cost)
     assert rep.primal == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("cost_kind,ratio", [("sqeuclidean", 1.0), ("sqeuclidean", 3.0),
+                                             ("hk", 3.0), ("hk", 0.4)])
+def test_eps_values_bracketed_by_the_unregularised_optimum(cost_kind, ratio):
+    # an unregularised optimum P0 is feasible at every eps, so
+    # V0 <= V_eps <= V0 + eps KL(P0 | nu_X), each side widened by the two
+    # solves' certified gaps; (V_eps - V0) / (eps KL) tends to 1 on these
+    # instances, and stays below it
+    rng = np.random.default_rng(0)
+    mu0, mu1, _ = random_instance(rng, 4, 4, lo=0.5, hi=1.5, box=2.0 if cost_kind == "hk" else 1.0)
+    mu0 = DiscreteMeasure(mu0.ground, mu0.weights / mu0.total_mass)
+    mu1 = DiscreteMeasure(mu1.ground, mu1.weights * (ratio / mu1.total_mass))
+    cost = (hk_matrix if cost_kind == "hk" else sqeuclidean_matrix)(mu0.ground, mu1.ground)
+    nu = default_nu_x(mu0, mu1)
+    plan0, rep0 = solve_x_unreg(mu0, mu1, cost)
+    assert rep0.converged
+    kl = divergence_arrays(plan0.weights, nu.weights)
+    for eps in (0.1, 0.01, 0.001):
+        _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=eps, tolerance=1e-12))
+        assert rep.converged
+        gap = rep0.gap + rep.gap + 1e-12
+        assert rep0.primal - gap <= rep.primal <= rep0.primal + eps * kl + gap
+    assert (rep.primal - rep0.primal) / (eps * kl) >= 0.99
 
 
 # ---------------------------------------------------------------------------

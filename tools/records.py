@@ -18,9 +18,10 @@ named, each with the largest relative difference among its float fields,
 its largest float difference divided by 1 + the largest |value| among
 those fields (so that a rounding change in a certificate, a small
 difference of O(1) numbers, reads near 1e-16 and not as a large relative
-difference), and the paths of the other fields that differ (iterations,
-status, exit code, a field only one side has).  The exit code is 1 when
-any job differs or either document could not be made, else 0.
+difference), each integer field that differs as its old and new values
+(``report.iterations 500 → 50``), and the paths of the other fields that
+differ (status, a field only one side has).  The exit code is 1 when any
+job differs or either document could not be made, else 0.
 """
 
 from __future__ import annotations
@@ -79,22 +80,31 @@ def main(root: str) -> int:
     return 1 if failed else 0
 
 
-def _differences(a, b, path: str, floats: list, others: set) -> None:
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _differences(a, b, path: str, floats: list, integers: dict, others: set) -> None:
     """Collect (a value, b value, path) of the float fields of a and b in
-    ``floats`` and the paths of the other fields that differ in ``others``
-    (list indices written as [], so a plan counts once)."""
+    ``floats``, the distinct "a → b" changes of their integer fields in
+    ``integers`` (path → list of changes) and the paths of the other fields
+    that differ in ``others`` (list indices written as [], so a plan counts
+    once)."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
             sub = f"{path}.{key}" if path else key
             if key in a and key in b:
-                _differences(a[key], b[key], sub, floats, others)
+                _differences(a[key], b[key], sub, floats, integers, others)
             else:
                 others.add(sub)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for x, y in zip(a, b):
-            _differences(x, y, path + "[]", floats, others)
+            _differences(x, y, path + "[]", floats, integers, others)
     elif isinstance(a, float) and isinstance(b, float):
         floats.append((a, b, path))
+    elif _integer(a) and _integer(b):
+        if a != b and f"{a} → {b}" not in integers.get(path, []):
+            integers.setdefault(path, []).append(f"{a} → {b}")
     elif json.dumps(a) != json.dumps(b):
         others.add(path)
 
@@ -114,8 +124,8 @@ def compare(root_a: str, root_b: str) -> int:
     differ = [name for name in names
               if len({json.dumps(doc.get(name), sort_keys=True) for doc in docs}) > 1]
     for name in differ:
-        floats, others = [], set()
-        _differences(docs[0].get(name), docs[1].get(name), "", floats, others)
+        floats, integers, others = [], {}, set()
+        _differences(docs[0].get(name), docs[1].get(name), "", floats, integers, others)
         line = f"differs: {name}"
         if floats:
             worst, where = max((0.0 if a == b else abs(a - b) / max(abs(a), abs(b)), path)
@@ -124,6 +134,8 @@ def compare(root_a: str, root_b: str) -> int:
             spread = max(abs(a - b) for a, b, _ in floats) / scale
             line += (f": largest relative float difference {worst:.2g} ({where}); largest "
                      f"float difference / (1 + largest |value|) {spread:.2g}")
+        line += "".join(f"; {path or 'the whole entry'} {', '.join(changes)}"
+                        for path, changes in sorted(integers.items()))
         print(line + "".join(f"; {path or 'the whole entry'} differs" for path in sorted(others)))
     print(f"{len(differ)} of {len(names)} job records differ")
     return 1 if differ else 0
