@@ -44,7 +44,8 @@ from .measures import (
 )
 from .simplex import balanced_masses, transport_lp
 from .solver_x import SolveReport, SolverConfig, default_nu_x, solve_x_eps
-from .solver_y import RadialGrid, default_grids, mass_cap, solve_y_eps, solve_y_unreg
+from .solver_y import (InfeasibleProblemError, RadialGrid, default_grids, mass_cap, solve_y_eps,
+                       solve_y_unreg)
 
 log = logging.getLogger("uotlab")
 
@@ -410,7 +411,7 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # InputError is a ValueError
+    except (OSError, ValueError, InfeasibleProblemError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

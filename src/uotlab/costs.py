@@ -110,15 +110,8 @@ def perspective_H_eps(s0, s1, S, c, eps: float):
     if np.any(a0 < 0) or np.any(a1 < 0) or np.any(aS < 0):
         raise ValueError("radial arguments must be nonnegative")
     q = 2.0 + eps
-    degenerate = (a0 == 0) | (a1 == 0) | (aS == 0) | np.isinf(cc)
-    safe0 = np.where(degenerate, 1.0, a0)
-    safe1 = np.where(degenerate, 1.0, a1)
-    safeS = np.where(degenerate, 1.0, aS)
-    safec = np.where(degenerate, 0.0, cc)
-    term = np.where(
-        degenerate,
-        0.0,
-        q * np.exp((np.log(safe0) + np.log(safe1) + eps * np.log(safeS) - safec) / q),
-    )
+    # a zero base or an infinite cost makes the exponent -inf, and the term 0
+    with np.errstate(divide="ignore"):
+        term = q * np.exp((np.log(a0) + np.log(a1) + eps * np.log(aS) - cc) / q)
     out = np.maximum(a0 + a1 + eps * aS - term, 0.0)
     return float(out) if scalar else out

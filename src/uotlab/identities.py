@@ -107,9 +107,9 @@ def balanced_sinkhorn(mu_w: np.ndarray, nu_w: np.ndarray, cost: np.ndarray,
         value = eps * sum(float(p[m > 0] @ m[m > 0]) for p, m in ((f, marg0), (g, marg1)))
         return max(residuals) <= tol, (value, residuals)
 
-    _, _, iters, gamma, (value, residuals) = scaling_kernel(
+    iters, gamma, (value, residuals) = scaling_kernel(
         log_kernel(reference, cost, eps), mu_w, nu_w, proximal_step(mu_w, nu_w, 0.0),
-        np.zeros(nu_w.size), max_iters, 10, check)
+        max_iters, 10, check)
     return gamma, iters, value, residuals
 
 

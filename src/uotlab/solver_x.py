@@ -16,12 +16,13 @@ whose block updates close to a = (mu0 / (K b))^(1/(1+eps)) with scaling
 variables a = exp(phi_0/eps), b = exp(phi_1/eps) and kernel
 K = exp(-c/eps) * nu_X.  ``scaling_kernel`` runs these updates, the
 balanced ones (exponent 1) of ``identities`` and the tilt projections of
-``solver_y``, each as its own marginal step, by mat-vecs on one kernel with
-absorbed log-potentials, which keeps eps <= 1e-3, underflowing rows and
-infinite costs exact.  The KL and balanced steps are over-relaxed, a relaxed
-half-step kept only when the dual does not decrease, and the KL steps are
-translated along the dual's shift mode (phi_0 + t, phi_1 - t) after each
-iteration (``proximal_step``); both cost O(n) per iteration.  Convergence
+``solver_y``, each as its own marginal step (a ``ScalingStep``) from zero
+potentials, by mat-vecs on one kernel with absorbed log-potentials, which
+keeps eps <= 1e-3, underflowing rows and infinite costs exact.  The KL and
+balanced steps are over-relaxed, a relaxed half-step kept only when the dual
+does not decrease, and the KL steps are translated along the dual's shift
+mode (phi_0 + t, phi_1 - t) after each iteration (``proximal_step``); both
+cost O(n) per iteration.  Convergence
 checks read the marginals the sweep computes and certify the gap by
 Fenchel-Young terms, in O(n); the report reuses them, as a scaling plan's
 primal value is its dual plus that gap.
@@ -236,7 +237,8 @@ class ScalingStep(NamedTuple):
     line of the mask ``lines``, the change of the separable part of the dual
     (over eps) when the potentials ``old`` of those lines move by d.
     ``shift(f, g)``, or None for no translation, returns the t that
-    maximises the dual along (f + t, g - t).
+    maximises the dual along (f + t, g - t).  A plain step, as the tilt
+    steps of ``solver_y``, is ``ScalingStep(update, 1.0, None, None)``.
     """
 
     update: Callable
@@ -293,14 +295,11 @@ def proximal_step(mu0_w: np.ndarray, mu1_w: np.ndarray, kappa: float) -> Scaling
     return ScalingStep(_update, max(1.0, 2.0 / (1.0 + math.sqrt(2.0 * kappa))), _gain, _shift)
 
 
-def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, step,
-                   g: np.ndarray, max_iters: int, check_every: int,
-                   check: Callable) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, object]:
-    """Alternate f = step(0, m) with m_i = LSE_j(g_j + log_k_ij), then g likewise.
-
-    ``step`` is a ``ScalingStep``, as ``proximal_step`` builds for KL and
-    balanced marginals, or a bare ``update`` callable, taken as the plain
-    step (the tilt solves of ``solver_y``).
+def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray,
+                   step: ScalingStep, max_iters: int, check_every: int,
+                   check: Callable) -> tuple[int, np.ndarray, object]:
+    """Alternate f = step.update(0, m) with m_i = LSE_j(g_j + log_k_ij), then
+    g likewise, from zero potentials f and g.
 
     With f = alpha + log u and g = beta + log v, the absorbed parts live in
     one kernel K = exp(alpha_i + beta_j + log_k_ij), so m is the log of one
@@ -309,8 +308,7 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, step
     peaking at 1 so m is exact, before the first half-step and whenever a
     line with mass gets a mat-vec entry below ``_TINY``.  Zero-mass lines
     get -inf whatever the step returns; a line with mass and no reachable
-    partner has m = -inf.  Only the starting g matters, as f is updated
-    first.
+    partner has m = -inf.
 
     A step with omega other than 1 is relaxed under a guard: the relaxed
     potentials are taken only if the dual does not decrease, else the plain
@@ -324,17 +322,16 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, step
     ``check(f, g, marg0, marg1)`` runs after every ``check_every``-th
     iteration and after the last, with both marginals of the plan
     exp(f_i + g_j + log_k_ij) (the row mat-vec is reused by the next
-    half-step), and returns (stop, result); a true stop ends the sweep.
-    Returns (f, g, iterations, that plan in the kernel's storage, the last
-    check's result).
+    half-step), and returns (stop, result); a true stop ends the sweep.  The
+    potentials are the kernel's own arrays, so a check copies what it keeps
+    of them into its result.  Returns (iterations, that plan in the kernel's
+    storage, the last check's result).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if not isinstance(step, ScalingStep):
-        step = ScalingStep(step, 1.0, None, None)
     null = (mu0_w <= 0, mu1_w <= 0)
     live = [~null[0], ~null[1]]  # lines with mass, less those found out of reach
-    pot = [np.zeros(log_k.shape[0]), np.array(g, dtype=float)]
+    pot = [np.zeros(log_k.shape[0]), np.zeros(log_k.shape[1])]
     absorbed, scal = [None, None], [None, None]
     kern = np.empty_like(log_k)
     lines, log_lines = (kern, kern.T), (log_k, log_k.T)
@@ -409,19 +406,19 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray, step
                 rebuild()
                 prod0 = None
         rebuild()
-    return pot[0], pot[1], iters, kern, result
+    return iters, kern, result
 
 
-def _clamped_potentials(f, g, eps: float) -> DualPotentials:
+def _clamped_potentials(f, g, eps: float) -> tuple[np.ndarray, np.ndarray]:
     # clamp so that exp((phi0 + phi1 - c)/eps) underflows exactly at the
     # clamped points while mu-side terms stay negligible; -inf (zero mass)
     # clamps twice as far as +inf (mass, no reachable partner), so a pair of
     # the two never cancels
     lim = -_LOG_TINY + 40.0 / eps
-    return DualPotentials(eps * np.clip(f, -2.0 * lim, lim), eps * np.clip(g, -2.0 * lim, lim))
+    return eps * np.clip(f, -2.0 * lim, lim), eps * np.clip(g, -2.0 * lim, lim)
 
 
-def _assess(phi: DualPotentials, marg0, marg1, mu0_w, mu1_w, eps: float, nu_mass: float):
+def _assess(phi0, phi1, marg0, marg1, mu0_w, mu1_w, eps: float, nu_mass: float):
     """Dual, Fenchel-Young gap and KL marginal residuals of the scaling plan
     gamma = nu_X exp((phi0 + phi1 - c)/eps), in O(n) from its marginals.
 
@@ -432,7 +429,7 @@ def _assess(phi: DualPotentials, marg0, marg1, mu0_w, mu1_w, eps: float, nu_mass
     """
     dual = eps * (nu_mass - float(np.sum(marg1)))
     gap, res = 0.0, []
-    for m, p, marg in ((mu0_w, phi.phi0, marg0), (mu1_w, phi.phi1, marg1)):
+    for m, p, marg in ((mu0_w, phi0, marg0), (mu1_w, phi1, marg1)):
         pos = m > 0
         m, p = m[pos], p[pos]
         dual += float(np.sum(m * -np.expm1(-p)))
@@ -459,11 +456,11 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     the Fenchel-Young gap and the first-order marginal residuals, checked
     every 5 iterations from the marginals the sweep computes, meet
     ``config.tolerance``, or for ``config.max_iters`` iterations.  Each
-    check's result is its assessment (dual, gap, residuals, verdict), and
-    the report is the result of the loop's last check, which sees both
-    marginals of the returned plan, the scaling plan of the returned
-    potentials: its primal value is dual + gap, and ``converged`` is the
-    stop test itself.
+    check's result is its assessment (dual, gap, residuals, verdict) and its
+    clamped potentials, and the returned potentials and report are the
+    result of the loop's last check, which sees both marginals of the
+    returned plan, the scaling plan of those potentials: its primal value is
+    dual + gap, and ``converged`` is the stop test itself.
     """
     if nu_x is None:
         nu_x = default_nu_x(mu0, mu1)
@@ -473,10 +470,10 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     nu_mass = float(np.sum(nu_x.weights))
 
     def check(f, g, marg0, marg1):
-        dual, gap, res = _assess(_clamped_potentials(f, g, eps), marg0, marg1,
-                                 mu0_w, mu1_w, eps, nu_mass)
+        phi = _clamped_potentials(f, g, eps)
+        dual, gap, res = _assess(*phi, marg0, marg1, mu0_w, mu1_w, eps, nu_mass)
         converged = _converged(gap, dual + gap, res, config.tolerance)
-        return converged, (dual, gap, res, converged)
+        return converged, (dual, gap, res, converged, phi)
 
     if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:
         # one side empty: the zero plan is optimal outright
@@ -487,14 +484,13 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         iters = 0
         _, result = check(f, g, np.zeros(f.size), np.zeros(g.size))
     else:
-        step = proximal_step(mu0_w, mu1_w, eps)
-        f, g, iters, gamma, result = scaling_kernel(
-            log_kernel(nu_x.weights, cost.values, eps), mu0_w, mu1_w, step,
-            np.zeros(mu1.ground.size), config.max_iters, 5, check)
+        iters, gamma, result = scaling_kernel(
+            log_kernel(nu_x.weights, cost.values, eps), mu0_w, mu1_w,
+            proximal_step(mu0_w, mu1_w, eps), config.max_iters, 5, check)
 
-    dual, gap, res, converged = result
+    dual, gap, res, converged, phi = result
     report = SolveReport(dual + gap, dual, gap, iters, res, converged)
-    return Plan(mu0.ground, mu1.ground, gamma), _clamped_potentials(f, g, eps), report
+    return Plan(mu0.ground, mu1.ground, gamma), DualPotentials(*phi), report
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ projections onto the two homogeneous-marginal constraint families
 exp(lambda(x_i) s_i^p).  As an (n0 K0) x (n1 K1) matrix over (point,
 radial node) lines, alpha is nu_Y exp(-H_p/eps) scaled by the line
 potentials lambda_i s_k^p, so these are the iterations of
-``solver_x.scaling_kernel`` with another marginal step: its mat-vec gives
-each line's log-sum-exp over the other side's atoms, M[i, k] once the
-line's own tilt is added, and the tilt changes delta_i solve
+``solver_x.scaling_kernel`` from zero tilts with another marginal step, a
+plain ``ScalingStep`` (omega 1, no translation): its mat-vec gives each
+line's log-sum-exp over the other side's atoms, M[i, k] once the line's own
+tilt is added, and the tilt changes delta_i solve
 
     LSE_k(M[i, k] + log s_k^p + delta_i s_k^p) = log mu_i
 
@@ -52,7 +53,7 @@ import numpy as np
 from .costs import CostMatrix, perspective_H, perspective_H_eps
 from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan, _frozen_array
 from .simplex import LpResult, _singleton_crash, atom_lp, transport_lp
-from .solver_x import SolveReport, SolverConfig, _check_instance, scaling_kernel
+from .solver_x import ScalingStep, SolveReport, SolverConfig, _check_instance, scaling_kernel
 
 _TILT_TOL = 1e-14           # stop when |LSE - log mu| falls below this
 _TILT_MAX_STEPS = 200       # Newton steps per tilt before giving up
@@ -368,19 +369,20 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray, lam: np.ndar
     lam[rows] += delta
 
 
-def _tilt_step(sps, mus, lams):
-    """The y step of ``scaling_kernel``: side's tilts solved from its reduction.
+def _tilt_step(sps, mus, lams) -> ScalingStep:
+    """The y step of ``scaling_kernel``, run plain: side's tilts solved from
+    its reduction.
 
     m holds LSE over the other side's atoms of log nu_Y - H_p/eps plus their
     tilts, per (point, radial node) line; adding the side's own tilts gives
     the reduction of the tilted tensor, so the Newton starts from the
-    current tilt.  Returns the new line potentials lambda_i s_k^p.
+    current tilt.  The update returns the new line potentials lambda_i s_k^p.
     """
-    def step(side, m):
+    def update(side, m):
         sp, lam = sps[side], lams[side]
         _solve_tilts(m.reshape(lam.size, sp.size) + lam[:, None] * sp, sp, mus[side], lam)
         return (lam[:, None] * sp).ravel()
-    return step
+    return ScalingStep(update, 1.0, None, None)
 
 
 def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
@@ -434,9 +436,9 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         converged = max(res) <= config.tolerance
         return converged, (d, res, float(np.sum(margs[1])), converged)
 
-    _, _, iters, alpha_w, (d, res, mass, converged) = scaling_kernel(
+    iters, alpha_w, (d, res, mass, converged) = scaling_kernel(
         (log_nu - h / eps).reshape(masses[0].size, -1), *masses,
-        _tilt_step(sps, mus, lams), np.zeros(masses[1].size), config.max_iters, 1, check)
+        _tilt_step(sps, mus, lams), config.max_iters, 1, check)
 
     alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(h.shape))
     dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)

@@ -286,8 +286,9 @@ def lse(a: np.ndarray, axis: int) -> np.ndarray:
     return np.where(finite, out + safe, -math.inf)
 
 
-def log_domain_sinkhorn(log_k, mu0_w, mu1_w, kappa, omega, g, max_iters, check_every, stop):
-    """The scaling loop in the log domain, one full log-sum-exp per half-step.
+def log_domain_sinkhorn(log_k, mu0_w, mu1_w, kappa, omega, max_iters, check_every, stop):
+    """The scaling loop in the log domain from zero potentials, one full
+    log-sum-exp per half-step.
 
     The reference for the package's stabilised scaling kernel with the steps
     of ``proximal_step``.  The plain row step is
@@ -303,7 +304,7 @@ def log_domain_sinkhorn(log_k, mu0_w, mu1_w, kappa, omega, g, max_iters, check_e
     t = log(sum mu0 exp(-kappa f) / sum mu1 exp(-kappa g)) / (2 kappa) over
     the points with mass and a finite potential, skipped when either sum is
     empty.  ``stop(f, g, plan)`` sees the full plan every ``check_every``-th
-    and at the last iteration.  Returns (f, g, iterations, plan, stopped).
+    and at the last iteration.  Returns (iterations, plan, stopped).
     """
     with np.errstate(divide="ignore"):
         log_mu0, log_mu1 = np.log(mu0_w), np.log(mu1_w)
@@ -338,8 +339,7 @@ def log_domain_sinkhorn(log_k, mu0_w, mu1_w, kappa, omega, g, max_iters, check_e
         keep = np.isfinite(log_mu) & np.isfinite(p)
         return lse(log_mu[keep] - kappa * p[keep], 0) if keep.any() else None
 
-    f = np.zeros(len(mu0_w))
-    g = np.array(g, dtype=float)
+    f, g = np.zeros(len(mu0_w)), np.zeros(len(mu1_w))
     stopped = False
     iters = 0
     with np.errstate(invalid="ignore", over="ignore"):
@@ -355,7 +355,7 @@ def log_domain_sinkhorn(log_k, mu0_w, mu1_w, kappa, omega, g, max_iters, check_e
                 stopped = stop(f, g, plan(f, g))
                 if stopped:
                     break
-    return f, g, iters, plan(f, g), stopped
+    return iters, plan(f, g), stopped
 
 
 def _kl_divergence(a: np.ndarray, b: np.ndarray) -> float:
@@ -412,8 +412,7 @@ def solve_x_log_domain(mu0_w, mu1_w, cost, nu_w, eps, omega, tol, max_iters):
         value = primal(gamma)
         return value - dual <= tol * (1.0 + abs(value)) and res <= max(tol, 1e-9)
 
-    _, _, iters, gamma, stopped = log_domain_sinkhorn(
-        log_k, mu0_w, mu1_w, eps, omega, np.zeros(len(mu1_w)), max_iters, 5, stop)
+    iters, gamma, stopped = log_domain_sinkhorn(log_k, mu0_w, mu1_w, eps, omega, max_iters, 5, stop)
     return primal(gamma), iters, stopped, gamma
 
 

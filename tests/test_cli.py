@@ -347,3 +347,22 @@ def test_invalid_numeric_input_exits_one(fixtures, capsys, argv):
     assert run(argv + ["--out", str(tmp / "out.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-y", "--eps", "0.5"],
+    ["sweep-eps", "--eps-list", "0.5,0.2", "--formulation", "y"],
+    ["--threads", "2", "sweep-eps", "--eps-list", "0.5,0.2", "--formulation", "y"],
+], ids=["solve-y", "sweep-eps-y", "sweep-eps-y-threads"])
+def test_massless_measure_without_reachable_atoms_exits_one(fixtures, capsys, argv):
+    # mu0 carries no mass, so the tilt steps empty every atom that could carry
+    # mu1's: an input error, not an uncaught exception
+    tmp, _, mu1, _ = fixtures
+    empty = tmp / "empty.json"
+    empty.write_text(json.dumps({"points": [[0.0, 0.0], [0.7, 0.3]], "weights": [0.0, 0.0]}))
+    out = tmp / ("out.csv" if "sweep-eps" in argv else "out.json")
+    code = run(argv + ["--mu0", str(empty), "--mu1", mu1, "--cost", "sqeuclidean",
+                       "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: a support point carries mass")
+    assert not out.exists()

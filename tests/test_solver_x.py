@@ -449,8 +449,8 @@ def test_kernel_balanced_steps_match_log_domain(cost_kind, massless):
     with np.errstate(divide="ignore"):
         log_k = np.log(ref) - np.where(np.isinf(cost.values), np.inf, cost.values) / eps
     omega = solver_x.proximal_step(mu0.weights, mu1.weights, 0.0).omega
-    _, _, iters, want_plan, stopped = log_domain_sinkhorn(
-        log_k, mu0.weights, mu1.weights, 0.0, omega, np.zeros(10), 5000, 10, stop)
+    iters, want_plan, stopped = log_domain_sinkhorn(
+        log_k, mu0.weights, mu1.weights, 0.0, omega, 5000, 10, stop)
     gamma, got_iters, value, residuals = balanced_sinkhorn(
         mu0.weights, mu1.weights, cost.values, eps, ref, tol=tol, max_iters=5000)
     assert stopped and max(residuals) <= tol
@@ -480,24 +480,6 @@ def test_kernel_point_reaching_only_massless_points():
             == pytest.approx(rep.gap, abs=1e-12))
 
 
-def test_kernel_warm_start_matches_log_domain():
-    # both loops start at eps 0.03 from the g of an eps-0.3 solve
-    rng = np.random.default_rng(53)
-    mu0, mu1, cost = random_instance(rng, 10, 14)
-    nu = default_nu_x(mu0, mu1)
-    _, phi, _ = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=0.3))
-    g, eps, iters = phi.phi1 / 0.3, 0.03, 60
-    log_k = solver_x.log_kernel(nu.weights, cost.values, eps)
-    step = solver_x.proximal_step(mu0.weights, mu1.weights, eps)
-    *_, got_iters, got, _ = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights, step, g,
-                                                    iters, 5, lambda *_: (False, None))
-    *_, want_iters, want, _ = log_domain_sinkhorn(log_k, mu0.weights, mu1.weights,
-                                                  eps, step.omega, g, iters, 5,
-                                                  lambda *_: False)
-    assert got_iters == want_iters == iters
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-
-
 @pytest.mark.parametrize("absorb", [solver_x._ABSORB, 0.0])
 def test_kernel_checks_on_schedule_with_both_marginals(monkeypatch, absorb):
     # check_every 3 over 11 iterations: checks after 3, 6, 9 and the last;
@@ -522,9 +504,8 @@ def test_kernel_checks_on_schedule_with_both_marginals(monkeypatch, absorb):
         seen.append(iteration[0])
         return False, iteration[0]
 
-    *_, iters, _, result = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights,
-                                                   kl_step._replace(update=update),
-                                                   np.zeros(mu1.ground.size), 11, 3, check)
+    iters, _, result = solver_x.scaling_kernel(log_k, mu0.weights, mu1.weights,
+                                               kl_step._replace(update=update), 11, 3, check)
     assert seen == [3, 6, 9, 11]
     assert iters == result == 11
 
@@ -626,7 +607,7 @@ def test_verdict_is_the_stop_test_at_the_boundary(monkeypatch, seed):
         *head, check = args
 
         def wrapped(f, g, marg0, marg1):
-            seen[:] = solver_x._assess(solver_x._clamped_potentials(f, g, eps), marg0,
+            seen[:] = solver_x._assess(*solver_x._clamped_potentials(f, g, eps), marg0,
                                        marg1, mu0.weights, mu1.weights, eps, nu.total_mass)
             return check(f, g, marg0, marg1)
         return kernel(*head, wrapped)

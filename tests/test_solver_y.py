@@ -6,7 +6,7 @@ import pytest
 from uotlab.costs import CostMatrix, hk_cost, hk_matrix, sqeuclidean_matrix
 from uotlab.entropy import F_ZERO, divergence_arrays
 from uotlab.measures import DiscreteMeasure, GroundMismatchError, GroundSet
-from uotlab.solver_x import SolverConfig, scaling_kernel, solve_x_unreg
+from uotlab.solver_x import ScalingStep, SolverConfig, scaling_kernel, solve_x_unreg
 from uotlab import solver_x, solver_y
 from uotlab.solver_y import (
     AtomPlan,
@@ -229,9 +229,12 @@ def tilted(log_base, sps, lams):
 
 
 def kernel_reduction(log_base, sps, mus, lams, side):
-    """The m that ``scaling_kernel`` hands the y step of ``side``: one
-    kernel iteration from g = lambda1 s1^p whose steps keep the tilts, so
-    side 0 sees lambda1 and side 1 sees lambda0."""
+    """The m that ``scaling_kernel`` hands the y step of ``side``: one kernel
+    iteration from zero potentials whose steps keep the tilts, so side 1 sees
+    lambda0; side 0 is side 1 of the transposed problem, and sees lambda1."""
+    if side == 0:
+        return kernel_reduction(log_base.transpose(2, 3, 0, 1), sps[::-1], mus[::-1],
+                                lams[::-1], 1)
     got = {}
 
     def record(s, m):
@@ -239,9 +242,9 @@ def kernel_reduction(log_base, sps, mus, lams, side):
         return (lams[s][:, None] * sps[s]).ravel()
 
     masses = [np.repeat(mu, sp.size) for mu, sp in zip(mus, sps)]
-    scaling_kernel(log_base.reshape(masses[0].size, -1), *masses, record,
-                   (lams[1][:, None] * sps[1]).ravel(), 1, 1, lambda *args: (True, None))
-    return got[side]
+    scaling_kernel(log_base.reshape(masses[0].size, -1), *masses,
+                   ScalingStep(record, 1.0, None, None), 1, 1, lambda *args: (True, None))
+    return got[1]
 
 
 def test_projection_subroutine_hits_marginal_exactly():
@@ -259,7 +262,7 @@ def test_projection_subroutine_hits_marginal_exactly():
     log_base = np.where(nu.weights > 0, np.log(np.maximum(nu.weights, 1e-300)), -np.inf)
     log_base = log_base - h / 0.5
     lams = (np.zeros(2), np.zeros(2))
-    _tilt_step(sps, mus, lams)(0, kernel_reduction(log_base, sps, mus, lams, 0))
+    _tilt_step(sps, mus, lams).update(0, kernel_reduction(log_base, sps, mus, lams, 0))
     alpha = np.exp(tilted(log_base, sps, lams))
     h0 = np.einsum("ikjl,k->i", alpha, sps[0])
     assert np.max(np.abs(h0 - mu0.weights)) < 1e-12
@@ -315,7 +318,7 @@ def test_projection_matches_loop_oracle(axis_point, shift, cost_kind, p, eps):
     m = kernel_reduction(log_base, sps, mus, lams, side)
     lam_vec = [lam.copy() for lam in lams]
     lam_loop = lams[side].copy()
-    _tilt_step(sps, mus, lam_vec)(side, m)
+    _tilt_step(sps, mus, lam_vec).update(side, m)
     project_family_loop(tilted(log_base, sps, lams), sps[side], mus[side], axis_point, lam_loop)
     assert np.all(np.abs(lam_vec[side] - lam_loop) <= 1e-12 * (1.0 + np.abs(lam_loop)))
     assert not np.array_equal(lam_loop, lams[side])
@@ -326,7 +329,7 @@ def test_projection_unreachable_point_raises_in_both():
     log_base[2, 1:, :, :] = -np.inf  # the third point carries mass
     m = kernel_reduction(log_base, sps, mus, lams, 0)
     with pytest.raises(InfeasibleProblemError):
-        _tilt_step(sps, mus, [lam.copy() for lam in lams])(0, m)
+        _tilt_step(sps, mus, [lam.copy() for lam in lams]).update(0, m)
     with pytest.raises(InfeasibleProblemError):
         project_family_loop(tilted(log_base, sps, lams), sps[0], mus[0], 0, lams[0].copy())
 
@@ -336,7 +339,7 @@ def test_tilt_newton_step_cap_raises(monkeypatch):
     m = kernel_reduction(log_base, sps, mus, lams, 0)
     monkeypatch.setattr(solver_y, "_TILT_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="support point .* did not converge") as info:
-        _tilt_step(sps, mus, [lam.copy() for lam in lams])(0, m)
+        _tilt_step(sps, mus, [lam.copy() for lam in lams]).update(0, m)
     assert not isinstance(info.value, InfeasibleProblemError)
 
 
