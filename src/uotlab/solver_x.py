@@ -22,10 +22,11 @@ keeps eps <= 1e-3, underflowing rows and infinite costs exact.  The KL and
 balanced steps are over-relaxed, a relaxed half-step kept only when the dual
 does not decrease, and the KL steps are translated along the dual's shift
 mode (phi_0 + t, phi_1 - t) after each iteration (``proximal_step``); both
-cost O(n) per iteration.  Convergence
-checks read the marginals the sweep computes and certify the gap by
-Fenchel-Young terms, in O(n); the report reuses them, as a scaling plan's
-primal value is its dual plus that gap.
+cost O(n) per iteration.  The tilt steps relax their own tilts, point by
+point under the same kind of guard, and reach the kernel as plain steps.
+Convergence checks read the marginals the sweep computes and certify the
+gap by Fenchel-Young terms, in O(n); the report reuses them, as a scaling
+plan's primal value is its dual plus that gap.
 
 Solver state is confined to each solve call; distinct solves may run in
 parallel and results are deterministic for a fixed thread count.
@@ -237,8 +238,9 @@ class ScalingStep(NamedTuple):
     line of the mask ``lines``, the change of the separable part of the dual
     (over eps) when the potentials ``old`` of those lines move by d.
     ``shift(f, g)``, or None for no translation, returns the t that
-    maximises the dual along (f + t, g - t).  A plain step, as the tilt
-    steps of ``solver_y``, is ``ScalingStep(update, 1.0, None, None)``.
+    maximises the dual along (f + t, g - t).  A plain step is
+    ``ScalingStep(update, 1.0, None, None)``; the tilt steps of ``solver_y``
+    are plain here, as they relax and guard their tilts inside ``update``.
     """
 
     update: Callable

@@ -20,13 +20,17 @@ exp(lambda(x_i) s_i^p).  As an (n0 K0) x (n1 K1) matrix over (point,
 radial node) lines, alpha is nu_Y exp(-H_p/eps) scaled by the line
 potentials lambda_i s_k^p, so these are the iterations of
 ``solver_x.scaling_kernel`` from zero tilts with another marginal step, a
-plain ``ScalingStep`` (omega 1, no translation): its mat-vec gives each
-line's log-sum-exp over the other side's atoms, M[i, k] once the line's own
-tilt is added, and the tilt changes delta_i solve
+plain ``ScalingStep`` to the kernel (omega 1, no translation): its mat-vec
+gives each line's log-sum-exp over the other side's atoms, M[i, k] once the
+line's own tilt is added, and the tilt changes delta_i solve
 
     LSE_k(M[i, k] + log s_k^p + delta_i s_k^p) = log mu_i
 
-for all points at once by a batched Newton iteration from delta = 0.
+for all points at once by a batched Newton iteration from delta = 0.  The
+step over-relaxes its own tilts, point by point: lambda_i moves by
+omega delta_i, omega = max(1, 2/(1 + sqrt(eps/2))), where that does not
+lower the dual, which given the other side's tilts is separable over the
+points, and by delta_i elsewhere.
 
 Radial grids default to geometric spacing below the mass cap
 s* = (mu0(X) + mu1(X))^(1/p); rescaling by the pushforward
@@ -327,8 +331,8 @@ def _tilt_values(w: np.ndarray, a: np.ndarray, target: np.ndarray,
     return top + np.log(se) - target, (e @ a) / se
 
 
-def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray, lam: np.ndarray) -> None:
-    """Solve every point's tilt equation from the reduction ``red``.
+def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray) -> np.ndarray:
+    """Every point's tilt change, solved from the reduction ``red``.
 
     For each support point i with mass, finds delta_i with
     LSE_k(red[i, k] + log sp_k + delta_i sp_k) = log mu_i by Newton's
@@ -339,8 +343,8 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray, lam: np.ndar
     step lands at or right of the root and the iterates then decrease to it.
     A row stops when its residual is below ``_TILT_TOL`` or, after the first
     step, stops decreasing (rounding at the root); a row that does neither
-    in ``_TILT_MAX_STEPS`` steps raises RuntimeError.  Updates ``lam`` in
-    place; zero-mass points keep theirs, as the kernel empties their lines.
+    in ``_TILT_MAX_STEPS`` steps raises RuntimeError.  Returns delta, 0 at
+    zero-mass points, as the kernel empties their lines.
     """
     rows = np.flatnonzero(mu_w > 0)
     with np.errstate(divide="ignore"):
@@ -366,21 +370,35 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray, lam: np.ndar
             f"tilt Newton for support point {rows[i]} did not converge in "
             f"{_TILT_MAX_STEPS} steps (last residual {val[i]:.3e})"
         )
-    lam[rows] += delta
+    out = np.zeros(mu_w.size)
+    out[rows] = delta
+    return out
 
 
-def _tilt_step(sps, mus, lams) -> ScalingStep:
-    """The y step of ``scaling_kernel``, run plain: side's tilts solved from
-    its reduction.
+def _tilt_step(sps, mus, lams, omega: float) -> ScalingStep:
+    """The y step of ``scaling_kernel``: side's tilts solved from its
+    reduction, over-relaxed per point under a guard from the dual.
 
     m holds LSE over the other side's atoms of log nu_Y - H_p/eps plus their
     tilts, per (point, radial node) line; adding the side's own tilts gives
-    the reduction of the tilted tensor, so the Newton starts from the
-    current tilt.  The update returns the new line potentials lambda_i s_k^p.
+    the reduction red of the tilted tensor, so the Newton change delta_i is
+    taken from the current tilt.  Given the other side's tilts the dual over
+    eps is separable: moving lambda_i by t changes it by
+    mu_i t - sum_k exp(red[i, k]) expm1(t s_k^p).  Each point takes
+    t = omega delta_i where that change is finite and nonnegative, and the
+    plain t = delta_i (the exact projection) elsewhere, so the dual never
+    decreases; omega 1 is the plain projection.  ``lams`` is updated in
+    place and the update returns the new line potentials lambda_i s_k^p, so
+    the kernel runs it as a plain step.
     """
     def update(side, m):
-        sp, lam = sps[side], lams[side]
-        _solve_tilts(m.reshape(lam.size, sp.size) + lam[:, None] * sp, sp, mus[side], lam)
+        sp, lam, mu = sps[side], lams[side], mus[side]
+        red = m.reshape(lam.size, sp.size) + lam[:, None] * sp
+        delta = _solve_tilts(red, sp, mu)
+        t = omega * delta
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite change rejects
+            gain = mu * t - np.sum(np.exp(red) * np.expm1(t[:, None] * sp), axis=1)
+        lam += np.where((gain >= 0.0) & (gain < math.inf), t, delta)
         return (lam[:, None] * sp).ravel()
     return ScalingStep(update, 1.0, None, None)
 
@@ -395,8 +413,9 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     h_i^p alpha = mu_i, with eps = ``config.eps``.  nu_Y must be a probability
     measure over the atom tensor on the grounds of mu0 and mu1 (default:
     uniform over atoms with positive radial values).
-    One ``scaling_kernel`` call runs the tilt steps at eps from zero tilts
-    for at most ``config.max_iters`` iterations, and stops when the largest
+    One ``scaling_kernel`` call runs the guarded over-relaxed tilt steps
+    (``_tilt_step``) at eps from zero tilts for at most ``config.max_iters``
+    iterations, and stops when the largest
     homogeneous-marginal residual, relative to the mass scale, is at most
     ``config.tolerance``.  The report is the assessment made at the loop's
     last check, which sees both line marginals of the returned plan, so
@@ -417,6 +436,7 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     if abs(nu_y.total_mass - 1.0) > 1e-8:
         raise ValueError("nu_Y must be a probability measure over the atoms")
     eps = config.eps
+    omega = max(1.0, 2.0 / (1.0 + math.sqrt(eps / 2.0)))
 
     sps = (grid0.nodes ** p, grid1.nodes ** p)
     mus = (mu0.weights, mu1.weights)
@@ -438,7 +458,7 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 
     iters, alpha_w, (d, res, mass, converged) = scaling_kernel(
         (log_nu - h / eps).reshape(masses[0].size, -1), *masses,
-        _tilt_step(sps, mus, lams), config.max_iters, 1, check)
+        _tilt_step(sps, mus, lams, omega), config.max_iters, 1, check)
 
     alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(h.shape))
     dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)

@@ -262,7 +262,7 @@ def test_projection_subroutine_hits_marginal_exactly():
     log_base = np.where(nu.weights > 0, np.log(np.maximum(nu.weights, 1e-300)), -np.inf)
     log_base = log_base - h / 0.5
     lams = (np.zeros(2), np.zeros(2))
-    _tilt_step(sps, mus, lams).update(0, kernel_reduction(log_base, sps, mus, lams, 0))
+    _tilt_step(sps, mus, lams, 1.0).update(0, kernel_reduction(log_base, sps, mus, lams, 0))
     alpha = np.exp(tilted(log_base, sps, lams))
     h0 = np.einsum("ikjl,k->i", alpha, sps[0])
     assert np.max(np.abs(h0 - mu0.weights)) < 1e-12
@@ -318,7 +318,7 @@ def test_projection_matches_loop_oracle(axis_point, shift, cost_kind, p, eps):
     m = kernel_reduction(log_base, sps, mus, lams, side)
     lam_vec = [lam.copy() for lam in lams]
     lam_loop = lams[side].copy()
-    _tilt_step(sps, mus, lam_vec).update(side, m)
+    _tilt_step(sps, mus, lam_vec, 1.0).update(side, m)
     project_family_loop(tilted(log_base, sps, lams), sps[side], mus[side], axis_point, lam_loop)
     assert np.all(np.abs(lam_vec[side] - lam_loop) <= 1e-12 * (1.0 + np.abs(lam_loop)))
     assert not np.array_equal(lam_loop, lams[side])
@@ -329,7 +329,7 @@ def test_projection_unreachable_point_raises_in_both():
     log_base[2, 1:, :, :] = -np.inf  # the third point carries mass
     m = kernel_reduction(log_base, sps, mus, lams, 0)
     with pytest.raises(InfeasibleProblemError):
-        _tilt_step(sps, mus, [lam.copy() for lam in lams]).update(0, m)
+        _tilt_step(sps, mus, [lam.copy() for lam in lams], 1.0).update(0, m)
     with pytest.raises(InfeasibleProblemError):
         project_family_loop(tilted(log_base, sps, lams), sps[0], mus[0], 0, lams[0].copy())
 
@@ -339,17 +339,24 @@ def test_tilt_newton_step_cap_raises(monkeypatch):
     m = kernel_reduction(log_base, sps, mus, lams, 0)
     monkeypatch.setattr(solver_y, "_TILT_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="support point .* did not converge") as info:
-        _tilt_step(sps, mus, [lam.copy() for lam in lams]).update(0, m)
+        _tilt_step(sps, mus, [lam.copy() for lam in lams], 1.0).update(0, m)
     assert not isinstance(info.value, InfeasibleProblemError)
+
+
+def solve_y_with_plain_steps(mu0, mu1, cost, grids, config):
+    """``solve_y_eps`` with its tilt steps taken plain (omega 1)."""
+    tilt_step = solver_y._tilt_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_y, "_tilt_step",
+                   lambda sps, mus, lams, omega: tilt_step(sps, mus, lams, 1.0))
+        return solve_y_eps(mu0, mu1, cost, 1.0, grids, None, config)
 
 
 @pytest.mark.parametrize("max_iters", [1, 2, 5])
 def test_eps_budget_bounds_the_solve(max_iters):
-    # the last half-step is a family-1 projection, so that family is met exactly
     mu0, mu1, cost, grids = massless_instance(np.random.default_rng(73), "sqeuclidean", 1.0)
-    eps = 0.05
-    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None,
-                             SolverConfig(eps=eps, max_iters=max_iters))
+    config = SolverConfig(eps=0.05, max_iters=max_iters)
+    alpha, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, config)
     assert 1 <= rep.iterations <= max_iters
     assert not rep.converged
     scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
@@ -357,7 +364,19 @@ def test_eps_budget_bounds_the_solve(max_iters):
         res = np.max(np.abs(alpha.homogeneous_marginal(side).weights - mu.weights)) / scale
         assert rep.marginal_residuals[side] == pytest.approx(res, rel=1e-9, abs=1e-14)
     assert rep.marginal_residuals[0] > 1e-6
-    assert rep.marginal_residuals[1] <= 1e-12
+    # a plain last half-step is a family-1 projection, so that family is met exactly
+    _, plain = solve_y_with_plain_steps(mu0, mu1, cost, grids, config)
+    assert plain.iterations == max_iters and plain.marginal_residuals[1] <= 1e-12
+
+
+def test_eps_dual_never_falls_as_the_budget_grows():
+    # each relaxed half-step keeps or raises the dual, so a larger budget,
+    # solved from scratch, reports a dual at least as high
+    mu0, mu1, cost, grids = massless_instance(np.random.default_rng(73), "sqeuclidean", 1.0)
+    duals = [solve_y_eps(mu0, mu1, cost, 1.0, grids, None,
+                         SolverConfig(eps=0.05, max_iters=budget))[1].dual
+             for budget in range(1, 9)]
+    assert all(b >= a for a, b in zip(duals, duals[1:]))
 
 
 def test_eps_zero_radial_atoms_stay_free_at_massless_points():
@@ -405,6 +424,54 @@ def test_eps_solver_absorption_extremes(monkeypatch, default_absorption_reports,
         assert want.converged and got.converged
         assert got.iterations == want.iterations
         assert abs(got.primal - want.primal) <= 1e-12 * abs(want.primal)
+
+
+@pytest.mark.parametrize("cost_kind", ["sqeuclidean", "hk"])
+def test_relaxed_tilt_steps_at_least_halve_the_iterations(cost_kind):
+    # mass ratios 1 and 3, two seeds, eps 0.2 and 0.05 on 32-node grids: each
+    # relaxed solve converges in at most half the plain iterations, to the
+    # plain primal
+    n, box = (16, 2.0) if cost_kind == "hk" else (10, 1.0)
+    for ratio in (1.0, 3.0):
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            g0 = GroundSet(rng.uniform(0, box, size=(n, 2)))
+            g1 = GroundSet(rng.uniform(0, box, size=(n, 2)))
+            w0, w1 = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+            mu0 = DiscreteMeasure(g0, w0 / w0.sum())
+            mu1 = DiscreteMeasure(g1, w1 * (ratio / w1.sum()))
+            cost = (hk_matrix if cost_kind == "hk" else sqeuclidean_matrix)(g0, g1)
+            grids = default_grids(mu0, mu1, 1.0, n_nodes=32)
+            for eps in (0.2, 0.05):
+                config = SolverConfig(eps=eps, tolerance=1e-9)
+                _, relaxed = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, config)
+                _, plain = solve_y_with_plain_steps(mu0, mu1, cost, grids, config)
+                assert relaxed.converged and plain.converged
+                assert 2 * relaxed.iterations <= plain.iterations
+                assert relaxed.primal == pytest.approx(plain.primal, rel=1e-7)
+
+
+@pytest.mark.parametrize("cost_kind", ["sqeuclidean", "hk"])
+def test_relaxed_tilt_steps_on_a_single_point_side(cost_kind):
+    # a single-point side is where relaxation can cost iterations (the 1 x 1
+    # HK pair takes 21 against 18 plain at eps 0.5): it still converges to
+    # the plain primal, here within 1.5 times the plain iterations
+    box = 2.0 if cost_kind == "hk" else 1.0
+    for n1 in (1, 6):
+        rng = np.random.default_rng(5)
+        g0 = GroundSet(rng.uniform(0, box, size=(1, 2)))
+        g1 = GroundSet(rng.uniform(0, box, size=(n1, 2)))
+        mu0 = DiscreteMeasure(g0, [1.0])
+        mu1 = DiscreteMeasure(g1, rng.uniform(0.5, 1.5, n1))
+        cost = (hk_matrix if cost_kind == "hk" else sqeuclidean_matrix)(g0, g1)
+        grids = default_grids(mu0, mu1, 1.0, n_nodes=16)
+        for eps in (1.0, 0.5, 0.2):
+            config = SolverConfig(eps=eps, tolerance=1e-9)
+            _, relaxed = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, config)
+            _, plain = solve_y_with_plain_steps(mu0, mu1, cost, grids, config)
+            assert relaxed.converged and plain.converged
+            assert 2 * relaxed.iterations <= 3 * plain.iterations
+            assert relaxed.primal == pytest.approx(plain.primal, rel=1e-7)
 
 
 def test_eps_solver_matches_constrained_oracle():
