@@ -22,11 +22,17 @@ The extended lift returns an ``AtomPlan`` with an S axis and its value; the
 reduced lifts return ``atom_lp``'s ``LpResult`` as it is, whose ``x`` is
 the read-only weight tensor.
 
-The balanced and second-order lifts are 1-homogeneous along their last
-axis (s, or w): each column is s^p, or w, times the column of the same
-atom at the top node.  They solve the slice at that node first, from a
-crash start, and then the full LP from the slice's optimal basis, which one
-full pricing pass proves optimal.
+The balanced, extended and second-order lifts solve their LP on a
+sub-grid of the radial nodes first, from a crash start, and then in full
+from the restricted LP's optimal basis (``_restricted_first``).  The
+balanced and second-order lifts are 1-homogeneous along their last axis
+(s, or w): each column is s^p, or w, times the column of the same atom at
+the top node, so they keep that node alone, and one full pricing pass
+proves the slice's optimal basis optimal in full.  The extended lift keeps
+node 0, every third positive node and the top node of each radial axis, so
+its full LP starts a few pivots from the optimum and needs far fewer full
+pricing passes over the tensor than a cold solve (a coarse-to-fine start,
+as in Schmitzer's sparse multiscale transport solver, arXiv:1510.05466).
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ def solve_lifted_balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     with np.errstate(invalid="ignore"):  # s = 0 at an infinite cost: NaN, priced as +inf
         atom_cost = sp * cost.values[i0, i1]  # the top node's slice: transport scaled by s^p
     return _restricted_first(atom_cost, [(i0, sp, mu0.weights), (i1, sp, mu1.weights)],
-                             _transport_crash)
+                             _top_node(atom_cost.shape), _transport_crash)
 
 
 def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -105,19 +111,36 @@ def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatri
 
     Sharp constraints h_i^p eta = mu_i and S^p pair marginal = nu_X; an atom
     with one nonzero radial value costs s0^p, s1^p or eps S^p, the defect
-    prices F(0) and eps F(0).  ``full_pricing`` goes to ``simplex.solve_lp``.
+    prices F(0) and eps F(0).
+
+    The LP is solved on a sub-grid of each radial axis first (node 0,
+    every third positive node and the top node), from the apex-atom crash,
+    then in full from that optimal basis, which saves most full pricing
+    passes over the tensor.  The sub-grid keeps the apex atoms (one
+    positive radial value, at the top node), which alone meet every
+    constraint, so it is feasible whenever the full LP is; on grids of at
+    most three nodes it is the whole grid, and one LP runs.
+    ``full_pricing`` solves the full LP alone, cold, with Dantzig's rule at
+    every pivot (``simplex.solve_lp``).
     """
     _check_instance(mu0, mu1, cost, nu_x)
-    n1 = mu1.ground.size
-    i0, s0p, i1, s1p, ssp = np.ix_(np.arange(mu0.ground.size), grids[0].nodes ** p,
+    n0, n1 = mu0.ground.size, mu1.ground.size
+    i0, s0p, i1, s1p, ssp = np.ix_(np.arange(n0), grids[0].nodes ** p,
                                    np.arange(n1), grids[1].nodes ** p, grids[2].nodes ** p)
     h = perspective_H_eps(s0p, s1p, ssp, cost.values[i0, i1], eps)
     families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights),
                 (i0 * n1 + i1, ssp, nu_x.weights)]
-    res = _optimal(atom_lp(h, families, full_pricing=full_pricing), "extended")
+    if full_pricing:
+        res = atom_lp(h, families, full_pricing=True)
+    else:
+        keep = [np.arange(n0), _sub_grid(s0p.size), np.arange(n1), _sub_grid(s1p.size),
+                _sub_grid(ssp.size)]
+        res = _restricted_first(h, families, keep, _singleton_crash)
+    res = _optimal(res, "extended")
     return AtomPlan(mu0.ground, mu1.ground, tuple(grids), p, res.x), res.value
 
 
+_SUB_GRID_STRIDE = 3       # positive nodes per kept node of the extended lift's sub-grid
 _REFINE_COARSE_NODES = 20  # positive nodes of the wide first-pass grids on [1e-2, 1e2]
 _REFINE_FINE_NODES = 36    # positive nodes of each rebuilt grid
 _REFINE_PAD = 3.0          # factor the rebuilt grids extend past the coarse radial support
@@ -173,33 +196,70 @@ def solve_second_order_lift(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     i0, i1, s0p, s1p, w = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
                                  grids[0].nodes ** p, grids[1].nodes ** p, grids[2].nodes)
     families = [(i0, s0p * w, mu0.weights), (i1, s1p * w, mu1.weights)]
-    return _optimal(_restricted_first(perspective_H(s0p, s1p, cost.values[i0, i1]) * w,
-                                      families, _singleton_crash), "second-order")
+    atom_cost = perspective_H(s0p, s1p, cost.values[i0, i1]) * w
+    return _optimal(_restricted_first(atom_cost, families, _top_node(atom_cost.shape),
+                                      _singleton_crash), "second-order")
 
 
 # ---------------------------------------------------------------------------
-# Restricted-first solves of the homogeneous lifts
+# Restricted-first solves
 # ---------------------------------------------------------------------------
 
-def _restricted_first(cost, families, crash) -> LpResult:
-    """``atom_lp(cost, families)`` solved on the slice at the last node of
-    the tensor's last axis first, from the start ``crash(slice cost, slice
-    families)`` (None: cold), then in full from the slice's optimal basis.
-    Rows and coefficients are arrays of the tensor's ndim (``np.ix_``).
+def _restricted_first(cost, families, keep, crash) -> LpResult:
+    """``atom_lp(cost, families)`` solved on the sub-tensor
+    ``cost[np.ix_(*keep)]`` first, from the start ``crash(sub-tensor,
+    sub-families)`` (None: cold), then in full from the restricted LP's
+    optimal basis.  ``keep`` holds one ascending index array per tensor
+    axis; rows and coefficients are arrays of the tensor's ndim
+    (``np.ix_``), restricted on the axes along which they vary.  When
+    ``keep`` holds every index, the LP is solved once, from ``crash``.
 
-    Along that axis every column and its cost are a nonnegative multiple
-    of the slice's column on the same atom, so a basis of the slice is a
-    basis of the full LP, and its optimal one stays optimal: the warm solve
-    takes the one full pricing pass that proves it.  The same scaling maps
-    feasible points of either LP onto the other at equal value, so a slice
-    that is infeasible or unbounded is returned as it is.
+    The restricted LP has the full LP's rows and a subset of its columns,
+    so its optimal basis is a feasible basis of the full LP, and its value
+    is never below the full LP's: the restricted LP is bounded whenever
+    the full one is.  Each caller keeps a restriction that is feasible
+    whenever the full LP is, so a restricted result that is not optimal is
+    returned as it is.
     """
-    sliced = cost[..., -1:]
-    sliced_families = [(rows[..., -1:], coeff[..., -1:], target)
-                       for rows, coeff, target in families]
-    res = atom_lp(sliced, sliced_families, start=crash(sliced, sliced_families))
+    if all(k.size == n for k, n in zip(keep, cost.shape)):
+        return atom_lp(cost, families, start=crash(cost, families))
+    sub = _restrict(cost, keep)
+    sub_families = [(_restrict(rows, keep), _restrict(coeff, keep), target)
+                    for rows, coeff, target in families]
+    res = atom_lp(sub, sub_families, start=crash(sub, sub_families))
     if not res.optimal:
         return res
     cols, kept = res.basis
-    k = cost.shape[-1]
-    return atom_lp(cost, families, start=(cols * k + k - 1, kept))
+    at = np.unravel_index(cols, sub.shape)
+    full = np.ravel_multi_index(tuple(k[i] for k, i in zip(keep, at)), cost.shape)
+    return atom_lp(cost, families, start=(full, kept))
+
+
+def _restrict(a, keep) -> np.ndarray:
+    """The open-mesh array ``a`` on the indices ``keep`` of each axis along
+    which it varies, ``a[np.ix_(*keep)]`` there; a view when those indices
+    are one run on every axis, so that the top-node slice of a large tensor
+    is not copied."""
+    a = np.asarray(a)
+    keep = [k if n > 1 else np.zeros(1, dtype=np.intp) for k, n in zip(keep, a.shape)]
+    if all(np.all(np.diff(k) == 1) for k in keep):
+        return a[tuple(slice(k[0], k[-1] + 1) for k in keep)]
+    return a[np.ix_(*keep)]
+
+
+def _top_node(shape) -> list[np.ndarray]:
+    """Every index on every axis, the last node on the last axis: the
+    restriction of a lift that is 1-homogeneous along its last axis.
+
+    Along that axis every column and its cost are a nonnegative multiple
+    of the column of the same atom at the top node, so the optimal basis
+    of that slice stays optimal in full, and the full solve takes the one
+    pricing pass that proves it.  The same scaling maps feasible points of
+    either LP onto the other at equal value."""
+    return [np.arange(n) for n in shape[:-1]] + [np.array([shape[-1] - 1])]
+
+
+def _sub_grid(k: int) -> np.ndarray:
+    """Node 0, every ``_SUB_GRID_STRIDE``-th positive node and the top node
+    of a k-node radial grid."""
+    return np.array(sorted({0, k - 1, *range(1, k, _SUB_GRID_STRIDE)}))

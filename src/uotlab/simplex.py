@@ -7,7 +7,8 @@ homogeneous-marginal constraint families) and possibly very many columns
 constraint family as its (rows, coeff) pair broadcast over the atom cost
 tensor, and phase 1's artificial columns as an implicit identity block.
 A full pricing pass computes the reduced costs c - A^T y by broadcasting
-the row duals over the tensor, one family at a time, and keeps the
+the row duals over the tensor, one family at a time, summed in family
+order on the families' own mesh until it spans the tensor, and keeps the
 ``_CANDIDATES`` columns that price lowest, ties going to the lowest
 index, as a candidate list (``AtomMatrix._select``).  Each pivot prices
 only that list, with the same arithmetic as a full pass, and enters its
@@ -108,11 +109,19 @@ class AtomMatrix:
         n_atoms = self._n_atoms
         acc = out[:n_atoms].reshape(self.atoms)
         if self.families:
-            (rows, coeff), *rest = self.families
-            np.multiply(y[rows], coeff, out=acc)
-            for rows, coeff in rest:
-                acc += y[rows] * coeff
-            np.subtract(c[:n_atoms].reshape(self.atoms), acc, out=acc)
+            # Sum the family terms in order on their joint broadcast mesh
+            # while it is smaller than the tensor, then in ``acc``: the same
+            # additions, so the same bits, in fewer full-size passes.
+            total = None
+            for rows, coeff in self.families:
+                shape = np.broadcast_shapes(np.shape(rows), np.shape(coeff),
+                                            () if total is None else total.shape)
+                into = acc if math.prod(shape) >= n_atoms else None
+                if total is None:
+                    total = np.multiply(y[rows], coeff, out=into)
+                else:
+                    total = np.add(total, y[rows] * coeff, out=into)
+            np.subtract(c[:n_atoms].reshape(self.atoms), total, out=acc)
         else:
             out[:n_atoms] = c[:n_atoms]
         if self.artificial:
@@ -372,7 +381,9 @@ def _start_basis(c, A1, b, start, tol) -> tuple[list, np.ndarray]:
     m, n_all = A1.shape
     n = n_all - m
     cols, kept = (np.asarray(part, dtype=np.intp).ravel() for part in start)
-    if (cols.size != kept.size or np.unique(kept).size != kept.size
+    # no np.unique here or in _singleton_crash: its first call imports
+    # numpy.ma, about 2 MB resident that no LP has a use for
+    if (cols.size != kept.size or len(set(kept.tolist())) != kept.size
             or not (np.all((cols >= 0) & (cols < n)) and np.all((kept >= 0) & (kept < m)))):
         raise ValueError("a start pairs each basic column with a kept row of its own")
     if not np.all(np.isfinite(c[cols])):
@@ -454,8 +465,9 @@ def _singleton_crash(cost, families):
         at = np.unravel_index(atoms, cost.shape)
         row, price = np.broadcast_to(rows, cost.shape)[at], cost[at]
         pick = np.lexsort((atoms, price, row))  # non-finite prices sort last
-        found, first = np.unique(row[pick], return_index=True)
-        pick = pick[first]
+        row = row[pick]  # ascending
+        first = np.flatnonzero(np.diff(row, prepend=-1))  # each row's cheapest atom
+        found, pick = row[first], pick[first]
         if found.size < np.size(target) or not np.all(np.isfinite(price[pick])):
             return None
         cols.append(atoms[pick])

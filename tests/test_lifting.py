@@ -212,20 +212,21 @@ def test_x_extended_matches_sinkhorn():
 
 
 def test_x_extended_refined_prices_its_coarse_lp_in_full(monkeypatch):
-    # the fine grids follow the coarse LP's vertex, so that LP keeps
-    # Dantzig's rule; the fine LP may use the candidate list
+    # the fine grids follow the coarse LP's vertex, so that LP is solved
+    # cold with Dantzig's rule; the fine grids' LPs may use the candidate list
     from uotlab import lifting
-    flags = []
+    calls = []
     solve = lifting.atom_lp
 
     def recorded(*args, **kwargs):
-        flags.append(kwargs.get("full_pricing", False))
+        calls.append((kwargs.get("full_pricing", False), kwargs.get("start")))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(lifting, "atom_lp", recorded)
     mu0, mu1, cost = random_pair(np.random.default_rng(75), box=0.5, lo=0.5, hi=1.4)
     solve_x_extended_refined(mu0, mu1, cost, default_nu_x(mu0, mu1), 0.6, 1.0)
-    assert flags == [True, False]
+    assert calls[0] == (True, None)
+    assert len(calls) > 1 and not any(full for full, _ in calls[1:])
 
 
 def test_x_extended_coincident_dirac_zero():
@@ -426,22 +427,39 @@ def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind)
     grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
     w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.1)
     balanced = DiscreteMeasure(mu1.ground, mu1.weights * mu0.total_mass / mu1.total_mass)
+    nu = default_nu_x(mu0, mu1)
+    # the extended lift's sub-grid is the whole 3-node grid, and part of the others
+    extended = [(eps, RadialGrid.geometric(2.0 * grids[0].cap, n_nodes=n, smin_frac=0.05))
+                for eps in (0.5, 1.5) for n in (3, 14, 37)]
+    lp_calls = []
 
     def solve_all():
+        values = []
+        for eps, grid in extended:
+            lp_calls.append(0)
+            values.append(solve_x_extended(mu0, mu1, cost, nu, eps, 1.0, (grid, grid, grid))[1])
+        lp_calls.append(0)
         return (solve_lifted_balanced(mu0, balanced, cost, 1.0, grids[0]),
                 solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid)),
-                solve_y_unreg(mu0, mu1, cost, 1.0, grids)[1])
+                solve_y_unreg(mu0, mu1, cost, 1.0, grids)[1], values)
 
-    lifted, second, y_value = solve_all()
+    solve = lifting.atom_lp
+
+    def counted(*args, **kwargs):
+        lp_calls[-1] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, "atom_lp", counted)
+    lifted, second, y_value, ext_values = solve_all()
+    assert lp_calls[:6] == [1, 2, 2, 1, 2, 2]
     # the full LP starts from the slice's optimal basis and only proves it
     assert second.iterations == 1
     assert lifted.iterations == 1 or lifted.status == "infeasible"
     monkeypatch.setattr(lifting, "_restricted_first",
-                        lambda cost, families, crash: lifting.atom_lp(cost, families))
+                        lambda cost, families, keep, crash: solve(cost, families))
     monkeypatch.setattr(solver_y, "_singleton_crash", lambda cost, families: None)
-    cold_lifted, cold_second, cold_y = solve_all()
+    cold_lifted, cold_second, cold_y, cold_ext = solve_all()
     assert cold_lifted.status == lifted.status and cold_second.iterations > 1
     for warm, cold in ((lifted.value, cold_lifted.value), (second.value, cold_second.value),
-                       (y_value, cold_y)):
+                       (y_value, cold_y), *zip(ext_values, cold_ext)):
         assert warm == cold or abs(warm - cold) <= 1e-12 * (1.0 + abs(cold))
-

@@ -425,6 +425,23 @@ def test_list_prices_equal_a_full_pass():
     assert np.array_equal(listed, full[cols])
 
 
+def test_full_pass_sums_the_families_in_order():
+    # an extended-lift mesh: the first two families together span less than
+    # the tensor, so they are summed on their own mesh before the third
+    rng = np.random.default_rng(38)
+    n0, n1, k = 2, 3, 5
+    i0, s0, i1, s1, ss = np.ix_(np.arange(n0), rng.uniform(size=k), np.arange(n1),
+                                rng.uniform(size=k), rng.uniform(size=k))
+    families = ((i0, s0), (n0 + i1, s1), (n0 + n1 + i0 * n1 + i1, ss))
+    atoms, m = (n0, k, n1, k, k), n0 + n1 + n0 * n1
+    A = simplex.AtomMatrix(atoms, families, m)
+    c, y = rng.normal(size=A.shape[1]), rng.normal(size=m)
+    total = np.zeros(atoms)
+    for rows, coeff in families:  # full-size sums, one family at a time
+        total = total + np.broadcast_to(y[rows] * coeff, atoms)
+    assert np.array_equal(A._price(c, y, np.empty(c.size)), c - total.ravel())
+
+
 def test_full_pricing_builds_no_list(monkeypatch):
     (cost, families), (c, a_eq, b) = lifted_balanced_lp(np.random.default_rng(34), 6, 60)
     calls = []
