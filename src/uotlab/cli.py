@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -328,7 +329,10 @@ def _cmd_identities(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``run``, as its
+    arguments take milliseconds to set up; parse_args leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="uotlab",
         description="Entropic regularisation of unbalanced optimal transport",

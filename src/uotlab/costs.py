@@ -16,7 +16,20 @@ Both are 1-homogeneous in their radial arguments.  Conventions:
 
 * if any base in the product term is 0, the whole product term is 0 (the
   t -> 0 limit of the defining infimum at degenerate radial values);
-* +inf costs short-circuit, the exponential factor is exactly 0.
+* +inf costs short-circuit, the exponential factor is exactly 0;
+* radial arguments must be finite and nonnegative, and costs must not be
+  NaN: each raises ValueError.
+
+The arguments are usually an open mesh (``np.ix_``): radial nodes along
+their own axes and costs along the point axes.  Each term is evaluated on
+its own arguments' broadcast shape, never on the full mesh: sqrt(s0 s1),
+the sum of the logs and the sum of the radial values on the radial axes,
+and the cost's exponential factor (for H) on the cost's shape.  Only the
+product with the cost factor, or the cost subtracted from the log sum and
+the exponential (for H_eps), and the result are full-size, computed in
+place in one output array.  Every operation keeps its place in the
+formula, so the values are those of a full broadcast evaluation, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -82,36 +95,48 @@ def hk_matrix(g0: GroundSet, g1: GroundSet) -> CostMatrix:
 # Perspective costs
 # ---------------------------------------------------------------------------
 
+def _radial(s) -> np.ndarray:
+    """A radial argument as a float array, checked: finite and nonnegative."""
+    arr = np.asarray(s, dtype=float)
+    if not np.all((arr >= 0) & (arr < math.inf)):  # NaN fails both
+        raise ValueError("radial arguments must be finite and nonnegative")
+    return arr
+
+
+def _cost(c) -> np.ndarray:
+    """A cost argument as a float array, checked: +inf allowed, NaN not."""
+    arr = np.asarray(c, dtype=float)
+    if np.any(np.isnan(arr)):
+        raise ValueError("costs must not be NaN")
+    return arr
+
+
 def perspective_H(s0, s1, c):
     """Marginal perspective cost H(s0, s1, c); vectorized over arrays."""
-    a0, a1, cc = np.broadcast_arrays(
-        np.asarray(s0, dtype=float), np.asarray(s1, dtype=float), np.asarray(c, dtype=float)
-    )
-    scalar = a0.ndim == 0
-    if np.any(a0 < 0) or np.any(a1 < 0):
-        raise ValueError("radial arguments must be nonnegative")
+    a0, a1, cc = _radial(s0), _radial(s1), _cost(c)
     infc = np.isinf(cc)
     expf = np.where(infc, 0.0, np.exp(-np.where(infc, 0.0, cc) / 2.0))
-    out = np.maximum(a0 + a1 - 2.0 * np.sqrt(a0 * a1) * expf, 0.0)
-    return float(out) if scalar else out
+    out = np.empty(np.broadcast_shapes(a0.shape, a1.shape, cc.shape))
+    np.multiply(2.0 * np.sqrt(a0 * a1), expf, out=out)
+    np.subtract(a0 + a1, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def perspective_H_eps(s0, s1, S, c, eps: float):
     """Regularised marginal perspective cost H_eps(s0, s1, S, c)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    a0, a1, aS, cc = np.broadcast_arrays(
-        np.asarray(s0, dtype=float),
-        np.asarray(s1, dtype=float),
-        np.asarray(S, dtype=float),
-        np.asarray(c, dtype=float),
-    )
-    scalar = a0.ndim == 0
-    if np.any(a0 < 0) or np.any(a1 < 0) or np.any(aS < 0):
-        raise ValueError("radial arguments must be nonnegative")
+    a0, a1, aS, cc = _radial(s0), _radial(s1), _radial(S), _cost(c)
     q = 2.0 + eps
     # a zero base or an infinite cost makes the exponent -inf, and the term 0
     with np.errstate(divide="ignore"):
-        term = q * np.exp((np.log(a0) + np.log(a1) + eps * np.log(aS) - cc) / q)
-    out = np.maximum(a0 + a1 + eps * aS - term, 0.0)
-    return float(out) if scalar else out
+        logs = np.log(a0) + np.log(a1) + eps * np.log(aS)
+    out = np.empty(np.broadcast_shapes(logs.shape, cc.shape))
+    np.subtract(logs, cc, out=out)
+    np.divide(out, q, out=out)
+    np.exp(out, out=out)
+    np.multiply(out, q, out=out)
+    np.subtract(a0 + a1 + eps * aS, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return float(out) if out.ndim == 0 else out

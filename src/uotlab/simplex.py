@@ -18,8 +18,11 @@ proves optimality.  The first pivot after a full pass is the Dantzig choice
 over every column (first index in C order on ties), and ``full_pricing``
 makes every pivot one.  The basis inverse is kept explicitly and updated by
 pivoting; only the entering column and, at each refactorisation, the m
-basic columns are formed.  A Bland fallback after a degenerate stall,
-pricing every column, guarantees termination.  A start basis (basic
+basic columns are formed, gathered from the families' broadcast views one
+family at a time.  A Bland fallback after a degenerate stall, pricing
+every column, guarantees termination.  Every result counts its work per
+run of the loop (``PhaseCounts``: pivots, full pricing passes, list
+refills, refactorisations, whether Bland's rule fired).  A start basis (basic
 columns and kept rows) replaces phase 1, and an optimal result carries
 its basis and row duals, so one solve can start another.  Two crash
 builders make starts: a matrix-minimum allocation for transport LPs and
@@ -54,14 +57,28 @@ _TOL = 1e-11  # pricing, ratio-test and stall tolerance
 _FEASIBLE = 1e-8  # infeasibility accepted, relative to 1 + sum |b|
 
 
+@dataclass(frozen=True)
+class PhaseCounts:
+    """The work of one run of the simplex loop, phase 1 or phase 2."""
+    phase: int
+    pivots: int  # iterations of the loop; an optimal run's last one proves it
+    full_passes: int  # pricing passes over every column
+    refills: int  # candidate lists made from a full pass
+    refactorisations: int  # basis inverses formed anew
+    bland: bool  # whether Bland's rule took over after a degenerate stall
+
+
 @dataclass
 class LpResult:
     status: str  # optimal | infeasible | unbounded | iteration_limit
     x: np.ndarray | None
     value: float
-    iterations: int
+    iterations: int  # the pivots of every phase run
     basis: tuple[np.ndarray, np.ndarray] | None = None  # (basic columns, kept rows)
     duals: np.ndarray | None = None  # row duals, 0 on dropped rows
+    phases: tuple[PhaseCounts, ...] = ()  # in the order they ran; no phase 1 from a start
+    rows_dropped: int = 0  # rows found redundant after phase 1 or in the start
+    started: bool = False  # whether a start basis replaced phase 1
 
     @property
     def optimal(self) -> bool:
@@ -95,6 +112,18 @@ class AtomMatrix:
         return tuple((np.broadcast_to(rows, self.atoms), np.broadcast_to(coeff, self.atoms))
                      for rows, coeff in self.families)
 
+    @cached_property
+    def _spans(self) -> tuple:
+        """Per family, whether ``_price``'s running sum of the family terms
+        up to it spans the whole tensor, and so is summed in place."""
+        spans, shape = [], ()
+        for rows, coeff in self.families:
+            shape = np.broadcast_shapes(np.shape(rows), np.shape(coeff), shape)
+            spans.append(math.prod(shape) >= self._n_atoms)
+            if spans[-1]:
+                shape = self.atoms
+        return tuple(spans)
+
     @property
     def shape(self) -> tuple[int, int]:
         rows = self.m if self.kept is None else self.kept.size
@@ -113,10 +142,8 @@ class AtomMatrix:
             # while it is smaller than the tensor, then in ``acc``: the same
             # additions, so the same bits, in fewer full-size passes.
             total = None
-            for rows, coeff in self.families:
-                shape = np.broadcast_shapes(np.shape(rows), np.shape(coeff),
-                                            () if total is None else total.shape)
-                into = acc if math.prod(shape) >= n_atoms else None
+            for (rows, coeff), spans in zip(self.families, self._spans):
+                into = acc if spans else None
                 if total is None:
                     total = np.multiply(y[rows], coeff, out=into)
                 else:
@@ -149,13 +176,32 @@ class AtomMatrix:
         return AtomMatrix((cols.size,), tuple(families), self.m, kept=self.kept)
 
     def _columns(self, cols) -> np.ndarray:
-        """The dense m x len(cols) submatrix A[:, cols]."""
-        select = self._select(cols)
-        out = np.zeros((self.m, select._n_atoms))
-        pos = np.arange(select._n_atoms)
+        """The dense m x len(cols) submatrix A[:, cols], gathered from the
+        family views one family at a time, in family order, then the
+        artificial columns' unit entries."""
+        cols = np.asarray(cols, dtype=np.intp)
+        n_atoms = self._n_atoms
+        out = np.zeros((self.m, cols.size))
+        pos = np.flatnonzero(cols < n_atoms)
+        at = np.unravel_index(cols[pos], self.atoms)
         # one column lands in one row per family, so no (row, pos) pair repeats
-        for rows, coeff in select.families:
-            out[rows, pos] += coeff
+        for rows, coeff in self._broadcast:
+            out[rows[at], pos] += coeff[at]
+        if self.artificial:
+            pos = np.flatnonzero(cols >= n_atoms)
+            out[cols[pos] - n_atoms, pos] = 1.0
+        return out if self.kept is None else out[self.kept]
+
+    def _column(self, col: int) -> np.ndarray:
+        """Column ``col`` of A, as ``_columns([col])[:, 0]`` gathers it, with
+        scalar reads of the family views: the entering column of a pivot."""
+        out = np.zeros(self.m)
+        if col < self._n_atoms:
+            at = np.unravel_index(col, self.atoms)
+            for rows, coeff in self._broadcast:
+                out[rows[at]] += coeff[at]
+        else:
+            out[col - self._n_atoms] = 1.0
         return out if self.kept is None else out[self.kept]
 
     def _flipped(self, flip: np.ndarray) -> AtomMatrix:
@@ -166,11 +212,12 @@ class AtomMatrix:
 
 
 def _pivot_update(binv: np.ndarray, d: np.ndarray, row: int) -> None:
-    """In-place product-form update of the basis inverse after a pivot."""
-    piv = d[row]
-    binv[row, :] /= piv
-    others = np.arange(binv.shape[0]) != row
-    binv[others, :] -= np.outer(d[others], binv[row, :])
+    """In-place product-form update of the basis inverse after a pivot:
+    each other row takes off d[i] times the scaled pivot row."""
+    binv[row, :] /= d[row]
+    pivot_row = binv[row, :].copy()
+    binv -= np.outer(d, pivot_row)  # the pivot row too, restored below
+    binv[row, :] = pivot_row
 
 
 def _candidates(reduced: np.ndarray, k: int) -> np.ndarray:
@@ -195,21 +242,22 @@ def _candidates(reduced: np.ndarray, k: int) -> np.ndarray:
     return best
 
 
-def _simplex_phase(c, A, b, basis, binv, max_iters, list_size):
+def _simplex_phase(c, A, b, basis, binv, max_iters, list_size, phase):
     """Run primal simplex from a feasible basis; mutates basis/binv.
 
     Prices a list of ``list_size`` candidates at each pivot and every
     column only to refill the list, to prove optimality or under Bland's
     rule; a list size of 0 prices every column at every pivot.
-    Returns (status, xB, iterations).
+    Returns (status, xB, the run's PhaseCounts).
     """
     m, n = A.shape
     xb = binv @ b
     if n == 0:
-        return "optimal", xb, 0
+        return "optimal", xb, PhaseCounts(phase, 0, 0, 0, 0, False)
+    status = "iteration_limit"
     reduced = np.empty(n)
     cand = np.empty(0, dtype=np.intp)
-    stall = 0
+    stall = passes = refills = refactors = 0
     bland = False
     iters = 0
     last_value = math.inf
@@ -217,6 +265,7 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, list_size):
         if iters % _REFACTOR_EVERY == 0:
             binv[:] = np.linalg.inv(A._columns(basis))
             xb = binv @ b
+            refactors += 1
         y = binv.T @ c[basis]
         enter = None
         if not bland and cand.size:
@@ -228,24 +277,28 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, list_size):
                 enter = int(cand[i])
         if enter is None:
             A._price(c, y, reduced)
+            passes += 1
             reduced[basis] = 0.0
             if bland:
                 negative = np.flatnonzero(reduced < -_TOL)
                 if negative.size == 0:
-                    return "optimal", xb, iters
+                    status = "optimal"
+                    break
                 enter = int(negative[0])
             else:
                 enter = int(np.argmin(reduced))
                 if reduced[enter] >= -_TOL:
-                    return "optimal", xb, iters
+                    status = "optimal"
+                    break
                 if list_size:
                     cand = _candidates(reduced, list_size)
+                    refills += 1
                     listed, c_listed, priced = A._select(cand), c[cand], np.empty(cand.size)
-        col = A._columns([enter])[:, 0]
-        d = binv @ col
+        d = binv @ A._column(enter)
         pos = d > _TOL
         if not np.any(pos):
-            return "unbounded", xb, iters
+            status = "unbounded"
+            break
         ratios = np.full(m, math.inf)
         ratios[pos] = xb[pos] / d[pos]
         leave = int(np.argmin(ratios))
@@ -268,7 +321,7 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, list_size):
         xb = xb - step * d
         xb[leave] = step
         xb = np.maximum(xb, 0.0)
-    return "iteration_limit", xb, iters
+    return status, xb, PhaseCounts(phase, iters, passes, refills, refactors, bland)
 
 
 def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
@@ -316,7 +369,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
     tol = _feasibility_tol(b)
     A1 = AtomMatrix(A.atoms, A.families, m, artificial=True)
 
-    it1 = 0
+    phases = []
     if start is None:
         # Phase 1: implicit artificial identity basis.
         c1 = np.zeros(n + m)
@@ -324,11 +377,12 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
         c1[n:] = 1.0
         basis = list(range(n, n + m))
         binv = np.eye(m)
-        status, xb, it1 = _simplex_phase(c1, A1, b, basis, binv, max_iters, list_size)
+        status, xb, counts = _simplex_phase(c1, A1, b, basis, binv, max_iters, list_size, 1)
+        phases.append(counts)
         if status == "iteration_limit":
-            return LpResult("iteration_limit", None, math.nan, it1)
+            return LpResult("iteration_limit", None, math.nan, counts.pivots, phases=(counts,))
         if float(c1[basis] @ xb) > tol:
-            return LpResult("infeasible", None, math.inf, it1)
+            return LpResult("infeasible", None, math.inf, counts.pivots, phases=(counts,))
         del c1
     else:
         basis, binv = _start_basis(c, A1, b, start, tol)
@@ -343,7 +397,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
             row = A._price(np.where(c < math.inf, 0.0, math.inf), binv[r, :], np.empty(n))
             pivots = np.flatnonzero(np.isfinite(row) & (np.abs(row) > 1e-9))
             if pivots.size:
-                d = binv @ A._columns(pivots[:1])[:, 0]
+                d = binv @ A._column(int(pivots[0]))
                 _pivot_update(binv, d, r)
                 basis[r] = int(pivots[0])
             else:
@@ -355,9 +409,12 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
         basis = [basis[r] for r in kept]
         binv = np.linalg.inv(A._columns(basis))
 
-    status, xb, it2 = _simplex_phase(c, A, b, basis, binv, max_iters, list_size)
+    status, xb, counts = _simplex_phase(c, A, b, basis, binv, max_iters, list_size, 2)
+    phases.append(counts)
+    work = dict(iterations=sum(ph.pivots for ph in phases), phases=tuple(phases),
+                rows_dropped=m - kept.size, started=start is not None)
     if status != "optimal":
-        return LpResult(status, None, math.nan if status != "unbounded" else -math.inf, it1 + it2)
+        return LpResult(status, None, math.nan if status != "unbounded" else -math.inf, **work)
     xb = np.maximum(xb, 0.0)
     x = np.zeros(n)
     x[basis] = xb
@@ -365,8 +422,8 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
     duals[kept] = binv.T @ c[basis]
     duals[flip] *= -1.0
     # c.x over the basic entries alone: a nonbasic atom is 0 and may cost +inf
-    return LpResult("optimal", x, float(c[basis] @ xb), it1 + it2,
-                    basis=(np.array(basis, dtype=np.intp), kept), duals=duals)
+    return LpResult("optimal", x, float(c[basis] @ xb),
+                    basis=(np.array(basis, dtype=np.intp), kept), duals=duals, **work)
 
 
 def _feasibility_tol(b) -> float:

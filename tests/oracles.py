@@ -8,7 +8,10 @@ exercises two genuinely different computational routes.  The imports from
 the package are the exception type the tilt loop raises, and the closed
 form H plus the simplex behind the full-density second-order LP, which
 assembles its own constraint matrix.  The relaxed atom LPs are solved
-densely by scipy's HiGHS.
+densely by scipy's HiGHS.  The two broadcast perspective costs are a
+reference of another kind: the package's closed forms evaluated on the full
+broadcast mesh, against which its open-mesh evaluation is checked bit for
+bit.
 """
 
 import math
@@ -89,6 +92,43 @@ def h_eps_by_dual_ascent(s0: float, s1: float, S: float, c: float, eps: float,
         phi0, _ = golden_section(lambda t: -objective(t, phi1), -span, span, iters=120)
         phi1, _ = golden_section(lambda t: -objective(phi0, t), -span, span, iters=120)
     return objective(phi0, phi1)
+
+
+def perspective_H_broadcast(s0, s1, c):
+    """The closed form H(s0, s1, c) with every operation on the full
+    broadcast mesh: the package's order of operations, without its
+    open-mesh evaluation, so the two agree bit for bit."""
+    a0, a1, cc = np.broadcast_arrays(
+        np.asarray(s0, dtype=float), np.asarray(s1, dtype=float), np.asarray(c, dtype=float)
+    )
+    scalar = a0.ndim == 0
+    if np.any(a0 < 0) or np.any(a1 < 0):
+        raise ValueError("radial arguments must be nonnegative")
+    infc = np.isinf(cc)
+    expf = np.where(infc, 0.0, np.exp(-np.where(infc, 0.0, cc) / 2.0))
+    out = np.maximum(a0 + a1 - 2.0 * np.sqrt(a0 * a1) * expf, 0.0)
+    return float(out) if scalar else out
+
+
+def perspective_H_eps_broadcast(s0, s1, S, c, eps: float):
+    """The closed form H_eps(s0, s1, S, c) on the full broadcast mesh, as
+    ``perspective_H_broadcast``."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    a0, a1, aS, cc = np.broadcast_arrays(
+        np.asarray(s0, dtype=float),
+        np.asarray(s1, dtype=float),
+        np.asarray(S, dtype=float),
+        np.asarray(c, dtype=float),
+    )
+    scalar = a0.ndim == 0
+    if np.any(a0 < 0) or np.any(a1 < 0) or np.any(aS < 0):
+        raise ValueError("radial arguments must be nonnegative")
+    q = 2.0 + eps
+    with np.errstate(divide="ignore"):
+        term = q * np.exp((np.log(a0) + np.log(a1) + eps * np.log(aS) - cc) / q)
+    out = np.maximum(a0 + a1 + eps * aS - term, 0.0)
+    return float(out) if scalar else out
 
 
 def projected_gradient(value, grad, x0: np.ndarray, iters: int = 50_000,

@@ -194,6 +194,46 @@ def test_determinism_modulo_wall_clock(fixtures):
     assert outs[0] == outs[1]
 
 
+def _without_clocks(value):
+    if isinstance(value, dict):
+        return {k: _without_clocks(v) for k, v in value.items()
+                if k not in ("wallClockSeconds", "seconds", "out")}
+    if isinstance(value, list):
+        return [_without_clocks(v) for v in value]
+    return value
+
+
+def test_one_parser_serves_every_run(fixtures, capsys):
+    tmp, mu0, mu1, dirac = fixtures
+    jobs = [["solve-x", "--mu0", dirac, "--mu1", dirac, "--cost", "sqeuclidean",
+             "--eps", "0.5", "--emit-plan"],
+            ["solve-y", "--mu0", mu0, "--mu1", mu1, "--cost", "hk", "--eps", "0.4",
+             "--radial-nodes", "12", "--smin-frac", "0.02", "--tol", "1e-8"],
+            ["solve-x", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean", "--eps", "0.3",
+             "--no-such-flag"],
+            ["solve-x", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean", "--eps", "0.3"]]
+
+    def run_all(fresh):
+        seen = []
+        for k, argv in enumerate(jobs):
+            if fresh:
+                cli._build_parser.cache_clear()
+            out = tmp / f"run-{fresh}-{k}.json"
+            code = run(argv + ["--out", str(out)])
+            seen.append((code, _without_clocks(json.loads(out.read_text()))
+                         if out.exists() else None))
+        return seen
+
+    cli._build_parser.cache_clear()
+    shared = run_all(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _ in shared] == [0, 0, 1, 0]
+    assert shared[0][1]["plan"]["rows"] == 1
+    assert shared[1][1]["report"]["converged"] is True
+    # each run with a parser of its own writes the same records
+    assert run_all(fresh=True) == shared
+
+
 def test_malformed_inputs_exit_one(fixtures, capsys):
     tmp, mu0, mu1, _ = fixtures
     bad = tmp / "bad.json"

@@ -13,7 +13,13 @@ from uotlab.costs import (
 )
 from uotlab.measures import GroundSet
 
-from oracles import h_by_minimization, h_eps_by_dual_ascent, h_eps_by_minimization
+from oracles import (
+    h_by_minimization,
+    h_eps_by_dual_ascent,
+    h_eps_by_minimization,
+    perspective_H_broadcast,
+    perspective_H_eps_broadcast,
+)
 
 
 def test_hk_cost_values():
@@ -149,3 +155,67 @@ def test_hk_dirac_formula():
         got = perspective_H(m0, m1, hk_cost(d))
         want = m0 + m1 - 2.0 * math.sqrt(m0 * m1) * math.cos(d)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def _radial_nodes(rng, k):
+    """k radial values, node 0 first, the rest spread over six decades."""
+    return np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(-3.0, 3.0, k - 1))])
+
+
+def _costs_with_inf(rng, n0, n1):
+    c = rng.uniform(0.0, 6.0, (n0, n1))
+    c[rng.uniform(size=c.shape) < 0.25] = math.inf
+    c[0, 0] = math.inf
+    return c
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_open_mesh_perspective_costs_equal_the_broadcast_oracles_bit_for_bit(seed):
+    rng = np.random.default_rng(70 + seed)
+    n0, n1 = rng.integers(1, 5, 2)
+    cost = _costs_with_inf(rng, n0, n1)
+    p = rng.choice([1.0, 2.0, rng.uniform(0.5, 3.0)])
+    # the extended lift's (x0, s0, x1, s1, S) mesh
+    i0, s0p, i1, s1p, ssp = np.ix_(np.arange(n0), _radial_nodes(rng, 9) ** p, np.arange(n1),
+                                   _radial_nodes(rng, 7) ** p, _radial_nodes(rng, 8) ** p)
+    c = cost[i0, i1]
+    for eps in 10.0 ** rng.uniform(-3.0, 1.0, 3):
+        assert _same_bits(perspective_H_eps(s0p, s1p, ssp, c, eps),
+                          perspective_H_eps_broadcast(s0p, s1p, ssp, c, eps))
+    assert _same_bits(perspective_H(s0p, s1p, c), perspective_H_broadcast(s0p, s1p, c))
+    # the second-order (x0, s0, x1, s1) mesh of hp_tensor
+    s0p, s1p = _radial_nodes(rng, 6) ** p, _radial_nodes(rng, 5) ** p
+    args = (s0p[None, :, None, None], s1p[None, None, None, :], cost[:, None, :, None])
+    assert _same_bits(perspective_H(*args), perspective_H_broadcast(*args))
+    # scalars stay floats, and atom lists keep their own shape
+    for _ in range(20):
+        s0, s1, S = rng.choice([0.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        c = rng.choice([math.inf, rng.uniform(0.0, 6.0)])
+        eps = 10.0 ** rng.uniform(-3.0, 1.0)
+        assert _same_bits(perspective_H(s0, s1, c), perspective_H_broadcast(s0, s1, c))
+        assert _same_bits(perspective_H_eps(s0, s1, S, c, eps),
+                          perspective_H_eps_broadcast(s0, s1, S, c, eps))
+    atoms = 10.0 ** rng.uniform(-3.0, 3.0, (3, 11))
+    c = cost.ravel()[rng.integers(0, cost.size, 11)]
+    assert _same_bits(perspective_H_eps(*atoms, c, 0.5),
+                      perspective_H_eps_broadcast(*atoms, c, 0.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: perspective_H(math.nan, 1.0, 0.0),
+    lambda: perspective_H(math.inf, 1.0, 0.0),
+    lambda: perspective_H(1.0, 1.0, math.nan),
+    lambda: perspective_H_eps(math.inf, 1.0, 1.0, 0.0, 0.5),
+    lambda: perspective_H_eps(1.0, 1.0, math.nan, 0.0, 0.5),
+    lambda: perspective_H_eps(1.0, 1.0, 1.0, math.nan, 0.5),
+    lambda: perspective_H_eps(np.array([1.0, math.inf]), 1.0, 1.0, 0.0, 0.5),
+], ids=["H-nan-s0", "H-inf-s0", "H-nan-cost", "H_eps-inf-s0", "H_eps-nan-S", "H_eps-nan-cost",
+        "H_eps-array-inf"])
+def test_perspective_costs_reject_non_finite_radial_values_and_nan_costs(call):
+    with pytest.raises(ValueError, match="finite|NaN"):
+        call()

@@ -454,12 +454,15 @@ def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind)
     assert lp_calls[:6] == [1, 2, 2, 1, 2, 2]
     # the full LP starts from the slice's optimal basis and only proves it
     assert second.iterations == 1
+    assert second.started
+    assert [(ph.phase, ph.pivots, ph.full_passes) for ph in second.phases] == [(2, 1, 1)]
     assert lifted.iterations == 1 or lifted.status == "infeasible"
     monkeypatch.setattr(lifting, "_restricted_first",
                         lambda cost, families, keep, crash: solve(cost, families))
     monkeypatch.setattr(solver_y, "_singleton_crash", lambda cost, families: None)
     cold_lifted, cold_second, cold_y, cold_ext = solve_all()
     assert cold_lifted.status == lifted.status and cold_second.iterations > 1
+    assert not cold_second.started and [ph.phase for ph in cold_second.phases] == [1, 2]
     for warm, cold in ((lifted.value, cold_lifted.value), (second.value, cold_second.value),
                        (y_value, cold_y), *zip(ext_values, cold_ext)):
         assert warm == cold or abs(warm - cold) <= 1e-12 * (1.0 + abs(cold))

@@ -64,12 +64,38 @@ def test_start_from_a_feasible_basis_matches_the_cold_solve():
     assert warm_pivots < cold_pivots
 
 
+def test_phase_counts_add_up_to_the_iterations():
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(m + 2, 16))
+        c, a, b = random_feasible_lp(rng, m, n)
+        for full_pricing in (False, True):
+            cold = solve_lp(c, a, b, full_pricing=full_pricing)
+            assert not cold.started and [ph.phase for ph in cold.phases] == [1, 2]
+            assert sum(ph.pivots for ph in cold.phases) == cold.iterations
+            for ph in cold.phases:
+                assert 1 <= ph.full_passes <= ph.pivots and not ph.bland
+                if full_pricing:  # a full pass at every pivot, and no list
+                    assert ph.full_passes == ph.pivots and ph.refills == 0
+                else:
+                    assert ph.refills <= ph.full_passes
+            if not cold.optimal:
+                continue
+            # a started LP runs no phase 1
+            warm = solve_lp(c, a, b, start=cold.basis, full_pricing=full_pricing)
+            assert warm.started and warm.rows_dropped == 0
+            assert [(ph.phase, ph.pivots, ph.full_passes) for ph in warm.phases] == [(2, 1, 1)]
+            assert warm.iterations == 1
+
+
 def test_start_with_a_dropped_row():
     # row 1 repeats row 0: a start may keep either one
     a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     b = np.array([2.0, 2.0, 3.0])
     c = np.array([1.0, 2.0, 0.5])
     res = solve_lp(c, a, b, start=([0, 2], [1, 2]))
+    assert res.started and res.rows_dropped == 1
     assert res.optimal and res.value == pytest.approx(solve_lp(c, a, b).value, abs=1e-12)
     cols, kept = res.basis
     assert kept.size == 2 and res.duals[np.setdiff1d(np.arange(3), kept)] == 0.0
@@ -108,7 +134,7 @@ def test_redundant_rows():
     c = np.array([1.0, 2.0, 0.5])
     res = solve_lp(c, a, b)
     ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-    assert res.optimal
+    assert res.optimal and res.rows_dropped == 1
     assert res.value == pytest.approx(ref.fun, abs=1e-9)
 
 
@@ -367,7 +393,9 @@ def test_wide_lps_refill_the_candidate_list(monkeypatch, build, stall_limit):
     monkeypatch.setattr(simplex.AtomMatrix, "_price", priced)
     res = atom_lp(cost, families)
     assert max(negatives) > simplex._CANDIDATES
+    assert sum(ph.refills for ph in res.phases) == len(negatives)
     if stall_limit == 0:
+        assert any(ph.bland for ph in res.phases)
         # under Bland's rule each pivot prices every column
         assert len(full_passes) > res.iterations // 2
     else:
@@ -396,6 +424,18 @@ def test_columns_match_a_column_by_column_build():
         dense[r, n_atoms + r] = 1.0
     cols = rng.permutation(dense.shape[1])
     assert np.array_equal(A._columns(cols), dense[kept][:, cols])
+
+
+def test_one_column_equals_its_slice_of_the_columns():
+    # shared rows, the artificial block and a dropped row, as above
+    rng = np.random.default_rng(35)
+    atoms, m = (3, 4, 2), 5
+    families = ((rng.integers(0, m, size=(3, 1, 1)), rng.uniform(size=(1, 4, 2))),
+                (rng.integers(0, m, size=(1, 4, 2)), 1.5))
+    for kept in (None, np.array([0, 1, 3, 4])):
+        A = simplex.AtomMatrix(atoms, families, m, artificial=True, kept=kept)
+        for col in range(A.shape[1]):
+            assert A._column(col).tobytes() == A._columns([col])[:, 0].tobytes()
 
 
 def test_candidates_keep_the_lowest_indices_on_ties(monkeypatch):
