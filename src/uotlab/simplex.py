@@ -306,7 +306,7 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, list_size, phase):
             # smallest basic-variable index among the minimal ratios
             best = ratios[leave]
             ties = np.flatnonzero(ratios <= best + _TOL)
-            leave = int(ties[np.argmin(np.asarray(basis)[ties])])
+            leave = int(ties[np.argmin(basis[ties])])
         step = ratios[leave]
         value = float(c[basis] @ xb)
         if step <= _TOL and value >= last_value - _TOL * (1.0 + abs(value)):
@@ -375,7 +375,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
         c1 = np.zeros(n + m)
         c1[:n][c == math.inf] = math.inf
         c1[n:] = 1.0
-        basis = list(range(n, n + m))
+        basis = np.arange(n, n + m, dtype=np.intp)
         binv = np.eye(m)
         status, xb, counts = _simplex_phase(c1, A1, b, basis, binv, max_iters, list_size, 1)
         phases.append(counts)
@@ -406,7 +406,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
     if kept.size < m:
         A = AtomMatrix(A.atoms, A.families, A.m, kept=kept)
         b = b[kept]
-        basis = [basis[r] for r in kept]
+        basis = basis[kept]
         binv = np.linalg.inv(A._columns(basis))
 
     status, xb, counts = _simplex_phase(c, A, b, basis, binv, max_iters, list_size, 2)
@@ -423,7 +423,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
     duals[flip] *= -1.0
     # c.x over the basic entries alone: a nonbasic atom is 0 and may cost +inf
     return LpResult("optimal", x, float(c[basis] @ xb),
-                    basis=(np.array(basis, dtype=np.intp), kept), duals=duals, **work)
+                    basis=(basis, kept), duals=duals, **work)
 
 
 def _feasibility_tol(b) -> float:
@@ -431,7 +431,7 @@ def _feasibility_tol(b) -> float:
     return _FEASIBLE * (1.0 + float(np.sum(np.abs(b))))
 
 
-def _start_basis(c, A1, b, start, tol) -> tuple[list, np.ndarray]:
+def _start_basis(c, A1, b, start, tol) -> tuple[np.ndarray, np.ndarray]:
     """The basis and basis inverse of a start, checked, over the matrix
     ``A1`` with its artificial block: each row that is not kept holds its
     artificial, which carries that row's residual."""
@@ -445,9 +445,8 @@ def _start_basis(c, A1, b, start, tol) -> tuple[list, np.ndarray]:
         raise ValueError("a start pairs each basic column with a kept row of its own")
     if not np.all(np.isfinite(c[cols])):
         raise ValueError("start basis holds a column of infinite cost")
-    basis = list(range(n, n + m))
-    for col, r in zip(cols, kept):
-        basis[r] = int(col)
+    basis = np.arange(n, n + m, dtype=np.intp)
+    basis[kept] = cols
     columns = A1._columns(basis)
     try:
         binv = np.linalg.inv(columns)
@@ -458,7 +457,7 @@ def _start_basis(c, A1, b, start, tol) -> tuple[list, np.ndarray]:
     if binv is None or np.max(np.abs(binv @ columns - np.eye(m)), initial=0.0) > 1e-6:
         raise ValueError("start basis is singular")
     xb = binv @ b
-    artificial = np.asarray(basis) >= n
+    artificial = basis >= n
     if np.any(xb[~artificial] < -tol) or float(np.sum(np.abs(xb[artificial]))) > tol:
         raise ValueError("start basis is infeasible")
     return basis, binv

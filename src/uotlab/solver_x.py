@@ -43,6 +43,7 @@ import numpy as np
 from .costs import CostMatrix, perspective_H_eps
 from .entropy import F_ZERO, R, F_star, divergence_arrays
 from .measures import DiscreteMeasure, GroundMismatchError, Plan, _frozen_array, split_arrays
+from .simplex import atom_lp
 
 _EXP_CLIP = 700.0  # exp overflow guard
 _LOG_TINY = -745.0  # log of the smallest positive double, used to clamp potentials
@@ -512,102 +513,100 @@ def eval_primal_unreg(plan: Plan, mu0: DiscreteMeasure, mu1: DiscreteMeasure,
 def _c_transform_dual(sigma0, mu0_w, mu1_w, cost) -> float:
     """Lower bound from the double c-transform of phi0 = -log sigma0.
 
-    phi0 is -inf (no constraint) where sigma0 vanishes; then phi1 = min_i
-    (c_ij - phi0_i) and phi0 = min_j (c_ij - phi1_j) over finite costs, +inf
-    for a potential with no finite constraint, so phi0 + phi1 <= c and each
-    transform only raises the dual sum mu_i (1 - exp(-phi_i)) over the points
-    with mass.
+    Potentials are -inf (no constraint) where sigma0 vanishes and at
+    zero-mass points, which the dual does not weigh; phi1 = min_i (c_ij -
+    phi0_i) and phi0 = min_j (c_ij - phi1_j) run over finite costs, +inf for
+    a potential with no finite constraint, so phi0 + phi1 <= c and each
+    transform only raises the dual sum mu_i (1 - exp(-phi_i)).
     """
     finite = np.isfinite(cost)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi0 = np.where(sigma0 > 0, -np.log(sigma0), -math.inf)
+        phi0 = np.where((sigma0 > 0) & (mu0_w > 0), -np.log(sigma0), -math.inf)
         phi1 = np.min(np.where(finite, cost - phi0[:, None], math.inf), axis=0)
+        phi1[mu1_w <= 0] = -math.inf
         phi0 = np.min(np.where(finite, cost - phi1, math.inf), axis=1)
         return sum(float(np.sum(m[m > 0] * -np.expm1(-p[m > 0])))
                    for m, p in ((mu0_w, phi0), (mu1_w, phi1)))
 
 
-def _pgd_direct(mu0_w, mu1_w, cost, max_iters=60_000, grad_tol=1e-12):
-    """Projected gradient with Armijo backtracking on the plan entries."""
-    support = np.isfinite(cost) & (mu0_w[:, None] > 0) & (mu1_w[None, :] > 0)
-    gamma = np.where(support, np.outer(mu0_w, mu1_w), 0.0)
-    tot = max(mu0_w.sum(), mu1_w.sum(), 1e-12)
-    gamma = gamma / tot
-    c_safe = np.where(support, cost, 0.0)
-    floor = -200.0  # surrogate slope for log at zero marginals
+_RAY_ROUNDS = 200  # round cap of solve_x_unreg's column generation
+_RAY_ENTER = -2e-12  # reduced cost below which a pair's best ray enters
 
-    def value(gm):
-        v = divergence_arrays(gm.sum(axis=1), mu0_w)
-        v += divergence_arrays(gm.sum(axis=0), mu1_w)
-        return v + float(np.sum(c_safe * gm))
 
-    def gradient(gm):
-        g0, g1 = gm.sum(axis=1), gm.sum(axis=0)
-        with np.errstate(divide="ignore"):
-            l0 = np.where((g0 > 0) & (mu0_w > 0), np.log(np.maximum(g0, 1e-300) / np.maximum(mu0_w, 1e-300)), floor)
-            l1 = np.where((g1 > 0) & (mu1_w > 0), np.log(np.maximum(g1, 1e-300) / np.maximum(mu1_w, 1e-300)), floor)
-        return l0[:, None] + l1[None, :] + c_safe
-
-    val = value(gamma)
-    step = 1.0
-    iters = 0
-    stalled = 0
-    for iters in range(1, max_iters + 1):
-        grad = gradient(gamma)
-        trial_full = np.where(support, np.maximum(gamma - step * grad, 0.0), 0.0)
-        gm_norm = float(np.max(np.abs(trial_full - gamma))) / max(step, 1e-12)
-        if gm_norm <= grad_tol * (1.0 + tot):
-            break
-        accepted = False
-        prev_val = val
-        for _ in range(60):
-            trial = np.where(support, np.maximum(gamma - step * grad, 0.0), 0.0)
-            if not np.any(trial != gamma):
-                break  # below float resolution; no further progress possible
-            tval = value(trial)
-            if tval <= val + 1e-4 * float(np.sum(grad * (trial - gamma))):
-                gamma, val = trial, tval
-                accepted = True
-                step = min(step * 2.0, 1e6)
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        # Armijo certifies sub-ulp decreases near the optimum; bail out once
-        # the value stops moving in floats
-        stalled = stalled + 1 if val >= prev_val - 1e-14 * (1.0 + abs(prev_val)) else 0
-        if stalled >= 25:
-            break
-    return gamma, val, iters
+def _best_ray(alpha, beta, k_half):
+    """(a, cost) of the ray (a, 1 - a) of least a alpha + b beta - 2 sqrt(ab)
+    k_half: the least eigenvalue (alpha + beta - r)/2, r = hypot(alpha - beta,
+    2 k_half), of [[alpha, -k_half], [-k_half, beta]] at its unit eigenvector
+    (sqrt a, sqrt b), negative iff alpha beta < k_half^2; a is nan at r = 0."""
+    diff = alpha - beta
+    r = np.hypot(diff, 2.0 * k_half)
+    with np.errstate(invalid="ignore"):
+        a = 0.5 * (1.0 - diff / r)
+    return a, 0.5 * (alpha + beta - r)
 
 
 def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix
                   ) -> tuple[Plan, SolveReport]:
     """Minimise the unregularised functional Div+Div+(c, .).
 
-    Balanced transport is ``simplex.transport_lp``.  Runs projected gradient
-    on the plan entries, so it is limited to at most 12 support points per
-    side.  ``dual`` is the objective of the dual problem
-    sup {sum_i mu_i(1 - exp(-phi_i)) : phi0 + phi1 <= c} at the double
-    c-transform of -log of the plan's first marginal density; the gap
-    primal - dual certifies the plan, and ``converged`` holds when it is at
-    most 1e-6 (1 + |primal|).
+    Balanced transport is ``simplex.transport_lp``.  Solves the cone
+    formulation's LP over rays (a, 1 - a) per pair at cost
+    H(a, b, c) = a + b - 2 sqrt(ab) exp(-c/2), a in row i (target mu0_i) and
+    b in row j (target mu1_j), by column generation on ``simplex.atom_lp``:
+    round 1 holds the unit a and b columns at cost F(0) = 1, and each round
+    starts from the last one's basis and adds, for every pair of two points
+    with mass pricing below -2e-12, its ``_best_ray`` under alpha = 1 - u_i,
+    beta = 1 - v_j from the row duals.  ``dual`` is the best double
+    c-transform bound of max(alpha, 0); the loop stops once the LP value is
+    within 1e-9 (1 + |value|) of it, when no pair prices negative, or after
+    ``_RAY_ROUNDS`` rounds (``iterations``).  The plan is
+    gamma_ij = sum_k x_k sqrt(a_k b_k) exp(-c_ij/2) over the pair's rays,
+    ``primal`` its value, gap = primal - dual, and ``converged`` holds at a
+    finite primal and a gap of at most 1e-9 (1 + |primal|).
     """
     _check_instance(mu0, mu1, cost, None)
     if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:
         plan = Plan(mu0.ground, mu1.ground, np.zeros(cost.shape))
         value = mu0.total_mass + mu1.total_mass
         return plan, SolveReport(value, value, 0.0, 0, (0.0, 0.0), True)
-    if max(mu0.ground.size, mu1.ground.size) > 12:
-        raise ValueError("solve_x_unreg is limited to at most 12 support points per side")
 
-    gamma, primal, iters = _pgd_direct(mu0.weights, mu1.weights, cost.values)
-    sigma0, _ = split_arrays(gamma.sum(axis=1), mu0.weights)
-    dual = _c_transform_dual(sigma0, mu0.weights, mu1.weights, cost.values)
+    mu0_w, mu1_w, c = mu0.weights, mu1.weights, cost.values
+    n0, n1 = c.shape
+    k_half = np.exp(-0.5 * c)  # 0 on infinite costs, which never price negative
+    massive = (mu0_w[:, None] > 0) & (mu1_w[None, :] > 0)
+    # the unit a columns of rows i, then the unit b columns of rows j
+    i_col = np.r_[np.arange(n0), np.zeros(n1, dtype=int)]
+    j_col = np.r_[np.zeros(n0, dtype=int), np.arange(n1)]
+    a_col = np.r_[np.ones(n0), np.zeros(n1)]
+    price = np.ones(n0 + n1)
+    start = (np.arange(n0 + n1), np.arange(n0 + n1))
+    dual = -math.inf
+    for rounds in range(1, _RAY_ROUNDS + 1):
+        res = atom_lp(price, [(i_col, a_col, mu0_w), (j_col, 1.0 - a_col, mu1_w)], start=start)
+        if not res.optimal:  # a pivot cap: the last optimal round stands
+            break
+        lp, start = res, res.basis
+        alpha = np.maximum(1.0 - res.duals[:n0], 0.0)
+        beta = np.maximum(1.0 - res.duals[n0:], 0.0)
+        dual = max(dual, _c_transform_dual(alpha, mu0_w, mu1_w, c))
+        if res.value - dual <= 1e-9 * (1.0 + abs(res.value)):
+            break
+        a, reduced = _best_ray(alpha[:, None], beta[None, :], k_half)
+        i, j = np.nonzero(massive & (reduced < _RAY_ENTER))
+        if i.size == 0:
+            break
+        a = a[i, j]
+        i_col, j_col, a_col = np.r_[i_col, i], np.r_[j_col, j], np.r_[a_col, a]
+        price = np.r_[price, 1.0 - 2.0 * np.sqrt(a * (1.0 - a)) * k_half[i, j]]
+
+    k = lp.x.size  # the columns of the last optimal round
+    weight = lp.x * np.sqrt(a_col[:k] * (1.0 - a_col[:k]))
+    gamma = np.bincount(i_col[:k] * n1 + j_col[:k], weight, n0 * n1).reshape(n0, n1) * k_half
+    plan = Plan(mu0.ground, mu1.ground, gamma)
+    primal = eval_primal_unreg(plan, mu0, mu1, cost)
     gap = primal - dual
-    report = SolveReport(primal, dual, gap, iters, (0.0, 0.0),
-                         gap <= 1e-6 * (1.0 + abs(primal)))
-    return Plan(mu0.ground, mu1.ground, gamma), report
+    converged = math.isfinite(primal) and gap <= 1e-9 * (1.0 + abs(primal))
+    return plan, SolveReport(primal, dual, gap, rounds, (0.0, 0.0), converged)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uotlab import solver_x
+from uotlab import simplex, solver_x
 from uotlab.costs import CostMatrix, hk_cost, hk_matrix, sqeuclidean_matrix
 from uotlab.entropy import divergence_arrays
 from uotlab.identities import balanced_sinkhorn
@@ -654,16 +654,121 @@ def test_unreg_hk_diracs():
 
 
 def test_unreg_certificate():
-    # the c-transform dual certifies the projected-gradient plan
+    # the c-transform dual certifies the ray LP's plan
     for seed in range(52, 60):
         rng = np.random.default_rng(seed)
         for _ in range(2):
             mu0, mu1, cost = random_instance(rng, 3, 3)
             plan, rep = solve_x_unreg(mu0, mu1, cost)
             assert rep.converged
-            assert -1e-12 <= rep.gap <= 1e-8 * (1.0 + abs(rep.primal))
+            assert -1e-12 <= rep.gap <= 1e-9 * (1.0 + abs(rep.primal))
             assert rep.primal == pytest.approx(eval_primal_unreg(plan, mu0, mu1, cost),
                                                abs=1e-12)
+
+
+def test_unreg_against_projected_gradient_oracle():
+    # first instances of test_unreg_certificate's seeds 52 to 55
+    for seed in range(52, 56):
+        mu0, mu1, cost = random_instance(np.random.default_rng(seed), 3, 3)
+        _, rep = solve_x_unreg(mu0, mu1, cost)
+        c = cost.values
+
+        def value(x):
+            g = x.reshape(3, 3)
+            return (divergence_arrays(g.sum(1), mu0.weights)
+                    + divergence_arrays(g.sum(0), mu1.weights) + float(np.sum(c * g)))
+
+        def grad(x):
+            g = x.reshape(3, 3)
+            return (np.log(np.maximum(g.sum(1), 1e-300) / mu0.weights)[:, None]
+                    + np.log(np.maximum(g.sum(0), 1e-300) / mu1.weights)[None, :] + c).ravel()
+
+        _, oracle = projected_gradient(value, grad, np.outer(mu0.weights, mu1.weights).ravel())
+        assert rep.dual <= oracle + 1e-12
+        assert abs(oracle - rep.primal) <= 1e-8 * (1.0 + abs(rep.primal))
+
+
+def test_unreg_certified_beyond_twelve_points(monkeypatch):
+    # dual <= plan value <= the last LP's value: the plan's radial scales
+    # do at least as well as the LP's rays
+    values = []
+
+    def spy(*args, **kwargs):
+        res = simplex.atom_lp(*args, **kwargs)
+        values.append(res.value)
+        return res
+
+    monkeypatch.setattr(solver_x, "atom_lp", spy)
+    rng = np.random.default_rng(7)
+    mu0, mu1, cost = random_instance(rng, 40, 40, box=2.0)
+    plan, rep = solve_x_unreg(mu0, mu1, cost)
+    assert rep.converged
+    assert -1e-12 <= rep.gap <= 1e-9 * (1.0 + abs(rep.primal))
+    assert rep.primal == eval_primal_unreg(plan, mu0, mu1, cost)
+    assert rep.primal <= values[-1] + 1e-12
+
+
+def test_unreg_zero_mass_points_and_infinite_costs():
+    # pricing a pair with a zero-mass end can put plan mass on that point,
+    # which costs +inf
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        g0, g1 = GroundSet(rng.uniform(0, 3, (5, 1))), GroundSet(rng.uniform(0, 3, (4, 1)))
+        w0, w1 = rng.uniform(0.3, 1.5, 5), rng.uniform(0.3, 1.5, 4)
+        w0[1] = w1[2] = 0.0
+        mu0, mu1, cost = DiscreteMeasure(g0, w0), DiscreteMeasure(g1, w1), hk_matrix(g0, g1)
+        assert np.isinf(cost.values).sum() >= 3
+        plan, rep = solve_x_unreg(mu0, mu1, cost)
+        assert math.isfinite(rep.primal)
+        assert rep.converged
+        assert not plan.weights[1].any() and not plan.weights[:, 2].any()
+
+
+def test_unreg_point_whose_only_partner_in_reach_has_no_mass():
+    # the point at 5 reaches only the zero-mass point at 5.3, so it stays
+    # untransported at cost F(0) per unit; its potential must not constrain
+    # the dual through that partner
+    g0, g1 = GroundSet([[0.0], [5.0]]), GroundSet([[0.2], [5.3]])
+    mu0 = DiscreteMeasure(g0, [0.8, 0.6])
+    mu1 = DiscreteMeasure(g1, [1.1, 0.0])
+    plan, rep = solve_x_unreg(mu0, mu1, hk_matrix(g0, g1))
+    want = 0.8 + 1.1 - 2.0 * math.sqrt(0.8 * 1.1) * math.cos(0.2) + 0.6
+    assert rep.converged
+    assert rep.primal == pytest.approx(want, abs=1e-9)
+    assert rep.dual == pytest.approx(want, abs=1e-9)
+
+
+def test_c_transform_dual_ignores_zero_mass_points():
+    # a zero-mass point's potential is free: sigma0 there, and the transform
+    # of a zero-mass column, must not lower the bound
+    cost = np.array([[0.5, 1.0], [0.2, 0.3]])
+    mu0_w, mu1_w = np.array([1.0, 0.0]), np.array([0.7, 0.0])
+    base = solver_x._c_transform_dual(np.array([0.6, 0.0]), mu0_w, mu1_w, cost)
+    assert solver_x._c_transform_dual(np.array([0.6, 1e-30]), mu0_w, mu1_w, cost) == base
+    assert base == pytest.approx(0.4 + 0.7 * (1.0 - math.exp(-0.5) / 0.6), abs=1e-15)
+
+
+def test_unreg_round_cap_reports_not_converged(monkeypatch):
+    monkeypatch.setattr(solver_x, "_RAY_ROUNDS", 2)
+    mu0, mu1, cost = random_instance(np.random.default_rng(52), 3, 3)
+    _, rep = solve_x_unreg(mu0, mu1, cost)
+    assert rep.iterations == 2
+    assert not rep.converged
+
+
+@pytest.mark.parametrize("alpha,beta,c", [(0.0, 0.7, 0.3), (0.4, 0.0, 1.2), (0.0, 0.0, 0.5),
+                                          (0.3, 0.9, 0.0), (0.8, 0.2, 2.5), (1.0, 1.0, 0.1),
+                                          (0.5, 0.5, math.inf)])
+def test_best_ray_against_brute_force(alpha, beta, c):
+    k_half = math.exp(-c / 2.0)
+    a, reduced = solver_x._best_ray(alpha, beta, k_half)
+    grid = np.linspace(0.0, 1.0, 200_001)
+    costs = grid * alpha + (1.0 - grid) * beta - 2.0 * np.sqrt(grid * (1.0 - grid)) * k_half
+    assert reduced == pytest.approx(costs.min(), abs=1e-9)
+    assert reduced < 0.0 if alpha * beta < k_half ** 2 else reduced >= -1e-15
+    if math.isfinite(a):
+        assert a * alpha + (1.0 - a) * beta - 2.0 * math.sqrt(a * (1.0 - a)) * k_half \
+            == pytest.approx(reduced, abs=1e-14)
 
 
 def test_unreg_certificate_unmatched_point():
@@ -676,13 +781,6 @@ def test_unreg_certificate_unmatched_point():
     assert rep.primal == pytest.approx(0.63152350097, abs=1e-10)
     assert rep.converged
     assert -1e-12 <= rep.gap <= 1e-8 * (1.0 + abs(rep.primal))
-
-
-def test_unreg_direct_size_guard():
-    rng = np.random.default_rng(54)
-    mu0, mu1, cost = random_instance(rng, 13, 3)
-    with pytest.raises(ValueError):
-        solve_x_unreg(mu0, mu1, cost)
 
 
 def test_unreg_zero_mass():
