@@ -22,17 +22,21 @@ The extended lift returns an ``AtomPlan`` with an S axis and its value; the
 reduced lifts return ``atom_lp``'s ``LpResult`` as it is, whose ``x`` is
 the read-only weight tensor.
 
-The balanced, extended and second-order lifts solve their LP on a
-sub-grid of the radial nodes first, from a crash start, and then in full
-from the restricted LP's optimal basis (``_restricted_first``).  The
-balanced and second-order lifts are 1-homogeneous along their last axis
-(s, or w): each column is s^p, or w, times the column of the same atom at
-the top node, so they keep that node alone, and one full pricing pass
-proves the slice's optimal basis optimal in full.  The extended lift keeps
-node 0, every third positive node and the top node of each radial axis, so
-its full LP starts a few pivots from the optimum and needs far fewer full
-pricing passes over the tensor than a cold solve (a coarse-to-fine start,
-as in Schmitzer's sparse multiscale transport solver, arXiv:1510.05466).
+The balanced and second-order lifts are 1-homogeneous along their last
+axis (s, or w): each column and its cost are (s / s_top)^p, or w / w_top,
+times those of the same atom at the top node, so moving each atom's weight
+onto the top node at that factor maps feasible points of the full LP onto
+its top-node slice at equal value (the cone construction of Liero, Mielke
+and Savaré, arXiv:1508.07941).  They build and solve that slice alone, and
+their plan has one node on the last axis.
+
+The extended lift solves its LP on a sub-grid of the radial nodes first
+(node 0, every third positive node and the top node of each radial axis),
+from a crash start, and then in full from the restricted LP's optimal
+basis (``_restricted_first``), so its full LP starts a few pivots from the
+optimum and needs far fewer full pricing passes over the tensor than a
+cold solve (a coarse-to-fine start, as in Schmitzer's sparse multiscale
+transport solver, arXiv:1510.05466).
 """
 
 from __future__ import annotations
@@ -60,16 +64,20 @@ def solve_lifted_balanced(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     min sum s^p c(x0, x1) beta  s.t.  s^p-weighted marginals equal mu_i.
     Mass-unbalanced inputs are infeasible, mirroring the +inf value of the
     sharp-marginal problem; every status is returned, none raised.
+
+    The lift is 1-homogeneous in s, so only the top node's slice is built
+    and solved (transport scaled by s_top^p): the result's ``x`` and
+    ``basis`` are over that slice, ``x`` of shape (n0, n1, 1).
     """
     _check_instance(mu0, mu1, cost, None)
     if not balanced_masses(mu0.total_mass, mu1.total_mass):
         return LpResult("infeasible", None, math.inf, 0)
     i0, i1, sp = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
-                        grid.nodes ** p)
-    with np.errstate(invalid="ignore"):  # s = 0 at an infinite cost: NaN, priced as +inf
-        atom_cost = sp * cost.values[i0, i1]  # the top node's slice: transport scaled by s^p
-    return _restricted_first(atom_cost, [(i0, sp, mu0.weights), (i1, sp, mu1.weights)],
-                             _top_node(atom_cost.shape), _transport_crash)
+                        (grid.nodes ** p)[-1:])
+    with np.errstate(invalid="ignore"):  # a top node 0 at an infinite cost: NaN, priced +inf
+        atom_cost = sp * cost.values[i0, i1]
+    families = [(i0, sp, mu0.weights), (i1, sp, mu1.weights)]
+    return atom_lp(atom_cost, families, start=_transport_crash(atom_cost, families))
 
 
 def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -191,14 +199,18 @@ def solve_second_order_lift(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     are the s_i^p w-weighted point marginals.  Returns the optimal result;
     raises InfeasibleProblemError when the LP is infeasible and
     RuntimeError on any other status.
+
+    The lift is 1-homogeneous in w, so only the top node's slice is built
+    and solved: the result's ``x`` and ``basis`` are over that slice, ``x``
+    of shape (n0, n1, K0, K1, 1).
     """
     _check_instance(mu0, mu1, cost, None)
     i0, i1, s0p, s1p, w = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
-                                 grids[0].nodes ** p, grids[1].nodes ** p, grids[2].nodes)
+                                 grids[0].nodes ** p, grids[1].nodes ** p, grids[2].nodes[-1:])
     families = [(i0, s0p * w, mu0.weights), (i1, s1p * w, mu1.weights)]
     atom_cost = perspective_H(s0p, s1p, cost.values[i0, i1]) * w
-    return _optimal(_restricted_first(atom_cost, families, _top_node(atom_cost.shape),
-                                      _singleton_crash), "second-order")
+    return _optimal(atom_lp(atom_cost, families, start=_singleton_crash(atom_cost, families)),
+                    "second-order")
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +249,10 @@ def _restricted_first(cost, families, keep, crash) -> LpResult:
 
 def _restrict(a, keep) -> np.ndarray:
     """The open-mesh array ``a`` on the indices ``keep`` of each axis along
-    which it varies, ``a[np.ix_(*keep)]`` there; a view when those indices
-    are one run on every axis, so that the top-node slice of a large tensor
-    is not copied."""
+    which it varies, ``a[np.ix_(*keep)]`` there."""
     a = np.asarray(a)
-    keep = [k if n > 1 else np.zeros(1, dtype=np.intp) for k, n in zip(keep, a.shape)]
-    if all(np.all(np.diff(k) == 1) for k in keep):
-        return a[tuple(slice(k[0], k[-1] + 1) for k in keep)]
-    return a[np.ix_(*keep)]
-
-
-def _top_node(shape) -> list[np.ndarray]:
-    """Every index on every axis, the last node on the last axis: the
-    restriction of a lift that is 1-homogeneous along its last axis.
-
-    Along that axis every column and its cost are a nonnegative multiple
-    of the column of the same atom at the top node, so the optimal basis
-    of that slice stays optimal in full, and the full solve takes the one
-    pricing pass that proves it.  The same scaling maps feasible points of
-    either LP onto the other at equal value."""
-    return [np.arange(n) for n in shape[:-1]] + [np.array([shape[-1] - 1])]
+    return a[np.ix_(*(k if n > 1 else np.zeros(1, dtype=np.intp)
+                      for k, n in zip(keep, a.shape)))]
 
 
 def _sub_grid(k: int) -> np.ndarray:

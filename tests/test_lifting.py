@@ -1,10 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from uotlab import lifting, solver_y
-from uotlab.costs import CostMatrix, hk_cost, hk_matrix, perspective_H_eps, sqeuclidean_matrix
+from uotlab.costs import (
+    CostMatrix,
+    hk_cost,
+    hk_matrix,
+    perspective_H,
+    perspective_H_eps,
+    sqeuclidean_matrix,
+)
 from uotlab.entropy import F_ZERO, R
 from uotlab.identities import balanced_sinkhorn
 from uotlab.lifting import (
@@ -15,7 +23,7 @@ from uotlab.lifting import (
     solve_x_extended_refined,
 )
 from uotlab.measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan, product
-from uotlab.simplex import transport_lp
+from uotlab.simplex import atom_lp, transport_lp
 from uotlab.solver_x import SolverConfig, default_nu_x, solve_x_eps
 from uotlab.solver_y import AtomPlan, RadialGrid, default_grids, solve_y_unreg
 
@@ -297,7 +305,7 @@ def test_second_order_matches_extended_space_lp():
         res = solve_second_order_lift(mu0, mu1, cost, p, (grids[0], grids[1], w_grid))
         value, plan = res.value, res.x
         assert value == pytest.approx(y_value, abs=1e-3)
-        assert plan.shape == (2, 2, grids[0].size, grids[1].size, w_grid.size)
+        assert plan.shape == (2, 2, grids[0].size, grids[1].size, 1)
 
 
 def test_second_order_coincident_diracs():
@@ -431,7 +439,7 @@ def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind)
     # the extended lift's sub-grid is the whole 3-node grid, and part of the others
     extended = [(eps, RadialGrid.geometric(2.0 * grids[0].cap, n_nodes=n, smin_frac=0.05))
                 for eps in (0.5, 1.5) for n in (3, 14, 37)]
-    lp_calls = []
+    lp_calls, lp_shapes = [], []
 
     def solve_all():
         values = []
@@ -447,22 +455,71 @@ def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind)
 
     def counted(*args, **kwargs):
         lp_calls[-1] += 1
+        lp_shapes.append(np.shape(args[0]))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(lifting, "atom_lp", counted)
     lifted, second, y_value, ext_values = solve_all()
     assert lp_calls[:6] == [1, 2, 2, 1, 2, 2]
-    # the full LP starts from the slice's optimal basis and only proves it
-    assert second.iterations == 1
-    assert second.started
-    assert [(ph.phase, ph.pivots, ph.full_passes) for ph in second.phases] == [(2, 1, 1)]
-    assert lifted.iterations == 1 or lifted.status == "infeasible"
+    # each homogeneous lift builds and solves its top-node slice alone, once
+    k0, k1 = grids[0].size, grids[1].size
+    assert lp_calls[6] == 2 and lp_shapes[-2:] == [(3, 4, 1), (3, 4, k0, k1, 1)]
+    assert second.x.shape == (3, 4, k0, k1, 1)
+
+    # the full lifts, solved cold, are the reference
+    i0, i1, sp = np.ix_(np.arange(3), np.arange(4), grids[0].nodes)
+    with np.errstate(invalid="ignore"):  # s = 0 at an infinite cost: NaN, priced as +inf
+        lifted_full = (sp * cost.values[i0, i1],
+                       [(i0, sp, mu0.weights), (i1, sp, balanced.weights)])
+    i0, i1, s0, s1, w = np.ix_(np.arange(3), np.arange(4), grids[0].nodes, grids[1].nodes,
+                               w_grid.nodes)
+    second_full = (perspective_H(s0, s1, cost.values[i0, i1]) * w,
+                   [(i0, s0 * w, mu0.weights), (i1, s1 * w, mu1.weights)])
+    cold_lifted, cold_second = solve(*lifted_full), solve(*second_full)
+    assert cold_lifted.status == lifted.status and cold_second.iterations > 1
+    assert not cold_second.started and [ph.phase for ph in cold_second.phases] == [1, 2]
+    # 1-homogeneity: the slice's optimal basis, moved onto the full tensor's
+    # top node, is optimal in full, proved by one pivot and one pricing pass
+    for res, (full_cost, families) in ((lifted, lifted_full), (second, second_full)):
+        if not res.optimal:
+            continue
+        cols, kept = res.basis
+        at = np.unravel_index(cols, res.x.shape)[:-1] + (full_cost.shape[-1] - 1,)
+        proof = solve(full_cost, families, start=(np.ravel_multi_index(at, full_cost.shape),
+                                                  kept))
+        assert proof.started and proof.iterations == 1
+        assert [(ph.phase, ph.pivots, ph.full_passes) for ph in proof.phases] == [(2, 1, 1)]
+    assert second.optimal and (lifted.optimal or kind == "hk")
+
     monkeypatch.setattr(lifting, "_restricted_first",
                         lambda cost, families, keep, crash: solve(cost, families))
     monkeypatch.setattr(solver_y, "_singleton_crash", lambda cost, families: None)
-    cold_lifted, cold_second, cold_y, cold_ext = solve_all()
-    assert cold_lifted.status == lifted.status and cold_second.iterations > 1
-    assert not cold_second.started and [ph.phase for ph in cold_second.phases] == [1, 2]
+    _, _, cold_y, cold_ext = solve_all()
     for warm, cold in ((lifted.value, cold_lifted.value), (second.value, cold_second.value),
                        (y_value, cold_y), *zip(ext_values, cold_ext)):
         assert warm == cold or abs(warm - cold) <= 1e-12 * (1.0 + abs(cold))
+
+
+def test_homogeneous_lifts_on_a_one_node_grid():
+    # the one node, 0, is the top node: every column is 0, so both lifts
+    # are infeasible, as their full LPs are, and its 0 * inf costs must
+    # not warn
+    g0, g1 = GroundSet([[0.0], [1.9]]), GroundSet([[0.1], [2.0]])
+    mu0, mu1 = DiscreteMeasure(g0, [0.4, 0.6]), DiscreteMeasure(g1, [0.4, 0.6])
+    cost = hk_matrix(g0, g1)
+    assert np.isinf(cost.values[0, 1]) and np.isinf(cost.values[1, 0])
+    point = RadialGrid(np.array([0.0]), 1.0)
+    grid = RadialGrid.geometric(2.0, n_nodes=4)
+    i0, i1, sp = np.ix_(np.arange(2), np.arange(2), point.nodes)
+    with np.errstate(invalid="ignore"):
+        lifted_cost = sp * cost.values[i0, i1]
+    cold_lifted = atom_lp(lifted_cost, [(i0, sp, mu0.weights), (i1, sp, mu1.weights)])
+    i0, i1, s0, s1, w = np.ix_(np.arange(2), np.arange(2), grid.nodes, grid.nodes, point.nodes)
+    cold_second = atom_lp(perspective_H(s0, s1, cost.values[i0, i1]) * w,
+                          [(i0, s0 * w, mu0.weights), (i1, s1 * w, mu1.weights)])
+    assert cold_lifted.status == cold_second.status == "infeasible"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_lifted_balanced(mu0, mu1, cost, 1.0, point).status == "infeasible"
+        with pytest.raises(solver_y.InfeasibleProblemError):
+            solve_second_order_lift(mu0, mu1, cost, 1.0, (grid, grid, point))

@@ -1,9 +1,10 @@
 """Check every benchmark job on seeds 0-31 against the recorded reference.
 
-    python3 tools/refcheck.py [WORKLOAD ...]
+    python3 tools/refcheck.py [WORKLOAD | WORKLOAD/JOB ...]
 
 Runs every job of the named workloads of ``perfbench/workloads.py``
-(default: all of them) once, in this process, on each of the seeds 0-31
+(default: all of them), and each job named as WORKLOAD/JOB, such as
+``lp-lifts/second-order``, once, in this process, on each of the seeds 0-31
 that ``perfbench/reference.json`` records, against the package in ``src``,
 with BLAS pinned to one thread as in the benchmark's workers.  Each job's
 exit code and JSON record go through ``perfbench/run.py``'s own
@@ -52,14 +53,23 @@ def main(names: list[str]) -> int:
     from workloads import WORKLOADS, output_path, write_inputs
     from uotlab import cli
 
-    unknown = sorted(set(names) - set(WORKLOADS))
+    chosen, unknown = {}, []
+    for name in names or sorted(WORKLOADS):
+        workload, _, job_name = name.partition("/")
+        picked = {job for job in WORKLOADS.get(workload, ())
+                  if job.name == job_name or not job_name}
+        if picked:
+            chosen[workload] = chosen.get(workload, set()) | picked
+        else:
+            unknown.append(name)
     if unknown:
-        print(f"unknown workload(s): {', '.join(unknown)}; choose from "
-              f"{', '.join(sorted(WORKLOADS))}", file=sys.stderr)
+        print(f"unknown workload(s) or job(s): {', '.join(unknown)}; choose from "
+              f"{', '.join(sorted(WORKLOADS))}, each alone or as WORKLOAD/JOB", file=sys.stderr)
         return 1
     failed_total = 0
-    for workload in names or sorted(WORKLOADS):
-        jobs, failed, worst = WORKLOADS[workload], 0, (0.0, "no value")
+    for workload, picked in chosen.items():
+        jobs = [job for job in WORKLOADS[workload] if job in picked]
+        failed, worst = 0, (0.0, "no value")
         for seed in SEEDS:
             reference = load_reference(workload, seed) or {}
             with tempfile.TemporaryDirectory() as workdir:
