@@ -30,13 +30,16 @@ its top-node slice at equal value (the cone construction of Liero, Mielke
 and Savaré, arXiv:1508.07941).  They build and solve that slice alone, and
 their plan has one node on the last axis.
 
-The extended lift solves its LP on a sub-grid of the radial nodes first
-(node 0, every third positive node and the top node of each radial axis),
-from a crash start, and then in full from the restricted LP's optimal
-basis (``_restricted_first``), so its full LP starts a few pivots from the
-optimum and needs far fewer full pricing passes over the tensor than a
-cold solve (a coarse-to-fine start, as in Schmitzer's sparse multiscale
-transport solver, arXiv:1510.05466).
+The extended lift on explicit grids and the second-order slice take the
+multiscale start of the wide atom LPs (``simplex._multiscale_lp``, a
+coarse-to-fine start as in Schmitzer's sparse multiscale transport solver,
+arXiv:1510.05466) over their radial axes: a sub-grid of each (node 0,
+every third positive node and the top node) from the apex-atom crash,
+then the shielding neighbourhood of the basis, every atom within one
+radial node of a basic atom along those axes, while it changes, then the
+full LP from that basis, whose first full pricing pass usually proves it
+optimal.  The coarse LP of ``solve_x_extended_refined`` is a cold Dantzig
+solve, because the fine grids follow its vertex.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 from .costs import CostMatrix, perspective_H, perspective_H_eps
 from . import entropy
 from .measures import DiscreteMeasure, Plan
-from .simplex import LpResult, _singleton_crash, _transport_crash, atom_lp, balanced_masses
+from .simplex import LpResult, _multiscale_lp, _transport_crash, atom_lp, balanced_masses
 from .solver_x import _check_instance
 from .solver_y import AtomPlan, RadialGrid, _optimal
 
@@ -121,15 +124,13 @@ def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatri
     with one nonzero radial value costs s0^p, s1^p or eps S^p, the defect
     prices F(0) and eps F(0).
 
-    The LP is solved on a sub-grid of each radial axis first (node 0,
-    every third positive node and the top node), from the apex-atom crash,
-    then in full from that optimal basis, which saves most full pricing
-    passes over the tensor.  The sub-grid keeps the apex atoms (one
-    positive radial value, at the top node), which alone meet every
-    constraint, so it is feasible whenever the full LP is; on grids of at
-    most three nodes it is the whole grid, and one LP runs.
-    ``full_pricing`` solves the full LP alone, cold, with Dantzig's rule at
-    every pivot (``simplex.solve_lp``).
+    The LP takes the multiscale start over its three radial axes
+    (``simplex._multiscale_lp``): a sub-grid (node 0, every third positive
+    node and the top node), which keeps the apex atoms that alone meet
+    every constraint, then shielding neighbourhoods, then the full LP from
+    their basis; on grids of at most three nodes the sub-grid is the whole
+    grid, and one LP runs.  ``full_pricing`` solves the full LP alone,
+    cold, with Dantzig's rule at every pivot (``simplex.solve_lp``).
     """
     _check_instance(mu0, mu1, cost, nu_x)
     n0, n1 = mu0.ground.size, mu1.ground.size
@@ -141,14 +142,11 @@ def solve_x_extended(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatri
     if full_pricing:
         res = atom_lp(h, families, full_pricing=True)
     else:
-        keep = [np.arange(n0), _sub_grid(s0p.size), np.arange(n1), _sub_grid(s1p.size),
-                _sub_grid(ssp.size)]
-        res = _restricted_first(h, families, keep, _singleton_crash)
+        res = _multiscale_lp(h, families, (1, 3, 4))
     res = _optimal(res, "extended")
     return AtomPlan(mu0.ground, mu1.ground, tuple(grids), p, res.x), res.value
 
 
-_SUB_GRID_STRIDE = 3       # positive nodes per kept node of the extended lift's sub-grid
 _REFINE_COARSE_NODES = 20  # positive nodes of the wide first-pass grids on [1e-2, 1e2]
 _REFINE_FINE_NODES = 36    # positive nodes of each rebuilt grid
 _REFINE_PAD = 3.0          # factor the rebuilt grids extend past the coarse radial support
@@ -201,61 +199,13 @@ def solve_second_order_lift(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     RuntimeError on any other status.
 
     The lift is 1-homogeneous in w, so only the top node's slice is built
-    and solved: the result's ``x`` and ``basis`` are over that slice, ``x``
-    of shape (n0, n1, K0, K1, 1).
+    and solved, with the multiscale start over its (K0, K1) axes
+    (``simplex._multiscale_lp``): the result's ``x`` and ``basis`` are over
+    that slice, ``x`` of shape (n0, n1, K0, K1, 1).
     """
     _check_instance(mu0, mu1, cost, None)
     i0, i1, s0p, s1p, w = np.ix_(np.arange(mu0.ground.size), np.arange(mu1.ground.size),
                                  grids[0].nodes ** p, grids[1].nodes ** p, grids[2].nodes[-1:])
     families = [(i0, s0p * w, mu0.weights), (i1, s1p * w, mu1.weights)]
     atom_cost = perspective_H(s0p, s1p, cost.values[i0, i1]) * w
-    return _optimal(atom_lp(atom_cost, families, start=_singleton_crash(atom_cost, families)),
-                    "second-order")
-
-
-# ---------------------------------------------------------------------------
-# Restricted-first solves
-# ---------------------------------------------------------------------------
-
-def _restricted_first(cost, families, keep, crash) -> LpResult:
-    """``atom_lp(cost, families)`` solved on the sub-tensor
-    ``cost[np.ix_(*keep)]`` first, from the start ``crash(sub-tensor,
-    sub-families)`` (None: cold), then in full from the restricted LP's
-    optimal basis.  ``keep`` holds one ascending index array per tensor
-    axis; rows and coefficients are arrays of the tensor's ndim
-    (``np.ix_``), restricted on the axes along which they vary.  When
-    ``keep`` holds every index, the LP is solved once, from ``crash``.
-
-    The restricted LP has the full LP's rows and a subset of its columns,
-    so its optimal basis is a feasible basis of the full LP, and its value
-    is never below the full LP's: the restricted LP is bounded whenever
-    the full one is.  Each caller keeps a restriction that is feasible
-    whenever the full LP is, so a restricted result that is not optimal is
-    returned as it is.
-    """
-    if all(k.size == n for k, n in zip(keep, cost.shape)):
-        return atom_lp(cost, families, start=crash(cost, families))
-    sub = _restrict(cost, keep)
-    sub_families = [(_restrict(rows, keep), _restrict(coeff, keep), target)
-                    for rows, coeff, target in families]
-    res = atom_lp(sub, sub_families, start=crash(sub, sub_families))
-    if not res.optimal:
-        return res
-    cols, kept = res.basis
-    at = np.unravel_index(cols, sub.shape)
-    full = np.ravel_multi_index(tuple(k[i] for k, i in zip(keep, at)), cost.shape)
-    return atom_lp(cost, families, start=(full, kept))
-
-
-def _restrict(a, keep) -> np.ndarray:
-    """The open-mesh array ``a`` on the indices ``keep`` of each axis along
-    which it varies, ``a[np.ix_(*keep)]`` there."""
-    a = np.asarray(a)
-    return a[np.ix_(*(k if n > 1 else np.zeros(1, dtype=np.intp)
-                      for k, n in zip(keep, a.shape)))]
-
-
-def _sub_grid(k: int) -> np.ndarray:
-    """Node 0, every ``_SUB_GRID_STRIDE``-th positive node and the top node
-    of a k-node radial grid."""
-    return np.array(sorted({0, k - 1, *range(1, k, _SUB_GRID_STRIDE)}))
+    return _optimal(_multiscale_lp(atom_cost, families, (2, 3)), "second-order")

@@ -29,6 +29,15 @@ builders make starts: a matrix-minimum allocation for transport LPs and
 one singleton atom per row (the apex atoms of radial node 0); each returns
 None when it has no feasible start, and only then does phase 1 run.
 
+The wide atom LPs take one multiscale start (``_multiscale_lp``), after
+Schmitzer's sparse multiscale transport solver (arXiv:1510.05466), in
+three stages over the tensor's radial axes: the LP on a sub-grid of those
+axes, from the apex-atom crash; then on the shielding neighbourhood of the
+basis (every atom within one radial node of a basic atom along each
+thinned axis) from that basis, again while the neighbourhood changes; and
+last the full LP from the final basis, so the tensor is priced about
+once, to prove optimality.
+
 ``atom_lp`` assembles every LP of the package: an atom cost tensor plus
 constraint families, each a (rows, coeff, target) triple whose constraints
 are sharp equalities.  Every lift, the extended-space LP and classical
@@ -56,6 +65,8 @@ _SELECT_BLOCK = 1 << 16  # reduced costs scanned at a time when selecting them
 _STALL_LIMIT = 60
 _TOL = 1e-11  # pricing, ratio-test and stall tolerance
 _FEASIBLE = 1e-8  # infeasibility accepted, relative to 1 + sum |b|
+_SUB_GRID_STRIDE = 3  # positive nodes per kept node of a multiscale start's sub-grid
+_SHIELD_ROUNDS = 8  # neighbourhood solves of a multiscale start, at most
 
 
 @dataclass(frozen=True)
@@ -212,12 +223,14 @@ class AtomMatrix:
         return AtomMatrix(self.atoms, families, self.m)
 
 
-def _pivot_update(binv: np.ndarray, d: np.ndarray, row: int) -> None:
+def _pivot_update(binv: np.ndarray, d: np.ndarray, row: int, outer: np.ndarray) -> None:
     """In-place product-form update of the basis inverse after a pivot:
-    each other row takes off d[i] times the scaled pivot row."""
+    each other row takes off d[i] times the scaled pivot row.  ``outer`` is
+    an m x m work buffer."""
     binv[row, :] /= d[row]
     pivot_row = binv[row, :].copy()
-    binv -= np.outer(d, pivot_row)  # the pivot row too, restored below
+    np.multiply(d[:, None], pivot_row, out=outer)
+    binv -= outer  # the pivot row too, restored below
     binv[row, :] = pivot_row
 
 
@@ -258,6 +271,9 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, list_size, phase):
     status = "iteration_limit"
     reduced = np.empty(n)
     ratios = np.empty(m)  # ratio-test buffer, refilled at each pivot
+    outer = np.empty((m, m))  # the basis inverse's update
+    shift = np.empty(m)  # step * d
+    cb = c[basis]  # the basic costs, kept in step with the basis
     cand = np.empty(0, dtype=np.intp)
     stall = passes = refills = refactors = 0
     bland = False
@@ -268,13 +284,12 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, list_size, phase):
             binv[:] = np.linalg.inv(A._columns(basis))
             xb = binv @ b
             refactors += 1
-        y = binv.T @ c[basis]
+        y = binv.T @ cb
         enter = None
         if not bland and cand.size:
             listed._price(c_listed, y, priced)
-            slot = np.minimum(np.searchsorted(cand, basis), cand.size - 1)
-            priced[slot[cand[slot] == basis]] = 0.0  # basic columns price at 0
-            i = int(np.argmin(priced))
+            priced[basic] = 0.0  # basic columns price at 0
+            i = priced.argmin()
             if priced[i] < -_TOL:
                 enter = int(cand[i])
         if enter is None:
@@ -288,29 +303,31 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, list_size, phase):
                     break
                 enter = int(negative[0])
             else:
-                enter = int(np.argmin(reduced))
+                enter = int(reduced.argmin())
                 if reduced[enter] >= -_TOL:
                     status = "optimal"
                     break
                 if list_size:
+                    # columns that price below -_TOL, so none of them is basic
                     cand = _candidates(reduced, list_size)
                     refills += 1
                     listed, c_listed, priced = A._select(cand), c[cand], np.empty(cand.size)
+                    basic = np.zeros(cand.size, dtype=bool)
         d = binv @ A._column(enter)
         pos = d > _TOL
-        if not np.any(pos):
+        if not pos.any():
             status = "unbounded"
             break
         ratios.fill(math.inf)
         np.divide(xb, d, out=ratios, where=pos)
-        leave = int(np.argmin(ratios))
+        leave = int(ratios.argmin())
         if bland:
             # smallest basic-variable index among the minimal ratios
             best = ratios[leave]
             ties = np.flatnonzero(ratios <= best + _TOL)
-            leave = int(ties[np.argmin(basis[ties])])
+            leave = int(ties[basis[ties].argmin()])
         step = ratios[leave]
-        value = float(c[basis] @ xb)
+        value = float(cb @ xb)
         if step <= _TOL and value >= last_value - _TOL * (1.0 + abs(value)):
             stall += 1
             if stall > _STALL_LIMIT:
@@ -318,11 +335,18 @@ def _simplex_phase(c, A, b, basis, binv, max_iters, list_size, phase):
         else:
             stall = 0
         last_value = value
-        _pivot_update(binv, d, leave)
+        _pivot_update(binv, d, leave, outer)
+        if cand.size:
+            for col, mark in ((int(basis[leave]), False), (enter, True)):
+                slot = int(np.searchsorted(cand, col))
+                if slot < cand.size and cand[slot] == col:
+                    basic[slot] = mark
         basis[leave] = enter
-        xb = xb - step * d
+        cb[leave] = c[enter]
+        np.multiply(d, step, out=shift)
+        xb -= shift
         xb[leave] = step
-        xb = np.maximum(xb, 0.0)
+        np.maximum(xb, 0.0, out=xb)
     return status, xb, PhaseCounts(phase, iters, passes, refills, refactors, bland)
 
 
@@ -400,7 +424,7 @@ def solve_lp(c, A, b, *, full_pricing: bool = False, start=None) -> LpResult:
             pivots = np.flatnonzero(np.isfinite(row) & (np.abs(row) > 1e-9))
             if pivots.size:
                 d = binv @ A._column(int(pivots[0]))
-                _pivot_update(binv, d, r)
+                _pivot_update(binv, d, r, np.empty((m, m)))
                 basis[r] = int(pivots[0])
             else:
                 keep_rows[r] = False
@@ -493,6 +517,82 @@ def atom_lp(cost, families, *, full_pricing: bool = False, start=None) -> LpResu
     x = res.x.reshape(cost.shape)
     x.flags.writeable = False
     return replace(res, x=x)
+
+
+def _multiscale_lp(cost, families, axes) -> LpResult:
+    """``atom_lp(cost, families)`` from a multiscale start over the radial
+    axes ``axes`` of the tensor: solved on their sub-grid (``_sub_grid``)
+    from the apex-atom crash (``_singleton_crash``), then on the shielding
+    neighbourhood of that basis (``_neighbourhood``) from it, again while
+    that neighbourhood changes, at most ``_SHIELD_ROUNDS`` times, and last in
+    full from the final basis, so that the full tensor is priced about once,
+    to prove optimality.  Rows and coefficients are arrays of the tensor's
+    ndim (``np.ix_``).  When the sub-grid is the whole tensor, the LP is
+    solved once, from the crash.
+
+    Each restricted LP has the full LP's rows and a subset of its columns
+    holding the last basis, so that basis is feasible in the next LP, and
+    its value is never below the full LP's: each is feasible and bounded
+    whenever the full LP is, given a sub-grid that holds the apex atoms
+    that alone meet every constraint (node 0 and the top node of each
+    axis).  A restricted result that is not optimal is returned as it is.
+    """
+    cost = np.asarray(cost, dtype=float)
+    keep = [_sub_grid(k) if ax in axes else np.arange(k) for ax, k in enumerate(cost.shape)]
+    if all(k.size == n for k, n in zip(keep, cost.shape)):
+        return atom_lp(cost, families, start=_singleton_crash(cost, families))
+    sub = _restrict(cost, keep)
+    sub_families = [(_restrict(rows, keep), _restrict(coeff, keep), target)
+                    for rows, coeff, target in families]
+    res = atom_lp(sub, sub_families, start=_singleton_crash(sub, sub_families))
+    if not res.optimal:
+        return res
+    cols, kept = res.basis
+    at = np.unravel_index(cols, sub.shape)
+    cols = np.ravel_multi_index(tuple(k[i] for k, i in zip(keep, at)), cost.shape)
+    near = None
+    for _ in range(_SHIELD_ROUNDS):
+        around = _neighbourhood(cols, cost.shape, axes)
+        if near is not None and np.array_equal(around, near):
+            break  # the basis is optimal on its own neighbourhood
+        near = around
+        at = np.unravel_index(near, cost.shape)
+        near_families = [(np.broadcast_to(rows, cost.shape)[at],
+                          np.broadcast_to(coeff, cost.shape)[at], target)
+                         for rows, coeff, target in families]
+        res = atom_lp(cost[at], near_families, start=(np.searchsorted(near, cols), kept))
+        if not res.optimal:
+            return res
+        cols, kept = near[res.basis[0]], res.basis[1]
+    return atom_lp(cost, families, start=(cols, kept))
+
+
+def _neighbourhood(cols, shape, axes) -> np.ndarray:
+    """The ascending flat indices of the atoms within one node of an atom
+    of ``cols`` along each axis of ``axes``, and equal to it along the
+    others: the shielding neighbourhood of a basis."""
+    at = np.unravel_index(np.asarray(cols, dtype=np.intp), shape)
+    steps = np.indices((3,) * len(axes)).reshape(len(axes), -1) - 1
+    index = [np.broadcast_to(i[:, None], (i.size, steps.shape[1])) for i in at]
+    for ax, step in zip(axes, steps):
+        index[ax] = np.clip(at[ax][:, None] + step, 0, shape[ax] - 1)
+    # sorted and deduplicated by hand: np.unique's first call imports numpy.ma
+    near = np.sort(np.ravel_multi_index(tuple(index), shape), axis=None)
+    return near[np.diff(near, prepend=-1) != 0]
+
+
+def _restrict(a, keep) -> np.ndarray:
+    """The open-mesh array ``a`` on the indices ``keep`` of each axis along
+    which it varies, ``a[np.ix_(*keep)]`` there."""
+    a = np.asarray(a)
+    return a[np.ix_(*(k if n > 1 else np.zeros(1, dtype=np.intp)
+                      for k, n in zip(keep, a.shape)))]
+
+
+def _sub_grid(k: int) -> np.ndarray:
+    """Node 0, every ``_SUB_GRID_STRIDE``-th positive node and the top node
+    of a k-node radial grid."""
+    return np.array(sorted({0, k - 1, *range(1, k, _SUB_GRID_STRIDE)}))
 
 
 def _offsets(families) -> list[int]:

@@ -56,7 +56,7 @@ import numpy as np
 
 from .costs import CostMatrix, perspective_H, perspective_H_eps
 from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan, _frozen_array
-from .simplex import LpResult, _singleton_crash, atom_lp, transport_lp
+from .simplex import LpResult, _multiscale_lp, transport_lp
 from .solver_x import ScalingStep, SolveReport, SolverConfig, _check_instance, scaling_kernel
 
 _TILT_TOL = 1e-14           # stop when |LSE - log mu| falls below this
@@ -305,15 +305,15 @@ def _optimal(res: LpResult, what: str) -> LpResult:
 def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
                   p: float, grids: tuple[RadialGrid, RadialGrid]) -> tuple[AtomPlan, float]:
     """Linear program min (H_p, alpha) under the sharp constraints h_i^p alpha = mu_i,
-    started from the apex atoms of node 0 (``simplex._singleton_crash``)."""
+    solved with the multiscale start over its (K0, K1) axes
+    (``simplex._multiscale_lp``), from the apex atoms of node 0."""
     _check_instance(mu0, mu1, cost, None)
     grid0, grid1 = grids
     i0, s0p, i1, s1p = np.ix_(np.arange(mu0.ground.size), grid0.nodes ** p,
                               np.arange(mu1.ground.size), grid1.nodes ** p)
     families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights)]
     h = hp_tensor(cost, grid0, grid1, p)
-    res = _optimal(atom_lp(h, families, start=_singleton_crash(h, families)),
-                   "homogeneous-marginal")
+    res = _optimal(_multiscale_lp(h, families, (1, 3)), "homogeneous-marginal")
     return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, res.x), res.value
 
 

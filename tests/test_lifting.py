@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from uotlab import lifting, solver_y
+from uotlab import lifting, simplex, solver_y
 from uotlab.costs import (
     CostMatrix,
     hk_cost,
@@ -23,7 +26,7 @@ from uotlab.lifting import (
     solve_x_extended_refined,
 )
 from uotlab.measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan, product
-from uotlab.simplex import atom_lp, transport_lp
+from uotlab.simplex import atom_lp, solve_lp, transport_lp
 from uotlab.solver_x import SolverConfig, default_nu_x, solve_x_eps
 from uotlab.solver_y import AtomPlan, RadialGrid, default_grids, solve_y_unreg
 
@@ -222,15 +225,15 @@ def test_x_extended_matches_sinkhorn():
 def test_x_extended_refined_prices_its_coarse_lp_in_full(monkeypatch):
     # the fine grids follow the coarse LP's vertex, so that LP is solved
     # cold with Dantzig's rule; the fine grids' LPs may use the candidate list
-    from uotlab import lifting
     calls = []
-    solve = lifting.atom_lp
+    solve = simplex.atom_lp
 
     def recorded(*args, **kwargs):
         calls.append((kwargs.get("full_pricing", False), kwargs.get("start")))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(lifting, "atom_lp", recorded)
+    monkeypatch.setattr(simplex, "atom_lp", recorded)
     mu0, mu1, cost = random_pair(np.random.default_rng(75), box=0.5, lo=0.5, hi=1.4)
     solve_x_extended_refined(mu0, mu1, cost, default_nu_x(mu0, mu1), 0.6, 1.0)
     assert calls[0] == (True, None)
@@ -424,14 +427,47 @@ def test_homogeneity_of_regularised_cost_under_common_scaling():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed, kind", [(0, "sqeuclidean"), (1, "sqeuclidean"), (2, "hk"),
-                                        (3, "hk")])
-def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind):
-    # hk on a box of 2.5 puts +inf costs on the far pairs
+def lift_instance(seed, kind):
+    """3 x 4 points; hk on a box of 2.5 puts +inf costs on the far pairs."""
     rng = np.random.default_rng(90 + seed)
     mu0, mu1, cost = random_pair(rng, 3, 4, box=2.5 if kind == "hk" else 1.0)
     if kind == "hk":
         cost = hk_matrix(mu0.ground, mu1.ground)
+        assert np.isinf(cost.values).any()
+    return mu0, mu1, cost
+
+
+def recorded_lps(monkeypatch):
+    """A list that collects (tensor shape, result) of every atom LP solved,
+    into its last entry."""
+    calls = [[]]
+    solve = simplex.atom_lp
+
+    def recorded(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls[-1].append((np.shape(args[0]), res))
+        return res
+
+    monkeypatch.setattr(simplex, "atom_lp", recorded)
+    monkeypatch.setattr(lifting, "atom_lp", recorded)
+    return calls
+
+
+def assert_multiscale(lps, shape, axes):
+    """The LPs of one multiscale solve: the sub-grid of ``axes`` from the
+    crash, then neighbourhoods (atom lists) from the last basis, then the
+    whole tensor from the last basis."""
+    sub = tuple(simplex._sub_grid(k).size if ax in axes else k for ax, k in enumerate(shape))
+    assert [s for s, _ in lps[:1] + lps[-1:]] == [sub, shape]
+    assert 1 <= len(lps) - 2 <= simplex._SHIELD_ROUNDS
+    assert all(len(s) == 1 and s[0] < math.prod(sub) for s, _ in lps[1:-1])
+    assert all(res.started and [ph.phase for ph in res.phases] == [2] for _, res in lps)
+
+
+@pytest.mark.parametrize("seed, kind", [(0, "sqeuclidean"), (1, "sqeuclidean"), (2, "hk"),
+                                        (3, "hk")])
+def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind):
+    mu0, mu1, cost = lift_instance(seed, kind)
     grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
     w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.1)
     balanced = DiscreteMeasure(mu1.ground, mu1.weights * mu0.total_mass / mu1.total_mass)
@@ -439,31 +475,35 @@ def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind)
     # the extended lift's sub-grid is the whole 3-node grid, and part of the others
     extended = [(eps, RadialGrid.geometric(2.0 * grids[0].cap, n_nodes=n, smin_frac=0.05))
                 for eps in (0.5, 1.5) for n in (3, 14, 37)]
-    lp_calls, lp_shapes = [], []
+    lp_calls = recorded_lps(monkeypatch)
 
     def solve_all():
         values = []
         for eps, grid in extended:
-            lp_calls.append(0)
+            lp_calls.append([])
             values.append(solve_x_extended(mu0, mu1, cost, nu, eps, 1.0, (grid, grid, grid))[1])
-        lp_calls.append(0)
-        return (solve_lifted_balanced(mu0, balanced, cost, 1.0, grids[0]),
-                solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid)),
-                solve_y_unreg(mu0, mu1, cost, 1.0, grids)[1], values)
+        results = []
+        for lift in (lambda: solve_lifted_balanced(mu0, balanced, cost, 1.0, grids[0]),
+                     lambda: solve_second_order_lift(mu0, mu1, cost, 1.0,
+                                                     (grids[0], grids[1], w_grid)),
+                     lambda: solve_y_unreg(mu0, mu1, cost, 1.0, grids)[1]):
+            lp_calls.append([])
+            results.append(lift())
+        return (*results, values)
 
-    solve = lifting.atom_lp
-
-    def counted(*args, **kwargs):
-        lp_calls[-1] += 1
-        lp_shapes.append(np.shape(args[0]))
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(lifting, "atom_lp", counted)
     lifted, second, y_value, ext_values = solve_all()
-    assert lp_calls[:6] == [1, 2, 2, 1, 2, 2]
-    # each homogeneous lift builds and solves its top-node slice alone, once
     k0, k1 = grids[0].size, grids[1].size
-    assert lp_calls[6] == 2 and lp_shapes[-2:] == [(3, 4, 1), (3, 4, k0, k1, 1)]
+    for (eps, grid), lps in zip(extended, lp_calls[1:7]):
+        shape = (3, grid.size, 4, grid.size, grid.size)
+        if grid.size == 3:  # the sub-grid is the whole grid: one LP, from the crash
+            assert [s for s, _ in lps] == [shape] and lps[0][1].started
+        else:
+            assert_multiscale(lps, shape, (1, 3, 4))
+    # each homogeneous lift builds and solves its top-node slice alone; the
+    # second-order slice and solve_y_unreg's LP thin their two radial axes
+    assert [s for s, _ in lp_calls[7]] == [(3, 4, 1)]
+    assert_multiscale(lp_calls[8], (3, 4, k0, k1, 1), (2, 3))
+    assert_multiscale(lp_calls[9], (3, k0, 4, k1), (1, 3))
     assert second.x.shape == (3, 4, k0, k1, 1)
 
     # the full lifts, solved cold, are the reference
@@ -475,7 +515,7 @@ def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind)
                                w_grid.nodes)
     second_full = (perspective_H(s0, s1, cost.values[i0, i1]) * w,
                    [(i0, s0 * w, mu0.weights), (i1, s1 * w, mu1.weights)])
-    cold_lifted, cold_second = solve(*lifted_full), solve(*second_full)
+    cold_lifted, cold_second = atom_lp(*lifted_full), atom_lp(*second_full)
     assert cold_lifted.status == lifted.status and cold_second.iterations > 1
     assert not cold_second.started and [ph.phase for ph in cold_second.phases] == [1, 2]
     # 1-homogeneity: the slice's optimal basis, moved onto the full tensor's
@@ -485,19 +525,89 @@ def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind)
             continue
         cols, kept = res.basis
         at = np.unravel_index(cols, res.x.shape)[:-1] + (full_cost.shape[-1] - 1,)
-        proof = solve(full_cost, families, start=(np.ravel_multi_index(at, full_cost.shape),
-                                                  kept))
+        proof = atom_lp(full_cost, families, start=(np.ravel_multi_index(at, full_cost.shape),
+                                                    kept))
         assert proof.started and proof.iterations == 1
         assert [(ph.phase, ph.pivots, ph.full_passes) for ph in proof.phases] == [(2, 1, 1)]
     assert second.optimal and (lifted.optimal or kind == "hk")
 
-    monkeypatch.setattr(lifting, "_restricted_first",
-                        lambda cost, families, keep, crash: solve(cost, families))
-    monkeypatch.setattr(solver_y, "_singleton_crash", lambda cost, families: None)
+    cold = lambda cost, families, axes: atom_lp(cost, families)  # noqa: E731
+    monkeypatch.setattr(lifting, "_multiscale_lp", cold)
+    monkeypatch.setattr(solver_y, "_multiscale_lp", cold)
     _, _, cold_y, cold_ext = solve_all()
     for warm, cold in ((lifted.value, cold_lifted.value), (second.value, cold_second.value),
                        (y_value, cold_y), *zip(ext_values, cold_ext)):
         assert warm == cold or abs(warm - cold) <= 1e-12 * (1.0 + abs(cold))
+
+
+@pytest.mark.parametrize("seed, kind", [(0, "sqeuclidean"), (2, "hk")])
+@pytest.mark.parametrize("eps", [0.5, 1.5])
+@pytest.mark.parametrize("n", [14, 37])
+def test_multiscale_extended_lp_prices_its_tensor_about_once(monkeypatch, seed, kind, eps, n):
+    # the neighbourhood LPs leave the full LP a start that its first
+    # pricing pass proves optimal, or nearly
+    mu0, mu1, cost = lift_instance(seed, kind)
+    grid = RadialGrid.geometric(2.0 * default_grids(mu0, mu1, 1.0)[0].cap, n_nodes=n,
+                                smin_frac=0.05)
+    lp_calls = recorded_lps(monkeypatch)
+    solve_x_extended(mu0, mu1, cost, default_nu_x(mu0, mu1), eps, 1.0, (grid, grid, grid))
+    shape, last = lp_calls[-1][-1]
+    assert shape == (3, n, 4, n, n) and last.started
+    assert [ph.phase for ph in last.phases] == [2] and last.phases[0].full_passes <= 2
+
+
+def test_lifts_leave_numpy_ma_unimported():
+    # np.unique and its relatives import numpy.ma on first use, about 2 MB
+    # resident that no LP needs
+    script = """
+import sys
+import numpy as np
+from uotlab.costs import sqeuclidean_matrix
+from uotlab.lifting import solve_second_order_lift, solve_x_extended
+from uotlab.measures import DiscreteMeasure, GroundSet
+from uotlab.solver_x import default_nu_x
+from uotlab.solver_y import RadialGrid, default_grids, solve_y_unreg
+rng = np.random.default_rng(0)
+g0, g1 = GroundSet(rng.uniform(size=(3, 2))), GroundSet(rng.uniform(size=(4, 2)))
+mu0 = DiscreteMeasure(g0, rng.uniform(0.4, 1.2, 3))
+mu1 = DiscreteMeasure(g1, rng.uniform(0.4, 1.2, 4))
+cost = sqeuclidean_matrix(g0, g1)
+grid = RadialGrid.geometric(4.0, n_nodes=14, smin_frac=0.05)
+solve_x_extended(mu0, mu1, cost, default_nu_x(mu0, mu1), 0.5, 1.0, (grid, grid, grid))
+grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
+w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.1)
+solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid))
+solve_y_unreg(mu0, mu1, cost, 1.0, grids)
+sys.exit(1 if "numpy.ma" in sys.modules else 0)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=120).returncode == 0
+
+
+@pytest.mark.parametrize("seed, kind", [(0, "sqeuclidean"), (1, "sqeuclidean"), (2, "hk"),
+                                        (3, "hk")])
+def test_second_order_lift_and_y_unreg_against_independent_lps(seed, kind):
+    # the second-order lift against its LP over the full (w0, w1) grid, and
+    # solve_y_unreg against its LP as a cold, dense solve_lp
+    mu0, mu1, cost = lift_instance(seed, kind)
+    grids = default_grids(mu0, mu1, 1.0, n_nodes=12)
+    w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.2)
+    value = solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid)).value
+    oracle = solve_second_order_full_w(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid))
+    assert abs(value - oracle) <= 1e-10 * (1.0 + abs(oracle))
+
+    _, y_value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
+    i0, s0, i1, s1 = np.ix_(np.arange(3), grids[0].nodes, np.arange(4), grids[1].nodes)
+    h = perspective_H(s0, s1, cost.values[i0, i1])
+    # rows 0-2: the s0-weighted marginal of each point of mu0; rows 3-6: mu1's
+    dense = np.zeros((7, h.size))
+    for rows, coeff in ((i0, s0), (3 + i1, s1)):
+        dense[np.broadcast_to(rows, h.shape).ravel(), np.arange(h.size)] = (
+            np.broadcast_to(coeff, h.shape).ravel())
+    cold = solve_lp(h.ravel(), dense, np.concatenate([mu0.weights, mu1.weights]))
+    assert cold.optimal and not cold.started
+    assert abs(y_value - cold.value) <= 1e-10 * (1.0 + abs(cold.value))
 
 
 def test_homogeneous_lifts_on_a_one_node_grid():
