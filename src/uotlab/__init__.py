@@ -41,9 +41,9 @@ from .solver_y import (
     RadialGrid,
     default_grids,
     default_nu_y,
+    extended_ot_value,
     solve_y_eps,
     solve_y_unreg,
-    uot_as_ot_decomposition,
 )
 from .lifting import (
     solve_lifted_balanced,

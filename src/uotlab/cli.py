@@ -6,7 +6,8 @@ encoder, so a re-read record re-serialises byte-identically.  Records are
 strict JSON: a non-finite value is written as the string "inf", "-inf" or
 "nan".  Eps sweeps also emit a CSV (formulation, eps, value, gap,
 iterations, seconds).  Exit codes: 0 on success with converged solves, 2
-when a solver failed to converge, a lift-check LP ended neither optimal nor
+when a solver failed to converge or raised RuntimeError (with ``error: ...``
+on stderr and no record), a lift-check LP ended neither optimal nor
 infeasible or a lift-check residual missed its bound, 1 on input errors.
 UOTLAB_LOG selects the log level (error, info, debug).
 """
@@ -418,6 +419,9 @@ def run(argv=None) -> int:
     except (OSError, ValueError, InfeasibleProblemError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # a solve that failed: an LP status, a tilt Newton step cap
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:  # pragma: no cover - thin console wrapper

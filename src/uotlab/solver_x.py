@@ -26,7 +26,8 @@ cost O(n) per iteration.  The tilt steps relax their own tilts, point by
 point under the same kind of guard, and reach the kernel as plain steps.
 Convergence checks read the marginals the sweep computes and certify the
 gap by Fenchel-Young terms, in O(n); the report reuses them, as a scaling
-plan's primal value is its dual plus that gap.
+plan's primal value is its dual plus that gap.  A side with no mass needs no
+case of its own, here (the kernel empties its lines) or in the ray LP.
 
 Solver state is confined to each solve call; distinct solves may run in
 parallel and results are deterministic for a fixed thread count.
@@ -478,18 +479,9 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         converged = _converged(gap, dual + gap, res, config.tolerance)
         return converged, (dual, gap, res, converged, phi)
 
-    if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:
-        # one side empty: the zero plan is optimal outright
-        gamma = np.zeros(cost.shape)
-        lo, hi = _LOG_TINY - 40.0 / eps, 40.0 / eps
-        f = np.full(mu0.ground.size, lo if mu0.total_mass == 0.0 else hi)
-        g = np.full(mu1.ground.size, lo if mu1.total_mass == 0.0 else hi)
-        iters = 0
-        _, result = check(f, g, np.zeros(f.size), np.zeros(g.size))
-    else:
-        iters, gamma, result = scaling_kernel(
-            log_kernel(nu_x.weights, cost.values, eps), mu0_w, mu1_w,
-            proximal_step(mu0_w, mu1_w, eps), config.max_iters, 5, check)
+    iters, gamma, result = scaling_kernel(
+        log_kernel(nu_x.weights, cost.values, eps), mu0_w, mu1_w,
+        proximal_step(mu0_w, mu1_w, eps), config.max_iters, 5, check)
 
     dual, gap, res, converged, phi = result
     report = SolveReport(dual + gap, dual, gap, iters, res, converged)
@@ -565,11 +557,6 @@ def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix
     finite primal and a gap of at most 1e-9 (1 + |primal|).
     """
     _check_instance(mu0, mu1, cost, None)
-    if mu0.total_mass == 0.0 or mu1.total_mass == 0.0:
-        plan = Plan(mu0.ground, mu1.ground, np.zeros(cost.shape))
-        value = mu0.total_mass + mu1.total_mass
-        return plan, SolveReport(value, value, 0.0, 0, (0.0, 0.0), True)
-
     mu0_w, mu1_w, c = mu0.weights, mu1.weights, cost.values
     n0, n1 = c.shape
     k_half = np.exp(-0.5 * c)  # 0 on infinite costs, which never price negative

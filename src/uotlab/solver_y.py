@@ -44,6 +44,11 @@ The stop test reads the homogeneous marginals off the line marginals the
 kernel computes every iteration; the row mat-vec they need is the next
 iteration's first reduction; the report reads the primal value off the
 same marginal defects.  Plans are immutable snapshots.
+
+A plan's ordinary marginals on X x R+, its (x0, s0) and (x1, s1)
+projections, pose balanced transport under H_p (the cone construction of
+Liero, Mielke and Savare, arXiv:1508.07941); ``extended_ot_value`` solves
+it, equal to (H_p, alpha) at an optimal plan and below it elsewhere.
 """
 
 from __future__ import annotations
@@ -223,23 +228,6 @@ class AtomPlan:
 
     def rescale(self) -> AtomCloud:
         return self.atoms().rescale()
-
-
-@dataclass(frozen=True)
-class YMeasure:
-    """Measure on X x R+ supported on ground points times a radial grid."""
-
-    ground: GroundSet
-    grid: RadialGrid
-    weights: np.ndarray  # (points, nodes)
-
-    def __post_init__(self):
-        _frozen_array(self, "weights", "Y-measure weights",
-                      shape=(self.ground.size, self.grid.size), nonnegative=True)
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -472,27 +460,20 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 # The transport decomposition
 # ---------------------------------------------------------------------------
 
-def uot_as_ot_decomposition(alpha: AtomPlan, cost: CostMatrix
-                            ) -> tuple[YMeasure, YMeasure, float]:
-    """Ordinary marginals of an extended plan and its coupling value.
+def extended_ot_value(alpha: AtomPlan, cost: CostMatrix) -> float:
+    """Balanced transport under the cost H_p between the two marginals of
+    ``alpha`` on X x R+, on the plan's own grids and with its own p.
 
-    The pair (beta0, beta1) are measures on X x R+ obtained by projecting
-    alpha to each factor; the value is (H_p, alpha).  Re-solving balanced
-    transport between beta0 and beta1 under the cost H_p can only improve
-    on the value, with equality at optimal alpha.
+    Re-solving the coupling of those marginals can only improve on
+    (H_p, alpha), with equality at an optimal alpha.  Raises ValueError on a
+    plan with an S grid, which has no such decomposition.
     """
+    if len(alpha.grids) != 2:
+        raise ValueError("a plan with an S grid has no transport decomposition")
     w = alpha.weights
-    beta0 = YMeasure(alpha.row_ground, alpha.grids[0], w.sum(axis=(2, 3)))
-    beta1 = YMeasure(alpha.col_ground, alpha.grids[1], w.sum(axis=(0, 1)))
-    return beta0, beta1, alpha.objective(cost)
-
-
-def extended_ot_value(beta0: YMeasure, beta1: YMeasure, cost: CostMatrix,
-                      p: float) -> float:
-    """Balanced transport between two Y-measures under the cost H_p."""
-    h = hp_tensor(cost, beta0.grid, beta1.grid, p)
-    n0, k0 = beta0.weights.shape
-    n1, k1 = beta1.weights.shape
-    pairs = h.reshape(n0 * k0, n1 * k1)
-    return _optimal(transport_lp(beta0.weights.ravel(), beta1.weights.ravel(), pairs),
-                    "transport").value
+    n0, k0, n1, k1 = w.shape
+    if cost.shape != (n0, n1):
+        raise GroundMismatchError(f"cost shape {cost.shape} does not match the plan's grounds")
+    beta0, beta1 = w.sum(axis=(2, 3)).ravel(), w.sum(axis=(0, 1)).ravel()
+    pairs = hp_tensor(cost, *alpha.grids, alpha.p).reshape(n0 * k0, n1 * k1)
+    return _optimal(transport_lp(beta0, beta1, pairs), "transport").value

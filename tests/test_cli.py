@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from uotlab import cli, identities, lifting
+from uotlab import cli, identities, lifting, simplex, solver_y
 from uotlab.cli import run
 from uotlab.simplex import transport_lp
 
@@ -140,6 +140,41 @@ def test_lift_check_records_a_failed_lp_and_exits_two(tmp_path, monkeypatch, sta
     assert code == 2
     assert record["values"]["status"] == status
     assert "lifted_vs_classical" not in record["residuals"]
+
+
+@pytest.mark.parametrize("which", ["second-order", "x-extended"])
+def test_lift_check_lp_that_fails_exits_two(fixtures, capsys, monkeypatch, which):
+    # both lifts' multiscale LPs end at a pivot cap, so the solve raises
+    # RuntimeError: exit 2 with the error on stderr and no record
+    solved = simplex.atom_lp
+
+    def capped_atom_lp(*args, **kwargs):
+        return dataclasses.replace(solved(*args, **kwargs), status="iteration_limit", x=None,
+                                   value=math.nan)
+
+    monkeypatch.setattr(simplex, "atom_lp", capped_atom_lp)
+    tmp, mu0, mu1, _ = fixtures
+    out = tmp / "lift.json"
+    code = run(["lift-check", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean",
+                "--which", which, "--radial-nodes", "8", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "LP failed with status iteration_limit" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-y", "--eps", "0.5"],
+    ["--threads", "2", "sweep-eps", "--eps-list", "0.5,0.2", "--formulation", "y"],
+], ids=["solve-y", "sweep-eps-y-threads"])
+def test_tilt_newton_that_fails_exits_two(fixtures, capsys, monkeypatch, argv):
+    monkeypatch.setattr(solver_y, "_TILT_MAX_STEPS", 1)
+    tmp, mu0, mu1, _ = fixtures
+    out = tmp / ("out.csv" if "sweep-eps" in argv else "out.json")
+    code = run(argv + ["--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: tilt Newton for support point")
+    assert not out.exists()
 
 
 def test_lift_check_record_is_strict_json(fixtures):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,18 +323,29 @@ def test_scaling_update_exponent_rederived():
     assert root == pytest.approx(closed, abs=1e-10)
 
 
-def test_zero_mass_side_short_circuit():
-    g0 = GroundSet([[0.0], [1.0]])
-    g1 = GroundSet([[0.5]])
-    mu0 = DiscreteMeasure(g0, [0.0, 0.0])
-    mu1 = DiscreteMeasure(g1, [0.8])
-    cost = CostMatrix(np.array([[0.3], [0.1]]))
-    nu = Plan(g0, g1, [[0.25], [0.25]])
-    plan, phi, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=0.5))
-    assert plan.total_mass == 0.0
-    assert rep.primal == pytest.approx(mu1.total_mass + 0.5 * nu.total_mass, rel=1e-13)
-    assert rep.converged
-    assert rep.iterations == 0
+def test_massless_side_goes_through_the_main_paths():
+    # a side with no mass needs no case of its own: the kernel empties its
+    # lines, so the zero plan is reached and certified, and the ray LP's
+    # unit columns alone meet the other side at F(0) per unit
+    g0, g1 = GroundSet([[0.0], [1.0]]), GroundSet([[0.5], [2.0], [3.0]])
+    sides = [([0.0, 0.0], [0.8, 0.2, 0.05]), ([0.6, 0.1], [0.0, 0.0, 0.0]),
+             ([0.0, 0.0], [0.0, 0.0, 0.0])]
+    for (w0, w1), infinite in itertools.product(sides, (False, True)):
+        c = np.array([[0.3, 1.0, 2.0], [0.1, 0.4, math.inf if infinite else 0.7]])
+        mu0, mu1, cost = DiscreteMeasure(g0, w0), DiscreteMeasure(g1, w1), CostMatrix(c)
+        nu = Plan(g0, g1, np.full((2, 3), 0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan, phi, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=0.5))
+            plan0, rep0 = solve_x_unreg(mu0, mu1, cost)
+        m = mu0.total_mass + mu1.total_mass
+        assert plan.total_mass == 0.0 and rep.converged
+        assert rep.primal == pytest.approx(m + 0.5 * nu.total_mass, rel=1e-13)
+        assert eval_primal_eps(plan, mu0, mu1, cost, nu, 0.5) == pytest.approx(rep.primal,
+                                                                               rel=1e-13)
+        assert eval_dual_eps(phi, mu0, mu1, cost, nu, 0.5) == pytest.approx(rep.dual, rel=1e-13)
+        assert plan0.total_mass == 0.0 and rep0.converged
+        assert rep0.primal == rep0.dual == pytest.approx(m, rel=1e-13) and rep0.gap == 0.0
 
 
 def test_partial_zero_mass_points():

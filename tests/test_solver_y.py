@@ -12,14 +12,12 @@ from uotlab.solver_y import (
     AtomPlan,
     InfeasibleProblemError,
     RadialGrid,
-    YMeasure,
     default_grids,
     default_nu_y,
     extended_ot_value,
     hp_tensor,
     solve_y_eps,
     solve_y_unreg,
-    uot_as_ot_decomposition,
     _tilt_step,
 )
 
@@ -69,9 +67,6 @@ def test_atom_types_reject_non_finite_values():
     for p in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             single_atom_plan(grid, grid, 1, 1, 1.0, p)
-    ground = GroundSet([[0.0], [1.0]])
-    with pytest.raises(ValueError, match="finite"):
-        YMeasure(ground, grid, np.array([[0.0, 1.0], [math.nan, 0.0]]))
 
 
 @pytest.mark.parametrize("nodes, cap", [
@@ -668,27 +663,38 @@ def test_rescale_invariants_random():
         assert np.all(cloud.s1 <= s_star * (1 + 1e-12))
 
 
-def test_uot_as_ot_decomposition():
-    rng = np.random.default_rng(67)
-    g0 = GroundSet(rng.uniform(0, 1, size=(2, 2)))
-    g1 = GroundSet(rng.uniform(0, 1, size=(2, 2)))
-    mu0 = DiscreteMeasure(g0, rng.uniform(0.4, 1.0, 2))
-    mu1 = DiscreteMeasure(g1, rng.uniform(0.4, 1.0, 2))
-    cost = sqeuclidean_matrix(g0, g1)
-    grids = default_grids(mu0, mu1, 1.0, n_nodes=12, smin_frac=1e-2)
-    alpha, value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
-    beta0, beta1, coupling_value = uot_as_ot_decomposition(alpha, cost)
-    assert coupling_value == pytest.approx(value, rel=1e-12)
-    assert beta0.total_mass == pytest.approx(alpha.total_mass)
-    re_solved = extended_ot_value(beta0, beta1, cost, 1.0)
-    assert re_solved <= coupling_value + 1e-9
+def test_extended_ot_value_at_and_away_from_the_optimum():
+    # balanced transport between the plan's two marginals on X x R+ under
+    # H_p equals (H_p, alpha) at an optimal plan, and falls strictly below
+    # it at a plan that is not optimal; hk on a box of 2.5 has +inf cells
+    for seed, kind in ((0, "sqeuclidean"), (1, "sqeuclidean"), (2, "hk"), (3, "hk")):
+        rng = np.random.default_rng(67 + seed)
+        box = 2.5 if kind == "hk" else 1.0
+        g0 = GroundSet(rng.uniform(0, box, size=(3, 2)))
+        g1 = GroundSet(rng.uniform(0, box, size=(4, 2)))
+        mu0 = DiscreteMeasure(g0, rng.uniform(0.4, 1.2, 3))
+        mu1 = DiscreteMeasure(g1, rng.uniform(0.4, 1.2, 4))
+        cost = (hk_matrix if kind == "hk" else sqeuclidean_matrix)(g0, g1)
+        assert np.isinf(cost.values).any() == (kind == "hk")
+        grids = default_grids(mu0, mu1, 1.0, n_nodes=12, smin_frac=1e-2)
+        alpha, value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
+        assert alpha.objective(cost) == pytest.approx(value, rel=1e-12)
+        assert abs(extended_ot_value(alpha, cost) - value) <= 1e-12 * (1.0 + abs(value))
+
+        nu = default_nu_y(mu0, mu1, grids)
+        assert extended_ot_value(nu, cost) < nu.objective(cost) - 0.1
 
 
 def test_uot_as_ot_single_atom():
     grid = RadialGrid(np.array([0.0, 0.8]), 1.0)
     alpha = single_atom_plan(grid, grid, 1, 1, 0.9)
     cost = CostMatrix(np.array([[0.25]]))
-    beta0, beta1, value = uot_as_ot_decomposition(alpha, cost)
     want = 0.9 * (0.8 + 0.8 - 2 * 0.8 * math.exp(-0.125))
-    assert value == pytest.approx(want, rel=1e-12)
-    assert extended_ot_value(beta0, beta1, cost, 1.0) == pytest.approx(want, rel=1e-9)
+    assert alpha.objective(cost) == pytest.approx(want, rel=1e-12)
+    assert extended_ot_value(alpha, cost) == pytest.approx(want, rel=1e-9)
+    with pytest.raises(GroundMismatchError):
+        extended_ot_value(alpha, CostMatrix(np.zeros((1, 2))))
+    with_s = AtomPlan(alpha.row_ground, alpha.col_ground, (grid, grid, grid), 1.0,
+                      np.ones((1, 2, 1, 2, 2)))
+    with pytest.raises(ValueError, match="S grid"):
+        extended_ot_value(with_s, cost)
