@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GroundSet, _frozen_array
+from .measures import GroundSet, _frozen_array, _read_only
 
 HALF_PI = math.pi / 2.0
 
@@ -65,9 +65,13 @@ def hk_cost(d):
     if np.any(arr < 0):
         raise ValueError("distances must be nonnegative")
     inside = arr < HALF_PI
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos2 = np.cos(np.where(inside, arr, 0.0)) ** 2
-        out = np.where(inside, -np.log(cos2), math.inf)
+    out = np.where(inside, arr, 0.0)  # the one full-size array: each step is in place
+    np.cos(out, out=out)
+    np.square(out, out=out)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+    np.negative(out, out=out)
+    out[~inside] = math.inf
     return float(out) if scalar else out
 
 
@@ -83,12 +87,12 @@ def squared_distances(points0: np.ndarray, points1: np.ndarray) -> np.ndarray:
 
 
 def sqeuclidean_matrix(g0: GroundSet, g1: GroundSet) -> CostMatrix:
-    return CostMatrix(squared_distances(g0.points, g1.points))
+    return CostMatrix(_read_only(squared_distances(g0.points, g1.points)))
 
 
 def hk_matrix(g0: GroundSet, g1: GroundSet) -> CostMatrix:
     d = squared_distances(g0.points, g1.points)
-    return CostMatrix(hk_cost(np.sqrt(d, out=d)))
+    return CostMatrix(_read_only(hk_cost(np.sqrt(d, out=d))))
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,11 @@ def balanced_sinkhorn(mu_w: np.ndarray, nu_w: np.ndarray, cost: np.ndarray,
     """Solve min (c, g) + eps * H(g | reference) over couplings of (mu, nu).
 
     Balanced steps (proximal exponent 1) of the stabilised scaling kernel
-    on reference * exp(-c/eps); stops when the worst marginal deviation,
-    checked every 10 iterations, falls below ``tol``.  Returns (plan,
-    iterations, value, (side 0, side 1) marginal residuals) of the loop's
-    last check.  The plan P = reference * exp(f_i + g_j - c/eps) of the
+    on reference * exp(-c/eps), ``cost`` broadcast to the reference's shape
+    (a scalar 0 for a reference that absorbs the cost); stops when the worst
+    marginal deviation, checked every 10 iterations, falls below ``tol``.
+    Returns (plan, read-only, iterations, value, (side 0, side 1) marginal
+    residuals) of the loop's last check.  The plan P = reference * exp(f_i + g_j - c/eps) of the
     log-potentials (f, g) has (c, P) + eps * sum P log(P / reference) =
     eps * (f . P_0 + g . P_1), so the value is read off its marginals, in O(n).
     """
@@ -117,26 +118,36 @@ def balanced_sinkhorn(mu_w: np.ndarray, nu_w: np.ndarray, cost: np.ndarray,
 # The three conventions
 # ---------------------------------------------------------------------------
 
-def _solve(mu: GridMeasure, nu: GridMeasure, eps: float,
+def _solve(mu: GridMeasure, nu: GridMeasure, cost: np.ndarray, eps: float,
            convention: int) -> tuple[float, np.ndarray, tuple[float, float]]:
-    """Value, plan and balanced Sinkhorn residuals of one convention."""
-    cost = squared_distances(mu.points, nu.points)
-    if convention == 1:
-        ref = np.full(cost.shape, mu.cell_volume * nu.cell_volume)
+    """Value, plan and balanced Sinkhorn residuals of one convention on the
+    grid cost ``cost``."""
+    if convention == 1:  # a constant: one value broadcast, no array of it
+        ref = np.broadcast_to(mu.cell_volume * nu.cell_volume, cost.shape)
     elif convention == 2:
         ref = np.outer(mu.weights, nu.weights)
-    else:  # the heat kernel absorbs the cost
-        ref = ((2.0 * math.pi * eps) ** (-mu.dim / 2.0) * np.exp(-cost / (2.0 * eps))
-               * (mu.cell_volume * nu.cell_volume))
-        cost = np.zeros_like(cost)
+    else:  # the heat kernel absorbs the cost, so the solve's cost is 0
+        ref = np.negative(cost)
+        ref /= 2.0 * eps
+        np.exp(ref, out=ref)
+        ref *= (2.0 * math.pi * eps) ** (-mu.dim / 2.0)
+        ref *= mu.cell_volume * nu.cell_volume
+        cost = 0.0
     gamma, _, value, residuals = balanced_sinkhorn(mu.weights, nu.weights, cost, eps, ref)
     return value, gamma, residuals
 
 
-def _matched(mu: GridMeasure, nu: GridMeasure, first: tuple, second: tuple) -> tuple:
-    """Values, largest plan difference and residuals of two matched problems."""
-    (v0, g0, r0), (v1, g1, r1) = _solve(mu, nu, *first), _solve(mu, nu, *second)
-    return v0, v1, float(np.max(np.abs(g1 - g0))), r0 + r1
+def _matched(mu: GridMeasure, nu: GridMeasure, cost: np.ndarray, first: tuple,
+             second: tuple) -> tuple:
+    """Values, largest plan difference and residuals of two matched problems.
+
+    The second problem, whose reference is a full array, is solved first, so
+    that its reference is gone before the first one's solve.
+    """
+    v1, g1, r1 = _solve(mu, nu, cost, *second)
+    v0, g0, r0 = _solve(mu, nu, cost, *first)
+    diff = np.subtract(g1, g0)
+    return v0, v1, float(np.max(np.abs(diff, out=diff))), r0 + r1
 
 
 def verify_identities(mu: GridMeasure, nu: GridMeasure, eps: float) -> dict:
@@ -153,8 +164,9 @@ def verify_identities(mu: GridMeasure, nu: GridMeasure, eps: float) -> dict:
     if not (0.0 < eps < math.inf):
         raise ValueError("eps must be positive and finite")
     d = mu.dim
-    v1, v2, plan_residual_w2, r_w2 = _matched(mu, nu, (eps, 1), (eps, 2))
-    v1_2eps, v3, plan_residual_w3, r_w3 = _matched(mu, nu, (2.0 * eps, 1), (eps, 3))
+    cost = squared_distances(mu.points, nu.points)
+    v1, v2, plan_residual_w2, r_w2 = _matched(mu, nu, cost, (eps, 1), (eps, 2))
+    v1_2eps, v3, plan_residual_w3, r_w3 = _matched(mu, nu, cost, (2.0 * eps, 1), (eps, 3))
     h_mu = entropy_against_lebesgue(mu)
     h_nu = entropy_against_lebesgue(nu)
     return {

@@ -24,14 +24,31 @@ class GroundMismatchError(ValueError):
     """Raised when an operation mixes measures living on different grounds."""
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, marked read-only: how a solver hands a fresh array it keeps
+    no writable view of to a frozen value type, which then shares it."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _shareable(value) -> bool:
+    """Whether ``value`` is a read-only float64 array that no writable array
+    reaches: it owns its memory, or its base is such an array."""
+    return (type(value) is np.ndarray and value.dtype == np.float64
+            and not value.flags.writeable and (value.flags.owndata or _shareable(value.base)))
+
+
 def _frozen_array(owner, field: str, what: str, *, ndim=None, shape=None,
                   nonnegative: bool = False, infinite: bool = False) -> np.ndarray:
     """Set ``field`` of the frozen dataclass ``owner`` to a read-only float
-    copy of its value, checked for ``ndim`` or ``shape`` when given, NaN,
+    array of its value, checked for ``ndim`` or ``shape`` when given, NaN,
     infinity unless ``infinite`` (-inf then fails ``nonnegative``) and sign
     when ``nonnegative``, each by a boolean mask; ``what`` names it in errors.
-    Every frozen value type of the package builds its arrays here."""
-    arr = np.array(getattr(owner, field), dtype=float)
+    A ``_shareable`` value is kept as it is, anything else is copied, so a
+    later write to the caller's array never reaches the field.  Every frozen
+    value type of the package builds its arrays here."""
+    value = getattr(owner, field)
+    arr = value if _shareable(value) else np.array(value, dtype=float)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if shape is not None and arr.shape != shape:

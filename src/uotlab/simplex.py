@@ -514,9 +514,8 @@ def atom_lp(cost, families, *, full_pricing: bool = False, start=None) -> LpResu
                    full_pricing=full_pricing, start=start)
     if not res.optimal:
         return res
-    x = res.x.reshape(cost.shape)
-    x.flags.writeable = False
-    return replace(res, x=x)
+    res.x.flags.writeable = False  # and so its reshaped view, which value types share
+    return replace(res, x=res.x.reshape(cost.shape))
 
 
 def _multiscale_lp(cost, families, axes) -> LpResult:

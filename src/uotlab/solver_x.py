@@ -43,7 +43,8 @@ import numpy as np
 
 from .costs import CostMatrix, perspective_H_eps
 from .entropy import F_ZERO, R, F_star, divergence_arrays
-from .measures import DiscreteMeasure, GroundMismatchError, Plan, _frozen_array, split_arrays
+from .measures import (DiscreteMeasure, GroundMismatchError, Plan, _frozen_array, _read_only,
+                       split_arrays)
 from .simplex import atom_lp
 
 _EXP_CLIP = 700.0  # exp overflow guard
@@ -117,7 +118,9 @@ def default_nu_x(mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
     m = mu0.total_mass * mu1.total_mass
     if m <= 0:
         raise ValueError("default reference needs both measures to carry mass")
-    return Plan(mu0.ground, mu1.ground, np.outer(mu0.weights, mu1.weights) / m)
+    w = np.outer(mu0.weights, mu1.weights)
+    w /= m
+    return Plan(mu0.ground, mu1.ground, _read_only(w))
 
 
 def _coupling_value(cost: np.ndarray, gamma: np.ndarray) -> float:
@@ -219,11 +222,22 @@ _ABSORB = 30.0  # |log u|, |log v| past which the scalings are absorbed into the
 _TINY = 1e-200  # a kernel mat-vec entry below this may have lost terms to underflow
 
 
-def log_kernel(reference: np.ndarray, cost: np.ndarray, eps: float) -> np.ndarray:
-    """log(reference * exp(-cost/eps)), -inf where either factor vanishes."""
+_BLOCK = 1 << 15  # entries of the cost/eps block log_kernel subtracts at a time
+
+
+def log_kernel(reference: np.ndarray, cost, eps: float) -> np.ndarray:
+    """log(reference * exp(-cost/eps)), -inf where either factor vanishes.
+
+    ``cost`` broadcasts to the reference's (rows, cols) shape.  cost/eps is
+    subtracted from the log in place, a block of rows at a time, so the log
+    is the one full-size array."""
     with np.errstate(divide="ignore"):
         log_k = np.log(reference)
-    return np.subtract(log_k, np.divide(cost, eps), out=log_k)
+    cost = np.broadcast_to(cost, log_k.shape)
+    step = max(1, _BLOCK // max(1, log_k.shape[1]))
+    for i in range(0, log_k.shape[0], step):
+        log_k[i:i + step] -= cost[i:i + step] / eps
+    return log_k
 
 
 _BALANCED_OMEGA = 1.5  # over-relaxation of balanced steps
@@ -329,7 +343,7 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray,
     half-step), and returns (stop, result); a true stop ends the sweep.  The
     potentials are the kernel's own arrays, so a check copies what it keeps
     of them into its result.  Returns (iterations, that plan in the kernel's
-    storage, the last check's result).
+    storage, read-only, the last check's result).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -410,7 +424,7 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray,
                 rebuild()
                 prod0 = None
         rebuild()
-    return iters, kern, result
+    return iters, _read_only(kern), result
 
 
 def _clamped_potentials(f, g, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -554,7 +568,8 @@ def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix
     ``_RAY_ROUNDS`` rounds (``iterations``).  The plan is
     gamma_ij = sum_k x_k sqrt(a_k b_k) exp(-c_ij/2) over the pair's rays,
     ``primal`` its value, gap = primal - dual, and ``converged`` holds at a
-    finite primal and a gap of at most 1e-9 (1 + |primal|).
+    finite primal and a gap of at most 1e-9 (1 + |primal|).  When not even
+    round 1 ends optimal, the plan is 0, the dual -inf and the gap +inf.
     """
     _check_instance(mu0, mu1, cost, None)
     mu0_w, mu1_w, c = mu0.weights, mu1.weights, cost.values
@@ -567,7 +582,7 @@ def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix
     a_col = np.r_[np.ones(n0), np.zeros(n1)]
     price = np.ones(n0 + n1)
     start = (np.arange(n0 + n1), np.arange(n0 + n1))
-    dual = -math.inf
+    dual, lp = -math.inf, None
     for rounds in range(1, _RAY_ROUNDS + 1):
         res = atom_lp(price, [(i_col, a_col, mu0_w), (j_col, 1.0 - a_col, mu1_w)], start=start)
         if not res.optimal:  # a pivot cap: the last optimal round stands
@@ -586,10 +601,13 @@ def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix
         i_col, j_col, a_col = np.r_[i_col, i], np.r_[j_col, j], np.r_[a_col, a]
         price = np.r_[price, 1.0 - 2.0 * np.sqrt(a * (1.0 - a)) * k_half[i, j]]
 
-    k = lp.x.size  # the columns of the last optimal round
-    weight = lp.x * np.sqrt(a_col[:k] * (1.0 - a_col[:k]))
-    gamma = np.bincount(i_col[:k] * n1 + j_col[:k], weight, n0 * n1).reshape(n0, n1) * k_half
-    plan = Plan(mu0.ground, mu1.ground, gamma)
+    if lp is None:  # no round solved: the zero plan, which destroys every mass
+        gamma = np.zeros((n0, n1))
+    else:
+        k = lp.x.size  # the columns of the last optimal round
+        weight = lp.x * np.sqrt(a_col[:k] * (1.0 - a_col[:k]))
+        gamma = np.bincount(i_col[:k] * n1 + j_col[:k], weight, n0 * n1).reshape(n0, n1) * k_half
+    plan = Plan(mu0.ground, mu1.ground, _read_only(gamma))
     primal = eval_primal_unreg(plan, mu0, mu1, cost)
     gap = primal - dual
     converged = math.isfinite(primal) and gap <= 1e-9 * (1.0 + abs(primal))

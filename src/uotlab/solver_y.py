@@ -60,7 +60,8 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostMatrix, perspective_H, perspective_H_eps
-from .measures import DiscreteMeasure, GroundMismatchError, GroundSet, Plan, _frozen_array
+from .measures import (DiscreteMeasure, GroundMismatchError, GroundSet, Plan, _frozen_array,
+                       _read_only)
 from .simplex import LpResult, _multiscale_lp, transport_lp
 from .solver_x import ScalingStep, SolveReport, SolverConfig, _check_instance, scaling_kernel
 
@@ -75,6 +76,12 @@ class InfeasibleProblemError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
+
+def _check_cost(cost: CostMatrix, row_ground: GroundSet, col_ground: GroundSet) -> None:
+    """GroundMismatchError unless the cost is over the two grounds' point pairs."""
+    if cost.shape != (row_ground.size, col_ground.size):
+        raise GroundMismatchError(f"cost shape {cost.shape} does not match the plan's grounds")
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -151,7 +158,9 @@ class AtomCloud:
         return Plan(self.row_ground, self.col_ground, w.reshape(n0, n1))
 
     def objective(self, cost: CostMatrix, eps: Optional[float] = None) -> float:
-        """(H_p, atoms), or (H_eps, atoms) with the given eps when S is present."""
+        """(H_p, atoms), or (H_eps, atoms) with the given eps when S is present.
+        Raises GroundMismatchError on a cost not over the two grounds."""
+        _check_cost(cost, self.row_ground, self.col_ground)
         c = cost.values[self.x0, self.x1]
         s0p, s1p = self.s0 ** self.p, self.s1 ** self.p
         if self.S is None:
@@ -262,7 +271,8 @@ def default_nu_y(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     total = w.sum()
     if total <= 0:
         raise ValueError("reference needs at least one positive radial node per side")
-    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, w / total)
+    w /= total
+    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, _read_only(w))
 
 
 def hp_tensor(cost: CostMatrix, grid0: RadialGrid, grid1: RadialGrid, p: float) -> np.ndarray:
@@ -421,7 +431,8 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     for side, (ref, grid) in enumerate(zip(nu_y.grids, grids)):
         if ref is not grid and not np.array_equal(ref.nodes, grid.nodes):
             raise GroundMismatchError(f"reference grid does not match grid{side}")
-    if abs(nu_y.total_mass - 1.0) > 1e-8:
+    nu_mass = nu_y.total_mass
+    if abs(nu_mass - 1.0) > 1e-8:
         raise ValueError("nu_Y must be a probability measure over the atoms")
     eps = config.eps
     omega = max(1.0, 2.0 / (1.0 + math.sqrt(eps / 2.0)))
@@ -431,9 +442,18 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     lams = (np.zeros(mu0.ground.size), np.zeros(mu1.ground.size))
     # the s = 0 lines carry no homogeneous mass, so no constraint empties them
     masses = [np.where(sp > 0, mu[:, None], 1.0).ravel() for mu, sp in zip(mus, sps)]
+    # the log-kernel log nu_Y - H_p/eps in one buffer, both steps in place;
+    # nu_Y (when it is the default) and H_p are dropped before the sweep,
+    # which then holds this buffer and the kernel alone
+    shape = nu_y.weights.shape
+    log_k = np.maximum(nu_y.weights, 1e-300)
+    np.log(log_k, out=log_k)
+    log_k[nu_y.weights <= 0] = -math.inf
+    del nu_y
     h = hp_tensor(cost, grid0, grid1, p)
-    with np.errstate(divide="ignore"):
-        log_nu = np.where(nu_y.weights > 0, np.log(np.maximum(nu_y.weights, 1e-300)), -math.inf)
+    np.divide(h, eps, out=h)
+    np.subtract(log_k, h, out=log_k)
+    del h
     scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
 
     def check(_f, _g, *margs):
@@ -445,12 +465,12 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         return converged, (d, res, float(np.sum(margs[1])), converged)
 
     iters, alpha_w, (d, res, mass, converged) = scaling_kernel(
-        (log_nu - h / eps).reshape(masses[0].size, -1), *masses,
+        log_k.reshape(masses[0].size, -1), *masses,
         _tilt_step(sps, mus, lams, omega), config.max_iters, 1, check)
 
-    alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(h.shape))
+    alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(shape))
     dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)
-                  + nu_y.total_mass - mass)
+                  + nu_mass - mass)
     primal = dual + eps * sum(float(lam @ x) for lam, x in zip(lams, d))
     gap = eps * sum(float(np.abs(lam) @ np.abs(x)) for lam, x in zip(lams, d))
     return alpha, SolveReport(primal, dual, gap, iters, res, converged)
@@ -470,10 +490,9 @@ def extended_ot_value(alpha: AtomPlan, cost: CostMatrix) -> float:
     """
     if len(alpha.grids) != 2:
         raise ValueError("a plan with an S grid has no transport decomposition")
+    _check_cost(cost, alpha.row_ground, alpha.col_ground)
     w = alpha.weights
     n0, k0, n1, k1 = w.shape
-    if cost.shape != (n0, n1):
-        raise GroundMismatchError(f"cost shape {cost.shape} does not match the plan's grounds")
     beta0, beta1 = w.sum(axis=(2, 3)).ravel(), w.sum(axis=(0, 1)).ravel()
     pairs = hp_tensor(cost, *alpha.grids, alpha.p).reshape(n0 * k0, n1 * k1)
     return _optimal(transport_lp(beta0, beta1, pairs), "transport").value

@@ -135,6 +135,34 @@ def test_immutability(ground2):
         ground2.points[0, 0] = 3.0
 
 
+def test_frozen_array_copies_a_writeable_input(ground2):
+    w = np.array([1.0, 2.0])
+    m = DiscreteMeasure(ground2, w)
+    w[0] = 5.0
+    assert m.weights[0] == 1.0
+    assert not np.shares_memory(m.weights, w)
+
+
+def test_frozen_array_shares_a_read_only_input_that_owns_its_memory(ground2):
+    w = np.array([1.0, 2.0])
+    w.flags.writeable = False
+    assert np.shares_memory(DiscreteMeasure(ground2, w).weights, w)
+    # as it does a read-only view of such an array
+    flat = np.array([0.5, 0.0, 0.25, 1.0])
+    flat.flags.writeable = False
+    assert np.shares_memory(Plan(ground2, ground2, flat.reshape(2, 2)).weights, flat)
+
+
+def test_frozen_array_copies_a_read_only_view_of_a_writeable_base(ground2):
+    base = np.array([1.0, 2.0, 3.0])
+    view = base[:2]
+    view.flags.writeable = False
+    m = DiscreteMeasure(ground2, view)
+    base[0] = 5.0
+    assert m.weights[0] == 1.0
+    assert not np.shares_memory(m.weights, base)
+
+
 def test_measure_json_roundtrip(tmp_path, ground2):
     m = DiscreteMeasure(ground2, [0.25, 1.75])
     path = tmp_path / "m.json"

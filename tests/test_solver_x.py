@@ -647,6 +647,21 @@ def test_unreg_coincident_diracs():
     assert rep.primal == pytest.approx(0.0, abs=1e-7)
 
 
+def test_unreg_unsolved_first_round_is_not_converged(monkeypatch):
+    monkeypatch.setattr(solver_x, "atom_lp",
+                        lambda *args, **kwargs: simplex.LpResult("iteration_limit", None,
+                                                                 math.nan, 0))
+    g0, g1 = GroundSet([[0.0], [1.0]]), GroundSet([[0.5]])
+    mu0, mu1 = DiscreteMeasure(g0, [1.0, 0.5]), DiscreteMeasure(g1, [0.8])
+    plan, rep = solve_x_unreg(mu0, mu1, sqeuclidean_matrix(g0, g1))
+    assert not rep.converged
+    assert rep.iterations == 1
+    # the zero plan destroys every mass at F(0) = 1 per unit
+    assert np.all(plan.weights == 0.0)
+    assert rep.primal == pytest.approx(2.3, abs=1e-15)
+    assert (rep.dual, rep.gap) == (-math.inf, math.inf)
+
+
 def test_unreg_dirac_closed_form():
     rng = np.random.default_rng(51)
     for _ in range(10):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,35 @@ def test_eps_solver_rejects_cost_of_wrong_shape():
     grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
     with pytest.raises(GroundMismatchError):
         solve_y_eps(mu0, mu1, cost, 1.0, grids, None, SolverConfig(eps=0.5))
+
+
+def test_eps_solve_holds_two_atom_tensors():
+    # the log-kernel and the kernel: the default nu_Y and H_p are gone before
+    # the sweep, and the plan shares the kernel's storage
+    rng = np.random.default_rng(3)
+    n, k = 16, 32
+    mu0, mu1 = (DiscreteMeasure(GroundSet(rng.uniform(0, 2, size=(n, 2))),
+                                rng.uniform(0.5, 1.5, n)) for _ in range(2))
+    cost = hk_matrix(mu0.ground, mu1.ground)
+    grids = default_grids(mu0, mu1, 1.0, n_nodes=k)
+    tracemalloc.start()
+    try:
+        alpha, _ = solve_y_eps(mu0, mu1, cost, 1.0, grids, None, SolverConfig(eps=0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * alpha.weights.nbytes
+    assert alpha.weights.nbytes == n * k * n * k * 8
+
+
+def test_objective_rejects_cost_of_wrong_shape():
+    g0, g1 = GroundSet([[0.0], [1.0]]), GroundSet([[0.5]])
+    grid = RadialGrid(np.array([0.0, 0.8]), 1.0)
+    alpha = AtomPlan(g0, g1, (grid, grid), 1.0, np.full((2, 2, 1, 2), 0.125))
+    cost = CostMatrix(np.zeros((3, 3)))
+    for plan in (alpha, alpha.atoms()):
+        with pytest.raises(GroundMismatchError):
+            plan.objective(cost)
 
 
 def test_eps_solver_rejects_reference_on_other_grounds():
