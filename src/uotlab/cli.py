@@ -63,13 +63,26 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_measure(path: str) -> DiscreteMeasure:
+def _read_file(kind: str, path: str, read):
+    """``read(path)``, with a missing file, or content that ``read`` rejects
+    (bad JSON, a missing field, a wrong type or shape), an input error."""
     try:
-        return load_measure(path)
+        return read(path)
     except FileNotFoundError as exc:
-        raise InputError(f"measure file not found: {path}") from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"malformed measure file {path}: {exc}") from exc
+        raise InputError(f"{kind} file not found: {path}") from exc
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"malformed {kind} file {path}: {exc}") from exc
+
+
+def _json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _cost_file(path: str) -> CostMatrix:
+    """The cost of a JSON file: a plan object or a bare nested list."""
+    data = _json(path)
+    return CostMatrix(plan_weights_from_dict(data) if isinstance(data, dict) else data)
 
 
 def _cost_matrix(spec: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> CostMatrix:
@@ -78,34 +91,20 @@ def _cost_matrix(spec: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> CostM
     if spec == "hk":
         return hk_matrix(mu0.ground, mu1.ground)
     if spec.startswith("file:"):
-        path = spec[5:]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            return CostMatrix(plan_weights_from_dict(data) if isinstance(data, dict) else data)
-        except FileNotFoundError as exc:
-            raise InputError(f"cost file not found: {path}") from exc
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise InputError(f"malformed cost file {path}: {exc}") from exc
+        return _read_file("cost", spec[5:], _cost_file)
     raise InputError(f"unknown cost spec {spec!r}; use sqeuclidean, hk or file:<path>")
 
 
 def _load_nu(path: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return Plan(mu0.ground, mu1.ground, plan_weights_from_dict(data))
-    except FileNotFoundError as exc:
-        raise InputError(f"reference file not found: {path}") from exc
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"malformed reference file {path}: {exc}") from exc
+    return _read_file("reference", path,
+                      lambda p: Plan(mu0.ground, mu1.ground, plan_weights_from_dict(_json(p))))
 
 
 def _instance(args) -> tuple[float, DiscreteMeasure, DiscreteMeasure, CostMatrix]:
     """The clock start, both measures and the cost of a subcommand's instance."""
     t0 = time.perf_counter()
-    mu0 = _load_measure(args.mu0)
-    mu1 = _load_measure(args.mu1)
+    mu0 = _read_file("measure", args.mu0, load_measure)
+    mu1 = _read_file("measure", args.mu1, load_measure)
     return t0, mu0, mu1, _cost_matrix(args.cost, mu0, mu1)
 
 
@@ -161,12 +160,14 @@ def emit_convergence_csv(rows: list[dict], path: str) -> None:
 
 def _cmd_solve_x(args) -> int:
     t0, mu0, mu1, cost = _instance(args)
-    nu = _load_nu(args.nu, mu0, mu1) if args.nu else default_nu_x(mu0, mu1)
+    nu = _load_nu(args.nu, mu0, mu1) if args.nu else None  # None: solve_x_eps's default
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
     if args.entropy == "balanced":
         # sharp marginals: plain balanced scaling against the reference
         if not balanced_masses(mu0.total_mass, mu1.total_mass):
             raise InputError("balanced marginal entropies need equal masses")
+        if nu is None:
+            nu = default_nu_x(mu0, mu1)
         gamma, iters, value, residuals = _balanced(
             mu0, mu1, cost, config.eps, nu, tol=config.tolerance, max_iters=config.max_iters)
         report = SolveReport(value, value, 0.0, iters, residuals,
@@ -209,8 +210,7 @@ def _cmd_sweep_eps(args) -> int:
         start = time.perf_counter()
         config = SolverConfig(eps=eps, max_iters=args.max_iters, tolerance=args.tol)
         if args.formulation == "x":
-            nu = default_nu_x(mu0, mu1)
-            _, _, report = solve_x_eps(mu0, mu1, cost, nu, config)
+            _, _, report = solve_x_eps(mu0, mu1, cost, None, config)
         else:
             grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
                                   smin_frac=args.smin_frac)

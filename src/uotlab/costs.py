@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GroundSet, _frozen_array, _read_only
+from .measures import GroundMismatchError, GroundSet, _frozen_array, _read_only
 
 HALF_PI = math.pi / 2.0
 
@@ -77,7 +77,11 @@ def hk_cost(d):
 
 def squared_distances(points0: np.ndarray, points1: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of two (count, dim)
-    arrays, summed one coordinate at a time into one n0 x n1 array."""
+    arrays, summed one coordinate at a time into one n0 x n1 array.  Raises
+    GroundMismatchError when the two dims differ."""
+    d0, d1 = points0.shape[1], points1.shape[1]
+    if d0 != d1:
+        raise GroundMismatchError(f"points of dimension {d0} and {d1} have no common distance")
     out = np.subtract.outer(points0[:, 0], points1[:, 0])
     np.square(out, out=out)
     for k in range(1, points0.shape[1]):

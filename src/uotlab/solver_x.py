@@ -18,12 +18,12 @@ K = exp(-c/eps) * nu_X.  ``scaling_kernel`` runs these updates, the
 balanced ones (exponent 1) of ``identities`` and the tilt projections of
 ``solver_y``, each as its own marginal step (a ``ScalingStep``) from zero
 potentials, by mat-vecs on one kernel with absorbed log-potentials, which
-keeps eps <= 1e-3, underflowing rows and infinite costs exact.  The KL and
-balanced steps are over-relaxed, a relaxed half-step kept only when the dual
-does not decrease, and the KL steps are translated along the dual's shift
-mode (phi_0 + t, phi_1 - t) after each iteration (``proximal_step``); both
-cost O(n) per iteration.  The tilt steps relax their own tilts, point by
-point under the same kind of guard, and reach the kernel as plain steps.
+keeps eps <= 1e-3, underflowing rows and infinite costs exact.  Each step
+over-relaxes itself under its own guard, a relaxed step kept only where the
+dual does not decrease: summed over a side's lines for the KL and balanced
+steps (``proximal_step``), point by point for the tilts.  The KL steps are
+also translated along the dual's shift mode (phi_0 + t, phi_1 - t) after
+each iteration; guard and translation cost O(n) per iteration.
 Convergence checks read the marginals the sweep computes and certify the
 gap by Fenchel-Young terms, in O(n); the report reuses them, as a scaling
 plan's primal value is its dual plus that gap.  A side with no mass needs no
@@ -244,30 +244,23 @@ _BALANCED_OMEGA = 1.5  # over-relaxation of balanced steps
 
 
 class ScalingStep(NamedTuple):
-    """One marginal step of ``scaling_kernel``, with its relaxation and
-    translation.
+    """One marginal step of ``scaling_kernel``, with its translation.
 
-    ``update(side, m)`` returns the side's new log-potentials from the m of
-    ``scaling_kernel``.  ``omega`` over-relaxes it: on lines where the old
-    and the updated potentials are both finite, new = old + omega * (update
-    - old).  Unless omega is 1, ``gain(side, lines, old, d)`` returns, per
-    line of the mask ``lines``, the change of the separable part of the dual
-    (over eps) when the potentials ``old`` of those lines move by d.
+    ``update(side, m, old)`` returns the side's new log-potentials from the m
+    of ``scaling_kernel`` and the side's current log-potentials ``old``, whose
+    lines carry plan mass exp(old + m): a step that relaxes itself reads its
+    guard from them (``proximal_step``, ``solver_y._tilt_step``).
     ``shift(f, g)``, or None for no translation, returns the t that
-    maximises the dual along (f + t, g - t).  A plain step is
-    ``ScalingStep(update, 1.0, None, None)``; the tilt steps of ``solver_y``
-    are plain here, as they relax and guard their tilts inside ``update``.
+    maximises the dual along (f + t, g - t).
     """
 
     update: Callable
-    omega: float
-    gain: Optional[Callable]
     shift: Optional[Callable]
 
 
 def proximal_step(mu0_w: np.ndarray, mu1_w: np.ndarray, kappa: float) -> ScalingStep:
     """The closed-form marginal step (log mu - m)/(1 + kappa) of
-    ``scaling_kernel``, over-relaxed, and translated for KL marginals.
+    ``scaling_kernel``, relaxed under a guard and translated for KL marginals.
 
     ``kappa`` is eps over the weight of the marginal penalty: eps for the KL
     marginals of ``solve_x_eps``, 0 for the fixed marginals of a balanced
@@ -275,9 +268,15 @@ def proximal_step(mu0_w: np.ndarray, mu1_w: np.ndarray, kappa: float) -> Scaling
     sum mu (1 - exp(-kappa p))/kappa to the dual over eps (sum mu p at
     kappa 0), and the step maximises that less the plan mass.
 
-    omega is max(1, 2/(1 + sqrt(2 kappa))) for KL marginals (Thibault,
-    Chizat, Dossal and Papadakis, arXiv:1711.01851), the plain step from
-    kappa 1/2 up, and 1.5 for balanced ones.  The KL translation is
+    On the lines where ``old`` and the plain step are both finite, the update
+    moves old by d = omega (step - old) if that does not lower the dual,
+    summed over the side's lines: the separable change
+    sum mu exp(-kappa old) (1 - exp(-kappa d))/kappa (sum mu d at kappa 0)
+    less the change of plan mass sum exp(old + m) (exp(d) - 1), in O(n); else,
+    or when that sum is not finite, it returns the plain step.  omega is
+    max(1, 2/(1 + sqrt(2 kappa))) for KL marginals (Thibault, Chizat, Dossal
+    and Papadakis, arXiv:1711.01851), the plain step from kappa 1/2 up, and
+    1.5 for balanced ones.  The KL translation is
     t = (LSE(log mu0 - kappa f) - LSE(log mu1 - kappa g)) / (2 kappa) over the
     lines with mass and a finite potential, 0 when either side has none:
     the closed-form maximiser of the dual along (f + t, g - t) (Sejourne,
@@ -288,16 +287,25 @@ def proximal_step(mu0_w: np.ndarray, mu1_w: np.ndarray, kappa: float) -> Scaling
         log_mu = (np.log(mu0_w), np.log(mu1_w))
     mus = (mu0_w, mu1_w)
     damp = 1.0 / (1.0 + kappa)
+    omega = _BALANCED_OMEGA if kappa == 0.0 else max(1.0, 2.0 / (1.0 + math.sqrt(2.0 * kappa)))
 
-    def _update(side, m):
-        return damp * (log_mu[side] - m)
+    def _update(side, m, old):
+        # a zero-mass line comes out -inf or nan, and an overflowing change rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = damp * (log_mu[side] - m)
+            if omega == 1.0:
+                return new
+            use = np.isfinite(old) & np.isfinite(new)
+            p, d, mu = old[use], omega * (new[use] - old[use]), mus[side][use]
+            sep = (mu * d if kappa == 0.0
+                   else mu * np.exp(-kappa * p) * -np.expm1(-kappa * d) / kappa)
+            gain = np.sum(sep - np.exp(p + m[use]) * np.expm1(d))
+        if 0.0 <= gain < math.inf:  # false for nan
+            new[use] = p + d
+        return new
 
     if kappa == 0.0:
-        return ScalingStep(_update, _BALANCED_OMEGA,
-                           lambda side, lines, p, d: mus[side][lines] * d, None)
-
-    def _gain(side, lines, p, d):
-        return mus[side][lines] * np.exp(-kappa * p) * -np.expm1(-kappa * d) / kappa
+        return ScalingStep(_update, None)
 
     def _shift(f, g):
         lse = []
@@ -310,14 +318,14 @@ def proximal_step(mu0_w: np.ndarray, mu1_w: np.ndarray, kappa: float) -> Scaling
             lse.append(top + math.log(np.sum(np.exp(z - top))))
         return 0.5 * (lse[0] - lse[1]) / kappa
 
-    return ScalingStep(_update, max(1.0, 2.0 / (1.0 + math.sqrt(2.0 * kappa))), _gain, _shift)
+    return ScalingStep(_update, _shift)
 
 
 def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray,
                    step: ScalingStep, max_iters: int, check_every: int,
                    check: Callable) -> tuple[int, np.ndarray, object]:
-    """Alternate f = step.update(0, m) with m_i = LSE_j(g_j + log_k_ij), then
-    g likewise, from zero potentials f and g.
+    """Alternate f = step.update(0, m, f) with m_i = LSE_j(g_j + log_k_ij),
+    then g likewise, from zero potentials f and g.
 
     With f = alpha + log u and g = beta + log v, the absorbed parts live in
     one kernel K = exp(alpha_i + beta_j + log_k_ij), so m is the log of one
@@ -326,16 +334,9 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray,
     peaking at 1 so m is exact, before the first half-step and whenever a
     line with mass gets a mat-vec entry below ``_TINY``.  Zero-mass lines
     get -inf whatever the step returns; a line with mass and no reachable
-    partner has m = -inf.
-
-    A step with omega other than 1 is relaxed under a guard: the relaxed
-    potentials are taken only if the dual does not decrease, else the plain
-    update is.  The change is read, in O(n), as the step's separable gain
-    less the change of plan mass, sum u_i (K v)_i (exp(d_i) - 1) over the
-    relaxed lines, from the mat-vec the half-step already made; a
-    non-finite change rejects.  A step with a shift translates f by +t and
-    g by -t after each iteration, moving the absorbed parts with them, so
-    K, u, v and the plan stay as they are.
+    partner has m = -inf.  A step with a shift translates f by +t and g by
+    -t after each iteration, moving the absorbed parts with them, so K, u, v
+    and the plan stay as they are.
 
     ``check(f, g, marg0, marg1)`` runs after every ``check_every``-th
     iteration and after the last, with both marginals of the plan
@@ -388,16 +389,8 @@ def scaling_kernel(log_k: np.ndarray, mu0_w: np.ndarray, mu1_w: np.ndarray,
         if prod.min() < _TINY and np.min(prod, where=live[side], initial=math.inf) < _TINY:
             rebuild(normalise=side)
             prod = lines[side] @ scal[1 - side]
-        new = step.update(side, np.log(prod) - absorbed[side])
+        new = step.update(side, np.log(prod) - absorbed[side], pot[side])
         new[null[side]] = -math.inf
-        if step.omega != 1.0:
-            old = pot[side]
-            use = np.isfinite(old) & np.isfinite(new)
-            p, d = old[use], step.omega * (new[use] - old[use])
-            with np.errstate(over="ignore"):  # an overflowing change rejects
-                gain = np.sum(step.gain(side, use, p, d) - scal[side][use] * prod[use] * np.expm1(d))
-            if 0.0 <= gain < math.inf:  # false for nan
-                new[use] = p + d
         pot[side] = new
         rescale(side)
         return prod
@@ -478,7 +471,9 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     clamped potentials, and the returned potentials and report are the
     result of the loop's last check, which sees both marginals of the
     returned plan, the scaling plan of those potentials: its primal value is
-    dual + gap, and ``converged`` is the stop test itself.
+    dual + gap, and ``converged`` is the stop test itself.  ``nu_x`` None is
+    ``default_nu_x``, dropped once the log-kernel is built, so that the sweep
+    holds the log-kernel and the kernel alone.
     """
     if nu_x is None:
         nu_x = default_nu_x(mu0, mu1)
@@ -486,6 +481,8 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     eps = config.eps
     mu0_w, mu1_w = mu0.weights, mu1.weights
     nu_mass = float(np.sum(nu_x.weights))
+    log_k = log_kernel(nu_x.weights, cost.values, eps)
+    del nu_x  # from here on only its mass is needed
 
     def check(f, g, marg0, marg1):
         phi = _clamped_potentials(f, g, eps)
@@ -494,8 +491,7 @@ def solve_x_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         return converged, (dual, gap, res, converged, phi)
 
     iters, gamma, result = scaling_kernel(
-        log_kernel(nu_x.weights, cost.values, eps), mu0_w, mu1_w,
-        proximal_step(mu0_w, mu1_w, eps), config.max_iters, 5, check)
+        log_k, mu0_w, mu1_w, proximal_step(mu0_w, mu1_w, eps), config.max_iters, 5, check)
 
     dual, gap, res, converged, phi = result
     report = SolveReport(dual + gap, dual, gap, iters, res, converged)

@@ -20,9 +20,9 @@ exp(lambda(x_i) s_i^p).  As an (n0 K0) x (n1 K1) matrix over (point,
 radial node) lines, alpha is nu_Y exp(-H_p/eps) scaled by the line
 potentials lambda_i s_k^p, so these are the iterations of
 ``solver_x.scaling_kernel`` from zero tilts with another marginal step, a
-plain ``ScalingStep`` to the kernel (omega 1, no translation): its mat-vec
-gives each line's log-sum-exp over the other side's atoms, M[i, k] once the
-line's own tilt is added, and the tilt changes delta_i solve
+``ScalingStep`` with no translation: its mat-vec gives each line's
+log-sum-exp over the other side's atoms, M[i, k] once the line's own tilt
+is added, and the tilt changes delta_i solve
 
     LSE_k(M[i, k] + log s_k^p + delta_i s_k^p) = log mu_i
 
@@ -386,10 +386,10 @@ def _tilt_step(sps, mus, lams, omega: float) -> ScalingStep:
     t = omega delta_i where that change is finite and nonnegative, and the
     plain t = delta_i (the exact projection) elsewhere, so the dual never
     decreases; omega 1 is the plain projection.  ``lams`` is updated in
-    place and the update returns the new line potentials lambda_i s_k^p, so
-    the kernel runs it as a plain step.
+    place and the update returns the new line potentials lambda_i s_k^p; it
+    reads the current tilts from ``lams``, not from the kernel's ``old``.
     """
-    def update(side, m):
+    def _update(side, m, _old):
         sp, lam, mu = sps[side], lams[side], mus[side]
         red = m.reshape(lam.size, sp.size) + lam[:, None] * sp
         delta = _solve_tilts(red, sp, mu)
@@ -398,7 +398,7 @@ def _tilt_step(sps, mus, lams, omega: float) -> ScalingStep:
             gain = mu * t - np.sum(np.exp(red) * np.expm1(t[:, None] * sp), axis=1)
         lam += np.where((gain >= 0.0) & (gain < math.inf), t, delta)
         return (lam[:, None] * sp).ravel()
-    return ScalingStep(update, 1.0, None, None)
+    return ScalingStep(_update, None)
 
 
 def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,

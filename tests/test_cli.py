@@ -286,6 +286,21 @@ def test_malformed_inputs_exit_one(fixtures, capsys):
                 "--eps", "0.5", "--out", str(tmp / "x.json")])
     assert code == 1
 
+    # JSON of the wrong shape: a list for a measure, a dict for its weights,
+    # a null row count for a cost
+    def malformed(kind, path, argv):
+        code = run(["solve-x", *argv, "--eps", "0.5", "--out", str(tmp / "x.json")])
+        assert code == 1
+        assert f"malformed {kind} file {path}: " in capsys.readouterr().err
+        assert not (tmp / "x.json").exists()
+
+    for content in ([1, 2], {"points": [[0.0, 0.0], [0.7, 0.3]], "weights": {"a": 1}}):
+        bad.write_text(json.dumps(content))
+        malformed("measure", bad, ["--mu0", str(bad), "--mu1", mu1, "--cost", "sqeuclidean"])
+    cost = tmp / "cost.json"
+    cost.write_text(json.dumps({"rows": None, "cols": 2, "weights": [[0.0, 1.0], [1.0, 0.0]]}))
+    malformed("cost", cost, ["--mu0", mu0, "--mu1", mu1, "--cost", f"file:{cost}"])
+
     # unknown flags are usage errors
     code = run(["solve-x", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean",
                 "--eps", "0.5", "--out", str(tmp / "x.json"), "--bogus", "1"])
@@ -304,17 +319,35 @@ def test_non_finite_point_is_a_malformed_measure_file(fixtures, capsys):
     assert not (tmp / "x.json").exists()
 
 
-@pytest.mark.parametrize("weights", [[[0.3, math.nan], [0.2, 0.4]], [[0.3, 0.1, 0.2]]],
-                         ids=["nan-weight", "wrong-shape"])
-def test_malformed_reference_file_names_the_file(fixtures, capsys, weights):
+@pytest.mark.parametrize("content", [
+    {"rows": 2, "cols": 2, "weights": [[0.3, math.nan], [0.2, 0.4]]},
+    {"rows": 1, "cols": 3, "weights": [[0.3, 0.1, 0.2]]},
+    [1, 2],
+    {"rows": None, "cols": 2, "weights": [[0.3, 0.1], [0.2, 0.4]]},
+], ids=["nan-weight", "wrong-shape", "list", "null-rows"])
+def test_malformed_reference_file_names_the_file(fixtures, capsys, content):
     tmp, mu0, mu1, _ = fixtures
     bad = tmp / "nu.json"
-    rows, cols = np.shape(weights)
-    bad.write_text(json.dumps({"rows": rows, "cols": cols, "weights": weights}))
+    bad.write_text(json.dumps(content))
     code = run(["solve-x", "--mu0", mu0, "--mu1", mu1, "--cost", "sqeuclidean",
                 "--nu", str(bad), "--eps", "0.5", "--out", str(tmp / "x.json")])
     assert code == 1
     assert f"malformed reference file {bad}: " in capsys.readouterr().err
+    assert not (tmp / "x.json").exists()
+
+
+@pytest.mark.parametrize("cost", ["sqeuclidean", "hk"])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2d-3d", "3d-2d"])
+def test_measures_of_different_dimensions_exit_one(fixtures, capsys, cost, dims):
+    tmp, mu0, _, _ = fixtures
+    mu3 = tmp / "mu3.json"
+    mu3.write_text(json.dumps({"points": [[0.1, 0.0, 0.2], [0.6, 0.5, 0.1]],
+                               "weights": [0.6, 0.9]}))
+    first, second = (mu0, str(mu3)) if dims == (2, 3) else (str(mu3), mu0)
+    code = run(["solve-x", "--mu0", first, "--mu1", second, "--cost", cost,
+                "--eps", "0.5", "--out", str(tmp / "x.json")])
+    assert code == 1
+    assert f"dimension {dims[0]} and {dims[1]}" in capsys.readouterr().err
     assert not (tmp / "x.json").exists()
 
 

@@ -10,8 +10,9 @@ from uotlab.costs import (
     perspective_H,
     perspective_H_eps,
     sqeuclidean_matrix,
+    squared_distances,
 )
-from uotlab.measures import GroundSet
+from uotlab.measures import GroundMismatchError, GroundSet
 
 from oracles import (
     h_by_minimization,
@@ -29,6 +30,18 @@ def test_hk_cost_values():
     assert hk_cost(2.0) == math.inf
     with pytest.raises(ValueError):
         hk_cost(-0.1)
+
+
+def test_points_of_different_dimensions_have_no_distance():
+    # a 2-d and a 3-d ground: no cost built on their first two coordinates
+    g2, g3 = GroundSet([[0.0, 0.0], [1.0, 0.0]]), GroundSet([[0.0, 1.0, 0.5]])
+    for a, b in ((g2, g3), (g3, g2)):
+        for build in (sqeuclidean_matrix, hk_matrix):
+            with pytest.raises(GroundMismatchError,
+                               match=f"dimension {a.dim} and {b.dim}"):
+                build(a, b)
+        with pytest.raises(GroundMismatchError):
+            squared_distances(a.points, b.points)
 
 
 def test_cost_matrices():

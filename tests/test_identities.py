@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uotlab.costs import squared_distances
+from uotlab.measures import GroundMismatchError
 from uotlab.identities import (
     GridMeasure,
     balanced_sinkhorn,
@@ -21,6 +22,11 @@ def test_grid_measure_builder():
     assert mu.weights.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         GridMeasure(mu.points, mu.cell_volume, mu.weights * 2.0)
+
+
+def test_grids_of_different_dimensions_raise():
+    with pytest.raises(GroundMismatchError, match="dimension 1 and 2"):
+        verify_identities(grid_measure(4, 1), grid_measure(2, 2), 0.5)
 
 
 def test_grid_measure_rejects_non_finite_values():

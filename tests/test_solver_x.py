@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -401,7 +402,7 @@ def assert_matches_log_domain(mu0, mu1, cost, nu, config):
     for got, want in ((rep.primal, eval_primal_eps(plan, mu0, mu1, cost, nu, config.eps)),
                       (rep.dual, eval_dual_eps(phi, mu0, mu1, cost, nu, config.eps))):
         assert abs(got - want) <= 1e-12 * abs(want)
-    omega = solver_x.proximal_step(mu0.weights, mu1.weights, config.eps).omega
+    omega = max(1.0, 2.0 / (1.0 + math.sqrt(2.0 * config.eps)))
     want, iters, converged, _ = solve_x_log_domain(
         mu0.weights, mu1.weights, cost.values, nu.weights, config.eps, omega,
         config.tolerance, config.max_iters)
@@ -461,7 +462,7 @@ def test_kernel_balanced_steps_match_log_domain(cost_kind, massless):
 
     with np.errstate(divide="ignore"):
         log_k = np.log(ref) - np.where(np.isinf(cost.values), np.inf, cost.values) / eps
-    omega = solver_x.proximal_step(mu0.weights, mu1.weights, 0.0).omega
+    omega = solver_x._BALANCED_OMEGA
     iters, want_plan, stopped = log_domain_sinkhorn(
         log_k, mu0.weights, mu1.weights, 0.0, omega, 5000, 10, stop)
     gamma, got_iters, value, residuals = balanced_sinkhorn(
@@ -506,9 +507,9 @@ def test_kernel_checks_on_schedule_with_both_marginals(monkeypatch, absorb):
     kl_step = solver_x.proximal_step(mu0.weights, mu1.weights, eps)
     iteration, seen = [0], []
 
-    def update(side, m):
+    def update(side, m, old):
         iteration[0] += side == 0  # side 0 opens an iteration
-        return kl_step.update(side, m)
+        return kl_step.update(side, m, old)
 
     def check(f, g, marg0, marg1):
         plan = np.exp(f[:, None] + g[None, :] + log_k)
@@ -552,13 +553,19 @@ def test_kernel_absorption_extremes_match_log_domain(monkeypatch, absorb):
     assert_matches_log_domain(mu0, mu1, cost, nu, SolverConfig(eps=0.02))
 
 
+def plain_step(mu0_w, mu1_w, kappa):
+    """The plain step (log mu - m)/(1 + kappa) of ``proximal_step``: no
+    relaxation and no translation."""
+    with np.errstate(divide="ignore"):
+        log_mu = (np.log(mu0_w), np.log(mu1_w))
+    damp = 1.0 / (1.0 + kappa)
+    return solver_x.ScalingStep(lambda side, m, old: damp * (log_mu[side] - m), None)
+
+
 def solve_with_plain_steps(mu0, mu1, cost, nu, config):
-    """``solve_x_eps`` with the steps of ``proximal_step`` taken plain: omega 1
-    and no translation."""
-    proximal = solver_x.proximal_step
+    """``solve_x_eps`` with the steps of ``proximal_step`` taken plain."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_x, "proximal_step",
-                   lambda *args: proximal(*args)._replace(omega=1.0, shift=None))
+        mp.setattr(solver_x, "proximal_step", plain_step)
         return solve_x_eps(mu0, mu1, cost, nu, config)
 
 
@@ -584,6 +591,58 @@ def test_relaxed_steps_never_slower_than_plain_steps(cost_kind):
                 assert relaxed.converged and plain.converged
                 assert relaxed.iterations <= plain.iterations
                 assert relaxed.primal == pytest.approx(plain.primal, rel=1e-9)
+
+
+def side_dual(mu, p, m, kappa):
+    """A side's part of the dual over eps at log-potentials p, the other
+    side's fixed: sum mu (1 - exp(-kappa p))/kappa (sum mu p at kappa 0) less
+    the plan mass sum exp(p + m), over the lines with mass."""
+    pos = mu > 0
+    mu, p, m = mu[pos], p[pos], m[pos]
+    sep = mu * p if kappa == 0.0 else mu * (1.0 - np.exp(-kappa * p)) / kappa
+    return float(np.sum(sep) - np.sum(np.exp(p + m)))
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.0], ids=["kl", "balanced"])
+def test_proximal_update_guards_its_relaxation(kappa):
+    # near the plain step the relaxed one raises the dual and is kept; from
+    # far below it overshoots, lowers the dual, and the plain step is taken
+    mu = np.array([0.5, 1.2, 0.0, 0.0])
+    m = np.array([0.3, -0.4, 0.1, -math.inf])
+    step = solver_x.proximal_step(mu, mu, kappa)
+    omega = solver_x._BALANCED_OMEGA if kappa == 0.0 else 2.0 / (1.0 + math.sqrt(2.0 * kappa))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plain = (np.log(mu) - m) / (1.0 + kappa)
+    lines = slice(0, 2)  # the lines with mass
+    kept = []
+    for offset in ([0.05, -0.08], [-6.0, -6.0]):
+        old = np.zeros(4)
+        old[lines] = plain[lines] + offset
+        relaxed = old.copy()
+        relaxed[lines] += omega * (plain[lines] - old[lines])
+        change = side_dual(mu, relaxed, m, kappa) - side_dual(mu, old, m, kappa)
+        new = step.update(0, m, old.copy())
+        want = relaxed if change >= 0.0 else plain
+        assert new[lines] == pytest.approx(want[lines], rel=1e-12, abs=1e-12)
+        assert not np.any(np.isfinite(new[2:]))  # the zero-mass lines
+        kept.append(change >= 0.0)
+    assert kept == [True, False]
+
+
+def test_default_reference_is_dropped_before_the_sweep():
+    # with nu_X None the sweep holds the log-kernel and the kernel (the
+    # plan's storage): the default reference is gone once the log-kernel is
+    # built, and the cost is the caller's
+    rng = np.random.default_rng(57)
+    mu0, mu1, cost = random_instance(rng, 400, 400)
+    tracemalloc.start()
+    try:
+        plan, _, _ = solve_x_eps(mu0, mu1, cost, None, SolverConfig(eps=0.05, max_iters=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.weights.nbytes == 400 * 400 * 8
+    assert peak <= 2.5 * plan.weights.nbytes
 
 
 def test_verdict_requires_first_order_residual():

@@ -233,13 +233,13 @@ def kernel_reduction(log_base, sps, mus, lams, side):
                                 lams[::-1], 1)
     got = {}
 
-    def record(s, m):
+    def record(s, m, old):
         got[s] = m
         return (lams[s][:, None] * sps[s]).ravel()
 
     masses = [np.repeat(mu, sp.size) for mu, sp in zip(mus, sps)]
     scaling_kernel(log_base.reshape(masses[0].size, -1), *masses,
-                   ScalingStep(record, 1.0, None, None), 1, 1, lambda *args: (True, None))
+                   ScalingStep(record, None), 1, 1, lambda *args: (True, None))
     return got[1]
 
 
@@ -258,7 +258,7 @@ def test_projection_subroutine_hits_marginal_exactly():
     log_base = np.where(nu.weights > 0, np.log(np.maximum(nu.weights, 1e-300)), -np.inf)
     log_base = log_base - h / 0.5
     lams = (np.zeros(2), np.zeros(2))
-    _tilt_step(sps, mus, lams, 1.0).update(0, kernel_reduction(log_base, sps, mus, lams, 0))
+    _tilt_step(sps, mus, lams, 1.0).update(0, kernel_reduction(log_base, sps, mus, lams, 0), None)
     alpha = np.exp(tilted(log_base, sps, lams))
     h0 = np.einsum("ikjl,k->i", alpha, sps[0])
     assert np.max(np.abs(h0 - mu0.weights)) < 1e-12
@@ -314,7 +314,7 @@ def test_projection_matches_loop_oracle(axis_point, shift, cost_kind, p, eps):
     m = kernel_reduction(log_base, sps, mus, lams, side)
     lam_vec = [lam.copy() for lam in lams]
     lam_loop = lams[side].copy()
-    _tilt_step(sps, mus, lam_vec, 1.0).update(side, m)
+    _tilt_step(sps, mus, lam_vec, 1.0).update(side, m, None)
     project_family_loop(tilted(log_base, sps, lams), sps[side], mus[side], axis_point, lam_loop)
     assert np.all(np.abs(lam_vec[side] - lam_loop) <= 1e-12 * (1.0 + np.abs(lam_loop)))
     assert not np.array_equal(lam_loop, lams[side])
@@ -325,7 +325,7 @@ def test_projection_unreachable_point_raises_in_both():
     log_base[2, 1:, :, :] = -np.inf  # the third point carries mass
     m = kernel_reduction(log_base, sps, mus, lams, 0)
     with pytest.raises(InfeasibleProblemError):
-        _tilt_step(sps, mus, [lam.copy() for lam in lams], 1.0).update(0, m)
+        _tilt_step(sps, mus, [lam.copy() for lam in lams], 1.0).update(0, m, None)
     with pytest.raises(InfeasibleProblemError):
         project_family_loop(tilted(log_base, sps, lams), sps[0], mus[0], 0, lams[0].copy())
 
@@ -335,7 +335,7 @@ def test_tilt_newton_step_cap_raises(monkeypatch):
     m = kernel_reduction(log_base, sps, mus, lams, 0)
     monkeypatch.setattr(solver_y, "_TILT_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="support point .* did not converge") as info:
-        _tilt_step(sps, mus, [lam.copy() for lam in lams], 1.0).update(0, m)
+        _tilt_step(sps, mus, [lam.copy() for lam in lams], 1.0).update(0, m, None)
     assert not isinstance(info.value, InfeasibleProblemError)
 
 
