@@ -52,10 +52,6 @@ from .solver_y import (InfeasibleProblemError, RadialGrid, default_grids, mass_c
 log = logging.getLogger("uotlab")
 
 
-class InputError(ValueError):
-    """Malformed command-line input or input file."""
-
-
 def _setup_logging() -> None:
     level = os.environ.get("UOTLAB_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -65,13 +61,13 @@ def _setup_logging() -> None:
 
 def _read_file(kind: str, path: str, read):
     """``read(path)``, with a missing file, or content that ``read`` rejects
-    (bad JSON, a missing field, a wrong type or shape), an input error."""
+    (bad JSON, a missing field, a wrong type or shape), a ValueError."""
     try:
         return read(path)
     except FileNotFoundError as exc:
-        raise InputError(f"{kind} file not found: {path}") from exc
-    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise InputError(f"malformed {kind} file {path}: {exc}") from exc
+        raise ValueError(f"{kind} file not found: {path}") from exc
+    except ValueError as exc:  # JSONDecodeError is a ValueError
+        raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
 
 
 def _json(path: str):
@@ -92,7 +88,7 @@ def _cost_matrix(spec: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> CostM
         return hk_matrix(mu0.ground, mu1.ground)
     if spec.startswith("file:"):
         return _read_file("cost", spec[5:], _cost_file)
-    raise InputError(f"unknown cost spec {spec!r}; use sqeuclidean, hk or file:<path>")
+    raise ValueError(f"unknown cost spec {spec!r}; use sqeuclidean, hk or file:<path>")
 
 
 def _load_nu(path: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
@@ -165,7 +161,7 @@ def _cmd_solve_x(args) -> int:
     if args.entropy == "balanced":
         # sharp marginals: plain balanced scaling against the reference
         if not balanced_masses(mu0.total_mass, mu1.total_mass):
-            raise InputError("balanced marginal entropies need equal masses")
+            raise ValueError("balanced marginal entropies need equal masses")
         if nu is None:
             nu = default_nu_x(mu0, mu1)
         gamma, iters, value, residuals = _balanced(
@@ -195,7 +191,7 @@ def _cmd_sweep_eps(args) -> int:
     try:
         eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
     except ValueError as exc:
-        raise InputError(f"bad eps list {args.eps_list!r}") from exc
+        raise ValueError(f"bad eps list {args.eps_list!r}") from exc
     distinct = []
     for eps in eps_list:
         if eps in distinct:
@@ -204,7 +200,7 @@ def _cmd_sweep_eps(args) -> int:
             distinct.append(eps)
     eps_list = sorted(distinct, reverse=True)
     if len(eps_list) < 2:
-        raise InputError("a sweep needs at least two distinct eps values")
+        raise ValueError("a sweep needs at least two distinct eps values")
 
     def solve_one(eps: float) -> dict:
         start = time.perf_counter()
@@ -280,15 +276,14 @@ def _cmd_lift_check(args) -> int:
         if result.optimal and ot.optimal:
             residuals["lifted_vs_classical"] = abs(result.value - ot.value)
     elif args.which == "balanced-eps":
-        eps = SolverConfig(eps=args.eps).eps  # validates eps; only eps is used here
         nu = default_nu_x(mu0, mu1)
         s_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
-        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, args.p, (s_grid, grid), eps)
+        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, args.p, (s_grid, grid), args.eps)
         values["lifted_balanced_eps"] = result.value
         values["status"] = result.status
         converged = result.status in ("optimal", "infeasible")
         if result.optimal:
-            ref = _balanced(mu0, mu1, cost, eps, nu)[2]
+            ref = _balanced(mu0, mu1, cost, args.eps, nu)[2]
             values["balanced_entropic"] = ref
             residuals["lifted_eps_vs_entropic"] = abs(result.value - ref)
     elif args.which == "x-extended":
@@ -308,7 +303,7 @@ def _cmd_lift_check(args) -> int:
         values["solve_y_unreg"] = y_value
         residuals["second_order_vs_y"] = abs(value - y_value)
     else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown lift check {args.which!r}")
+        raise ValueError(f"unknown lift check {args.which!r}")
 
     _write_record(args.out, args, "lift-check", t0, values=values, residuals=residuals)
     bounds = {"extended_vs_sinkhorn": 1e-3, "second_order_vs_y": 1e-9, "lifted_vs_classical": 1e-9}
@@ -416,7 +411,7 @@ def run(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (OSError, ValueError, InfeasibleProblemError) as exc:  # InputError is a ValueError
+    except (OSError, ValueError, InfeasibleProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:  # a solve that failed: an LP status, a tilt Newton step cap

@@ -132,9 +132,9 @@ def perspective_H(s0, s1, c):
 
 
 def perspective_H_eps(s0, s1, S, c, eps: float):
-    """Regularised marginal perspective cost H_eps(s0, s1, S, c)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Regularised marginal perspective cost H_eps(s0, s1, S, c), 0 < eps < inf."""
+    if not (0.0 < eps < math.inf):  # NaN fails both
+        raise ValueError("eps must be positive and finite")
     a0, a1, aS, cc = _radial(s0), _radial(s1), _radial(S), _cost(c)
     q = 2.0 + eps
     # a zero base or an infinite cost makes the exponent -inf, and the term 0

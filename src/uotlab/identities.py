@@ -95,8 +95,8 @@ def balanced_sinkhorn(mu_w: np.ndarray, nu_w: np.ndarray, cost: np.ndarray,
 
     Balanced steps (proximal exponent 1) of the stabilised scaling kernel
     on reference * exp(-c/eps), ``cost`` broadcast to the reference's shape
-    (a scalar 0 for a reference that absorbs the cost); stops when the worst
-    marginal deviation, checked every 10 iterations, falls below ``tol``.
+    by ``log_kernel``; stops when the worst marginal deviation, checked
+    every 10 iterations, falls below ``tol``.
     Returns (plan, read-only, iterations, value, (side 0, side 1) marginal
     residuals) of the loop's last check.  The plan P = reference * exp(f_i + g_j - c/eps) of the
     log-potentials (f, g) has (c, P) + eps * sum P log(P / reference) =
@@ -121,18 +121,17 @@ def balanced_sinkhorn(mu_w: np.ndarray, nu_w: np.ndarray, cost: np.ndarray,
 def _solve(mu: GridMeasure, nu: GridMeasure, cost: np.ndarray, eps: float,
            convention: int) -> tuple[float, np.ndarray, tuple[float, float]]:
     """Value, plan and balanced Sinkhorn residuals of one convention on the
-    grid cost ``cost``."""
-    if convention == 1:  # a constant: one value broadcast, no array of it
-        ref = np.broadcast_to(mu.cell_volume * nu.cell_volume, cost.shape)
+    grid cost ``cost``.  Convention 3's heat kernel (2 pi eps)^(-d/2)
+    exp(-c/(2 eps)) is its constant as the (broadcast) reference and c/2 as
+    the cost."""
+    volume = mu.cell_volume * nu.cell_volume
+    if convention == 1:
+        ref = np.broadcast_to(volume, cost.shape)
     elif convention == 2:
         ref = np.outer(mu.weights, nu.weights)
-    else:  # the heat kernel absorbs the cost, so the solve's cost is 0
-        ref = np.negative(cost)
-        ref /= 2.0 * eps
-        np.exp(ref, out=ref)
-        ref *= (2.0 * math.pi * eps) ** (-mu.dim / 2.0)
-        ref *= mu.cell_volume * nu.cell_volume
-        cost = 0.0
+    else:
+        ref = np.broadcast_to((2.0 * math.pi * eps) ** (-mu.dim / 2.0) * volume, cost.shape)
+        cost = 0.5 * cost
     gamma, _, value, residuals = balanced_sinkhorn(mu.weights, nu.weights, cost, eps, ref)
     return value, gamma, residuals
 
@@ -141,8 +140,8 @@ def _matched(mu: GridMeasure, nu: GridMeasure, cost: np.ndarray, first: tuple,
              second: tuple) -> tuple:
     """Values, largest plan difference and residuals of two matched problems.
 
-    The second problem, whose reference is a full array, is solved first, so
-    that its reference is gone before the first one's solve.
+    The second problem, whose reference or cost is an array of its own, is
+    solved first, so that the array is gone before the first one's solve.
     """
     v1, g1, r1 = _solve(mu, nu, cost, *second)
     v0, g0, r0 = _solve(mu, nu, cost, *first)

@@ -92,8 +92,10 @@ def solve_lifted_balanced_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     Per-atom cost s^p c + eps s^p R(S^p / s^p), with the conventions
     s = 0 -> eps S^p (the vanishing-scale limit) and S = 0 < s -> +inf.
     Constraints: s^p-weighted point marginals equal mu_i and the
-    S^p-weighted pair marginal equals nu_X.
+    S^p-weighted pair marginal equals nu_X.  ValueError unless 0 < eps < inf.
     """
+    if not (0.0 < eps < math.inf):  # NaN fails both
+        raise ValueError("eps must be positive and finite")
     _check_instance(mu0, mu1, cost, nu_x)
     if not balanced_masses(mu0.total_mass, mu1.total_mass):
         return LpResult("infeasible", None, math.inf, 0)

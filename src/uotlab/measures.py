@@ -48,7 +48,10 @@ def _frozen_array(owner, field: str, what: str, *, ndim=None, shape=None,
     later write to the caller's array never reaches the field.  Every frozen
     value type of the package builds its arrays here."""
     value = getattr(owner, field)
-    arr = value if _shareable(value) else np.array(value, dtype=float)
+    try:
+        arr = value if _shareable(value) else np.array(value, dtype=float)
+    except TypeError as exc:  # a value of no numeric type, such as a dict
+        raise ValueError(f"{what} must be numbers: {exc}") from exc
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if shape is not None and arr.shape != shape:
@@ -169,6 +172,8 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
         return DiscreteMeasure(GroundSet(data["points"]), data["weights"])
     except KeyError as exc:
         raise ValueError(f"measure object is missing field {exc}") from exc
+    except TypeError as exc:  # not an object: a list, a number, null
+        raise ValueError(f"malformed measure object: {exc}") from exc
 
 
 def plan_to_dict(plan: Plan) -> dict:
@@ -183,13 +188,13 @@ def plan_weights_from_dict(data: dict) -> np.ndarray:
     """Plan weights from the wire format; grounds are supplied separately."""
     try:
         w = np.array(data["weights"], dtype=float)
-        if w.shape != (int(data["rows"]), int(data["cols"])):
-            raise ValueError(
-                f"plan weights shape {w.shape} does not match rows/cols "
-                f"({data['rows']}, {data['cols']})"
-            )
+        shape = (int(data["rows"]), int(data["cols"]))
     except KeyError as exc:
         raise ValueError(f"plan object is missing field {exc}") from exc
+    except TypeError as exc:  # not an object, or a field of the wrong type
+        raise ValueError(f"malformed plan object: {exc}") from exc
+    if w.shape != shape:
+        raise ValueError(f"plan weights shape {w.shape} does not match rows/cols {shape}")
     return w
 
 

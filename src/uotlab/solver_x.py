@@ -228,13 +228,14 @@ _BLOCK = 1 << 15  # entries of the cost/eps block log_kernel subtracts at a time
 def log_kernel(reference: np.ndarray, cost, eps: float) -> np.ndarray:
     """log(reference * exp(-cost/eps)), -inf where either factor vanishes.
 
-    ``cost`` broadcasts to the reference's (rows, cols) shape.  cost/eps is
-    subtracted from the log in place, a block of rows at a time, so the log
-    is the one full-size array."""
+    ``reference`` may be a broadcast view and ``cost`` broadcasts to its
+    shape, of any ndim.  cost/eps is subtracted from the log in place, a
+    block of first-axis slices at a time, so the log is the one full-size
+    array."""
     with np.errstate(divide="ignore"):
         log_k = np.log(reference)
     cost = np.broadcast_to(cost, log_k.shape)
-    step = max(1, _BLOCK // max(1, log_k.shape[1]))
+    step = max(1, _BLOCK // max(1, log_k[:1].size))
     for i in range(0, log_k.shape[0], step):
         log_k[i:i + step] -= cost[i:i + step] / eps
     return log_k
@@ -614,13 +615,13 @@ def solve_x_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix
 # Identities between the regularisation conventions
 # ---------------------------------------------------------------------------
 
-def _plain_kl(gamma: np.ndarray, ref: np.ndarray) -> float:
-    """sum gamma log(gamma/ref) - gamma, the convention without the +ref term."""
+def _plain_kl(gamma: np.ndarray, log_ref: np.ndarray) -> float:
+    """sum gamma (log gamma - log_ref) - gamma: the KL without its +ref term."""
     pos = gamma > 0
-    if np.any(pos & (ref <= 0)):
+    if np.any(pos & (log_ref == -math.inf)):
         return math.inf
     t = gamma[pos]
-    return float(np.sum(t * np.log(t / ref[pos]) - t))
+    return float(np.sum(t * (np.log(t) - log_ref[pos]) - t))
 
 
 def check_remark_identities(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
@@ -632,9 +633,10 @@ def check_remark_identities(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     Evaluates, at one converged plan, the value with the full divergence
     penalty, the variant with F(s) = s log s - s, and the variant that
     absorbs the cost into the reference exp(-c/eps) nu_X; returns the
-    residuals of the affine relations tying them together.  Also compares
-    the two algebraic forms of the mass-normalised product-reference
-    penalty on a random plan.
+    residuals of the affine relations tying them together, each reference
+    taken by its log (``log_kernel``), which does not underflow.  Also
+    compares the two algebraic forms of the mass-normalised
+    product-reference penalty on a random plan.
     """
     if nu_x is None:
         nu_x = default_nu_x(mu0, mu1)
@@ -647,13 +649,14 @@ def check_remark_identities(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     value = rep.primal
     marg_cost = value - eps * divergence_arrays(g, nu_w)
 
-    tilde_value = marg_cost + eps * _plain_kl(g, nu_w)
+    tilde_value = marg_cost + eps * _plain_kl(g, log_kernel(nu_w, 0.0, eps))
     residual_tilde = abs(value - (tilde_value + eps * nu_mass))
 
-    bar_ref = np.where(np.isinf(cost.values), 0.0, np.exp(-np.minimum(cost.values, _EXP_CLIP) / eps)) * nu_w
+    log_bar = log_kernel(nu_w, cost.values, eps)
     bar_marg = marg_cost - _coupling_value(cost.values, g)
-    bar_value = bar_marg + eps * divergence_arrays(g, bar_ref)
-    residual_bar = abs(value - (bar_value - eps * float(np.sum(bar_ref)) + eps * nu_mass))
+    bar_kl = _plain_kl(g, log_bar)
+    bar_value = bar_marg + eps * (bar_kl + float(np.sum(np.exp(log_bar))))
+    residual_bar = abs(value - (bar_marg + eps * bar_kl + eps * nu_mass))
 
     # two forms of the homogeneity-preserving penalty, on a random plan
     rng = np.random.default_rng(seed)

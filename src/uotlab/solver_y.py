@@ -19,8 +19,9 @@ projections onto the two homogeneous-marginal constraint families
 exp(lambda(x_i) s_i^p).  As an (n0 K0) x (n1 K1) matrix over (point,
 radial node) lines, alpha is nu_Y exp(-H_p/eps) scaled by the line
 potentials lambda_i s_k^p, so these are the iterations of
-``solver_x.scaling_kernel`` from zero tilts with another marginal step, a
-``ScalingStep`` with no translation: its mat-vec gives each line's
+``solver_x.scaling_kernel`` from zero tilts, on the log-kernel that
+``solver_x.log_kernel`` builds from nu_Y and H_p, with another marginal
+step, a ``ScalingStep`` with no translation: its mat-vec gives each line's
 log-sum-exp over the other side's atoms, M[i, k] once the line's own tilt
 is added, and the tilt changes delta_i solve
 
@@ -63,7 +64,8 @@ from .costs import CostMatrix, perspective_H, perspective_H_eps
 from .measures import (DiscreteMeasure, GroundMismatchError, GroundSet, Plan, _frozen_array,
                        _read_only)
 from .simplex import LpResult, _multiscale_lp, transport_lp
-from .solver_x import ScalingStep, SolveReport, SolverConfig, _check_instance, scaling_kernel
+from .solver_x import (ScalingStep, SolveReport, SolverConfig, _check_instance, log_kernel,
+                       scaling_kernel)
 
 _TILT_TOL = 1e-14           # stop when |LSE - log mu| falls below this
 _TILT_MAX_STEPS = 200       # Newton steps per tilt before giving up
@@ -263,16 +265,17 @@ def default_grids(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float = 1.0,
 
 def default_nu_y(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                  grids: tuple[RadialGrid, RadialGrid], p: float = 1.0) -> AtomPlan:
-    """Uniform probability over all atoms with both radial values positive."""
+    """Uniform probability over all atoms with both radial values positive.
+    Its ``.weights`` is a read-only broadcast view of one (1, K0, 1, K1)
+    array, not an atom tensor."""
     grid0, grid1 = grids
-    w = np.ones((mu0.ground.size, grid0.size, mu1.ground.size, grid1.size))
-    w[:, grid0.nodes == 0.0, :, :] = 0.0
-    w[:, :, :, grid1.nodes == 0.0] = 0.0
-    total = w.sum()
+    shape = (mu0.ground.size, grid0.size, mu1.ground.size, grid1.size)
+    positive = np.outer(grid0.nodes > 0.0, grid1.nodes > 0.0)
+    total = np.count_nonzero(positive) * shape[0] * shape[2]
     if total <= 0:
         raise ValueError("reference needs at least one positive radial node per side")
-    w /= total
-    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, _read_only(w))
+    w = _read_only(positive / total)[None, :, None, :]
+    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, np.broadcast_to(w, shape))
 
 
 def hp_tensor(cost: CostMatrix, grid0: RadialGrid, grid1: RadialGrid, p: float) -> np.ndarray:
@@ -410,10 +413,10 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     Minimises (H_p, alpha) + eps * Div(alpha | nu_Y) subject to
     h_i^p alpha = mu_i, with eps = ``config.eps``.  nu_Y must be a probability
     measure over the atom tensor on the grounds of mu0 and mu1 (default:
-    uniform over atoms with positive radial values).
-    One ``scaling_kernel`` call runs the guarded over-relaxed tilt steps
-    (``_tilt_step``) at eps from zero tilts for at most ``config.max_iters``
-    iterations, and stops when the largest
+    ``default_nu_y``); H_p is dropped once ``log_kernel`` has built the
+    log-kernel.  One ``scaling_kernel`` call runs the guarded over-relaxed
+    tilt steps (``_tilt_step``) at eps from zero tilts for at most
+    ``config.max_iters`` iterations, and stops when the largest
     homogeneous-marginal residual, relative to the mass scale, is at most
     ``config.tolerance``.  The report is the assessment made at the loop's
     last check, which sees both line marginals of the returned plan, so
@@ -442,18 +445,7 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     lams = (np.zeros(mu0.ground.size), np.zeros(mu1.ground.size))
     # the s = 0 lines carry no homogeneous mass, so no constraint empties them
     masses = [np.where(sp > 0, mu[:, None], 1.0).ravel() for mu, sp in zip(mus, sps)]
-    # the log-kernel log nu_Y - H_p/eps in one buffer, both steps in place;
-    # nu_Y (when it is the default) and H_p are dropped before the sweep,
-    # which then holds this buffer and the kernel alone
-    shape = nu_y.weights.shape
-    log_k = np.maximum(nu_y.weights, 1e-300)
-    np.log(log_k, out=log_k)
-    log_k[nu_y.weights <= 0] = -math.inf
-    del nu_y
-    h = hp_tensor(cost, grid0, grid1, p)
-    np.divide(h, eps, out=h)
-    np.subtract(log_k, h, out=log_k)
-    del h
+    log_k = log_kernel(nu_y.weights, hp_tensor(cost, grid0, grid1, p), eps)
     scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
 
     def check(_f, _g, *margs):
@@ -468,7 +460,7 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
         log_k.reshape(masses[0].size, -1), *masses,
         _tilt_step(sps, mus, lams, omega), config.max_iters, 1, check)
 
-    alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(shape))
+    alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(log_k.shape))
     dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)
                   + nu_mass - mass)
     primal = dual + eps * sum(float(lam @ x) for lam, x in zip(lams, d))

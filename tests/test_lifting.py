@@ -206,6 +206,34 @@ def test_balanced_eps_mass_mismatch():
     assert not result.optimal
 
 
+def eps_calls():
+    """Each eps-regularised evaluator or lift, called at a given eps on the
+    2 x 2 instance (0, 0), (1, 0) against (0, 1), (1, 1), weights 0.5."""
+    g0, g1 = GroundSet([[0.0, 0.0], [1.0, 0.0]]), GroundSet([[0.0, 1.0], [1.0, 1.0]])
+    mu0, mu1 = DiscreteMeasure(g0, [0.5, 0.5]), DiscreteMeasure(g1, [0.5, 0.5])
+    cost, nu = sqeuclidean_matrix(g0, g1), default_nu_x(mu0, mu1)
+    grid = RadialGrid.geometric(1.0, n_nodes=8, smin_frac=1e-2)
+    s_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
+    return {
+        "H_eps": lambda eps: perspective_H_eps(1.0, 1.0, 1.0, 0.0, eps),
+        "x-extended": lambda eps: solve_x_extended(mu0, mu1, cost, nu, eps, 1.0,
+                                                   (grid, grid, grid)),
+        "balanced-eps": lambda eps: solve_lifted_balanced_eps(mu0, mu1, cost, nu, 1.0,
+                                                              (s_grid, grid), eps),
+    }
+
+
+@pytest.mark.parametrize("which, eps", [
+    ("H_eps", math.nan), ("H_eps", math.inf), ("x-extended", math.nan),
+    ("x-extended", math.inf), ("balanced-eps", -0.5), ("balanced-eps", 0.0),
+    ("balanced-eps", math.nan), ("balanced-eps", math.inf),
+])
+def test_eps_outside_zero_to_inf_raises_where_it_is_used(which, eps):
+    # NaN costs made x-extended 'infeasible'; balanced-eps solved eps -0.5 and 0
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        eps_calls()[which](eps)
+
+
 # ---------------------------------------------------------------------------
 # Extended form of the original-space regularisation
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from uotlab.costs import CostMatrix
 from uotlab.measures import (
     DiscreteMeasure,
     GroundSet,
@@ -18,6 +19,18 @@ from uotlab.measures import (
     save_measure,
     split_arrays,
 )
+
+
+@pytest.mark.parametrize("read", [
+    lambda: measure_from_dict([1, 2]),
+    lambda: measure_from_dict({"points": [[0.0], [1.0]], "weights": {"a": 1}}),
+    lambda: plan_weights_from_dict({"rows": None, "cols": 2, "weights": [[0.0, 1.0]]}),
+    lambda: CostMatrix([[{"a": 1}]]),
+    lambda: GroundSet({"a": 1}),
+], ids=["measure-list", "weights-object", "plan-null-rows", "cost-object", "points-object"])
+def test_input_of_the_wrong_type_raises_value_error(read):
+    with pytest.raises(ValueError):
+        read()
 
 
 @pytest.fixture

@@ -919,6 +919,44 @@ def test_remark_identities_residuals():
         assert report["residual_g_forms"] < 1e-9
 
 
+def test_remark_identities_hold_where_the_absorbed_reference_underflows():
+    # exp(-c/eps) nu_X underflows on most pairs at these eps (costs reach 8);
+    # taken in the log domain, every residual stays at rounding, unwarned
+    for eps, seed in itertools.product((0.005, 0.002), range(10)):
+        rng = np.random.default_rng(seed)
+        mu0, mu1 = (DiscreteMeasure(GroundSet(rng.uniform(0, 2, size=(12, 2))),
+                                    rng.uniform(0.5, 1.5, 12) * scale) for scale in (1.0, 1.3))
+        cost = sqeuclidean_matrix(mu0.ground, mu1.ground)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_remark_identities(mu0, mu1, cost, None, eps)
+        assert report["residual_bar"] <= 1e-12
+        assert report["residual_tilde"] <= 1e-12
+
+
+def test_log_kernel_blocks_over_first_axis_slices_of_any_ndim():
+    # a broadcast 4-D reference with a zero node and an infinite cost: the
+    # log is the one full-size array, cost/eps one block of it at a time
+    rng = np.random.default_rng(58)
+    shape = (16, 32, 16, 32)
+    base = rng.uniform(0.5, 1.5, (1, 32, 1, 32))
+    base[:, 0] = 0.0
+    ref = np.broadcast_to(base, shape)
+    cost = rng.uniform(0.0, 3.0, shape)
+    cost[1, 2, 3, 4] = math.inf
+    eps = 0.1
+    with np.errstate(divide="ignore"):
+        want = np.log(ref) - cost / eps
+    tracemalloc.start()
+    try:
+        got = solver_x.log_kernel(ref, cost, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= got.nbytes + 8 * solver_x._BLOCK + 4096  # and a few small objects
+
+
 def test_unreg_value_from_plan_evaluator():
     mu0, mu1, cost = dirac_pair(1.0, 1.0, 0.5)
     t = math.exp(-0.25)  # closed-form optimal scale for c = 0.5

@@ -582,6 +582,30 @@ def test_eps_solve_holds_two_atom_tensors():
     assert alpha.weights.nbytes == n * k * n * k * 8
 
 
+def test_default_reference_is_a_read_only_broadcast_view():
+    rng = np.random.default_rng(3)
+    n, k = 16, 32
+    mu0, mu1 = (DiscreteMeasure(GroundSet(rng.uniform(0, 2, size=(n, 2))),
+                                rng.uniform(0.5, 1.5, n)) for _ in range(2))
+    grids = default_grids(mu0, mu1, 1.0, n_nodes=k)
+    # an atom tensor: ones, the node-0 slices zeroed, divided by the sum
+    want = np.ones((n, k, n, k))
+    want[:, grids[0].nodes == 0.0] = 0.0
+    want[..., grids[1].nodes == 0.0] = 0.0
+    want /= want.sum()
+    tracemalloc.start()
+    try:
+        nu = default_nu_y(mu0, mu1, grids, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nu.weights.shape == want.shape
+    assert np.array_equal(nu.weights, want)
+    assert not nu.weights.flags.writeable
+    # the boolean checks of the weights are the only allocations near its size
+    assert peak < 0.25 * want.nbytes
+
+
 def test_objective_rejects_cost_of_wrong_shape():
     g0, g1 = GroundSet([[0.0], [1.0]]), GroundSet([[0.5]])
     grid = RadialGrid(np.array([0.0, 0.8]), 1.0)

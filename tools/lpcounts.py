@@ -3,7 +3,8 @@
     python3 tools/lpcounts.py [WORKLOAD | WORKLOAD/JOB ...] --seed N
 
 Runs the named jobs of ``perfbench/workloads.py`` (default: every job of
-lp-lifts), such as ``lp-lifts/second-order``, once, in this process, on
+lp-lifts), such as ``lp-lifts/second-order``, read by ``tools/jobnames.py``
+and run in benchmark order within each workload, once, in this process, on
 seed N (default 1), against the package in ``src``, with BLAS pinned to one
 thread as in the benchmark's workers.  For each ``simplex.solve_lp`` call a
 job makes, in call order, it prints the LP's columns (the atom tensor's
@@ -36,17 +37,14 @@ def main(argv: list[str]) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    from jobnames import select_jobs
     from uotlab import cli, simplex
     from workloads import WORKLOADS, write_inputs
 
-    chosen = []
-    for name in args.names:
-        workload, _, job_name = name.partition("/")
-        jobs = [job for job in WORKLOADS.get(workload, ()) if job.name == job_name or not job_name]
-        if not jobs:
-            parser.error(f"unknown workload or job {name!r}; choose from "
-                         f"{', '.join(sorted(WORKLOADS))}, each alone or as WORKLOAD/JOB")
-        chosen += [(workload, job) for job in jobs if (workload, job) not in chosen]
+    try:
+        chosen = select_jobs(args.names, WORKLOADS)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     results = []
     solve = simplex.solve_lp
@@ -59,7 +57,7 @@ def main(argv: list[str]) -> int:
     simplex.solve_lp = counted
     failed = 0
     totals = {"all": [0, 0, 0, 0], "wide": [0, 0, 0, 0]}  # LPs, pivots, full passes, refills
-    for workload, job in chosen:
+    for workload, job in ((w, job) for w, jobs in chosen.items() for job in jobs):
         results.clear()
         with tempfile.TemporaryDirectory() as workdir:
             write_inputs(workload, args.seed, workdir)

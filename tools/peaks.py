@@ -3,12 +3,13 @@ memory, run alone in a fresh benchmark worker process, and its traced
 allocation peak, run in this process; then the resident peak of each
 workload's jobs run in sequence in one worker.
 
-    python3 tools/peaks.py [WORKLOAD ...]
+    python3 tools/peaks.py [WORKLOAD | WORKLOAD/JOB ...]
 
 For each job of the named workloads of ``perfbench/workloads.py`` (default:
-all of them), one ``perfbench/worker.py`` process runs that job alone on
-seed 1, with BLAS pinned to one thread as in the benchmark's repetitions,
-and reports its ``ru_maxrss``.  A worker that runs no job gives the
+all of them), and each job named as WORKLOAD/JOB, such as
+``y-scaling/hk-eps0.2`` (``tools/jobnames.py``), one ``perfbench/worker.py``
+process runs that job alone on seed 1, with BLAS pinned to one thread as
+in the benchmark's repetitions, and reports its ``ru_maxrss``.  A worker that runs no job gives the
 import-only baseline (``uotlab.cli`` and numpy), printed next to every job.
 A workload's ``peak_rss_mb`` is at least the peak of its largest job, so
 this names the job that sets it.  Once every worker has run (a worker
@@ -18,10 +19,11 @@ resident peak), each job runs once more, in this process under
 allocations made while it runs.  ``ru_maxrss`` depends on
 how the allocator lays out the heap and can land on one of two values from
 run to run; the traced peak counts only the allocations, so it repeats
-exactly and shows what a change to the program's arrays does.  The last
-line of each workload is the peak of one worker that runs all of its seed-1
-jobs in benchmark order: the number whose median ``peak_rss_mb`` reports.
-It can exceed every job's peak alone, because what an earlier job allocated
+exactly and shows what a change to the program's arrays does.  When more
+than one job of a workload runs, the workload's last line is the peak of
+one worker that runs them all on seed 1 in benchmark order; for a workload
+named whole, that is the number whose median ``peak_rss_mb`` reports.  It
+can exceed every job's peak alone, because what an earlier job allocated
 shapes the heap of a later one.  MB are 10^6 bytes, as the benchmark
 reports them.  Exits 1 if a job exits non-zero or raises, else 0.
 """
@@ -42,6 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+from jobnames import select_jobs  # noqa: E402
 from run import DEADLINE_S, job_specs, run_worker  # noqa: E402
 from workloads import WORKLOADS, write_inputs  # noqa: E402
 
@@ -68,21 +71,22 @@ def _traced_mb(argv: list[str]) -> tuple[float, object]:
     return peak / 1e6, code
 
 
-def main(workloads: list[str]) -> int:
-    unknown = [w for w in workloads if w not in WORKLOADS]
-    if unknown:
-        print(f"unknown workload(s): {', '.join(unknown)}; choose from "
-              f"{', '.join(sorted(WORKLOADS))}", file=sys.stderr)
+def main(names: list[str]) -> int:
+    try:
+        chosen = select_jobs(names, WORKLOADS)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 1
     failed = 0
     with tempfile.TemporaryDirectory() as workdir:
         baseline, _ = _peak_mb(workdir, "import", [])
         runs = []
-        for workload in workloads:
+        for workload, jobs in chosen.items():
             write_inputs(workload, SEED, workdir)
-            specs = job_specs(WORKLOADS[workload], workdir, SEED)
+            specs = job_specs(jobs, workdir, SEED)
             runs += [(workload, spec["name"], [spec]) for spec in specs]
-            runs.append((workload, "in-sequence", specs))
+            if len(specs) > 1:
+                runs.append((workload, "in-sequence", specs))
         # every worker runs before any job runs in this process
         peaks = [_peak_mb(workdir, f"{workload}-{name}", jobs) for workload, name, jobs in runs]
         for (workload, name, jobs), (peak, result) in zip(runs, peaks):

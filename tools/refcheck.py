@@ -49,26 +49,18 @@ def main(names: list[str]) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    from jobnames import select_jobs
     from run import check_job, load_record, load_reference, reference_values
     from workloads import WORKLOADS, output_path, write_inputs
     from uotlab import cli
 
-    chosen, unknown = {}, []
-    for name in names or sorted(WORKLOADS):
-        workload, _, job_name = name.partition("/")
-        picked = {job for job in WORKLOADS.get(workload, ())
-                  if job.name == job_name or not job_name}
-        if picked:
-            chosen[workload] = chosen.get(workload, set()) | picked
-        else:
-            unknown.append(name)
-    if unknown:
-        print(f"unknown workload(s) or job(s): {', '.join(unknown)}; choose from "
-              f"{', '.join(sorted(WORKLOADS))}, each alone or as WORKLOAD/JOB", file=sys.stderr)
+    try:
+        chosen = select_jobs(names or sorted(WORKLOADS), WORKLOADS)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 1
     failed_total = 0
-    for workload, picked in chosen.items():
-        jobs = [job for job in WORKLOADS[workload] if job in picked]
+    for workload, jobs in chosen.items():
         failed, worst = 0, (0.0, "no value")
         for seed in SEEDS:
             reference = load_reference(workload, seed) or {}
