@@ -46,8 +46,7 @@ from .measures import (
 )
 from .simplex import balanced_masses, transport_lp
 from .solver_x import SolveReport, SolverConfig, default_nu_x, solve_x_eps
-from .solver_y import (InfeasibleProblemError, RadialGrid, default_grids, mass_cap, solve_y_eps,
-                       solve_y_unreg)
+from .solver_y import InfeasibleProblemError, RadialGrid, default_grids, solve_y_eps, solve_y_unreg
 
 log = logging.getLogger("uotlab")
 
@@ -93,7 +92,7 @@ def _cost_matrix(spec: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> CostM
 
 def _load_nu(path: str, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Plan:
     return _read_file("reference", path,
-                      lambda p: Plan(mu0.ground, mu1.ground, plan_weights_from_dict(_json(p))))
+                      lambda f: Plan(mu0.ground, mu1.ground, plan_weights_from_dict(_json(f))))
 
 
 def _instance(args) -> tuple[float, DiscreteMeasure, DiscreteMeasure, CostMatrix]:
@@ -178,10 +177,9 @@ def _cmd_solve_x(args) -> int:
 
 def _cmd_solve_y(args) -> int:
     t0, mu0, mu1, cost = _instance(args)
-    grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
-                          smin_frac=args.smin_frac)
+    grids = default_grids(mu0, mu1, n_nodes=args.radial_nodes, smin_frac=args.smin_frac)
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
-    alpha, report = solve_y_eps(mu0, mu1, cost, args.p, grids, None, config)
+    alpha, report = solve_y_eps(mu0, mu1, cost, grids, None, config)
     _write_record(args.out, args, "solve-y", t0, report=asdict(report))
     return 0 if report.converged else 2
 
@@ -201,6 +199,8 @@ def _cmd_sweep_eps(args) -> int:
     eps_list = sorted(distinct, reverse=True)
     if len(eps_list) < 2:
         raise ValueError("a sweep needs at least two distinct eps values")
+    if args.formulation == "y":  # one frozen pair of grids serves every eps and thread
+        grids = default_grids(mu0, mu1, n_nodes=args.radial_nodes, smin_frac=args.smin_frac)
 
     def solve_one(eps: float) -> dict:
         start = time.perf_counter()
@@ -208,9 +208,7 @@ def _cmd_sweep_eps(args) -> int:
         if args.formulation == "x":
             _, _, report = solve_x_eps(mu0, mu1, cost, None, config)
         else:
-            grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
-                                  smin_frac=args.smin_frac)
-            _, report = solve_y_eps(mu0, mu1, cost, args.p, grids, None, config)
+            _, report = solve_y_eps(mu0, mu1, cost, grids, None, config)
         return {
             "formulation": args.formulation,
             "eps": eps,
@@ -236,12 +234,11 @@ def _cmd_compare(args) -> int:
     t0, mu0, mu1, cost = _instance(args)
     nu = default_nu_x(mu0, mu1)
     config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
-    grids = default_grids(mu0, mu1, args.p, n_nodes=args.radial_nodes,
-                          smin_frac=args.smin_frac)
+    grids = default_grids(mu0, mu1, n_nodes=args.radial_nodes, smin_frac=args.smin_frac)
 
     _, _, report_x = solve_x_eps(mu0, mu1, cost, nu, config)
-    _, value_ext = solve_x_extended_refined(mu0, mu1, cost, nu, args.eps, args.p)
-    _, report_y = solve_y_eps(mu0, mu1, cost, args.p, grids, None, config)
+    _, value_ext = solve_x_extended_refined(mu0, mu1, cost, nu, args.eps)
+    _, report_y = solve_y_eps(mu0, mu1, cost, grids, None, config)
 
     values = {
         "solve_x_eps": report_x.primal,
@@ -260,14 +257,14 @@ def _cmd_compare(args) -> int:
 
 def _cmd_lift_check(args) -> int:
     t0, mu0, mu1, cost = _instance(args)
-    grid = RadialGrid.geometric(max(mass_cap(mu0, mu1, args.p), 1e-9),
+    grid = RadialGrid.geometric(max(mu0.total_mass + mu1.total_mass, 1e-9),
                                 n_nodes=args.radial_nodes, smin_frac=args.smin_frac)
     values: dict = {}
     residuals: dict = {}
     converged = True
 
     if args.which == "balanced":
-        result = solve_lifted_balanced(mu0, mu1, cost, args.p, grid)
+        result = solve_lifted_balanced(mu0, mu1, cost, grid)
         values["lifted_balanced"] = result.value
         values["status"] = result.status
         ot = transport_lp(mu0.weights, mu1.weights, cost.values)
@@ -278,7 +275,7 @@ def _cmd_lift_check(args) -> int:
     elif args.which == "balanced-eps":
         nu = default_nu_x(mu0, mu1)
         s_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
-        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, args.p, (s_grid, grid), args.eps)
+        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, (s_grid, grid), args.eps)
         values["lifted_balanced_eps"] = result.value
         values["status"] = result.status
         converged = result.status in ("optimal", "infeasible")
@@ -289,7 +286,7 @@ def _cmd_lift_check(args) -> int:
     elif args.which == "x-extended":
         config = SolverConfig(eps=args.eps, max_iters=args.max_iters, tolerance=args.tol)
         nu = default_nu_x(mu0, mu1)
-        _, value = solve_x_extended_refined(mu0, mu1, cost, nu, config.eps, args.p)
+        _, value = solve_x_extended_refined(mu0, mu1, cost, nu, config.eps)
         _, _, report = solve_x_eps(mu0, mu1, cost, nu, config)
         values["solve_x_extended"] = value
         values["solve_x_eps"] = report.primal
@@ -297,8 +294,8 @@ def _cmd_lift_check(args) -> int:
         converged = report.converged
     elif args.which == "second-order":
         w_grid = RadialGrid.geometric(2.0, n_nodes=6, smin_frac=0.1)
-        value = solve_second_order_lift(mu0, mu1, cost, args.p, (grid, grid, w_grid)).value
-        _, y_value = solve_y_unreg(mu0, mu1, cost, args.p, (grid, grid))
+        value = solve_second_order_lift(mu0, mu1, cost, (grid, grid, w_grid)).value
+        _, y_value = solve_y_unreg(mu0, mu1, cost, (grid, grid))
         values["second_order"] = value
         values["solve_y_unreg"] = y_value
         residuals["second_order_vs_y"] = abs(value - y_value)
@@ -337,66 +334,63 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker threads for sweeps (solves stay deterministic)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_instance_args(p, eps_required=True):
-        p.add_argument("--mu0", required=True)
-        p.add_argument("--mu1", required=True)
-        p.add_argument("--cost", required=True,
-                       help="sqeuclidean | hk | file:<path>")
+    def add_instance_args(cmd, eps_required=True):
+        cmd.add_argument("--mu0", required=True)
+        cmd.add_argument("--mu1", required=True)
+        cmd.add_argument("--cost", required=True,
+                         help="sqeuclidean | hk | file:<path>")
         if eps_required:
-            p.add_argument("--eps", type=float, required=True)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--max-iters", type=int, default=10_000)
-        p.add_argument("--out", required=True)
+            cmd.add_argument("--eps", type=float, required=True)
+        cmd.add_argument("--tol", type=float, default=1e-9)
+        cmd.add_argument("--max-iters", type=int, default=10_000)
+        cmd.add_argument("--out", required=True)
 
-    p = sub.add_parser("solve-x", help="original-space regularised solve")
-    add_instance_args(p)
-    p.add_argument("--nu", default=None, help="reference plan JSON (default: normalized product)")
-    p.add_argument("--entropy", choices=("kl", "balanced"), default="kl",
-                   help="marginal entropy kind")
-    p.add_argument("--emit-plan", action="store_true")
-    p.set_defaults(func=_cmd_solve_x)
+    cmd = sub.add_parser("solve-x", help="original-space regularised solve")
+    add_instance_args(cmd)
+    cmd.add_argument("--nu", default=None,
+                     help="reference plan JSON (default: normalized product)")
+    cmd.add_argument("--entropy", choices=("kl", "balanced"), default="kl",
+                     help="marginal entropy kind")
+    cmd.add_argument("--emit-plan", action="store_true")
+    cmd.set_defaults(func=_cmd_solve_x)
 
-    p = sub.add_parser("solve-y", help="extended-space regularised solve")
-    add_instance_args(p)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--radial-nodes", type=int, default=64)
-    p.add_argument("--smin-frac", type=float, default=1e-4)
-    p.set_defaults(func=_cmd_solve_y)
+    cmd = sub.add_parser("solve-y", help="extended-space regularised solve")
+    add_instance_args(cmd)
+    cmd.add_argument("--radial-nodes", type=int, default=64)
+    cmd.add_argument("--smin-frac", type=float, default=1e-4)
+    cmd.set_defaults(func=_cmd_solve_y)
 
-    p = sub.add_parser("sweep-eps", help="value/gap/iterations across an eps list")
-    add_instance_args(p, eps_required=False)
-    p.add_argument("--eps-list", required=True)
-    p.add_argument("--formulation", choices=("x", "y"), default="x")
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--radial-nodes", type=int, default=32)
-    p.add_argument("--smin-frac", type=float, default=1e-2)
-    p.add_argument("--report", default=None, help="optional JSON record path")
-    p.set_defaults(func=_cmd_sweep_eps)
+    cmd = sub.add_parser("sweep-eps", help="value/gap/iterations across an eps list")
+    add_instance_args(cmd, eps_required=False)
+    cmd.add_argument("--eps-list", required=True)
+    cmd.add_argument("--formulation", choices=("x", "y"), default="x")
+    cmd.add_argument("--radial-nodes", type=int, default=32)
+    cmd.add_argument("--smin-frac", type=float, default=1e-2)
+    cmd.add_argument("--report", default=None, help="optional JSON record path")
+    cmd.set_defaults(func=_cmd_sweep_eps)
 
-    p = sub.add_parser("compare", help="cross-formulation value comparison")
-    add_instance_args(p)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--radial-nodes", type=int, default=32)
-    p.add_argument("--smin-frac", type=float, default=1e-2)
-    p.set_defaults(func=_cmd_compare)
+    cmd = sub.add_parser("compare", help="cross-formulation value comparison")
+    add_instance_args(cmd)
+    cmd.add_argument("--radial-nodes", type=int, default=32)
+    cmd.add_argument("--smin-frac", type=float, default=1e-2)
+    cmd.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("lift-check", help="verify one lifted formulation")
-    add_instance_args(p, eps_required=False)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--which", required=True,
-                   choices=("balanced", "balanced-eps", "x-extended", "second-order"))
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--radial-nodes", type=int, default=24)
-    p.add_argument("--smin-frac", type=float, default=1e-2)
-    p.set_defaults(func=_cmd_lift_check)
+    cmd = sub.add_parser("lift-check", help="verify one lifted formulation")
+    add_instance_args(cmd, eps_required=False)
+    cmd.add_argument("--eps", type=float, default=0.5)
+    cmd.add_argument("--which", required=True,
+                     choices=("balanced", "balanced-eps", "x-extended", "second-order"))
+    cmd.add_argument("--radial-nodes", type=int, default=24)
+    cmd.add_argument("--smin-frac", type=float, default=1e-2)
+    cmd.set_defaults(func=_cmd_lift_check)
 
-    p = sub.add_parser("identities", help="grid-measure identity checks")
-    p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_identities)
+    cmd = sub.add_parser("identities", help="grid-measure identity checks")
+    cmd.add_argument("--grid", type=int, required=True)
+    cmd.add_argument("--dim", type=int, required=True)
+    cmd.add_argument("--eps", type=float, required=True)
+    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--out", required=True)
+    cmd.set_defaults(func=_cmd_identities)
     return parser
 
 

@@ -2,30 +2,30 @@
 
 A plan here is an ``AtomPlan``: a nonnegative weight tensor over atoms
 (x0, s0, x1, s1) where the s_i run over finite radial grids (the lifting
-module adds a pair-space radial axis S to the same type).  The p-th
-homogeneous marginal of a plan is the projection to X weighted by s_i^p,
-and the problem
+module adds a pair-space radial axis S to the same type).  A radial node is
+a homogeneous-mass coordinate: the homogeneous marginal of a plan is the
+projection to X weighted by s_i, and the problem
 
-    inf (H_p, alpha)   s.t.  h_i^p alpha = mu_i
+    inf (H, alpha)   s.t.  h_i alpha = mu_i,   H = H(s0, s1, c),
 
 is a linear program over the atoms because the objective is linear in the
 weights; ``simplex.atom_lp`` builds and solves it from the cost tensor and
-the two s_i^p-weighted families.  The constraints are sharp: an atom with
-s_j = 0 (the apex of the cone) costs s_i^p, the defect price F(0) = 1 per
+the two s_i-weighted families.  The constraints are sharp: an atom with
+s_j = 0 (the apex of the cone) costs s_i, the defect price F(0) = 1 per
 unit of unmatched mass.  The entropic regularisation adds eps * Div(alpha |
 nu_Y) for a probability reference nu_Y and is solved by alternating KL
 projections onto the two homogeneous-marginal constraint families
 (generalized iterative scaling): each projection multiplies alpha by
-exp(lambda(x_i) s_i^p).  As an (n0 K0) x (n1 K1) matrix over (point,
-radial node) lines, alpha is nu_Y exp(-H_p/eps) scaled by the line
-potentials lambda_i s_k^p, so these are the iterations of
+exp(lambda(x_i) s_i).  As an (n0 K0) x (n1 K1) matrix over (point,
+radial node) lines, alpha is nu_Y exp(-H/eps) scaled by the line
+potentials lambda_i s_k, so these are the iterations of
 ``solver_x.scaling_kernel`` from zero tilts, on the log-kernel that
-``solver_x.log_kernel`` builds from nu_Y and H_p, with another marginal
+``solver_x.log_kernel`` builds from nu_Y and H, with another marginal
 step, a ``ScalingStep`` with no translation: its mat-vec gives each line's
 log-sum-exp over the other side's atoms, M[i, k] once the line's own tilt
 is added, and the tilt changes delta_i solve
 
-    LSE_k(M[i, k] + log s_k^p + delta_i s_k^p) = log mu_i
+    LSE_k(M[i, k] + log s_k + delta_i s_k) = log mu_i
 
 for all points at once by a batched Newton iteration from delta = 0.  The
 step over-relaxes its own tilts, point by point: lambda_i moves by
@@ -34,9 +34,9 @@ lower the dual, which given the other side's tilts is separable over the
 points, and by delta_i elsewhere.
 
 Radial grids default to geometric spacing below the mass cap
-s* = (mu0(X) + mu1(X))^(1/p); rescaling by the pushforward
+s* = mu0(X) + mu1(X); rescaling by the pushforward
 (x0, s0, x1, s1) -> (x0, s0/theta, x1, s1/theta) with
-theta = ((s0^p + s1^p)^(1/p)) / s* normalises any plan to unit mass without
+theta = (s0 + s1) / s* normalises any plan to unit mass without
 changing the objective, which is exact thanks to the 1-homogeneity of H.
 The rescaled atoms leave the grid and form an ``AtomCloud``; plans and clouds
 share one implementation of the marginals, the objective and the rescaling.
@@ -47,9 +47,9 @@ iteration's first reduction; the report reads the primal value off the
 same marginal defects.  Plans are immutable snapshots.
 
 A plan's ordinary marginals on X x R+, its (x0, s0) and (x1, s1)
-projections, pose balanced transport under H_p (the cone construction of
+projections, pose balanced transport under H (the cone construction of
 Liero, Mielke and Savare, arXiv:1508.07941); ``extended_ot_value`` solves
-it, equal to (H_p, alpha) at an optimal plan and below it elsewhere.
+it, equal to (H, alpha) at an optimal plan and below it elsewhere.
 """
 
 from __future__ import annotations
@@ -112,6 +112,8 @@ class RadialGrid:
         """Node 0 plus a geometric ladder on [smin_frac*cap, cap]."""
         if cap <= 0:
             raise ValueError("cap must be positive")
+        if not (0.0 < smin_frac < 1.0):  # NaN fails both
+            raise ValueError(f"smin_frac must lie in (0, 1), got {smin_frac}")
         if n_nodes < 2:
             raise ValueError("need at least two nodes")
         ladder = np.geomspace(smin_frac * cap, cap, n_nodes - 1)
@@ -134,7 +136,6 @@ class AtomCloud:
     x1: np.ndarray
     s1: np.ndarray
     weights: np.ndarray
-    p: float
     S: Optional[np.ndarray] = None
 
     @property
@@ -142,54 +143,51 @@ class AtomCloud:
         return float(np.sum(self.weights))
 
     def homogeneous_marginal(self, index: int) -> DiscreteMeasure:
-        """h_i^p: the projection to one point set weighted by s_i^p."""
+        """h_i: the projection to one point set weighted by s_i."""
         if index not in (0, 1):
             raise ValueError("index must be 0 or 1")
         ground = (self.row_ground, self.col_ground)[index]
         x, s = ((self.x0, self.s0), (self.x1, self.s1))[index]
-        w = np.bincount(x, weights=(s ** self.p) * self.weights, minlength=ground.size)
+        w = np.bincount(x, weights=s * self.weights, minlength=ground.size)
         return DiscreteMeasure(ground, w)
 
     def pair_marginal(self) -> Plan:
-        """The S^p-weighted projection to the pair space."""
+        """The S-weighted projection to the pair space."""
         if self.S is None:
             raise ValueError("only atoms with an S coordinate have a pair marginal")
         n0, n1 = self.row_ground.size, self.col_ground.size
-        w = np.bincount(self.x0 * n1 + self.x1, weights=(self.S ** self.p) * self.weights,
+        w = np.bincount(self.x0 * n1 + self.x1, weights=self.S * self.weights,
                         minlength=n0 * n1)
         return Plan(self.row_ground, self.col_ground, w.reshape(n0, n1))
 
     def objective(self, cost: CostMatrix, eps: Optional[float] = None) -> float:
-        """(H_p, atoms), or (H_eps, atoms) with the given eps when S is present.
+        """(H, atoms), or (H_eps, atoms) with the given eps when S is present.
         Raises GroundMismatchError on a cost not over the two grounds."""
         _check_cost(cost, self.row_ground, self.col_ground)
         c = cost.values[self.x0, self.x1]
-        s0p, s1p = self.s0 ** self.p, self.s1 ** self.p
         if self.S is None:
-            h = perspective_H(s0p, s1p, c)
+            h = perspective_H(self.s0, self.s1, c)
         else:
-            h = perspective_H_eps(s0p, s1p, self.S ** self.p, c, eps)
+            h = perspective_H_eps(self.s0, self.s1, self.S, c, eps)
         return float(np.sum(h * self.weights))
 
     def rescale(self) -> "AtomCloud":
         """Normalise to unit mass by the radial pushforward.
 
-        With r^p the sum of an atom's s^p over its radial coordinates and
-        s*^p the total homogeneous mass (the sum of r^p times the weights),
-        theta = r / s* per atom; each atom moves to its coordinates divided
-        by theta with weight theta^p times its own.  Atoms whose radial
-        coordinates all vanish are dropped.  The objective and every
-        homogeneous marginal are preserved to rounding, by the
-        1-homogeneity of H and H_eps.
+        With r the sum of an atom's radial coordinates and s* the total
+        homogeneous mass (the sum of r times the weights), theta = r / s*
+        per atom; each atom moves to its coordinates divided by theta with
+        weight theta times its own.  Atoms whose radial coordinates all
+        vanish are dropped.  The objective and every homogeneous marginal
+        are preserved to rounding, by the 1-homogeneity of H and H_eps.
         """
         radial = (self.s0, self.s1, self.S)
-        rp = sum(s ** self.p for s in radial if s is not None)
-        keep = rp > 0
-        theta_p = rp[keep] / float(np.sum(rp[keep] * self.weights[keep]))
-        theta = theta_p ** (1.0 / self.p)
+        r = sum(s for s in radial if s is not None)
+        keep = r > 0
+        theta = r[keep] / float(np.sum(r[keep] * self.weights[keep]))
         s0, s1, S = (None if s is None else s[keep] / theta for s in radial)
         return replace(self, x0=self.x0[keep], s0=s0, x1=self.x1[keep], s1=s1, S=S,
-                       weights=theta_p * self.weights[keep])
+                       weights=theta * self.weights[keep])
 
 
 @dataclass(frozen=True)
@@ -204,14 +202,11 @@ class AtomPlan:
     row_ground: GroundSet
     col_ground: GroundSet
     grids: tuple[RadialGrid, ...]
-    p: float
     weights: np.ndarray
 
     def __post_init__(self):
         if len(self.grids) not in (2, 3):
             raise ValueError("an atom plan has two or three radial grids")
-        if not (0.0 < self.p < math.inf):
-            raise ValueError("p must be positive and finite")
         g = self.grids
         shape = (self.row_ground.size, g[0].size, self.col_ground.size,
                  *(grid.size for grid in g[1:]))
@@ -226,7 +221,7 @@ class AtomPlan:
         idx = np.nonzero(self.weights)
         s = [grid.nodes[k] for grid, k in zip(self.grids, (idx[1], idx[3]) + idx[4:])]
         return AtomCloud(self.row_ground, self.col_ground, idx[0], s[0], idx[2], s[1],
-                         self.weights[idx], self.p, *s[2:])
+                         self.weights[idx], *s[2:])
 
     def homogeneous_marginal(self, index: int) -> DiscreteMeasure:
         return self.atoms().homogeneous_marginal(index)
@@ -245,26 +240,17 @@ class AtomPlan:
 # Construction helpers
 # ---------------------------------------------------------------------------
 
-def mass_cap(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float) -> float:
-    """Radial cap (m0 + m1)^(1/p) of the grids for a finite exponent p > 0."""
-    if not (0.0 < p < math.inf):
-        raise ValueError("p must be positive and finite")
-    try:
-        return (mu0.total_mass + mu1.total_mass) ** (1.0 / p)
-    except OverflowError:
-        raise ValueError(f"the radial cap (m0 + m1)^(1/p) overflows at p = {p}") from None
-
-
-def default_grids(mu0: DiscreteMeasure, mu1: DiscreteMeasure, p: float = 1.0,
+def default_grids(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
                   n_nodes: int = 64, smin_frac: float = 1e-4
                   ) -> tuple[RadialGrid, RadialGrid]:
-    cap = mass_cap(mu0, mu1, p)
+    """One geometric grid for both sides, capped at the total mass m0 + m1."""
+    cap = mu0.total_mass + mu1.total_mass
     grid = RadialGrid.geometric(cap, n_nodes=n_nodes, smin_frac=smin_frac)
     return grid, grid
 
 
 def default_nu_y(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
-                 grids: tuple[RadialGrid, RadialGrid], p: float = 1.0) -> AtomPlan:
+                 grids: tuple[RadialGrid, RadialGrid]) -> AtomPlan:
     """Uniform probability over all atoms with both radial values positive.
     Its ``.weights`` is a read-only broadcast view of one (1, K0, 1, K1)
     array, not an atom tensor."""
@@ -275,16 +261,14 @@ def default_nu_y(mu0: DiscreteMeasure, mu1: DiscreteMeasure,
     if total <= 0:
         raise ValueError("reference needs at least one positive radial node per side")
     w = _read_only(positive / total)[None, :, None, :]
-    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, np.broadcast_to(w, shape))
+    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), np.broadcast_to(w, shape))
 
 
-def hp_tensor(cost: CostMatrix, grid0: RadialGrid, grid1: RadialGrid, p: float) -> np.ndarray:
-    """H_p over the atom tensor, shape (n0, K0, n1, K1)."""
-    s0p = grid0.nodes ** p
-    s1p = grid1.nodes ** p
+def h_tensor(cost: CostMatrix, grid0: RadialGrid, grid1: RadialGrid) -> np.ndarray:
+    """H over the atom tensor, shape (n0, K0, n1, K1)."""
     return perspective_H(
-        s0p[None, :, None, None],
-        s1p[None, None, None, :],
+        grid0.nodes[None, :, None, None],
+        grid1.nodes[None, None, None, :],
         cost.values[:, None, :, None],
     )
 
@@ -304,18 +288,18 @@ def _optimal(res: LpResult, what: str) -> LpResult:
 
 
 def solve_y_unreg(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
-                  p: float, grids: tuple[RadialGrid, RadialGrid]) -> tuple[AtomPlan, float]:
-    """Linear program min (H_p, alpha) under the sharp constraints h_i^p alpha = mu_i,
+                  grids: tuple[RadialGrid, RadialGrid]) -> tuple[AtomPlan, float]:
+    """Linear program min (H, alpha) under the sharp constraints h_i alpha = mu_i,
     solved with the multiscale start over its (K0, K1) axes
     (``simplex._multiscale_lp``), from the apex atoms of node 0."""
     _check_instance(mu0, mu1, cost, None)
     grid0, grid1 = grids
-    i0, s0p, i1, s1p = np.ix_(np.arange(mu0.ground.size), grid0.nodes ** p,
-                              np.arange(mu1.ground.size), grid1.nodes ** p)
-    families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights)]
-    h = hp_tensor(cost, grid0, grid1, p)
+    i0, s0, i1, s1 = np.ix_(np.arange(mu0.ground.size), grid0.nodes,
+                            np.arange(mu1.ground.size), grid1.nodes)
+    families = [(i0, s0, mu0.weights), (i1, s1, mu1.weights)]
+    h = h_tensor(cost, grid0, grid1)
     res = _optimal(_multiscale_lp(h, families, (1, 3)), "homogeneous-marginal")
-    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, res.x), res.value
+    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), res.x), res.value
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +316,13 @@ def _tilt_values(w: np.ndarray, a: np.ndarray, target: np.ndarray,
     return top + np.log(se) - target, (e @ a) / se
 
 
-def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray) -> np.ndarray:
+def _solve_tilts(red: np.ndarray, s: np.ndarray, mu_w: np.ndarray) -> np.ndarray:
     """Every point's tilt change, solved from the reduction ``red``.
 
     For each support point i with mass, finds delta_i with
-    LSE_k(red[i, k] + log sp_k + delta_i sp_k) = log mu_i by Newton's
+    LSE_k(red[i, k] + log s_k + delta_i s_k) = log mu_i by Newton's
     method from delta = 0, run on all rows at once.  It needs no bracket:
-    the s = 0 node has log 0 = -inf, so every finite term has sp_k > 0 and
+    the s = 0 node has log 0 = -inf, so every finite term has s_k > 0 and
     the slope, their softmax mean, is positive, so every step is finite; the
     left side is convex, increasing and unbounded both ways, so the first
     step lands at or right of the root and the iterates then decrease to it.
@@ -349,7 +333,7 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray) -> np.ndarra
     """
     rows = np.flatnonzero(mu_w > 0)
     with np.errstate(divide="ignore"):
-        w = red[rows] + np.log(sp)
+        w = red[rows] + np.log(s)
     if not np.all(np.any(w > -math.inf, axis=1)):
         raise InfeasibleProblemError(
             "a support point carries mass but no reachable atom has a positive radial node"
@@ -357,13 +341,13 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray) -> np.ndarra
     target = np.log(mu_w[rows])
 
     delta = np.zeros(rows.size)
-    val, slope = _tilt_values(w, sp, target, delta)
+    val, slope = _tilt_values(w, s, target, delta)
     active = np.abs(val) >= _TILT_TOL
     for step in range(_TILT_MAX_STEPS):
         if not active.any():
             break
         delta = np.where(active, delta - val / slope, delta)
-        prev, (val, slope) = val, _tilt_values(w, sp, target, delta)
+        prev, (val, slope) = val, _tilt_values(w, s, target, delta)
         active &= (np.abs(val) >= _TILT_TOL) & ((step == 0) | (val < prev))
     if active.any():
         i = np.flatnonzero(active)[0]
@@ -376,44 +360,44 @@ def _solve_tilts(red: np.ndarray, sp: np.ndarray, mu_w: np.ndarray) -> np.ndarra
     return out
 
 
-def _tilt_step(sps, mus, lams, omega: float) -> ScalingStep:
+def _tilt_step(nodes, mus, lams, omega: float) -> ScalingStep:
     """The y step of ``scaling_kernel``: side's tilts solved from its
     reduction, over-relaxed per point under a guard from the dual.
 
-    m holds LSE over the other side's atoms of log nu_Y - H_p/eps plus their
+    m holds LSE over the other side's atoms of log nu_Y - H/eps plus their
     tilts, per (point, radial node) line; adding the side's own tilts gives
     the reduction red of the tilted tensor, so the Newton change delta_i is
     taken from the current tilt.  Given the other side's tilts the dual over
     eps is separable: moving lambda_i by t changes it by
-    mu_i t - sum_k exp(red[i, k]) expm1(t s_k^p).  Each point takes
+    mu_i t - sum_k exp(red[i, k]) expm1(t s_k).  Each point takes
     t = omega delta_i where that change is finite and nonnegative, and the
     plain t = delta_i (the exact projection) elsewhere, so the dual never
     decreases; omega 1 is the plain projection.  ``lams`` is updated in
-    place and the update returns the new line potentials lambda_i s_k^p; it
+    place and the update returns the new line potentials lambda_i s_k; it
     reads the current tilts from ``lams``, not from the kernel's ``old``.
     """
     def _update(side, m, _old):
-        sp, lam, mu = sps[side], lams[side], mus[side]
-        red = m.reshape(lam.size, sp.size) + lam[:, None] * sp
-        delta = _solve_tilts(red, sp, mu)
+        s, lam, mu = nodes[side], lams[side], mus[side]
+        red = m.reshape(lam.size, s.size) + lam[:, None] * s
+        delta = _solve_tilts(red, s, mu)
         t = omega * delta
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite change rejects
-            gain = mu * t - np.sum(np.exp(red) * np.expm1(t[:, None] * sp), axis=1)
+            gain = mu * t - np.sum(np.exp(red) * np.expm1(t[:, None] * s), axis=1)
         lam += np.where((gain >= 0.0) & (gain < math.inf), t, delta)
-        return (lam[:, None] * sp).ravel()
+        return (lam[:, None] * s).ravel()
     return ScalingStep(_update, None)
 
 
 def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
-                p: float, grids: tuple[RadialGrid, RadialGrid],
+                grids: tuple[RadialGrid, RadialGrid],
                 nu_y: Optional[AtomPlan], config: SolverConfig,
                 ) -> tuple[AtomPlan, SolveReport]:
     """Entropic extended-space solve by generalized iterative scaling.
 
-    Minimises (H_p, alpha) + eps * Div(alpha | nu_Y) subject to
-    h_i^p alpha = mu_i, with eps = ``config.eps``.  nu_Y must be a probability
+    Minimises (H, alpha) + eps * Div(alpha | nu_Y) subject to
+    h_i alpha = mu_i, with eps = ``config.eps``.  nu_Y must be a probability
     measure over the atom tensor on the grounds of mu0 and mu1 (default:
-    ``default_nu_y``); H_p is dropped once ``log_kernel`` has built the
+    ``default_nu_y``); H is dropped once ``log_kernel`` has built the
     log-kernel.  One ``scaling_kernel`` call runs the guarded over-relaxed
     tilt steps (``_tilt_step``) at eps from zero tilts for at most
     ``config.max_iters`` iterations, and stops when the largest
@@ -422,14 +406,14 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     last check, which sees both line marginals of the returned plan, so
     ``converged`` is the stop test itself.
     ``dual`` is the weak-duality lower bound.  The plan is the scaling plan
-    nu_Y exp(-H_p/eps + lambda_0 s0^p + lambda_1 s1^p) of the tilts, so its
+    nu_Y exp(-H/eps + lambda_0 s0 + lambda_1 s1) of the tilts, so its
     primal value is dual + eps * sum_i (lambda_i, d_i) over the defects
-    d_i = h_i^p alpha - mu_i; the gap eps * sum_i (|lambda_i|, |d_i|) is
+    d_i = h_i alpha - mu_i; the gap eps * sum_i (|lambda_i|, |d_i|) is
     nonnegative by construction and at least |primal - dual|.
     """
     grid0, grid1 = grids
     if nu_y is None:
-        nu_y = default_nu_y(mu0, mu1, grids, p)
+        nu_y = default_nu_y(mu0, mu1, grids)
     _check_instance(mu0, mu1, cost, nu_y)
     for side, (ref, grid) in enumerate(zip(nu_y.grids, grids)):
         if ref is not grid and not np.array_equal(ref.nodes, grid.nodes):
@@ -440,27 +424,27 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
     eps = config.eps
     omega = max(1.0, 2.0 / (1.0 + math.sqrt(eps / 2.0)))
 
-    sps = (grid0.nodes ** p, grid1.nodes ** p)
+    nodes = (grid0.nodes, grid1.nodes)
     mus = (mu0.weights, mu1.weights)
     lams = (np.zeros(mu0.ground.size), np.zeros(mu1.ground.size))
     # the s = 0 lines carry no homogeneous mass, so no constraint empties them
-    masses = [np.where(sp > 0, mu[:, None], 1.0).ravel() for mu, sp in zip(mus, sps)]
-    log_k = log_kernel(nu_y.weights, hp_tensor(cost, grid0, grid1, p), eps)
+    masses = [np.where(s > 0, mu[:, None], 1.0).ravel() for mu, s in zip(mus, nodes)]
+    log_k = log_kernel(nu_y.weights, h_tensor(cost, grid0, grid1), eps)
     scale = max(1.0, float(np.max(mu0.weights)), float(np.max(mu1.weights)))
 
     def check(_f, _g, *margs):
         """The stop test on the line marginals; its result holds the defects,
         the residuals, the plan's mass and the verdict for the report."""
-        d = [m.reshape(mu.size, -1) @ sp - mu for m, sp, mu in zip(margs, sps, mus)]
+        d = [m.reshape(mu.size, -1) @ s - mu for m, s, mu in zip(margs, nodes, mus)]
         res = tuple(float(np.max(np.abs(x))) / scale for x in d)
         converged = max(res) <= config.tolerance
         return converged, (d, res, float(np.sum(margs[1])), converged)
 
     iters, alpha_w, (d, res, mass, converged) = scaling_kernel(
         log_k.reshape(masses[0].size, -1), *masses,
-        _tilt_step(sps, mus, lams, omega), config.max_iters, 1, check)
+        _tilt_step(nodes, mus, lams, omega), config.max_iters, 1, check)
 
-    alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), p, alpha_w.reshape(log_k.shape))
+    alpha = AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), alpha_w.reshape(log_k.shape))
     dual = eps * (float(lams[0] @ mu0.weights) + float(lams[1] @ mu1.weights)
                   + nu_mass - mass)
     primal = dual + eps * sum(float(lam @ x) for lam, x in zip(lams, d))
@@ -473,11 +457,11 @@ def solve_y_eps(mu0: DiscreteMeasure, mu1: DiscreteMeasure, cost: CostMatrix,
 # ---------------------------------------------------------------------------
 
 def extended_ot_value(alpha: AtomPlan, cost: CostMatrix) -> float:
-    """Balanced transport under the cost H_p between the two marginals of
-    ``alpha`` on X x R+, on the plan's own grids and with its own p.
+    """Balanced transport under the cost H between the two marginals of
+    ``alpha`` on X x R+, on the plan's own grids.
 
     Re-solving the coupling of those marginals can only improve on
-    (H_p, alpha), with equality at an optimal alpha.  Raises ValueError on a
+    (H, alpha), with equality at an optimal alpha.  Raises ValueError on a
     plan with an S grid, which has no such decomposition.
     """
     if len(alpha.grids) != 2:
@@ -486,5 +470,5 @@ def extended_ot_value(alpha: AtomPlan, cost: CostMatrix) -> float:
     w = alpha.weights
     n0, k0, n1, k1 = w.shape
     beta0, beta1 = w.sum(axis=(2, 3)).ravel(), w.sum(axis=(0, 1)).ravel()
-    pairs = hp_tensor(cost, *alpha.grids, alpha.p).reshape(n0 * k0, n1 * k1)
+    pairs = h_tensor(cost, *alpha.grids).reshape(n0 * k0, n1 * k1)
     return _optimal(transport_lp(beta0, beta1, pairs), "transport").value

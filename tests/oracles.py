@@ -480,7 +480,7 @@ def second_order_H_tilde(s0, s1, w0, w1, H_val):
     return float(out) if scalar else out
 
 
-def solve_second_order_full_w(mu0, mu1, cost, p: float, grids) -> float:
+def solve_second_order_full_w(mu0, mu1, cost, grids) -> float:
     """Second-order LP over the full (w0, w1) grid with the sharp gate.
 
     Atoms with w0 != w1 price at +inf and are dropped, so the value must
@@ -489,18 +489,16 @@ def solve_second_order_full_w(mu0, mu1, cost, p: float, grids) -> float:
     n0, n1 = mu0.ground.size, mu1.ground.size
     grid0, grid1, grid_w = grids
     k0, k1, kw = grid0.size, grid1.size, grid_w.size
-    s0p = grid0.nodes ** p
-    s1p = grid1.nodes ** p
-    wv = grid_w.nodes
+    s0, s1, wv = grid0.nodes, grid1.nodes, grid_w.nodes
 
     hbase = perspective_H(
-        s0p[None, None, :, None],
-        s1p[None, None, None, :],
+        s0[None, None, :, None],
+        s1[None, None, None, :],
         cost.values[:, :, None, None],
     )
     htilde = second_order_H_tilde(
-        s0p[None, None, :, None, None, None],
-        s1p[None, None, None, :, None, None],
+        s0[None, None, :, None, None, None],
+        s1[None, None, None, :, None, None],
         wv[None, None, None, None, :, None],
         wv[None, None, None, None, None, :],
         hbase[..., None, None],
@@ -517,8 +515,8 @@ def solve_second_order_full_w(mu0, mu1, cost, p: float, grids) -> float:
     keep = np.flatnonzero(np.isfinite(htilde))
     a = np.zeros((n0 + n1, keep.size))
     cols = np.arange(keep.size)
-    a[i0[keep], cols] += (s0p[j0] * wv[jw0])[keep]
-    a[n0 + i1[keep], cols] += (s1p[j1] * wv[jw1])[keep]
+    a[i0[keep], cols] += (s0[j0] * wv[jw0])[keep]
+    a[n0 + i1[keep], cols] += (s1[j1] * wv[jw1])[keep]
     b = np.concatenate([mu0.weights, mu1.weights])
     res = solve_lp(htilde[keep], a, b)
     if not res.optimal:

@@ -36,7 +36,7 @@ from uotlab.solver_y import (
     RadialGrid,
     default_grids,
     default_nu_y,
-    hp_tensor,
+    h_tensor,
     solve_y_eps,
     solve_y_unreg,
 )
@@ -96,8 +96,8 @@ def test_criterion_2_hk_dirac_benchmark():
         cost = CostMatrix(np.array([[hk_cost(d)]]))
         _, rep = solve_x_unreg(mu0, mu1, cost)
         worst_x = max(worst_x, abs(rep.primal - exact))
-        grids = default_grids(mu0, mu1, 1.0, n_nodes=256)
-        _, value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
+        grids = default_grids(mu0, mu1, n_nodes=256)
+        _, value = solve_y_unreg(mu0, mu1, cost, grids)
         worst_y = max(worst_y, abs(value - exact))
     elapsed = time.perf_counter() - t0
     report_line(2, worst_x <= 1e-6 and worst_y <= 1e-3 and elapsed < 30.0,
@@ -161,7 +161,7 @@ def _adapted_nu_y(mu0, mu1, grids, cost, tau=0.05, band=0.8):
     """Probability reference concentrated where transport rays live: a Gibbs
     profile of the atom cost restricted to a band of radial log-ratios."""
     grid0, grid1 = grids
-    h = hp_tensor(cost, grid0, grid1, 1.0)
+    h = h_tensor(cost, grid0, grid1)
     w = np.exp(-h / tau)
     w[:, grid0.nodes == 0, :, :] = 0.0
     w[:, :, :, grid1.nodes == 0] = 0.0
@@ -170,7 +170,7 @@ def _adapted_nu_y(mu0, mu1, grids, cost, tau=0.05, band=0.8):
         log1 = np.log(np.where(grid1.nodes > 0, grid1.nodes, 1.0))
     in_band = np.abs(log0[:, None] - log1[None, :]) <= band
     w *= in_band[None, :, None, :]
-    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), 1.0, w / w.sum())
+    return AtomPlan(mu0.ground, mu1.ground, (grid0, grid1), w / w.sum())
 
 
 def test_criterion_5_monotone_convergence():
@@ -180,13 +180,13 @@ def test_criterion_5_monotone_convergence():
     worst_tail = 0.0
     for seed in range(5):
         mu0, mu1, cost = _monotone_fixture(2000 + seed)
-        grids = default_grids(mu0, mu1, 1.0, n_nodes=10, smin_frac=0.2)
-        _, unreg = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
+        grids = default_grids(mu0, mu1, n_nodes=10, smin_frac=0.2)
+        _, unreg = solve_y_unreg(mu0, mu1, cost, grids)
         nu = _adapted_nu_y(mu0, mu1, grids, cost)
         values = []
         for eps in eps_list:
             config = SolverConfig(eps=eps, tolerance=1e-11, max_iters=40_000)
-            _, rep = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu, config)
+            _, rep = solve_y_eps(mu0, mu1, cost, grids, nu, config)
             values.append(rep.primal)
         steps = [b - a for a, b in zip(values, values[1:])]
         worst_step = max(worst_step, max(steps))
@@ -207,10 +207,12 @@ def test_criterion_6_rescaling_invariance():
         g1 = GroundSet(rng.uniform(0, 1, size=(n1, 2)))
         cost = sqeuclidean_matrix(g0, g1)
         cap = float(rng.uniform(1.0, 4.0))
-        p = float(rng.uniform(0.5, 2.5))
+        power = float(rng.uniform(0.5, 2.5))
 
         def rand_grid(k):
-            return RadialGrid(np.concatenate([[0.0], np.sort(rng.uniform(0.02, cap, k))]), cap)
+            # random nodes, raised to a random power as a power-law radial variable would be
+            nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.02, cap, k))])
+            return RadialGrid(nodes ** power, cap ** power)
 
         if trial % 2 == 0:
             grid0, grid1 = rand_grid(5), rand_grid(5)
@@ -218,7 +220,7 @@ def test_criterion_6_rescaling_invariance():
             w *= rng.uniform(size=w.shape) < 0.5
             if w.sum() == 0:
                 continue
-            alpha = AtomPlan(g0, g1, (grid0, grid1), p, w)
+            alpha = AtomPlan(g0, g1, (grid0, grid1), w)
             cloud = alpha.rescale()
             base = alpha.objective(cost)
             new = cloud.objective(cost)
@@ -228,7 +230,7 @@ def test_criterion_6_rescaling_invariance():
                 for i in (0, 1))
             m0 = alpha.homogeneous_marginal(0).total_mass
             m1 = alpha.homogeneous_marginal(1).total_mass
-            s_star = (m0 + m1) ** (1.0 / p)
+            s_star = m0 + m1
             support_ok = bool(np.all(cloud.s0 <= s_star * (1 + 1e-12))
                               and np.all(cloud.s1 <= s_star * (1 + 1e-12)))
         else:
@@ -238,12 +240,12 @@ def test_criterion_6_rescaling_invariance():
             if w.sum() == 0:
                 continue
             eps = float(rng.uniform(0.2, 1.0))
-            eta = AtomPlan(g0, g1, (grid0, grid1, grid_s), p, w)
+            eta = AtomPlan(g0, g1, (grid0, grid1, grid_s), w)
             cloud = eta.rescale()
             h = perspective_H_eps(
-                (grid0.nodes ** p)[None, :, None, None, None],
-                (grid1.nodes ** p)[None, None, None, :, None],
-                (grid_s.nodes ** p)[None, None, None, None, :],
+                grid0.nodes[None, :, None, None, None],
+                grid1.nodes[None, None, None, :, None],
+                grid_s.nodes[None, None, None, None, :],
                 cost.values[:, None, :, None, None], eps)
             base = float(np.sum(h * eta.weights))
             new = cloud.objective(cost, eps)
@@ -256,7 +258,7 @@ def test_criterion_6_rescaling_invariance():
             total = (eta.homogeneous_marginal(0).total_mass
                      + eta.homogeneous_marginal(1).total_mass
                      + eta.pair_marginal().total_mass)
-            s_star = total ** (1.0 / p)
+            s_star = total
             support_ok = bool(np.all(cloud.s0 <= s_star * (1 + 1e-12))
                               and np.all(cloud.s1 <= s_star * (1 + 1e-12))
                               and np.all(cloud.S <= s_star * (1 + 1e-12)))
@@ -278,13 +280,13 @@ def test_criterion_7_cross_formulation_agreement():
         nu = default_nu_x(mu0, mu1)
         eps = 0.6
         _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=eps, tolerance=1e-12))
-        _, ext_value = solve_x_extended_refined(mu0, mu1, cost, nu, eps, 1.0)
+        _, ext_value = solve_x_extended_refined(mu0, mu1, cost, nu, eps)
         worst_ext = max(worst_ext, abs(ext_value - rep.primal))
 
-        grids = default_grids(mu0, mu1, 1.0, n_nodes=12, smin_frac=1e-2)
-        _, y_value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
+        grids = default_grids(mu0, mu1, n_nodes=12, smin_frac=1e-2)
+        _, y_value = solve_y_unreg(mu0, mu1, cost, grids)
         w_grid = RadialGrid.geometric(2.0, n_nodes=5, smin_frac=0.1)
-        second = solve_second_order_lift(mu0, mu1, cost, 1.0,
+        second = solve_second_order_lift(mu0, mu1, cost,
                                          (grids[0], grids[1], w_grid)).value
         worst_second = max(worst_second, abs(second - y_value))
 
@@ -292,7 +294,7 @@ def test_criterion_7_cross_formulation_agreement():
             mu1.ground, mu1.weights * (mu0.total_mass / mu1.total_mass))
         grid = RadialGrid.geometric(mu0.total_mass + balanced_mu1.total_mass,
                                     n_nodes=7, smin_frac=0.05)
-        lift = solve_lifted_balanced(mu0, balanced_mu1, cost, 1.0, grid)
+        lift = solve_lifted_balanced(mu0, balanced_mu1, cost, grid)
         ot_value = transport_lp(mu0.weights, balanced_mu1.weights, cost.values).value
         worst_bal = max(worst_bal, abs(lift.value - ot_value))
     report_line(7, worst_ext <= 1e-3 and worst_second <= 1e-3 and worst_bal <= 1e-9,
@@ -360,11 +362,11 @@ def test_criterion_10_generic_minimizer_equivalence():
                                            iters=60_000)
         worst_x = max(worst_x, abs(rep.primal - oracle_val) / abs(oracle_val))
 
-        grids = default_grids(mu0, mu1, 1.0, n_nodes=6, smin_frac=0.05)
-        nu_y = default_nu_y(mu0, mu1, grids, 1.0)
-        alpha, rep_y = solve_y_eps(mu0, mu1, cost, 1.0, grids, nu_y,
+        grids = default_grids(mu0, mu1, n_nodes=6, smin_frac=0.05)
+        nu_y = default_nu_y(mu0, mu1, grids)
+        alpha, rep_y = solve_y_eps(mu0, mu1, cost, grids, nu_y,
                                    SolverConfig(eps=eps, tolerance=1e-12, max_iters=30_000))
-        h = hp_tensor(cost, grids[0], grids[1], 1.0).ravel()
+        h = h_tensor(cost, grids[0], grids[1]).ravel()
         a_mat = homogeneous_marginal_matrix(2, 2, grids[0].nodes, grids[1].nodes)
         b = np.concatenate([mu0.weights, mu1.weights])
         _, _, oracle_y = kkt_newton(h, nu_y.weights.ravel(), a_mat, b, eps)

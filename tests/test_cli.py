@@ -439,15 +439,17 @@ def test_identities_nonconverged_solve_exits_two(tmp_path, monkeypatch):
     ["solve-x", "--entropy", "balanced", "--eps", "-1"],
     ["solve-x", "--entropy", "balanced", "--eps", "0.5", "--tol", "-1"],
     ["lift-check", "--which", "balanced-eps", "--eps", "0"],
-    ["solve-y", "--eps", "0.5", "--p", "0"],
-    ["solve-y", "--eps", "0.5", "--p", "1e-3"],
-    ["solve-y", "--eps", "0.5", "--p", "inf"],
-    ["lift-check", "--which", "balanced", "--p", "0"],
-    ["compare", "--eps", "0.5", "--p", "0"],
+    ["solve-y", "--eps", "0.5", "--smin-frac", "0"],
+    ["solve-y", "--eps", "0.5", "--smin-frac", "-1"],
+    ["solve-y", "--eps", "0.5", "--smin-frac", "nan"],
+    ["sweep-eps", "--eps-list", "0.5,0.2", "--formulation", "y", "--smin-frac", "-1"],
+    ["lift-check", "--which", "balanced", "--smin-frac", "0"],
+    ["compare", "--eps", "0.5", "--smin-frac", "nan"],
     ["identities", "--grid", "0", "--dim", "1", "--eps", "0.2"],
     ["identities", "--grid", "4", "--dim", "1", "--eps", "0"],
-], ids=["balanced-eps", "balanced-tol", "lift-check-eps", "solve-y-p", "solve-y-p-overflow",
-        "solve-y-p-inf", "lift-check-p", "compare-p", "identities-grid", "identities-eps"])
+], ids=["balanced-eps", "balanced-tol", "lift-check-eps", "solve-y-smin-frac-0",
+        "solve-y-smin-frac-negative", "solve-y-smin-frac-nan", "sweep-eps-smin-frac-negative",
+        "lift-check-smin-frac-0", "compare-smin-frac-nan", "identities-grid", "identities-eps"])
 def test_invalid_numeric_input_exits_one(fixtures, capsys, argv):
     tmp, mu0, _, _ = fixtures
     if argv[0] != "identities":

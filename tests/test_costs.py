@@ -201,7 +201,7 @@ def test_open_mesh_perspective_costs_equal_the_broadcast_oracles_bit_for_bit(see
         assert _same_bits(perspective_H_eps(s0p, s1p, ssp, c, eps),
                           perspective_H_eps_broadcast(s0p, s1p, ssp, c, eps))
     assert _same_bits(perspective_H(s0p, s1p, c), perspective_H_broadcast(s0p, s1p, c))
-    # the second-order (x0, s0, x1, s1) mesh of hp_tensor
+    # the second-order (x0, s0, x1, s1) mesh of h_tensor
     s0p, s1p = _radial_nodes(rng, 6) ** p, _radial_nodes(rng, 5) ** p
     args = (s0p[None, :, None, None], s1p[None, None, None, :], cost[:, None, :, None])
     assert _same_bits(perspective_H(*args), perspective_H_broadcast(*args))

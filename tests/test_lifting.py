@@ -41,7 +41,7 @@ def random_pair(rng, n0=2, n1=2, box=1.0, lo=0.4, hi=1.2):
     return mu0, mu1, sqeuclidean_matrix(g0, g1)
 
 
-def triple_plan_single_atom(s_val, weight, p=1.0, s_node_extra=(0.5,)):
+def triple_plan_single_atom(s_val, weight, s_node_extra=(0.5,)):
     g0 = GroundSet([[0.0]])
     g1 = GroundSet([[1.0]])
     nodes = np.unique(np.concatenate([[0.0, s_val], s_node_extra]))
@@ -49,7 +49,7 @@ def triple_plan_single_atom(s_val, weight, p=1.0, s_node_extra=(0.5,)):
     k = int(np.flatnonzero(grid.nodes == s_val)[0])
     w = np.zeros((1, grid.size, 1, grid.size, grid.size))
     w[0, k, 0, k, k] = weight
-    return AtomPlan(g0, g1, (grid, grid, grid), p, w), grid, k
+    return AtomPlan(g0, g1, (grid, grid, grid), w), grid, k
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_H_marginal_examples():
 
     w = np.zeros((1, grid.size, 1, grid.size, grid.size))
     w[0, k, 0, k, 0] = 5.0  # all mass at S = 0
-    eta0 = AtomPlan(eta.row_ground, eta.col_ground, (grid, grid, grid), 1.0, w)
+    eta0 = AtomPlan(eta.row_ground, eta.col_ground, (grid, grid, grid), w)
     assert eta0.pair_marginal().total_mass == 0.0
 
     eta2, grid2, k2 = triple_plan_single_atom(2.0, 3.0)
@@ -78,7 +78,7 @@ def test_balanced_coincident_diracs():
     mu = DiscreteMeasure(g, [1.0])
     cost = CostMatrix(np.array([[0.0]]))
     grid = RadialGrid.geometric(2.0, n_nodes=6, smin_frac=0.1)
-    result = solve_lifted_balanced(mu, mu, cost, 1.0, grid)
+    result = solve_lifted_balanced(mu, mu, cost, grid)
     assert result.optimal and result.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -89,7 +89,7 @@ def test_balanced_matches_classical_ot():
         scaled = DiscreteMeasure(mu1.ground, mu1.weights * (mu0.total_mass / mu1.total_mass))
         grid = RadialGrid.geometric(mu0.total_mass + scaled.total_mass, n_nodes=7,
                                     smin_frac=0.05)
-        result = solve_lifted_balanced(mu0, scaled, cost, 1.0, grid)
+        result = solve_lifted_balanced(mu0, scaled, cost, grid)
         ot = transport_lp(mu0.weights, scaled.weights, cost.values)
         ot_value, status = ot.value, ot.status
         assert status == "optimal" and result.optimal
@@ -100,7 +100,7 @@ def test_balanced_mass_mismatch_infeasible():
     rng = np.random.default_rng(71)
     mu0, mu1, cost = random_pair(rng)
     bumped = DiscreteMeasure(mu1.ground, mu1.weights * 1.5)
-    result = solve_lifted_balanced(mu0, bumped, cost, 1.0,
+    result = solve_lifted_balanced(mu0, bumped, cost,
                                    RadialGrid.geometric(4.0, n_nodes=6, smin_frac=0.1))
     assert not result.optimal
     assert result.value == math.inf
@@ -113,7 +113,7 @@ def test_balanced_near_balanced_masses_match_classical_ot():
     w1 = mu1.weights * (mu0.total_mass / mu1.total_mass)
     w1[0] += 5e-8
     mu1 = DiscreteMeasure(mu1.ground, w1)
-    lifted = solve_lifted_balanced(mu0, mu1, cost, 1.0,
+    lifted = solve_lifted_balanced(mu0, mu1, cost,
                                    RadialGrid.geometric(4.0, n_nodes=6, smin_frac=0.1))
     classical = transport_lp(mu0.weights, mu1.weights, cost.values)
     assert lifted.optimal and classical.optimal
@@ -142,7 +142,7 @@ def test_balanced_eps_matches_balanced_entropic_transport():
         hi = float(ratio.max()) * 2.0
         S_grid = RadialGrid(
             np.concatenate([[0.0], np.geomspace(float(ratio.min()) / 2.0, hi, 500)]), hi)
-        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, 1.0, (s_grid, S_grid), eps)
+        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, (s_grid, S_grid), eps)
         assert result.optimal
         assert result.value == pytest.approx(want, abs=1e-5)
 
@@ -153,12 +153,12 @@ def test_balanced_eps_approaches_balanced_as_eps_vanishes():
     mu1 = DiscreteMeasure(mu1.ground, mu1.weights * (mu0.total_mass / mu1.total_mass))
     nu = default_nu_x(mu0, mu1)
     grid = RadialGrid.geometric(mu0.total_mass + mu1.total_mass, n_nodes=7, smin_frac=0.05)
-    base = solve_lifted_balanced(mu0, mu1, cost, 1.0, grid)
+    base = solve_lifted_balanced(mu0, mu1, cost, grid)
     s_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
     S_grid = RadialGrid(np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 300)]), 50.0)
     gaps = []
     for eps in (0.5, 0.1, 0.02):
-        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, 1.0, (s_grid, S_grid), eps)
+        result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, (s_grid, S_grid), eps)
         gaps.append(abs(result.value - base.value))
     assert gaps[-1] < 0.05
     assert gaps[2] <= gaps[0] + 1e-12
@@ -173,14 +173,14 @@ def test_balanced_eps_diagonal_atoms_cost_nothing():
     cost = CostMatrix(np.array([[0.0]]))
     nu = Plan(g, g, [[1.0]])
     s_grid = RadialGrid(np.array([0.0, 0.5, 1.0]), 1.0)
-    result = solve_lifted_balanced_eps(mu, mu, cost, nu, 1.0, (s_grid, s_grid), 0.7)
+    result = solve_lifted_balanced_eps(mu, mu, cost, nu, (s_grid, s_grid), 0.7)
     assert result.optimal
     assert result.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_balanced_eps_with_infinite_costs_prices_null_scale_atoms():
     # the off-diagonal HK costs are +inf; the s = 0 atoms of those pairs still
-    # carry their nu_X mass at eps S^p, so the LP is feasible and equals the
+    # carry their nu_X mass at eps S, so the LP is feasible and equals the
     # LP with the +inf cells at 1e6
     g0, g1 = GroundSet([[0.0], [1.9]]), GroundSet([[0.1], [2.0]])
     mu0, mu1 = DiscreteMeasure(g0, [0.4, 0.6]), DiscreteMeasure(g1, [0.4, 0.6])
@@ -188,9 +188,9 @@ def test_balanced_eps_with_infinite_costs_prices_null_scale_atoms():
     assert np.isinf(cost.values[0, 1]) and np.isinf(cost.values[1, 0])
     nu = default_nu_x(mu0, mu1)
     grids = (RadialGrid(np.array([0.0, 1.0]), 1.0), RadialGrid.geometric(2.0, n_nodes=8))
-    result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, 1.0, grids, 0.5)
+    result = solve_lifted_balanced_eps(mu0, mu1, cost, nu, grids, 0.5)
     capped = CostMatrix(np.where(np.isinf(cost.values), 1e6, cost.values))
-    want = solve_lifted_balanced_eps(mu0, mu1, capped, nu, 1.0, grids, 0.5)
+    want = solve_lifted_balanced_eps(mu0, mu1, capped, nu, grids, 0.5)
     assert result.optimal and want.optimal
     assert result.value == pytest.approx(want.value, abs=1e-9)
 
@@ -202,7 +202,7 @@ def test_balanced_eps_mass_mismatch():
     nu = default_nu_x(mu0, bumped)
     s_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
     S_grid = RadialGrid(np.array([0.0, 0.5, 1.0, 2.0]), 2.0)
-    result = solve_lifted_balanced_eps(mu0, bumped, cost, nu, 1.0, (s_grid, S_grid), 0.5)
+    result = solve_lifted_balanced_eps(mu0, bumped, cost, nu, (s_grid, S_grid), 0.5)
     assert not result.optimal
 
 
@@ -216,9 +216,9 @@ def eps_calls():
     s_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
     return {
         "H_eps": lambda eps: perspective_H_eps(1.0, 1.0, 1.0, 0.0, eps),
-        "x-extended": lambda eps: solve_x_extended(mu0, mu1, cost, nu, eps, 1.0,
+        "x-extended": lambda eps: solve_x_extended(mu0, mu1, cost, nu, eps,
                                                    (grid, grid, grid)),
-        "balanced-eps": lambda eps: solve_lifted_balanced_eps(mu0, mu1, cost, nu, 1.0,
+        "balanced-eps": lambda eps: solve_lifted_balanced_eps(mu0, mu1, cost, nu,
                                                               (s_grid, grid), eps),
     }
 
@@ -245,7 +245,7 @@ def test_x_extended_matches_sinkhorn():
         nu = default_nu_x(mu0, mu1)
         eps = 0.6
         _, _, rep = solve_x_eps(mu0, mu1, cost, nu, SolverConfig(eps=eps, tolerance=1e-12))
-        _, value = solve_x_extended_refined(mu0, mu1, cost, nu, eps, 1.0)
+        _, value = solve_x_extended_refined(mu0, mu1, cost, nu, eps)
         assert value == pytest.approx(rep.primal, abs=1e-3)
         assert value >= rep.primal - 1e-9
 
@@ -263,7 +263,7 @@ def test_x_extended_refined_prices_its_coarse_lp_in_full(monkeypatch):
     monkeypatch.setattr(lifting, "atom_lp", recorded)
     monkeypatch.setattr(simplex, "atom_lp", recorded)
     mu0, mu1, cost = random_pair(np.random.default_rng(75), box=0.5, lo=0.5, hi=1.4)
-    solve_x_extended_refined(mu0, mu1, cost, default_nu_x(mu0, mu1), 0.6, 1.0)
+    solve_x_extended_refined(mu0, mu1, cost, default_nu_x(mu0, mu1), 0.6)
     assert calls[0] == (True, None)
     assert len(calls) > 1 and not any(full for full, _ in calls[1:])
 
@@ -274,7 +274,7 @@ def test_x_extended_coincident_dirac_zero():
     cost = CostMatrix(np.array([[0.0]]))
     nu = Plan(g, g, [[1.0]])
     grid = RadialGrid(np.array([0.0, 0.5, 1.0, 2.0]), 2.0)
-    eta, value = solve_x_extended(mu, mu, cost, nu, 0.5, 1.0, (grid, grid, grid))
+    eta, value = solve_x_extended(mu, mu, cost, nu, 0.5, (grid, grid, grid))
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -285,7 +285,7 @@ def test_x_extended_rejects_reference_on_other_grounds():
     nu = default_nu_x(*copies)
     grid = RadialGrid(np.array([0.0, 0.5, 1.0]), 1.0)
     with pytest.raises(GroundMismatchError):
-        solve_x_extended(mu0, mu1, cost, nu, 0.5, 1.0, (grid, grid, grid))
+        solve_x_extended(mu0, mu1, cost, nu, 0.5, (grid, grid, grid))
 
 
 def test_x_extended_product_reference_relation():
@@ -294,7 +294,7 @@ def test_x_extended_product_reference_relation():
     rng = np.random.default_rng(76)
     mu0, mu1, cost = random_pair(rng, box=0.5)
     nu = product(mu0, mu1)  # unnormalised product reference
-    eta, _ = solve_x_extended_refined(mu0, mu1, cost, nu, 0.7, 1.0)
+    eta, _ = solve_x_extended_refined(mu0, mu1, cost, nu, 0.7)
     pair = eta.pair_marginal()
     for i in (0, 1):
         lhs = pair.weights.sum(axis=1 - i)
@@ -314,7 +314,7 @@ def test_x_extended_inequality_mode():
                                    grid.nodes)
     families = [(i0, s0p, mu0.weights), (i1, s1p, mu1.weights), (i0 * 2 + i1, ssp, nu.weights)]
     for eps in (0.5, 1.5):
-        _, value = solve_x_extended(mu0, mu1, cost, nu, eps, 1.0, (grid, grid, grid))
+        _, value = solve_x_extended(mu0, mu1, cost, nu, eps, (grid, grid, grid))
         h = perspective_H_eps(s0p, s1p, ssp, cost.values[i0, i1], eps)
         relaxed = relaxed_lp_value(h, families, (F_ZERO, F_ZERO, eps * F_ZERO))
         assert value == pytest.approx(relaxed, abs=1e-9)
@@ -328,12 +328,13 @@ def test_x_extended_inequality_mode():
 
 def test_second_order_matches_extended_space_lp():
     rng = np.random.default_rng(78)
-    for p in (1.0, 2.0):
+    # smin 1e-4 is the ladder of a radial variable r with s = r^2 at smin 1e-2
+    for smin_frac in (1e-2, 1e-4):
         mu0, mu1, cost = random_pair(rng)
-        grids = default_grids(mu0, mu1, p, n_nodes=12, smin_frac=1e-2)
-        _, y_value = solve_y_unreg(mu0, mu1, cost, p, grids)
+        grids = default_grids(mu0, mu1, n_nodes=12, smin_frac=smin_frac)
+        _, y_value = solve_y_unreg(mu0, mu1, cost, grids)
         w_grid = RadialGrid.geometric(2.0, n_nodes=5, smin_frac=0.1)
-        res = solve_second_order_lift(mu0, mu1, cost, p, (grids[0], grids[1], w_grid))
+        res = solve_second_order_lift(mu0, mu1, cost, (grids[0], grids[1], w_grid))
         value, plan = res.value, res.x
         assert value == pytest.approx(y_value, abs=1e-3)
         assert plan.shape == (2, 2, grids[0].size, grids[1].size, 1)
@@ -345,7 +346,7 @@ def test_second_order_coincident_diracs():
     cost = CostMatrix(np.array([[0.0]]))
     grid = RadialGrid(np.array([0.0, 0.5, 1.0, 2.0]), 2.0)
     w_grid = RadialGrid(np.array([0.0, 1.0]), 1.0)
-    value = solve_second_order_lift(mu, mu, cost, 1.0, (grid, grid, w_grid)).value
+    value = solve_second_order_lift(mu, mu, cost, (grid, grid, w_grid)).value
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -356,9 +357,9 @@ def test_second_order_dirac_hk_close():
     mu0 = DiscreteMeasure(g0, [m0])
     mu1 = DiscreteMeasure(g1, [m1])
     cost = CostMatrix(np.array([[hk_cost(d)]]))
-    grids = default_grids(mu0, mu1, 1.0, n_nodes=96, smin_frac=1e-3)
+    grids = default_grids(mu0, mu1, n_nodes=96, smin_frac=1e-3)
     w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.5)
-    value = solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid)).value
+    value = solve_second_order_lift(mu0, mu1, cost, (grids[0], grids[1], w_grid)).value
     exact = m0 + m1 - 2.0 * math.sqrt(m0 * m1) * math.cos(d)
     assert value == pytest.approx(exact, abs=1e-3)
 
@@ -371,10 +372,10 @@ def test_second_order_full_density_grid_gate():
     mu0 = DiscreteMeasure(g0, [0.9])
     mu1 = DiscreteMeasure(g1, [0.6])
     cost = sqeuclidean_matrix(g0, g1)
-    grids = default_grids(mu0, mu1, 1.0, n_nodes=8, smin_frac=0.05)
+    grids = default_grids(mu0, mu1, n_nodes=8, smin_frac=0.05)
     w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.2)
-    v_red = solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid)).value
-    v_full = solve_second_order_full_w(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid))
+    v_red = solve_second_order_lift(mu0, mu1, cost, (grids[0], grids[1], w_grid)).value
+    v_full = solve_second_order_full_w(mu0, mu1, cost, (grids[0], grids[1], w_grid))
     assert v_full == pytest.approx(v_red, abs=1e-12)
 
 
@@ -398,24 +399,25 @@ def test_rescale_triple_invariants_random():
         g0 = GroundSet(rng.uniform(0, 1, size=(n0, 2)))
         g1 = GroundSet(rng.uniform(0, 1, size=(n1, 2)))
         cap = float(rng.uniform(1.0, 3.0))
-        nodes = lambda k: RadialGrid(
-            np.concatenate([[0.0], np.sort(rng.uniform(0.02, cap, k))]), cap)
-        grid0, grid1, grid_s = nodes(4), nodes(4), nodes(3)
-        p = float(rng.uniform(0.5, 2.0))
+        nodes = lambda k: np.concatenate([[0.0], np.sort(rng.uniform(0.02, cap, k))])
+        raw = nodes(4), nodes(4), nodes(3)
+        # random grids, raised to a random power as a power-law radial variable would be
+        power = float(rng.uniform(0.5, 2.0))
+        grid0, grid1, grid_s = (RadialGrid(x ** power, cap ** power) for x in raw)
         w = rng.uniform(size=(n0, grid0.size, n1, grid1.size, grid_s.size))
         w *= rng.uniform(size=w.shape) < 0.4
         if w.sum() == 0:
             continue
-        eta = AtomPlan(g0, g1, (grid0, grid1, grid_s), p, w)
+        eta = AtomPlan(g0, g1, (grid0, grid1, grid_s), w)
         cost = sqeuclidean_matrix(g0, g1)
         eps = float(rng.uniform(0.2, 1.0))
         cloud = eta.rescale()
 
         from uotlab.costs import perspective_H_eps
         h = perspective_H_eps(
-            (grid0.nodes ** p)[None, :, None, None, None],
-            (grid1.nodes ** p)[None, None, None, :, None],
-            (grid_s.nodes ** p)[None, None, None, None, :],
+            grid0.nodes[None, :, None, None, None],
+            grid1.nodes[None, None, None, :, None],
+            grid_s.nodes[None, None, None, None, :],
             cost.values[:, None, :, None, None], eps)
         base_obj = float(np.sum(h * eta.weights))
         assert cloud.total_mass == pytest.approx(1.0, abs=1e-12)
@@ -424,10 +426,9 @@ def test_rescale_triple_invariants_random():
             assert np.max(np.abs(cloud.homogeneous_marginal(i).weights
                                  - eta.homogeneous_marginal(i).weights)) < 1e-12
         assert np.max(np.abs(cloud.pair_marginal().weights - eta.pair_marginal().weights)) < 1e-12
-        s_star_p = (eta.homogeneous_marginal(0).total_mass
-                    + eta.homogeneous_marginal(1).total_mass
-                    + eta.pair_marginal().total_mass)
-        s_star = s_star_p ** (1.0 / p)
+        s_star = (eta.homogeneous_marginal(0).total_mass
+                  + eta.homogeneous_marginal(1).total_mass
+                  + eta.pair_marginal().total_mass)
         for arr in (cloud.s0, cloud.s1, cloud.S):
             assert np.all(arr <= s_star * (1 + 1e-12))
 
@@ -436,13 +437,13 @@ def test_rescale_triple_drops_fully_null_atoms():
     eta, grid, k = triple_plan_single_atom(0.5, 2.0)
     w = np.zeros_like(eta.weights)
     w[0, 0, 0, 0, 0] = 3.0  # s0 = s1 = S = 0
-    eta0 = AtomPlan(eta.row_ground, eta.col_ground, eta.grids, 1.0, w)
+    eta0 = AtomPlan(eta.row_ground, eta.col_ground, eta.grids, w)
     assert eta0.rescale().weights.size == 0
 
 
 def test_homogeneity_of_regularised_cost_under_common_scaling():
-    # basis of the triple rescaling: H_eps(s0^p, s1^p, S^p) is 1-homogeneous
-    # under a common scaling of the p-th powers
+    # basis of the triple rescaling: H_eps(s0, s1, S) is 1-homogeneous
+    # under a common scaling of the radial coordinates
     from uotlab.costs import perspective_H_eps
     rng = np.random.default_rng(80)
     for _ in range(100):
@@ -496,7 +497,7 @@ def assert_multiscale(lps, shape, axes):
                                         (3, "hk")])
 def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind):
     mu0, mu1, cost = lift_instance(seed, kind)
-    grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
+    grids = default_grids(mu0, mu1, n_nodes=8)
     w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.1)
     balanced = DiscreteMeasure(mu1.ground, mu1.weights * mu0.total_mass / mu1.total_mass)
     nu = default_nu_x(mu0, mu1)
@@ -509,12 +510,12 @@ def test_restricted_first_lifts_equal_their_cold_solves(monkeypatch, seed, kind)
         values = []
         for eps, grid in extended:
             lp_calls.append([])
-            values.append(solve_x_extended(mu0, mu1, cost, nu, eps, 1.0, (grid, grid, grid))[1])
+            values.append(solve_x_extended(mu0, mu1, cost, nu, eps, (grid, grid, grid))[1])
         results = []
-        for lift in (lambda: solve_lifted_balanced(mu0, balanced, cost, 1.0, grids[0]),
-                     lambda: solve_second_order_lift(mu0, mu1, cost, 1.0,
+        for lift in (lambda: solve_lifted_balanced(mu0, balanced, cost, grids[0]),
+                     lambda: solve_second_order_lift(mu0, mu1, cost,
                                                      (grids[0], grids[1], w_grid)),
-                     lambda: solve_y_unreg(mu0, mu1, cost, 1.0, grids)[1]):
+                     lambda: solve_y_unreg(mu0, mu1, cost, grids)[1]):
             lp_calls.append([])
             results.append(lift())
         return (*results, values)
@@ -575,10 +576,10 @@ def test_multiscale_extended_lp_prices_its_tensor_about_once(monkeypatch, seed, 
     # the neighbourhood LPs leave the full LP a start that its first
     # pricing pass proves optimal, or nearly
     mu0, mu1, cost = lift_instance(seed, kind)
-    grid = RadialGrid.geometric(2.0 * default_grids(mu0, mu1, 1.0)[0].cap, n_nodes=n,
+    grid = RadialGrid.geometric(2.0 * default_grids(mu0, mu1)[0].cap, n_nodes=n,
                                 smin_frac=0.05)
     lp_calls = recorded_lps(monkeypatch)
-    solve_x_extended(mu0, mu1, cost, default_nu_x(mu0, mu1), eps, 1.0, (grid, grid, grid))
+    solve_x_extended(mu0, mu1, cost, default_nu_x(mu0, mu1), eps, (grid, grid, grid))
     shape, last = lp_calls[-1][-1]
     assert shape == (3, n, 4, n, n) and last.started
     assert [ph.phase for ph in last.phases] == [2] and last.phases[0].full_passes <= 2
@@ -601,11 +602,11 @@ mu0 = DiscreteMeasure(g0, rng.uniform(0.4, 1.2, 3))
 mu1 = DiscreteMeasure(g1, rng.uniform(0.4, 1.2, 4))
 cost = sqeuclidean_matrix(g0, g1)
 grid = RadialGrid.geometric(4.0, n_nodes=14, smin_frac=0.05)
-solve_x_extended(mu0, mu1, cost, default_nu_x(mu0, mu1), 0.5, 1.0, (grid, grid, grid))
-grids = default_grids(mu0, mu1, 1.0, n_nodes=8)
+solve_x_extended(mu0, mu1, cost, default_nu_x(mu0, mu1), 0.5, (grid, grid, grid))
+grids = default_grids(mu0, mu1, n_nodes=8)
 w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.1)
-solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid))
-solve_y_unreg(mu0, mu1, cost, 1.0, grids)
+solve_second_order_lift(mu0, mu1, cost, (grids[0], grids[1], w_grid))
+solve_y_unreg(mu0, mu1, cost, grids)
 sys.exit(1 if "numpy.ma" in sys.modules else 0)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -619,13 +620,13 @@ def test_second_order_lift_and_y_unreg_against_independent_lps(seed, kind):
     # the second-order lift against its LP over the full (w0, w1) grid, and
     # solve_y_unreg against its LP as a cold, dense solve_lp
     mu0, mu1, cost = lift_instance(seed, kind)
-    grids = default_grids(mu0, mu1, 1.0, n_nodes=12)
+    grids = default_grids(mu0, mu1, n_nodes=12)
     w_grid = RadialGrid.geometric(2.0, n_nodes=4, smin_frac=0.2)
-    value = solve_second_order_lift(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid)).value
-    oracle = solve_second_order_full_w(mu0, mu1, cost, 1.0, (grids[0], grids[1], w_grid))
+    value = solve_second_order_lift(mu0, mu1, cost, (grids[0], grids[1], w_grid)).value
+    oracle = solve_second_order_full_w(mu0, mu1, cost, (grids[0], grids[1], w_grid))
     assert abs(value - oracle) <= 1e-10 * (1.0 + abs(oracle))
 
-    _, y_value = solve_y_unreg(mu0, mu1, cost, 1.0, grids)
+    _, y_value = solve_y_unreg(mu0, mu1, cost, grids)
     i0, s0, i1, s1 = np.ix_(np.arange(3), grids[0].nodes, np.arange(4), grids[1].nodes)
     h = perspective_H(s0, s1, cost.values[i0, i1])
     # rows 0-2: the s0-weighted marginal of each point of mu0; rows 3-6: mu1's
@@ -658,6 +659,6 @@ def test_homogeneous_lifts_on_a_one_node_grid():
     assert cold_lifted.status == cold_second.status == "infeasible"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert solve_lifted_balanced(mu0, mu1, cost, 1.0, point).status == "infeasible"
+        assert solve_lifted_balanced(mu0, mu1, cost, point).status == "infeasible"
         with pytest.raises(solver_y.InfeasibleProblemError):
-            solve_second_order_lift(mu0, mu1, cost, 1.0, (grid, grid, point))
+            solve_second_order_lift(mu0, mu1, cost, (grid, grid, point))
